@@ -6,7 +6,9 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -1462,4 +1464,70 @@ func BenchmarkIngestSustained(b *testing.B) {
 	b.Run("block-engine", func(b *testing.B) { run(b, trace.Block, false) })
 	b.Run("drop-engine", func(b *testing.B) { run(b, trace.DropNewest, false) })
 	b.Run("block-engine-store", func(b *testing.B) { run(b, trace.Block, true) })
+}
+
+// BenchmarkJSONDecode is the decode hop of live ingest on its own:
+// 64-line JSONL messages of the standard mix (one line in four has an
+// escaped code string), one message per op. std is encoding/json on
+// every line, which is what Decoder.Next did before it had a parser of
+// its own and still does for the lines that parser declines; fast is
+// Decoder.Next. fast also reports "speedup" (std ns/op ÷ fast ns/op,
+// measured in the same process), and -benchmem shows the allocation
+// claim: one per event plus one per escaped string.
+func BenchmarkJSONDecode(b *testing.B) {
+	const perMessage = 64
+	events := workload.StandardMix(11, 3000).Events
+	var messages [][]byte
+	for lo := 0; lo+perMessage <= len(events); lo += perMessage {
+		var msg bytes.Buffer
+		for _, e := range events[lo : lo+perMessage] {
+			line, err := json.Marshal(e)
+			if err != nil {
+				b.Fatal(err)
+			}
+			msg.Write(line)
+			msg.WriteByte('\n')
+		}
+		messages = append(messages, msg.Bytes())
+	}
+	std := func(msg []byte) {
+		for _, line := range bytes.Split(bytes.TrimSuffix(msg, []byte("\n")), []byte("\n")) {
+			var e trace.Event
+			if err := json.Unmarshal(line, &e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	fast := func(msg []byte) {
+		d := trace.NewBytesDecoder(msg)
+		for n := 0; ; n++ {
+			if _, err := d.Next(); err != nil {
+				if n != perMessage {
+					b.Fatalf("decoded %d of %d events: %v", n, perMessage, err)
+				}
+				return
+			}
+		}
+	}
+	b.Run("std", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			std(messages[i%len(messages)])
+		}
+	})
+	b.Run("fast", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fast(messages[i%len(messages)])
+		}
+		fastNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.StopTimer()
+		const probe = 200
+		start := time.Now()
+		for i := 0; i < probe; i++ {
+			std(messages[i%len(messages)])
+		}
+		stdNs := float64(time.Since(start).Nanoseconds()) / probe
+		if fastNs > 0 {
+			b.ReportMetric(stdNs/fastNs, "speedup")
+		}
+	})
 }

@@ -105,7 +105,14 @@
 // (cli_test.go pins this through the real binaries). Backpressure is
 // an explicit per-tenant policy (Block = lossless stalls, DropNewest
 // = counted sheds; submitted == accepted + dropped + denied holds
-// exactly, BenchmarkIngestSustained). SIGINT/SIGTERM triggers a
+// exactly, BenchmarkIngestSustained). JSONL lines on both transports
+// (and in every other trace.Decoder consumer) are decoded by a
+// hand-written parser that accepts only what it can prove equal to
+// encoding/json — one allocation per event, strings cut from a copy
+// of the event's own line — and declines everything else to
+// json.Unmarshal, which stays as fallback and as the oracle of
+// FuzzJSONEventDecode (BenchmarkJSONDecode pins the two side by
+// side). SIGINT/SIGTERM triggers a
 // drain, not a drop: stop admitting, empty every stage, flush and
 // close the store — the daemons (jupyterd, jsentinel, jhoneypot,
 // jscan, jingestd) all honor both signals.

@@ -212,19 +212,23 @@ func (s *Service) Serve(ln net.Listener) (string, error) {
 // the caller owns flushing/closing whatever the sink writes to.
 // Idempotent.
 func (s *Service) Drain() {
+	// The flag flips and the connections to close are listed in one
+	// critical section: admit and handleWS take the same lock, so a
+	// handler is either refused, on the list, or sees the flag.
+	s.mu.Lock()
 	if !s.draining.CompareAndSwap(false, true) {
+		s.mu.Unlock()
 		return
 	}
-	s.cancel()
-	if s.ln != nil {
-		_ = s.ln.Close()
-	}
-	s.mu.Lock()
 	conns := make([]*wsproto.Conn, 0, len(s.wsConns))
 	for c := range s.wsConns {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
+	s.cancel()
+	if s.ln != nil {
+		_ = s.ln.Close()
+	}
 	for _, c := range conns {
 		_ = c.Close(wsproto.CloseGoingAway, "ingest draining")
 	}
@@ -246,21 +250,16 @@ func (s *Service) Drain() {
 // admit reserves a connection slot; release with done. It fails when
 // draining or when MaxConns is reached.
 func (s *Service) admit() (done func(), ok bool) {
-	if s.draining.Load() {
-		s.rejected.Add(1)
-		return nil, false
+	// Under the lock Drain flips the flag in, so that every wg.Add is
+	// ordered before Drain's wg.Wait.
+	s.mu.Lock()
+	ok = !s.draining.Load() && (s.cfg.MaxConns <= 0 || s.conns.Load() < int64(s.cfg.MaxConns))
+	if ok {
+		s.conns.Add(1)
+		s.wg.Add(1)
 	}
-	if n := s.conns.Add(1); s.cfg.MaxConns > 0 && n > int64(s.cfg.MaxConns) {
-		s.conns.Add(-1)
-		s.rejected.Add(1)
-		return nil, false
-	}
-	// Double-check after the reservation: a Drain between the flag
-	// check and the Add must not strand a handler past wg.Wait.
-	s.wg.Add(1)
-	if s.draining.Load() {
-		s.conns.Add(-1)
-		s.wg.Done()
+	s.mu.Unlock()
+	if !ok {
 		s.rejected.Add(1)
 		return nil, false
 	}
@@ -426,6 +425,13 @@ func (s *Service) handleWS(w http.ResponseWriter, r *http.Request) {
 		delete(s.wsConns, conn)
 		s.mu.Unlock()
 	}()
+	// A handler admitted before Drain but registered after it listed
+	// the connections to close must end itself, or Drain waits on it
+	// forever.
+	if s.draining.Load() {
+		_ = conn.Close(wsproto.CloseGoingAway, "ingest draining")
+		return
+	}
 	ts := s.tenantState(tenantName)
 	ts.conns.Add(1)
 	defer ts.conns.Add(-1)
@@ -445,7 +451,10 @@ func (s *Service) handleWS(w http.ResponseWriter, r *http.Request) {
 			_ = conn.Close(wsproto.CloseCodeForError(err), "protocol error")
 			return
 		}
-		dec := trace.NewDecoder(strings.NewReader(string(payload)))
+		// Events copy what they keep of payload line by line (see
+		// trace.NewBytesDecoder), so a retained event never pins the
+		// whole message.
+		dec := trace.NewBytesDecoder(payload)
 		for {
 			e, derr := dec.Next()
 			if derr == io.EOF {

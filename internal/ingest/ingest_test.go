@@ -577,3 +577,194 @@ func TestStatsEndpointAndRender(t *testing.T) {
 		t.Error("Stats().Draining = false after Drain")
 	}
 }
+
+// mixedLines is a JSONL payload with CRLF line endings, blank lines,
+// one escaped line and one non-canonical line (whitespace and a
+// case-variant key, which only encoding/json takes): four events.
+const mixedLines = "{\"kind\":\"http\",\"src_ip\":\"9.9.9.9\",\"path\":\"/a\"}\r\n" +
+	"\r\n\n" +
+	"{\"kind\":\"exec\",\"kernel_id\":\"kk\",\"code\":\"print(\\\"x\\\")\\n\\u003cb\\u003e\"}\r\n" +
+	"{ \"Kind\" : \"auth\", \"user\" : \"bob\", \"unknown\" : [1, 2] }\n" +
+	"{\"kind\":\"file_op\",\"user\":\"carol\",\"target\":\"nb.ipynb\"}"
+
+func checkMixedLines(t *testing.T, got []trace.Event) {
+	t.Helper()
+	if len(got) != 4 {
+		t.Fatalf("sink saw %d events, want 4: %+v", len(got), got)
+	}
+	want := []trace.Event{
+		{Kind: trace.KindHTTP, SrcIP: "alpha/9.9.9.9", Path: "/a"},
+		{Kind: trace.KindExec, KernelID: "alpha/kk", Code: "print(\"x\")\n<b>"},
+		{Kind: trace.KindAuth, User: "alpha/bob"},
+		{Kind: trace.KindFileOp, User: "alpha/carol", Target: "nb.ipynb"},
+	}
+	for i, e := range got {
+		e.Seq, e.Time = 0, time.Time{}
+		if fmt.Sprintf("%+v", e) != fmt.Sprintf("%+v", want[i]) {
+			t.Errorf("event %d = %+v, want %+v", i, e, want[i])
+		}
+	}
+}
+
+// TestWSMixedLineForms: one WebSocket message of mixedLines ingests
+// every event, namespaced, whichever decoder took the line.
+func TestWSMixedLineForms(t *testing.T) {
+	kr := testKeyring(t, "alpha")
+	sink := &collector{}
+	svc, addr := startService(t, Config{Keyring: kr}, sink)
+	tok, _ := kr.Mint("alpha")
+	conn := dialWS(t, addr, "alpha", tok)
+	if err := conn.WriteMessage(wsproto.OpText, []byte(mixedLines)); err != nil {
+		t.Fatalf("WriteMessage: %v", err)
+	}
+	waitFor(t, func() bool { return len(sink.snapshot()) == 4 })
+	if err := conn.Close(wsproto.CloseNormal, "done"); err != nil {
+		t.Fatalf("client close: %v", err)
+	}
+	svc.Drain()
+	checkMixedLines(t, sink.snapshot())
+}
+
+// TestHTTPMixedLineForms is the same payload over POST /ingest.
+func TestHTTPMixedLineForms(t *testing.T) {
+	kr := testKeyring(t, "alpha")
+	sink := &collector{}
+	svc, addr := startService(t, Config{Keyring: kr}, sink)
+	tok, _ := kr.Mint("alpha")
+	resp, br := postBatch(t, addr, "alpha", tok, []byte(mixedLines))
+	if resp.StatusCode != http.StatusOK || br.Accepted != 4 {
+		t.Fatalf("status %d, accepted %d; want 200, 4", resp.StatusCode, br.Accepted)
+	}
+	svc.Drain()
+	checkMixedLines(t, sink.snapshot())
+}
+
+const thirdLineBad = "{\"kind\":\"http\",\"src_ip\":\"1.1.1.1\"}\n{\"kind\":\"exec\",\"user\":\"u\"}\n{\"kind\":nope}\n{\"kind\":\"auth\"}\n"
+
+// TestWSBadThirdLine: the two events before a malformed line are
+// ingested, then the connection closes 1007 and the rest is dropped.
+func TestWSBadThirdLine(t *testing.T) {
+	kr := testKeyring(t, "alpha")
+	sink := &collector{}
+	svc, addr := startService(t, Config{Keyring: kr}, sink)
+	tok, _ := kr.Mint("alpha")
+	conn := dialWS(t, addr, "alpha", tok)
+	defer conn.Close(wsproto.CloseNormal, "")
+	if err := conn.WriteMessage(wsproto.OpText, []byte(thirdLineBad)); err != nil {
+		t.Fatalf("WriteMessage: %v", err)
+	}
+	if _, _, err := conn.ReadMessage(); err == nil {
+		t.Fatal("expected close, got message")
+	}
+	if conn.CloseCode != wsproto.CloseInvalidPayload {
+		t.Errorf("close code = %d, want %d", conn.CloseCode, wsproto.CloseInvalidPayload)
+	}
+	svc.Drain()
+	if got := sink.snapshot(); len(got) != 2 || got[0].SrcIP != "alpha/1.1.1.1" || got[1].User != "alpha/u" {
+		t.Fatalf("sink saw %+v, want the two events before the bad line", got)
+	}
+}
+
+// TestHTTPBadThirdLine: the same body over POST answers 400 with the
+// line-numbered error and what was admitted before it.
+func TestHTTPBadThirdLine(t *testing.T) {
+	kr := testKeyring(t, "alpha")
+	sink := &collector{}
+	svc, addr := startService(t, Config{Keyring: kr}, sink)
+	tok, _ := kr.Mint("alpha")
+	req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/ingest", strings.NewReader(thirdLineBad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Tenant", "alpha")
+	req.Header.Set("Authorization", "Bearer "+tok)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("POST /ingest: %v", err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Error    string `json:"error"`
+		Accepted int    `json:"accepted"`
+		Denied   int    `json:"denied"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("decode reply: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(body.Error, "trace: line 3: ") ||
+		body.Accepted != 2 || body.Denied != 0 {
+		t.Fatalf("status %d, reply %+v; want 400, a line-3 error, 2 accepted", resp.StatusCode, body)
+	}
+	svc.Drain()
+	if got := sink.snapshot(); len(got) != 2 {
+		t.Fatalf("sink saw %d events, want 2", len(got))
+	}
+}
+
+// TestDrainRacesUpgrades: WebSocket upgrades in flight while Drain
+// starts. A handler admitted before the draining flag flips but
+// registered after Drain listed the connections to close used to be
+// missed, and Drain waited on it forever; the deadline turns that
+// hang into a failure. The dialers keep their connections open until
+// Drain has returned, so only the service can end a handler.
+func TestDrainRacesUpgrades(t *testing.T) {
+	kr := testKeyring(t, "alpha")
+	tok, _ := kr.Mint("alpha")
+	hdr := http.Header{}
+	hdr.Set("X-Tenant", "alpha")
+	hdr.Set("Authorization", "Bearer "+tok)
+	const dialers = 8
+	for round := 0; round < 50; round++ {
+		svc := New(Config{Keyring: kr}, trace.Discard)
+		addr, err := svc.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		connected := make(chan net.Conn, dialers) // one send per dialer
+		var wg sync.WaitGroup
+		for i := 0; i < dialers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				raw, err := net.Dial("tcp", addr)
+				connected <- raw
+				if err != nil {
+					return // the listener is already closed
+				}
+				// 101, 503 or a reset: each is a legal outcome here.
+				_, _ = wsproto.Dial(raw, addr, "/ingest/ws", hdr)
+			}()
+		}
+		// Drain once a round-dependent number of dialers have connected,
+		// so that the flag flips at a different point of the upgrades
+		// each round.
+		var raws []net.Conn
+		for len(raws) < round%dialers+1 {
+			raws = append(raws, <-connected)
+		}
+		drained := make(chan struct{})
+		go func() {
+			svc.Drain()
+			close(drained)
+		}()
+		hung := false
+		select {
+		case <-drained:
+		case <-time.After(5 * time.Second):
+			hung = true
+		}
+		wg.Wait()
+		for len(raws) < dialers {
+			raws = append(raws, <-connected)
+		}
+		for _, raw := range raws {
+			if raw != nil {
+				raw.Close() // also releases a handler Drain missed
+			}
+		}
+		<-drained
+		if hung {
+			t.Fatalf("round %d: Drain still waiting after 5s for a handler it never closed", round)
+		}
+	}
+}

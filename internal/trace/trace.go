@@ -416,38 +416,71 @@ func (jw *JSONLWriter) Err() error {
 // Decoder reads a JSONL event stream one event at a time, so a replay
 // can process arbitrarily long traces without buffering them.
 type Decoder struct {
-	sc   *bufio.Scanner
+	sc   *bufio.Scanner // the stream; nil when decoding a payload held in memory
+	rest []byte         // the unread part of that payload
 	line int
 }
 
-// NewDecoder wraps r. Lines up to 16 MiB are accepted, matching what
+// maxLine is the longest line a Decoder accepts, matching what
 // JSONLWriter can produce for a maximally stuffed event.
+const maxLine = 16 << 20
+
+// NewDecoder wraps r. Lines up to 16 MiB are accepted.
 func NewDecoder(r io.Reader) *Decoder {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	sc.Buffer(make([]byte, 0, 4096), maxLine) // grows on demand, up to maxLine
 	return &Decoder{sc: sc}
+}
+
+// NewBytesDecoder decodes a JSONL payload already in memory (one
+// WebSocket message) with the line rules of NewDecoder and none of
+// its buffering. Returned events do not alias p.
+func NewBytesDecoder(p []byte) *Decoder {
+	return &Decoder{rest: p}
+}
+
+// nextLine returns the next line as bufio.ScanLines cuts it — without
+// its end-of-line marker, carriage return included — or io.EOF.
+func (d *Decoder) nextLine() ([]byte, error) {
+	if d.sc != nil {
+		if d.sc.Scan() {
+			return d.sc.Bytes(), nil
+		}
+		if err := d.sc.Err(); err != nil {
+			return nil, err
+		}
+		return nil, io.EOF
+	}
+	advance, line, _ := bufio.ScanLines(d.rest, true)
+	if advance == 0 {
+		return nil, io.EOF
+	}
+	d.rest = d.rest[advance:]
+	if len(line) >= maxLine {
+		return nil, bufio.ErrTooLong
+	}
+	return line, nil
 }
 
 // Next returns the next event. It returns io.EOF at end of stream and
 // a line-numbered parse error on malformed input; blank lines are
 // skipped.
 func (d *Decoder) Next() (Event, error) {
-	for d.sc.Scan() {
+	for {
+		line, err := d.nextLine()
+		if err != nil {
+			return Event{}, err
+		}
 		d.line++
-		line := d.sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
+		if err := decodeLine(line, &e); err != nil {
 			return Event{}, fmt.Errorf("trace: line %d: %w", d.line, err)
 		}
 		return e, nil
 	}
-	if err := d.sc.Err(); err != nil {
-		return Event{}, err
-	}
-	return Event{}, io.EOF
 }
 
 // ReadJSONL parses a JSONL stream of events into memory. It is a thin

@@ -138,6 +138,21 @@ func appendHeader(dst []byte, fin bool, op Opcode, payloadLen int, maskKey []byt
 // maskBytes XORs payload in place with the 4-byte key starting at
 // offset pos, returning the next offset.
 func maskBytes(key []byte, pos int, b []byte) int {
+	// Eight bytes at a time: 8 is a multiple of the key length, so the
+	// key read twice over from offset pos masks every 8-byte word
+	// counted from the start of b. The byte loop takes the tail.
+	if n := len(b) &^ 7; n > 0 {
+		var k8 [8]byte
+		for i := range k8 {
+			k8[i] = key[(pos+i)&3]
+		}
+		k := binary.LittleEndian.Uint64(k8[:])
+		for i := 0; i < n; i += 8 {
+			binary.LittleEndian.PutUint64(b[i:], binary.LittleEndian.Uint64(b[i:])^k)
+		}
+		pos += n
+		b = b[n:]
+	}
 	for i := range b {
 		b[i] ^= key[pos&3]
 		pos++

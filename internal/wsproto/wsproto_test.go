@@ -66,6 +66,28 @@ func TestMaskingActuallyMasks(t *testing.T) {
 	}
 }
 
+// TestMaskBytesMatchesByteLoop checks the word-wise masking against
+// the RFC's byte-at-a-time definition at every key offset and at
+// lengths on both sides of each word boundary.
+func TestMaskBytesMatchesByteLoop(t *testing.T) {
+	key := []byte{0x37, 0xfa, 0x21, 0x3d}
+	for pos := 0; pos < 4; pos++ {
+		for n := 0; n <= 40; n++ {
+			got := make([]byte, n)
+			for i := range got {
+				got[i] = byte(i*7 + 1)
+			}
+			want := append([]byte(nil), got...)
+			for i := range want {
+				want[i] ^= key[(pos+i)&3]
+			}
+			if next := maskBytes(key, pos, got); !bytes.Equal(got, want) || next != pos+n {
+				t.Fatalf("pos=%d n=%d: got %x (next %d), want %x (next %d)", pos, n, got, next, want, pos+n)
+			}
+		}
+	}
+}
+
 func TestControlFrameRules(t *testing.T) {
 	// Fragmented control frame.
 	raw := EncodeFrame(false, OpPing, []byte("x"), nil)
