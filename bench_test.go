@@ -1,6 +1,7 @@
-// Benchmark harness: one benchmark per experiment in EXPERIMENTS.md.
-// Each benchmark regenerates the measurement backing a figure, table,
-// or quantitative prose claim of the paper; run with
+// Benchmark harness: each benchmark regenerates the measurement
+// backing a figure, table, or quantitative prose claim of the paper or
+// of DESIGN.md (the "Benchmarks" and "Performance budget" sections);
+// run with
 //
 //	go test -bench=. -benchmem .
 package repro_test
@@ -1530,4 +1531,108 @@ func BenchmarkJSONDecode(b *testing.B) {
 			b.ReportMetric(stdNs/fastNs, "speedup")
 		}
 	})
+}
+
+// emitOnlySink hides a sink's EmitBatch, so a stage in front of it
+// hands events over one Emit at a time — the hand-off every sink got
+// before trace.BatchSink existed, and still gets when wrapped by a
+// type that has no EmitBatch.
+type emitOnlySink struct{ inner trace.Sink }
+
+func (s emitOnlySink) Emit(e trace.Event) { s.inner.Emit(e) }
+
+// BenchmarkStageHandoff is the hop between a tenant's connection
+// handler and the sinks on its own: one producer, one stage worker,
+// Tee(core engine, event store) behind it, 4096 events of the standard
+// mix per op (Close included, so every event is through the sinks; op
+// k replays the window k spans later, so time never runs backwards for
+// the detectors).
+// emit hides the Tee's EmitBatch and so pays one Tee walk, one store
+// lock and one by-value copy per sink per event; batch is the stage as
+// the daemons run it. batch also reports "speedup" (emit ns/op ÷ batch
+// ns/op, measured in the same process).
+func BenchmarkStageHandoff(b *testing.B) {
+	const perOp = 4096
+	events := workload.StandardMix(11, 4000).Events
+	if len(events) < perOp {
+		b.Fatalf("standard mix has %d events, want %d", len(events), perOp)
+	}
+	events = events[:perOp]
+	span := events[perOp-1].Time.Sub(events[0].Time) + time.Hour
+	run := func(b *testing.B, batch bool, n int) time.Duration {
+		eng, err := core.NewEngine(core.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		store, err := evstore.Open(b.TempDir(), evstore.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink := trace.Tee(eng, store)
+		if !batch {
+			sink = emitOnlySink{sink}
+		}
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			st := trace.NewStage(sink, 1, 0, trace.Block)
+			shift := time.Duration(i) * span
+			for j := range events {
+				e := events[j]
+				e.Time = e.Time.Add(shift)
+				st.Emit(e)
+			}
+			st.Close()
+			if st.Processed() != perOp {
+				b.Fatalf("processed %d of %d events", st.Processed(), perOp)
+			}
+		}
+		elapsed := time.Since(start)
+		if err := store.Close(); err != nil {
+			b.Fatal(err)
+		}
+		return elapsed
+	}
+	b.Run("emit", func(b *testing.B) {
+		b.ReportAllocs()
+		run(b, false, b.N)
+	})
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		batchNs := float64(run(b, true, b.N).Nanoseconds()) / float64(b.N)
+		b.StopTimer()
+		const probe = 20
+		emitNs := float64(run(b, false, probe).Nanoseconds()) / probe
+		if batchNs > 0 {
+			b.ReportMetric(emitNs/batchNs, "speedup")
+		}
+	})
+}
+
+// BenchmarkRulesProcess is the signature engine's cost for the event
+// that fires nothing — almost every event: one op is one benign event
+// against the builtin rules, by pointer as the core engine calls it.
+// -benchmem pins the claim that a candidate rule which does not fire
+// allocates and copies nothing (0 allocs/op).
+func BenchmarkRulesProcess(b *testing.B) {
+	gen := workload.NewGenerator(11, time.Date(2026, 6, 1, 9, 0, 0, 0, time.UTC))
+	tr := &workload.Trace{}
+	gen.Benign(tr, []string{"alice", "bob", "carol", "dave"}, 2000)
+	eng, err := rules.NewEngine(rules.BuiltinRules())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var quiet []trace.Event
+	for i := range tr.Events {
+		if len(eng.ProcessEvent(&tr.Events[i])) == 0 {
+			quiet = append(quiet, tr.Events[i])
+		}
+	}
+	if len(quiet) < len(tr.Events)/2 {
+		b.Fatalf("only %d of %d benign events fire nothing", len(quiet), len(tr.Events))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.ProcessEvent(&quiet[i%len(quiet)])
+	}
 }

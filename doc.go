@@ -30,7 +30,10 @@
 // v2"): the trace.Bus stamps sequence numbers atomically and fans out
 // over copy-on-write sink snapshots; a bounded trace.Stage decouples
 // producers from slow consumers with explicit backpressure/drop
-// accounting; and the rules.Engine indexes signatures by event kind,
+// accounting and hands events over by pointer in batches that grow
+// with its backlog (trace.BatchSink: one store lock per batch, single
+// events when idle); and the rules.Engine indexes signatures by event
+// kind,
 // matches statelessly without locks, and shards threshold/sequence
 // correlation state per group, so detection throughput scales with
 // cores (jsentinel --workers N, BenchmarkEngineParallel). The core
@@ -137,7 +140,8 @@
 // the VM, bytecode compilation entirely; hit/miss counters surface
 // in kernel usage.
 //
-// See README.md for the tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the per-figure reproduction record. The root
-// bench_test.go regenerates every experiment.
+// See DESIGN.md for the system inventory and each layer's contract
+// ("Performance budget" has the per-hop cost of a live event). The root
+// bench_test.go holds the micro-benchmarks; bench/ is the end-to-end
+// benchmark (go run ./bench).
 package repro

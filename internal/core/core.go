@@ -258,7 +258,16 @@ func (e *Engine) SetOnIncidentUpdate(fn func(IncidentUpdate)) {
 
 // Emit implements trace.Sink.
 func (e *Engine) Emit(ev trace.Event) {
-	e.Process(ev)
+	e.process(&ev)
+}
+
+// EmitBatch implements trace.BatchSink: the events in order, each
+// through the same body as Emit, without a copy of any of them. The
+// slice is only read during the call; alerts carry clones.
+func (e *Engine) EmitBatch(events []trace.Event) {
+	for i := range events {
+		e.process(&events[i])
+	}
 }
 
 // ProcessBatch evaluates events in order and returns all alerts
@@ -268,7 +277,7 @@ func (e *Engine) Emit(ev trace.Event) {
 func (e *Engine) ProcessBatch(events []trace.Event) []rules.Alert {
 	var fired []rules.Alert
 	for i := range events {
-		fired = append(fired, e.Process(events[i])...)
+		fired = append(fired, e.process(&events[i])...)
 	}
 	return fired
 }
@@ -279,11 +288,19 @@ func (e *Engine) ProcessBatch(events []trace.Event) []rules.Alert {
 // each alert's actor shard (correlation) are locked, briefly and
 // never nested. OnAlert runs after every lock is released.
 func (e *Engine) Process(ev trace.Event) []rules.Alert {
-	fired := e.sig.Process(ev)
-	sh := &e.shards[trace.ShardIndex(trace.ActorKey(ev), len(e.shards))]
+	return e.process(&ev)
+}
+
+// process is the one per-event body behind Emit, EmitBatch, Process
+// and ProcessBatch. It reads ev and keeps nothing of it.
+func (e *Engine) process(ev *trace.Event) []rules.Alert {
+	fired := e.sig.ProcessEvent(ev)
+	sh := &e.shards[trace.ShardIndex(ev.ActorKey(), len(e.shards))]
 	sh.mu.Lock()
 	for _, d := range sh.dets {
-		fired = append(fired, d.Process(ev)...)
+		// By value: a pointer handed to an interface method would move
+		// Emit's and Process's parameter to the heap, once per event.
+		fired = append(fired, d.Process(*ev)...)
 	}
 	sh.mu.Unlock()
 	e.events.Add(1)

@@ -140,6 +140,6 @@ func TestJitteredLowSlowStillEvades(t *testing.T) {
 		}
 	}
 	if !evaded {
-		t.Fatal("jittered train unexpectedly caught — update EXPERIMENTS.md E17 if the detector improved")
+		t.Fatal("jittered train unexpectedly caught — if the detector improved, this known miss is gone: flip the expectation")
 	}
 }

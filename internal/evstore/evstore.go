@@ -295,7 +295,7 @@ func (s *Store) Append(e trace.Event) error {
 	if s.err != nil {
 		return s.err
 	}
-	if err := s.append(e); err != nil {
+	if err := s.append(&e); err != nil {
 		s.err = err
 		return err
 	}
@@ -312,8 +312,8 @@ func (s *Store) AppendBatch(events []trace.Event) error {
 	if s.err != nil {
 		return s.err
 	}
-	for _, e := range events {
-		if err := s.append(e); err != nil {
+	for i := range events {
+		if err := s.append(&events[i]); err != nil {
 			s.err = err
 			return err
 		}
@@ -325,6 +325,11 @@ func (s *Store) AppendBatch(events []trace.Event) error {
 // reported by Err.
 func (s *Store) Emit(e trace.Event) { _ = s.Append(e) }
 
+// EmitBatch implements trace.BatchSink: AppendBatch, with the first
+// failure sticky and reported by Err. The slice is only read during
+// the call.
+func (s *Store) EmitBatch(events []trace.Event) { _ = s.AppendBatch(events) }
+
 // Err returns the first append or seal error, or nil.
 func (s *Store) Err() error {
 	s.mu.Lock()
@@ -332,7 +337,11 @@ func (s *Store) Err() error {
 	return s.err
 }
 
-func (s *Store) append(e trace.Event) error {
+// append is the one per-event body behind Append and AppendBatch (and
+// so Emit and EmitBatch): encode, index, then the flush and rotation
+// checks, each counted in events whatever the batch size. It reads e
+// and keeps nothing of it but strings.
+func (s *Store) append(e *trace.Event) error {
 	if s.readOnly {
 		return fmt.Errorf("evstore: store opened read-only")
 	}
@@ -345,14 +354,17 @@ func (s *Store) append(e trace.Event) error {
 	}
 	w := s.cur
 	start := len(w.pending)
+	actor := e.ActorKey() // once: the frame header and the index both carry it
 	if w.enc != nil {
-		pending, err := w.enc.appendEvent(w.pending, e)
+		pending, err := w.enc.appendEvent(w.pending, e, actor)
 		if err != nil {
 			return err
 		}
 		w.pending = pending
 	} else {
-		payload, err := json.Marshal(e)
+		// By value: a pointer in Marshal's interface argument would move
+		// every caller's event to the heap, binary codec included.
+		payload, err := json.Marshal(*e)
 		if err != nil {
 			return fmt.Errorf("evstore: encode: %w", err)
 		}
@@ -366,7 +378,7 @@ func (s *Store) append(e trace.Event) error {
 	// frameBytes covers everything this event put on the wire,
 	// including any v2 dictionary frames it introduced, keeping the
 	// Index.Bytes == valid-file-length invariant.
-	w.info.Index.observe(e, int64(len(w.pending)-start), w.actors, s.opts.MaxActors)
+	w.info.Index.observe(e, actor, int64(len(w.pending)-start), w.actors, s.opts.MaxActors)
 	w.unflushed++
 	if w.unflushed >= s.opts.FlushEvery {
 		if err := s.flushCur(); err != nil {

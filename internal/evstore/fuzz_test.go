@@ -34,7 +34,7 @@ func buildSegmentV2(events ...trace.Event) []byte {
 	enc := newBinEncoder()
 	for _, e := range events {
 		var err error
-		out, err = enc.appendEvent(out, e)
+		out, err = enc.appendEvent(out, &e, e.ActorKey())
 		if err != nil {
 			panic(err)
 		}

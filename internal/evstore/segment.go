@@ -126,8 +126,8 @@ type Index struct {
 	ActorsOverflow bool     `json:"actors_overflow,omitempty"`
 }
 
-// observe folds one event into the index.
-func (ix *Index) observe(e trace.Event, frameBytes int64, actors map[string]struct{}, maxActors int) {
+// observe folds one event, with its actor key, into the index.
+func (ix *Index) observe(e *trace.Event, actor string, frameBytes int64, actors map[string]struct{}, maxActors int) {
 	if ix.Events == 0 || e.Seq < ix.MinSeq {
 		ix.MinSeq = e.Seq
 	}
@@ -149,7 +149,7 @@ func (ix *Index) observe(e trace.Event, frameBytes int64, actors map[string]stru
 	ix.Events++
 	ix.Bytes += frameBytes
 	if !ix.ActorsOverflow {
-		actors[trace.ActorKey(e)] = struct{}{}
+		actors[actor] = struct{}{}
 		if len(actors) > maxActors {
 			ix.ActorsOverflow = true
 			for k := range actors {
@@ -191,11 +191,12 @@ func appendFrameV2(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// appendEvent appends the v2 frames encoding e — any new dictionary
-// entries first, then the event frame — to dst and returns the
-// extended slice. Dictionary entries therefore always precede their
-// first reference, keeping every valid frame prefix self-contained.
-func (enc *binEncoder) appendEvent(dst []byte, e trace.Event) ([]byte, error) {
+// appendEvent appends the v2 frames encoding e, whose actor key is
+// actor — any new dictionary entries first, then the event frame — to
+// dst and returns the extended slice. Dictionary entries therefore
+// always precede their first reference, keeping every valid frame
+// prefix self-contained.
+func (enc *binEncoder) appendEvent(dst []byte, e *trace.Event, actor string) ([]byte, error) {
 	dictStart := uint64(len(enc.dict))
 	intern := func(s string) (uint64, bool) {
 		if ref, ok := enc.dict[s]; ok {
@@ -212,8 +213,8 @@ func (enc *binEncoder) appendEvent(dst []byte, e trace.Event) ([]byte, error) {
 	enc.scratch = enc.scratch[:0]
 	enc.scratch = append(enc.scratch, frameEvent)
 	enc.scratch = trace.AppendBinaryString(enc.scratch, string(e.Kind), intern)
-	enc.scratch = trace.AppendBinaryString(enc.scratch, trace.ActorKey(e), intern)
-	enc.scratch = trace.AppendBinaryEvent(enc.scratch, e, intern)
+	enc.scratch = trace.AppendBinaryString(enc.scratch, actor, intern)
+	enc.scratch = e.AppendBinary(enc.scratch, intern)
 	if len(enc.scratch) > maxFrame {
 		// The caller discards the returned slice growth on error, so any
 		// dictionary frames staged for this event never reach disk; drop
@@ -463,7 +464,7 @@ func rebuildIndex(path string, maxActors int) (Index, DecodeResult, error) {
 	res, err := scanSegment(path, func(e trace.Event) error {
 		// Frame size is re-derived from the marshalled form below via
 		// ValidBytes, so observe with zero and fix Bytes afterwards.
-		ix.observe(e, 0, actors, maxActors)
+		ix.observe(&e, e.ActorKey(), 0, actors, maxActors)
 		return nil
 	})
 	if err != nil {

@@ -38,6 +38,10 @@ type SinkHandle struct {
 // Emit forwards to the underlying sink.
 func (h *SinkHandle) Emit(e trace.Event) { h.sink.Emit(e) }
 
+// EmitBatch forwards the batch: one locked append for a store path,
+// line by line for a .jsonl path.
+func (h *SinkHandle) EmitBatch(events []trace.Event) { trace.EmitBatch(h.sink, events) }
+
 // Close flushes and reports the first recording error.
 func (h *SinkHandle) Close() error { return h.closeFn() }
 

@@ -314,18 +314,18 @@ func remoteIP(r *http.Request) string {
 // single-worker stage, keeping its per-actor order identical between
 // the live engine and the recorded store.
 func (s *Service) emitService(e trace.Event) {
-	s.svcStage.Emit(s.stamp(e))
+	s.stamp(&e)
+	s.svcStage.Emit(e)
 }
 
 // stamp finalizes an event for the pipeline: a fresh service-wide
 // sequence number (the store's append order is the replay order) and
 // a timestamp when the agent supplied none.
-func (s *Service) stamp(e trace.Event) trace.Event {
+func (s *Service) stamp(e *trace.Event) {
 	e.Seq = s.seq.Add(1)
 	if e.Time.IsZero() {
 		e.Time = s.cfg.Clock.Now()
 	}
-	return e
 }
 
 // ---- handlers ----
@@ -385,7 +385,9 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		switch ts.ingest(r.Context(), s.stamp(stampTenant(tenantName, e))) {
+		stampTenant(tenantName, &e)
+		s.stamp(&e)
+		switch ts.ingest(r.Context(), &e) {
 		case resAccepted:
 			resp.Accepted++
 		case resDenied:
@@ -464,7 +466,9 @@ func (s *Service) handleWS(w http.ResponseWriter, r *http.Request) {
 				_ = conn.Close(wsproto.CloseInvalidPayload, "bad event JSON")
 				return
 			}
-			ts.ingest(s.ctx, s.stamp(stampTenant(tenantName, e)))
+			stampTenant(tenantName, &e)
+			s.stamp(&e)
+			ts.ingest(s.ctx, &e)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,20 +47,20 @@ const (
 // or service draining — counts the event as denied). Under DropNewest
 // it never blocks: quota exhaustion denies the event, a full queue
 // drops it inside the stage, and both are counted per tenant.
-func (ts *tenant) ingest(ctx context.Context, e trace.Event) ingestResult {
+func (ts *tenant) ingest(ctx context.Context, e *trace.Event) ingestResult {
 	if ts.policy == trace.Block {
 		if err := ts.bucket.Wait(ctx); err != nil {
 			ts.denied.Add(1)
 			return resDenied
 		}
-		ts.stage.Emit(e)
+		ts.stage.Emit(*e)
 		return resAccepted
 	}
 	if !ts.bucket.Allow() {
 		ts.denied.Add(1)
 		return resDenied
 	}
-	ts.stage.Emit(e)
+	ts.stage.Emit(*e)
 	return resAccepted
 }
 
@@ -71,20 +72,28 @@ func (ts *tenant) ingest(ctx context.Context, e trace.Event) ingestResult {
 // stay tenant-scoped, and the namespacing is recorded in the store, so
 // an offline replay reconstructs the exact same actors as the live
 // run.
-func stampTenant(name string, e trace.Event) trace.Event {
-	if e.User != "" {
-		e.User = name + "/" + e.User
-	}
-	if e.SrcIP != "" {
-		e.SrcIP = name + "/" + e.SrcIP
-	}
-	if e.KernelID != "" {
-		e.KernelID = name + "/" + e.KernelID
-	}
+//
+// The prefixed identities of one event share one backing string
+// ("t/user" + "t/ip" + "t/kernel", each field a substring of it), so
+// stamping costs one allocation however many of the three are present.
+func stampTenant(name string, e *trace.Event) {
 	if e.User == "" && e.SrcIP == "" && e.KernelID == "" {
 		e.User = name + "/-"
+		return
 	}
-	return e
+	var b strings.Builder
+	b.Grow(3*(len(name)+1) + len(e.User) + len(e.SrcIP) + len(e.KernelID))
+	var cut [3]int // where each field's prefixed value ends in b
+	for i, f := range [3]string{e.User, e.SrcIP, e.KernelID} {
+		if f != "" {
+			b.WriteString(name)
+			b.WriteByte('/')
+			b.WriteString(f)
+		}
+		cut[i] = b.Len()
+	}
+	all := b.String()
+	e.User, e.SrcIP, e.KernelID = all[:cut[0]], all[cut[0]:cut[1]], all[cut[1]:cut[2]]
 }
 
 // tokenBucket is the fleet sweep's context-aware rate limiter idiom,

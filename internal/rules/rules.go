@@ -544,18 +544,18 @@ func (en *Engine) Evaluated() uint64 {
 // Emit implements trace.Sink: every event is evaluated against the
 // candidate rules for its kind.
 func (en *Engine) Emit(e trace.Event) {
-	en.Process(e)
+	en.ProcessEvent(&e)
 }
 
 // Process evaluates one event and returns any alerts fired.
 func (en *Engine) Process(e trace.Event) []Alert {
-	return en.process(&e)
+	return en.ProcessEvent(&e)
 }
 
-// process is the pointer-threaded core of Process: one trace.Event
-// copy at the exported boundary (or none, via ProcessBatch) instead
-// of one per rule evaluation.
-func (en *Engine) process(e *trace.Event) []Alert {
+// ProcessEvent is Process for a caller that already holds the event
+// (the core engine's batch path, ProcessBatch): no copy of the event
+// is made, and e is only read — a fired alert carries a Clone.
+func (en *Engine) ProcessEvent(e *trace.Event) []Alert {
 	en.evaluated.Add(1)
 	en.rulesMu.RLock()
 	candidates, ok := en.byKind[e.Kind]
@@ -567,9 +567,7 @@ func (en *Engine) process(e *trace.Event) []Alert {
 
 	var fired []Alert
 	for _, r := range candidates {
-		if a, ok := en.evalRule(r, e); ok {
-			fired = append(fired, a)
-		}
+		fired = en.evalRule(r, e, fired)
 	}
 	if len(fired) > 0 {
 		en.alertsMu.Lock()
@@ -590,23 +588,26 @@ func (en *Engine) process(e *trace.Event) []Alert {
 func (en *Engine) ProcessBatch(events []trace.Event) []Alert {
 	var fired []Alert
 	for i := range events {
-		fired = append(fired, en.process(&events[i])...)
+		fired = append(fired, en.ProcessEvent(&events[i])...)
 	}
 	return fired
 }
 
-// evalRule routes one candidate rule. Stateless matching happens
+// evalRule routes one candidate rule and returns fired, extended by
+// the rule's alert when it fires. Stateless matching happens
 // lock-free; only stateful threshold/sequence tracking takes the
-// owning shard's lock.
-func (en *Engine) evalRule(r *Rule, e *trace.Event) (Alert, bool) {
+// owning shard's lock. The alert is appended rather than returned:
+// an (Alert, bool) result zeroes and copies the ~300-byte Alert for
+// every candidate rule of every event, fired or not.
+func (en *Engine) evalRule(r *Rule, e *trace.Event, fired []Alert) []Alert {
 	if len(r.Sequence) > 0 {
-		return en.evalSequence(r, e)
+		return en.evalSequence(r, e, fired)
 	}
 	if !matchAll(r.Conditions, e) {
-		return Alert{}, false
+		return fired
 	}
 	if r.Threshold == nil {
-		return en.mkAlert(r, e, "", 1), true
+		return append(fired, en.mkAlert(r, e, "", 1))
 	}
 	group := ""
 	if r.Threshold.GroupBy != "" {
@@ -634,12 +635,12 @@ func (en *Engine) evalRule(r *Rule, e *trace.Event) (Alert, bool) {
 	st.times = fresh
 	if len(fresh) >= r.Threshold.Count {
 		st.times = st.times[:0] // reset after firing, keeping capacity
-		return en.mkAlert(r, e, group, len(fresh)), true
+		return append(fired, en.mkAlert(r, e, group, len(fresh)))
 	}
-	return Alert{}, false
+	return fired
 }
 
-func (en *Engine) evalSequence(r *Rule, e *trace.Event) (Alert, bool) {
+func (en *Engine) evalSequence(r *Rule, e *trace.Event, fired []Alert) []Alert {
 	group := ""
 	switch {
 	case r.Threshold != nil && r.Threshold.GroupBy != "":
@@ -672,15 +673,15 @@ func (en *Engine) evalSequence(r *Rule, e *trace.Event) (Alert, bool) {
 	if !matchAll(stage.Conditions, e) {
 		// A non-matching event does not reset progress (attackers
 		// interleave benign traffic), it is simply ignored.
-		return Alert{}, false
+		return fired
 	}
 	st.stage++
 	st.lastTime = e.Time
 	if st.stage >= len(r.Sequence) {
 		st.stage = 0
-		return en.mkAlert(r, e, group, len(r.Sequence)), true
+		return append(fired, en.mkAlert(r, e, group, len(r.Sequence)))
 	}
-	return Alert{}, false
+	return fired
 }
 
 func (en *Engine) mkAlert(r *Rule, e *trace.Event, group string, count int) Alert {

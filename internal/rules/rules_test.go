@@ -341,3 +341,34 @@ func TestFieldValueCoverage(t *testing.T) {
 		}
 	}
 }
+
+// A candidate rule that does not fire must cost nothing: evalRule
+// appends to the caller's slice on a hit instead of returning an
+// (Alert, bool) that is zeroed and copied per rule either way.
+func TestNonFiringEventAllocatesNothing(t *testing.T) {
+	en, err := NewEngine(BuiltinRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2026, 6, 1, 9, 0, 0, 0, time.UTC)
+	events := []trace.Event{
+		{Kind: trace.KindExec, Time: at, User: "alice", KernelID: "k1", Code: "df = load('data.csv')", Success: true},
+		{Kind: trace.KindHTTP, Time: at, SrcIP: "10.0.0.7", User: "alice", Method: "GET", Path: "/api/contents", Status: 200, Success: true},
+		{Kind: trace.KindFileOp, Time: at, User: "alice", Op: "read", Target: "/home/alice/nb.ipynb", Bytes: 2048, Entropy: 4.1, Success: true},
+		{Kind: trace.KindSysRes, Time: at, KernelID: "k1", CPUMillis: 12},
+	}
+	for i := range events {
+		if fired := en.ProcessEvent(&events[i]); len(fired) != 0 {
+			t.Fatalf("benign event %d fired %d alerts; pick another", i, len(fired))
+		}
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		for i := range events {
+			en.ProcessEvent(&events[i])
+			en.Process(events[i])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("non-firing events cost %.1f allocations per round, want 0", allocs)
+	}
+}

@@ -12,7 +12,12 @@ package trace
 // It lives in trace (rather than workload, which re-exports it) so the
 // storage layer can index segments by actor without importing the
 // traffic generator.
-func ActorKey(e Event) string {
+func ActorKey(e Event) string { return e.ActorKey() }
+
+// ActorKey is the function ActorKey without the copy of the event: the
+// form the per-event paths (core shard pick, segment frame header and
+// index) call.
+func (e *Event) ActorKey() string {
 	if (e.Kind == KindAuth || e.Kind == KindHTTP || e.Kind == KindConn) && e.SrcIP != "" {
 		return e.SrcIP
 	}

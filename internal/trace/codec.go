@@ -151,6 +151,12 @@ func appendZigzagField(dst []byte, field int, v int64) []byte {
 // Encoding is deterministic: map fields are emitted in sorted key
 // order, so identical events produce identical bytes.
 func AppendBinaryEvent(dst []byte, e Event, intern Intern) []byte {
+	return e.AppendBinary(dst, intern)
+}
+
+// AppendBinary is AppendBinaryEvent without the copy of the event —
+// the form the segment writer calls once per appended event.
+func (e *Event) AppendBinary(dst []byte, intern Intern) []byte {
 	if intern == nil {
 		intern = InternNone
 	}

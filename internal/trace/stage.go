@@ -26,26 +26,59 @@ func (p DropPolicy) String() string {
 	return "block"
 }
 
+// The take rule: a worker that finds q events queued removes
+// max(1, min(q/takeFraction, takeCap)) of them under one lock hold and
+// hands them to the sink as one batch. The batch grows with the
+// backlog only, and the worker never waits to fill one, so an idle
+// stage hands over single events (a Tee runs a batch sink-major, so a
+// batch of n delays its first event by n-1 events of every earlier
+// member's work) while a saturated one hands over takeCap at a time.
+//
+// Measured on the 2-vCPU dev box with `go run ./bench`, seed 11
+// (DESIGN.md, "Batch hand-off", has the table). live_saturate,
+// events/s, three runs each; the channel stage this replaced does
+// ~640k: q/4 capped at 8: 597k 823k 979k; at 32: 981k 872k 871k; at
+// 128 (this rule): 902k 913k 1090k; q/2 at 128: 1082k 1020k 1059k;
+// everything queued, at most 128: 1060k 1045k 1016k; everything queued
+// (at most 1024): 1090k 1087k 1099k, but disk_bytes_per_event 39.75 to
+// 39.79 in every run where this rule's median is 39.47 and the
+// parent's 39.64 — a run of 1024 events from one tenant hands the
+// segment dictionary's one-byte ids to that tenant's rare strings.
+// live_paced latency_p50_ms, median of six rounds: parent 0.156, this
+// rule 0.142, q/2 0.145, everything queued up to 128: 0.159 (the
+// worker wakes to a whole 32-event frame).
+const (
+	takeFraction = 4
+	takeCap      = 128
+)
+
 // Stage decouples event producers from a slow Sink: events are queued
-// into a bounded channel drained by a pool of workers that invoke the
-// wrapped sink. It implements Sink, so any producer (a Bus subscriber,
-// a monitor, a honeypot observer) can be made asynchronous by wrapping
-// its downstream sink in a Stage.
+// into a bounded ring drained by a pool of workers that hand them to
+// the wrapped sink — in batches through EmitBatch when the sink is a
+// BatchSink, one Emit per event otherwise. It implements Sink, so any
+// producer (a Bus subscriber, a monitor, a honeypot observer) can be
+// made asynchronous by wrapping its downstream sink in a Stage.
 //
 // With a single worker the wrapped sink observes events in exactly the
 // order they were emitted by a single producer; with N > 1 workers
 // delivery order across events is unspecified and the sink must be
 // safe for concurrent use (the sharded rules.Engine is).
 //
-// Events emitted after Close are counted as dropped regardless of
+// Events emitted after Close — including an Emit still parked on a
+// full queue when Close arrives — are counted as dropped regardless of
 // policy, never delivered, and never panic.
 type Stage struct {
-	sink   Sink
-	ch     chan Event
-	policy DropPolicy
+	sink    Sink
+	policy  DropPolicy
+	takeMax int // per-take ceiling: takeCap, or depth/workers if smaller
 
-	mu     sync.RWMutex // guards closed against concurrent Emit/Close
-	closed bool
+	mu       sync.Mutex
+	notEmpty sync.Cond // workers park here
+	notFull  sync.Cond // Block producers park here
+	ring     []Event   // the queue: ring[head], ring[head+1], ... (mod len), queued of them
+	head     int
+	queued   int
+	closed   bool
 
 	wg        sync.WaitGroup
 	accepted  atomic.Uint64
@@ -62,7 +95,15 @@ func NewStage(sink Sink, workers, depth int, policy DropPolicy) *Stage {
 	if depth <= 0 {
 		depth = 1024
 	}
-	st := &Stage{sink: sink, ch: make(chan Event, depth), policy: policy}
+	// No worker may take more than its share of a full queue, or one
+	// worker would serialize what N were asked to run in parallel.
+	takeMax := (depth + workers - 1) / workers
+	if takeMax > takeCap {
+		takeMax = takeCap
+	}
+	st := &Stage{sink: sink, policy: policy, takeMax: takeMax, ring: make([]Event, depth)}
+	st.notEmpty.L = &st.mu
+	st.notFull.L = &st.mu
 	st.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go st.worker()
@@ -72,47 +113,79 @@ func NewStage(sink Sink, workers, depth int, policy DropPolicy) *Stage {
 
 func (st *Stage) worker() {
 	defer st.wg.Done()
-	for e := range st.ch {
-		st.sink.Emit(e)
-		st.processed.Add(1)
+	var batch []Event // this worker's copy of the run it took; borrowed by the sink per call
+	for {
+		st.mu.Lock()
+		for st.queued == 0 && !st.closed {
+			st.notEmpty.Wait()
+		}
+		if st.queued == 0 {
+			st.mu.Unlock()
+			return // closed and drained
+		}
+		n := st.queued / takeFraction
+		if n < 1 {
+			n = 1
+		}
+		if n > st.takeMax {
+			n = st.takeMax
+		}
+		batch = batch[:0]
+		for n > 0 {
+			run := st.ring[st.head:min(st.head+n, len(st.ring))]
+			batch = append(batch, run...)
+			clear(run) // like a channel receive: a consumed slot pins no strings
+			st.head = (st.head + len(run)) % len(st.ring)
+			st.queued -= len(run)
+			n -= len(run)
+		}
+		// Waking costs two atomic loads when nobody is parked.
+		st.notFull.Broadcast()
+		if st.queued > 0 {
+			st.notEmpty.Signal() // more left than this worker took: share it
+		}
+		st.mu.Unlock()
+
+		EmitBatch(st.sink, batch)
+		st.processed.Add(uint64(len(batch)))
+		clear(batch)
 	}
 }
 
 // Emit enqueues the event, honoring the drop policy when full.
 func (st *Stage) Emit(e Event) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if st.closed {
+	st.mu.Lock()
+	for st.policy == Block && st.queued == len(st.ring) && !st.closed {
+		st.notFull.Wait()
+	}
+	if st.closed || st.queued == len(st.ring) {
+		st.mu.Unlock()
 		st.dropped.Add(1)
 		return
 	}
-	// Count the acceptance before the enqueue: a drained stage must
-	// satisfy Processed() >= Accepted(), so the counter may never lag
-	// behind an event already visible to a worker. The drop path
-	// compensates.
+	tail := st.head + st.queued
+	if tail >= len(st.ring) {
+		tail -= len(st.ring)
+	}
+	st.ring[tail] = e
+	st.queued++
+	// Counted under the lock that publishes the event: a drained stage
+	// must satisfy Processed() == Accepted(), so the counter may never
+	// lag behind an event a worker can already see.
 	st.accepted.Add(1)
-	if st.policy == Block {
-		st.ch <- e
-		return
-	}
-	select {
-	case st.ch <- e:
-	default:
-		st.accepted.Add(^uint64(0)) // undo: the event was not enqueued
-		st.dropped.Add(1)
-	}
+	st.notEmpty.Signal()
+	st.mu.Unlock()
 }
 
 // Close stops accepting events, drains the queue, and waits for the
 // workers to finish. It is idempotent.
 func (st *Stage) Close() {
 	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return
+	if !st.closed {
+		st.closed = true
+		st.notEmpty.Broadcast()
+		st.notFull.Broadcast()
 	}
-	st.closed = true
-	close(st.ch)
 	st.mu.Unlock()
 	st.wg.Wait()
 }
@@ -127,5 +200,10 @@ func (st *Stage) Processed() uint64 { return st.processed.Load() }
 // DropNewest, or emitted after Close).
 func (st *Stage) Dropped() uint64 { return st.dropped.Load() }
 
-// Pending returns the number of queued, not-yet-processed events.
-func (st *Stage) Pending() int { return len(st.ch) }
+// Pending returns the number of events queued and not yet taken by a
+// worker.
+func (st *Stage) Pending() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.queued
+}

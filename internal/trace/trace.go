@@ -208,11 +208,42 @@ func (f SinkFunc) Emit(e Event) { f(e) }
 // Discard drops all events.
 var Discard Sink = SinkFunc(func(Event) {})
 
+// BatchSink is a Sink that can also consume a run of events in one
+// call, so a lock or a buffer it guards is taken once per batch
+// instead of once per event. EmitBatch(events) must be observably the
+// same as Emit(events[0]), Emit(events[1]), ... in order.
+//
+// The slice is borrowed: it belongs to the caller, which reuses it as
+// soon as EmitBatch returns. An implementation may keep the events'
+// strings (they are immutable) but neither the slice nor a pointer
+// into it; anything else it keeps, it copies (Event.Clone).
+type BatchSink interface {
+	Sink
+	EmitBatch(events []Event)
+}
+
+// EmitBatch hands events to s: in one call when s is a BatchSink, else
+// one Emit per event. Stage workers, Tee and every forwarding wrapper
+// deliver through it, so a plain Sink keeps working anywhere a batch
+// arrives.
+func EmitBatch(s Sink, events []Event) {
+	if b, ok := s.(BatchSink); ok {
+		b.EmitBatch(events)
+		return
+	}
+	for i := range events {
+		s.Emit(events[i])
+	}
+}
+
 // Tee fans one Emit out to several sinks, synchronously and in order
 // — the lightweight sibling of Bus for pipeline slots that need "the
 // engine AND the store" without sequence stamping or subscription.
 // Nil sinks are skipped at construction; a single survivor is
-// returned unwrapped.
+// returned unwrapped. The result is a BatchSink: a batch goes
+// sink-major — the whole batch to the first member, then to the
+// second — so each member sees its events in order and takes its lock
+// once, and members without EmitBatch get one Emit per event.
 func Tee(sinks ...Sink) Sink {
 	kept := make([]Sink, 0, len(sinks))
 	for _, s := range sinks {
@@ -226,11 +257,21 @@ func Tee(sinks ...Sink) Sink {
 	case 1:
 		return kept[0]
 	}
-	return SinkFunc(func(e Event) {
-		for _, s := range kept {
-			s.Emit(e)
-		}
-	})
+	return &tee{sinks: kept}
+}
+
+type tee struct{ sinks []Sink }
+
+func (t *tee) Emit(e Event) {
+	for _, s := range t.sinks {
+		s.Emit(e)
+	}
+}
+
+func (t *tee) EmitBatch(events []Event) {
+	for _, s := range t.sinks {
+		EmitBatch(s, events)
+	}
 }
 
 // Bus is a thread-safe fan-out of events to subscriber sinks, with a
@@ -465,7 +506,7 @@ func (d *Decoder) nextLine() ([]byte, error) {
 // Next returns the next event. It returns io.EOF at end of stream and
 // a line-numbered parse error on malformed input; blank lines are
 // skipped.
-func (d *Decoder) Next() (Event, error) {
+func (d *Decoder) Next() (e Event, _ error) {
 	for {
 		line, err := d.nextLine()
 		if err != nil {
@@ -475,7 +516,8 @@ func (d *Decoder) Next() (Event, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var e Event
+		// Decoded in place in the result: a local would be zeroed, filled
+		// and then copied out, once per event.
 		if err := decodeLine(line, &e); err != nil {
 			return Event{}, fmt.Errorf("trace: line %d: %w", d.line, err)
 		}
