@@ -48,11 +48,15 @@
 // sets identical to serial ones for the builtin detectors (see
 // DESIGN.md for the exact guarantee).
 //
-// Persistence is the segmented event store (internal/evstore): an
-// append-only log of CRC-checked frames rotated into segments, each
-// with a sidecar index (kinds, actors, sequence and time ranges) that
-// lets jsentinel --replay DIR --since/--until/--kinds/--actor skip
-// non-matching segments outright and feed the actor-sharded detection
+// Persistence is one segment log (internal/seglog) under two stores:
+// an append-only directory of CRC-checked frames rotated into
+// segments, each sealed by a sidecar index written only after its
+// data, with torn-tail recovery, read-only opening and oldest-first
+// compaction implemented — and fault-enumerated — once. The event
+// store (internal/evstore) puts events in it, with a sidecar index
+// (kinds, actors, sequence and time ranges) that lets jsentinel
+// --replay DIR --since/--until/--kinds/--actor skip non-matching
+// segments outright and feed the actor-sharded detection
 // workers from per-segment readers in parallel — so replay throughput
 // scales with cores instead of being capped by a whole-file JSONL
 // load (BenchmarkStoreReplay). Segments come in two wire versions:

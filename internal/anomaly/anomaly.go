@@ -53,8 +53,9 @@ type Factory struct {
 	New func() Detector
 }
 
-// SuiteFactories returns factories for the default detector suite, in
-// the same order Suite instantiates it.
+// SuiteFactories returns factories for the default detector suite.
+// Sharded engines build one set per shard; a serial pipeline wanting a
+// single set calls Build(SuiteFactories()).
 func SuiteFactories() []Factory {
 	return []Factory{
 		{Name: "anomaly.ransomware", New: func() Detector { return NewRansomware(DefaultRansomwareConfig()) }},
@@ -524,13 +525,6 @@ func coefficientOfVariation(xs []float64) float64 {
 }
 
 // ---- Composite ----
-
-// Suite bundles one instance of the default detector set. Serial
-// pipelines embed it directly; sharded ones use SuiteFactories so
-// every shard gets its own instances.
-func Suite() []Detector {
-	return Build(SuiteFactories())
-}
 
 // Describe returns a one-line description per detector, for reports.
 func Describe(ds []Detector) string {

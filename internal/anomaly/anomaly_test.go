@@ -306,7 +306,7 @@ func TestCoefficientOfVariation(t *testing.T) {
 }
 
 func TestSuiteComplete(t *testing.T) {
-	ds := Suite()
+	ds := Build(SuiteFactories())
 	if len(ds) != 4 {
 		t.Fatalf("suite = %d detectors", len(ds))
 	}

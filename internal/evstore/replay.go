@@ -150,7 +150,7 @@ func (s *Store) scan(f Filter, sc *decodeScratch, fn func(trace.Event) error) (R
 			continue
 		}
 		stats.SegmentsSelected++
-		res, err := scanSegmentScratch(seg.Path, skip, sc, func(e trace.Event) error {
+		res, err := scanSegment(seg.Path, skip, sc, func(e trace.Event) error {
 			stats.Decoded++
 			if !f.Match(e) {
 				return nil
@@ -303,7 +303,7 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 					sb.events = sb.events[:0]
 					sb.shard = sb.shard[:0]
 				}
-				res, err := scanSegmentScratch(segs[i].Path, skip, &sb.sc, func(e trace.Event) error {
+				res, err := scanSegment(segs[i].Path, skip, &sb.sc, func(e trace.Event) error {
 					decoded.Add(1)
 					if !f.Match(e) {
 						return nil

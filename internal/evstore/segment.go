@@ -1,25 +1,20 @@
 package evstore
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sort"
 	"time"
 
+	"repro/internal/seglog"
 	"repro/internal/trace"
 )
 
-// Segment file layout: an 8-byte magic followed by frames of
-//
-//	uint32le payload length | uint32le CRC32(payload) | payload
-//
-// Two segment versions share that framing and differ in what the
-// payload is:
+// Segment files are internal/seglog's: an 8-byte magic followed by
+// length+CRC32 framed payloads. Two segment versions share that framing
+// and differ in what the payload is:
 //
 //   - EVSEG001 (v1, codec "json"): every payload is one JSON-encoded
 //     trace.Event, checksummed with CRC32-IEEE.
@@ -34,18 +29,15 @@ import (
 //     exactly as in v1. The kind+actor header lets a filtered replay
 //     skip the body decode entirely for non-matching events.
 //
-// Anything that fails the length bound, the checksum, or the decode
-// marks the end of the valid prefix: readers stop there and report
-// the remainder as tail loss, and the writer truncates it away on
-// open so appends never land after garbage.
+// A payload that fails the decode marks the end of the valid prefix
+// just as a bad length or checksum does: readers stop there and report
+// the remainder as tail loss.
 const (
 	segMagic   = "EVSEG001"
 	segMagicV2 = "EVSEG002"
 	// maxFrame bounds a frame payload, matching trace.Decoder's line
 	// bound; a larger length prefix is corruption, not a big event.
 	maxFrame = 16 << 20
-
-	frameHeaderLen = 8
 
 	// v2 frame payload types.
 	frameDict  = 0x01
@@ -63,6 +55,25 @@ const (
 // arm64 compute it with the dedicated CRC32 instructions. v1 keeps
 // IEEE for compatibility with every segment already on disk.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Positions in format.Magics, and the codec each announces.
+const (
+	magicJSON = iota
+	magicBinary
+)
+
+var codecs = [...]Codec{magicJSON: CodecJSON, magicBinary: CodecBinary}
+
+// format is the store's file family: seg-%08d.ev data files with .idx
+// sidecars. The read buffer is sized for replay, which streams whole
+// multi-megabyte segments.
+var format = seglog.Format{
+	Name: "evstore", Noun: "store",
+	Prefix: "seg-", DataExt: ".ev", IndexExt: ".idx",
+	Magics:   []seglog.Magic{magicJSON: {Text: segMagic, Table: crc32.IEEETable}, magicBinary: {Text: segMagicV2, Table: castagnoli}},
+	MaxFrame: maxFrame,
+	ReadBuf:  256 << 10,
+}
 
 // Codec names a segment payload encoding.
 type Codec string
@@ -126,6 +137,10 @@ type Index struct {
 	ActorsOverflow bool     `json:"actors_overflow,omitempty"`
 }
 
+// Trusted implements seglog.Index: a sidecar of another schema version
+// is rebuilt from the segment data, never trusted.
+func (ix Index) Trusted() bool { return ix.Version == IndexVersion }
+
 // observe folds one event, with its actor key, into the index.
 func (ix *Index) observe(e *trace.Event, actor string, frameBytes int64, actors map[string]struct{}, maxActors int) {
 	if ix.Events == 0 || e.Seq < ix.MinSeq {
@@ -184,13 +199,6 @@ func newBinEncoder() *binEncoder {
 	return &binEncoder{dict: make(map[string]uint64)}
 }
 
-// appendFrame appends one length+CRC32C framed payload to dst.
-func appendFrameV2(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
-}
-
 // appendEvent appends the v2 frames encoding e, whose actor key is
 // actor — any new dictionary entries first, then the event frame — to
 // dst and returns the extended slice. Dictionary entries therefore
@@ -207,7 +215,7 @@ func (enc *binEncoder) appendEvent(dst []byte, e *trace.Event, actor string) ([]
 		}
 		ref := uint64(len(enc.dict))
 		enc.dict[s] = ref
-		dst = appendFrameV2(dst, append([]byte{frameDict}, s...))
+		dst = seglog.AppendFrame(dst, append([]byte{frameDict}, s...), castagnoli)
 		return ref, true
 	}
 	enc.scratch = enc.scratch[:0]
@@ -227,15 +235,15 @@ func (enc *binEncoder) appendEvent(dst []byte, e *trace.Event, actor string) ([]
 		}
 		return dst, fmt.Errorf("evstore: event of %d bytes exceeds frame limit", len(enc.scratch))
 	}
-	return appendFrameV2(dst, enc.scratch), nil
+	return seglog.AppendFrame(dst, enc.scratch, castagnoli), nil
 }
 
-// DecodeResult reports what a segment scan found: how much of the
-// file was a valid frame sequence and how much trailing corruption
-// (if any) was cut off.
+// DecodeResult reports what a segment scan found: the frame reader's
+// account of the valid prefix and any trailing corruption (ValidBytes,
+// TailLossBytes, Truncated, Reason), plus what the payloads were.
 type DecodeResult struct {
-	Events     int
-	ValidBytes int64 // length of the valid prefix including magic
+	seglog.ScanResult
+	Events int
 	// Skipped counts v2 event frames whose checksum was verified but
 	// whose body was never decoded, because the push-down predicate
 	// ruled them out from the frame header alone.
@@ -243,12 +251,6 @@ type DecodeResult struct {
 	// Codec is the segment encoding the magic announced ("json" or
 	// "binary"), or "" when even the magic was unreadable.
 	Codec Codec
-	// TailLossBytes is how many trailing bytes were unreadable —
-	// non-zero only when Truncated is set.
-	TailLossBytes int64
-	Truncated     bool
-	// Reason describes the first bad frame when Truncated.
-	Reason string
 }
 
 // DecodeFrames scans a segment byte stream of either version,
@@ -262,12 +264,12 @@ func DecodeFrames(r io.Reader, size int64, fn func(trace.Event) error) (DecodeRe
 	return decodeFrames(r, size, nil, nil, fn)
 }
 
-// decodeScratch is the reusable per-segment decode state: the read
-// buffer, the frame payload buffer, the dictionary slice, and — when
-// Replay owns the lifecycle — a string arena. Reusing one scratch
-// across the segments of a pass keeps a full-store replay at
-// O(segments) allocations; a nil scratch means "allocate fresh",
-// which is what the one-shot DecodeFrames/scanSegment paths use.
+// decodeScratch is the reusable per-segment decode state: the frame
+// reader's buffers, the dictionary slice, and — when Replay owns the
+// lifecycle — a string arena. Reusing one scratch across the segments
+// of a pass keeps a full-store replay at O(segments) allocations; a
+// nil scratch means "allocate fresh", which is what the one-shot
+// DecodeFrames path uses.
 //
 // arena is deliberately opt-in: with it set, every decoded event's
 // inline strings (and the segment dictionary's entries) live in arena
@@ -276,10 +278,9 @@ func DecodeFrames(r io.Reader, size int64, fn func(trace.Event) error) (DecodeRe
 // after the scratch is recycled for the next segment — recycling
 // reuses the *containers* (buffers, slices), never string bytes.
 type decodeScratch struct {
-	br      *bufio.Reader
-	payload []byte
-	dict    []string
-	arena   *trace.Arena
+	frames seglog.Scratch
+	dict   []string
+	arena  *trace.Arena
 }
 
 // decodeFrames is DecodeFrames plus the v2 push-down hook and scratch
@@ -293,41 +294,6 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 	if sc == nil {
 		sc = &decodeScratch{}
 	}
-	if sc.br == nil {
-		sc.br = bufio.NewReaderSize(r, 256<<10)
-	} else {
-		sc.br.Reset(r)
-	}
-	br := sc.br
-	truncate := func(reason string) (DecodeResult, error) {
-		res.Truncated = true
-		res.Reason = reason
-		if size >= 0 {
-			res.TailLossBytes = size - res.ValidBytes
-		}
-		return res, nil
-	}
-
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return truncate("missing magic")
-	}
-	var binaryCodec bool
-	switch string(magic) {
-	case segMagic:
-		res.Codec = CodecJSON
-	case segMagicV2:
-		res.Codec = CodecBinary
-		binaryCodec = true
-	default:
-		return truncate("bad magic")
-	}
-	res.ValidBytes = int64(len(segMagic))
-
-	crcTable := crc32.IEEETable
-	if binaryCodec {
-		crcTable = castagnoli
-	}
 	dict := sc.dict[:0]
 	lookup := func(ref uint64) (string, bool) {
 		if ref >= uint64(len(dict)) {
@@ -335,53 +301,20 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 		}
 		return dict[ref], true
 	}
-
-	var hdr [frameHeaderLen]byte
-	// One scratch buffer serves every frame, grown geometrically so a
-	// run of monotonically larger frames doesn't reallocate per frame.
 	// Decoded events copy whatever they keep (into sc.arena when set),
-	// so the payload never escapes the loop and the hot replay path
+	// so the payload never outlives the callback and the hot replay path
 	// stays allocation-free per event. The event is hoisted too: &e
-	// escapes into json.Unmarshal, so an in-loop declaration would
+	// escapes into json.Unmarshal, so a per-frame declaration would
 	// heap-allocate every event.
-	payload := sc.payload
-	defer func() {
-		// Hand grown capacity back so the next segment reuses it.
-		sc.dict = dict[:0]
-		sc.payload = payload[:0]
-	}()
 	var e trace.Event
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return res, nil // clean end of segment
-			}
-			return truncate("short frame header")
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxFrame {
-			return truncate("implausible frame length")
-		}
-		if uint32(cap(payload)) < length {
-			newCap := 2 * cap(payload)
-			if newCap < int(length) {
-				newCap = int(length)
-			}
-			if newCap < 4096 {
-				newCap = 4096
-			}
-			payload = make([]byte, newCap)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return truncate("short frame payload")
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			return truncate("checksum mismatch")
-		}
+	var err error
+	res.ScanResult, err = format.ReadFrames(r, size, &sc.frames, func(magic int, payload []byte) (string, error) {
 		e = trace.Event{}
-		if binaryCodec {
+		if magic == magicJSON {
+			if json.Unmarshal(payload, &e) != nil {
+				return "frame not an event", nil
+			}
+		} else {
 			switch payload[0] {
 			case frameDict:
 				// Materialized exactly once per segment; every event that
@@ -393,85 +326,66 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 				} else {
 					dict = append(dict, string(payload[1:]))
 				}
-				res.ValidBytes += frameHeaderLen + int64(length)
-				continue
+				return "", nil
 			case frameEvent:
 				kind, n1, err := trace.DecodeBinaryStringArena(payload[1:], lookup, sc.arena)
 				if err != nil {
-					return truncate("frame not an event")
+					return "frame not an event", nil
 				}
 				actor, n2, err := trace.DecodeBinaryStringArena(payload[1+n1:], lookup, sc.arena)
 				if err != nil {
-					return truncate("frame not an event")
+					return "frame not an event", nil
 				}
 				if skip != nil && skip(trace.Kind(kind), actor) {
-					res.ValidBytes += frameHeaderLen + int64(length)
 					res.Skipped++
-					continue
+					return "", nil
 				}
 				e, err = trace.DecodeBinaryEventArena(payload[1+n1+n2:], trace.Kind(kind), lookup, sc.arena)
 				if err != nil {
-					return truncate("frame not an event")
+					return "frame not an event", nil
 				}
 			default:
-				return truncate("unknown frame type")
-			}
-		} else {
-			if err := json.Unmarshal(payload, &e); err != nil {
-				return truncate("frame not an event")
+				return "unknown frame type", nil
 			}
 		}
-		res.ValidBytes += frameHeaderLen + int64(length)
 		res.Events++
-		if err := fn(e); err != nil {
-			return res, err
-		}
+		return "", fn(e)
+	})
+	sc.dict = dict[:0] // hand grown capacity back so the next segment reuses it
+	if res.Magic >= 0 {
+		res.Codec = codecs[res.Magic]
 	}
+	return res, err
 }
 
-// scanSegment decodes a segment file from disk.
-func scanSegment(path string, fn func(trace.Event) error) (DecodeResult, error) {
-	return scanSegmentFiltered(path, nil, fn)
-}
-
-// scanSegmentFiltered decodes a segment file with an optional v2
-// push-down predicate.
-func scanSegmentFiltered(path string, skip func(kind trace.Kind, actor string) bool, fn func(trace.Event) error) (DecodeResult, error) {
-	return scanSegmentScratch(path, skip, nil, fn)
-}
-
-// scanSegmentScratch is scanSegmentFiltered with reusable decode
-// scratch — the replay paths thread one scratch (and its arena)
-// across all the segments they visit.
-func scanSegmentScratch(path string, skip func(kind trace.Kind, actor string) bool, sc *decodeScratch, fn func(trace.Event) error) (DecodeResult, error) {
-	f, err := os.Open(path)
+// scanSegment decodes a segment file from disk, with an optional v2
+// push-down predicate and reusable decode scratch — the replay paths
+// thread one scratch (and its arena) across all the segments they
+// visit.
+func scanSegment(path string, skip func(kind trace.Kind, actor string) bool, sc *decodeScratch, fn func(trace.Event) error) (DecodeResult, error) {
+	f, size, err := seglog.OpenData(path)
 	if err != nil {
 		return DecodeResult{}, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return DecodeResult{}, err
-	}
-	return decodeFrames(f, st.Size(), skip, sc, fn)
+	return decodeFrames(f, size, skip, sc, fn)
 }
 
-// rebuildIndex reconstructs a sidecar by scanning the segment data —
-// the recovery path for a segment whose writer died before sealing.
-func rebuildIndex(path string, maxActors int) (Index, DecodeResult, error) {
+// rebuild reconstructs a sidecar by scanning the segment data — the
+// recovery path for a segment whose writer died before sealing.
+func (o Options) rebuild(path string) (Index, seglog.ScanResult, error) {
 	ix := Index{Version: IndexVersion}
 	actors := map[string]struct{}{}
-	res, err := scanSegment(path, func(e trace.Event) error {
-		// Frame size is re-derived from the marshalled form below via
-		// ValidBytes, so observe with zero and fix Bytes afterwards.
-		ix.observe(&e, e.ActorKey(), 0, actors, maxActors)
+	res, err := scanSegment(path, nil, nil, func(e trace.Event) error {
+		// Bytes is re-derived from the valid prefix below.
+		ix.observe(&e, e.ActorKey(), 0, actors, o.MaxActors)
 		return nil
 	})
 	if err != nil {
-		return Index{}, res, err
+		return Index{}, res.ScanResult, err
 	}
 	ix.seal(actors)
 	ix.Bytes = res.ValidBytes
 	ix.Codec = string(res.Codec)
-	return ix, res, nil
+	return ix, res.ScanResult, nil
 }

@@ -1,14 +1,11 @@
 package histstore
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/seglog"
 )
 
 // Options tunes a store. Zero values pick the defaults.
@@ -46,44 +43,31 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// SegmentInfo describes one sealed, readable segment.
-type SegmentInfo struct {
-	N     int // segment number; scan order is ascending N
-	Path  string
-	Index Index
-}
+// SegmentInfo describes one sealed, readable segment; scan order is
+// ascending N.
+type SegmentInfo = seglog.Segment[Index]
 
 // TailLoss records corruption found and truncated during Open.
-type TailLoss struct {
-	Segment   string
-	LostBytes int64
-	Reason    string
-}
+type TailLoss = seglog.TailLoss
 
 // Store is a history log rooted at one directory. AppendAlert and
 // AppendIncident are safe for concurrent use (the core engine invokes
 // its hooks from many worker goroutines); the first write failure is
 // sticky and reported by Err, so a recording pipeline never mistakes
 // a torn history for a complete one.
+//
+// The segment machine is internal/seglog's: Dir, Segments, Recovered,
+// Err, Sync (which makes buffered records visible to concurrent
+// OpenRead queries) and Compact are the embedded Log's.
 type Store struct {
-	dir      string
-	opts     Options
-	readOnly bool
+	*seglog.Log[Index]
+	w    seglog.Writer[Index]
+	opts Options
 
-	mu        sync.Mutex
-	sealed    []SegmentInfo
-	nextN     int
-	cur       *segmentWriter
-	recovered []TailLoss
-	err       error // first append/seal failure; sticky
-}
-
-type segmentWriter struct {
-	f         *os.File
-	pending   []byte // buffered frames not yet written through
-	info      SegmentInfo
-	builder   *indexBuilder
-	unflushed int
+	// The active segment's index state, reset whenever the writer
+	// starts a fresh segment; guarded by the writer's lock.
+	ix      Index
+	builder *indexBuilder
 }
 
 // Open creates or opens a history directory for appending. Existing
@@ -93,27 +77,29 @@ type segmentWriter struct {
 // with the loss reported by Recovered. Appends always start a fresh
 // segment, so recovery never rewrites sealed history.
 func Open(dir string, opts Options) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("histstore: %w", err)
-	}
-	return open(dir, opts, false)
+	opts = opts.withDefaults()
+	log, err := seglog.Open(&format, dir, opts.SegmentBytes, opts.FlushEvery, opts.rebuild)
+	return newStore(log, opts, err)
 }
 
 // OpenRead opens an existing history without ever mutating it:
 // missing sidecars are rebuilt in memory only and a torn newest
-// segment is reported via Recovered but not truncated (readers stop
-// at the first bad frame regardless). This is the query path's entry
-// point — it sees the flushed prefix of a live writer's active
-// segment and never freezes a stale sidecar over it, exactly the
-// evstore.OpenRead discipline. Appends and Compact on a read-only
-// store fail.
+// segment is reported via Recovered but not truncated. This is the
+// query path's entry point — it sees the flushed prefix of a live
+// writer's active segment and never freezes a stale sidecar over it
+// (see seglog.OpenRead). Appends and Compact on a read-only store
+// fail.
 func OpenRead(dir string) (*Store, error) {
-	if st, err := os.Stat(dir); err != nil {
-		return nil, fmt.Errorf("histstore: %w", err)
-	} else if !st.IsDir() {
-		return nil, fmt.Errorf("histstore: %s is not a history directory", dir)
+	opts := Options{}.withDefaults()
+	log, err := seglog.OpenRead(&format, dir, opts.rebuild)
+	return newStore(log, opts, err)
+}
+
+func newStore(log *seglog.Log[Index], opts Options, err error) (*Store, error) {
+	if err != nil {
+		return nil, err
 	}
-	return open(dir, Options{}, true)
+	return &Store{Log: log, w: seglog.WriterOf(log), opts: opts}, nil
 }
 
 // Mode is the policy for opening a history path that already holds
@@ -157,88 +143,10 @@ func OpenWith(dir string, mode Mode, opts Options) (*Store, error) {
 	return s, nil
 }
 
-func open(dir string, opts Options, readOnly bool) (*Store, error) {
-	opts = opts.withDefaults()
-	paths, err := filepath.Glob(filepath.Join(dir, "hist-*.hr"))
-	if err != nil {
-		return nil, fmt.Errorf("histstore: %w", err)
-	}
-	type numbered struct {
-		n    int
-		path string
-	}
-	var segs []numbered
-	for _, p := range paths {
-		var n int
-		if _, err := fmt.Sscanf(filepath.Base(p), "hist-%d.hr", &n); err != nil {
-			continue // not ours
-		}
-		segs = append(segs, numbered{n, p})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].n < segs[j].n })
-
-	s := &Store{dir: dir, opts: opts, readOnly: readOnly, nextN: 1}
-	for i, seg := range segs {
-		info := SegmentInfo{N: seg.n, Path: seg.path}
-		ix, ok := loadIndex(indexPath(seg.path))
-		if ok {
-			info.Index = ix
-		} else {
-			rebuilt, res, err := rebuildIndex(seg.path, opts.MaxActors, opts.MaxClasses)
-			if err != nil {
-				return nil, fmt.Errorf("histstore: rebuild %s: %w", seg.path, err)
-			}
-			if res.Truncated && i == len(segs)-1 {
-				// Only the newest segment can hold a torn append from
-				// a crashed writer. A writer cuts it off so new frames
-				// never land after garbage; a reader just reports it.
-				if !readOnly {
-					if err := os.Truncate(seg.path, res.ValidBytes); err != nil {
-						return nil, fmt.Errorf("histstore: truncate %s: %w", seg.path, err)
-					}
-				}
-				s.recovered = append(s.recovered, TailLoss{
-					Segment: seg.path, LostBytes: res.TailLossBytes, Reason: res.Reason,
-				})
-			}
-			if !readOnly {
-				if err := writeIndex(indexPath(seg.path), rebuilt); err != nil {
-					return nil, fmt.Errorf("histstore: %w", err)
-				}
-			}
-			info.Index = rebuilt
-		}
-		s.sealed = append(s.sealed, info)
-		s.nextN = seg.n + 1
-	}
-	return s, nil
-}
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Recovered reports any corrupt tails truncated while opening.
-func (s *Store) Recovered() []TailLoss {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]TailLoss(nil), s.recovered...)
-}
-
-// Segments returns the sealed, readable segments in scan order. The
-// active segment (appends since Open) is excluded until sealed by
-// rotation or Close.
-func (s *Store) Segments() []SegmentInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]SegmentInfo(nil), s.sealed...)
-}
-
 // Records returns the total records across sealed segments.
 func (s *Store) Records() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
-	for _, seg := range s.sealed {
+	for _, seg := range s.Segments() {
 		n += seg.Index.Records
 	}
 	return n
@@ -259,17 +167,15 @@ type Stats struct {
 // segments count; the active segment is excluded until rotation or
 // Close, like Segments.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var st Stats
-	for _, seg := range s.sealed {
+	for _, seg := range s.Segments() {
 		st.Segments++
 		st.Records += seg.Index.Records
 		st.AlertRecords += seg.Index.AlertRecords
 		st.IncidentRecords += seg.Index.IncidentRecords
 		st.Bytes += seg.Index.Bytes
 	}
-	for _, loss := range s.recovered {
+	for _, loss := range s.Recovered() {
 		st.RecoveredLossBytes += loss.LostBytes
 	}
 	return st
@@ -296,183 +202,60 @@ func (s *Store) AppendIncident(in IncidentRecord) error {
 
 // Append adds one record to the log.
 func (s *Store) Append(r Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
-	}
-	if err := s.append(r); err != nil {
-		s.err = err
+	err := s.w.Lock()
+	defer s.w.Unlock()
+	if err != nil {
 		return err
 	}
+	if err := s.append(r); err != nil {
+		return s.w.Fail(err)
+	}
 	return nil
-}
-
-// Err returns the first append or seal error, or nil.
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 func (s *Store) append(r Record) error {
-	if s.readOnly {
-		return fmt.Errorf("histstore: store opened read-only")
+	buf, fresh, err := s.w.Begin(0)
+	if err != nil {
+		return err
 	}
-	if s.cur == nil {
-		w, err := s.openSegment()
-		if err != nil {
-			return err
-		}
-		s.cur = w
+	if fresh {
+		s.ix = Index{Version: IndexVersion, Bytes: seglog.MagicLen}
+		s.builder = newIndexBuilder()
 	}
-	w := s.cur
-	start := len(w.pending)
 	// Reserve the frame header, encode the payload in place, then
-	// back-fill length and checksum — one buffer, no staging copy.
-	w.pending = append(w.pending, 0, 0, 0, 0, 0, 0, 0, 0)
-	payloadStart := len(w.pending)
-	pending, err := AppendRecord(w.pending, r)
-	if err != nil {
-		w.pending = w.pending[:start]
+	// back-fill length and checksum — one buffer, no staging copy. On
+	// error the writer never sees the growth.
+	start := len(buf)
+	buf = append(buf, make([]byte, seglog.FrameHeaderLen)...)
+	if buf, err = AppendRecord(buf, r); err != nil {
 		return err
 	}
-	payload := pending[payloadStart:]
-	if len(payload) > maxFrame {
-		w.pending = w.pending[:start]
-		return fmt.Errorf("histstore: record of %d bytes exceeds frame limit", len(payload))
+	if n := len(buf) - start - seglog.FrameHeaderLen; n > maxFrame {
+		return fmt.Errorf("histstore: record of %d bytes exceeds frame limit", n)
 	}
-	binary.LittleEndian.PutUint32(pending[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(pending[start+4:], crc32.Checksum(payload, castagnoli))
-	w.pending = pending
-	w.info.Index.observe(r, int64(len(w.pending)-start), w.builder, s.opts.MaxActors, s.opts.MaxClasses)
-	w.unflushed++
-	if w.unflushed >= s.opts.FlushEvery {
-		if err := s.flushCur(); err != nil {
-			return err
-		}
-	}
-	if w.info.Index.Bytes >= s.opts.SegmentBytes {
-		return s.sealCur()
-	}
-	return nil
-}
-
-func (s *Store) openSegment() (*segmentWriter, error) {
-	n := s.nextN
-	path := filepath.Join(s.dir, fmt.Sprintf("hist-%08d.hr", n))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("histstore: %w", err)
-	}
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("histstore: %w", err)
-	}
-	s.nextN++
-	return &segmentWriter{
-		f: f,
-		info: SegmentInfo{N: n, Path: path, Index: Index{
-			Version: IndexVersion, Bytes: int64(len(segMagic)),
-		}},
-		builder: newIndexBuilder(),
-	}, nil
-}
-
-// flushCur writes buffered frames through to the file.
-func (s *Store) flushCur() error {
-	w := s.cur
-	if w == nil || len(w.pending) == 0 {
-		return nil
-	}
-	if _, err := w.f.Write(w.pending); err != nil {
-		return fmt.Errorf("histstore: %w", err)
-	}
-	w.pending = w.pending[:0]
-	w.unflushed = 0
-	return nil
-}
-
-// sealCur flushes the active segment, writes its sidecar, and retires
-// it to the readable set. Data reaches the file before the sidecar
-// exists — the ordering every recovery path relies on.
-func (s *Store) sealCur() error {
-	w := s.cur
-	if w == nil {
-		return nil
-	}
-	if err := s.flushCur(); err != nil {
+	seglog.FillHeader(buf, start, castagnoli)
+	s.ix.observe(r, int64(len(buf)-start), s.builder, s.opts.MaxActors, s.opts.MaxClasses)
+	full, err := s.w.End(buf)
+	if err != nil || !full {
 		return err
 	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("histstore: %w", err)
-	}
-	w.info.Index.seal(w.builder)
-	if err := writeIndex(indexPath(w.info.Path), w.info.Index); err != nil {
-		return err
-	}
-	s.sealed = append(s.sealed, w.info)
-	s.cur = nil
-	return nil
+	return s.seal()
 }
 
-// Sync flushes buffered frames to the OS without sealing, making them
-// visible to concurrent OpenRead queries.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
+// seal finalizes the active segment's index and has the writer seal
+// the segment under it; a no-op without an active segment.
+func (s *Store) seal() error {
+	if s.w.Active() {
+		s.ix.seal(s.builder)
 	}
-	if err := s.flushCur(); err != nil {
-		s.err = err
-	}
-	return s.err
+	return s.w.Seal(s.ix)
 }
 
-// Close seals the active segment (if any) and returns the sticky
-// error. The store stays usable for reads; a later Append starts a
-// fresh segment.
+// Close seals the active segment (if any) — whatever the sticky error,
+// so the file is released — and returns the sticky error. The store
+// stays usable for reads; a later Append starts a fresh segment.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.sealCur(); err != nil && s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// Compact enforces retention: it deletes the oldest sealed segments
-// (data and sidecar) so that at most keep remain, and returns how
-// many were removed. The active segment is untouched. keep < 0 is an
-// error; keep == 0 drops all sealed history. Removal is oldest-first
-// and each segment's sidecar goes before its data, so a crash
-// mid-compaction leaves at worst an orphan data file that the next
-// Open re-indexes — never an index without data.
-func (s *Store) Compact(keep int) (int, error) {
-	if keep < 0 {
-		return 0, fmt.Errorf("histstore: negative retention %d", keep)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.readOnly {
-		return 0, fmt.Errorf("histstore: store opened read-only")
-	}
-	drop := len(s.sealed) - keep
-	if drop <= 0 {
-		return 0, nil
-	}
-	for i := 0; i < drop; i++ {
-		seg := s.sealed[i]
-		if err := os.Remove(indexPath(seg.Path)); err != nil && !os.IsNotExist(err) {
-			s.sealed = s.sealed[i:]
-			return i, fmt.Errorf("histstore: %w", err)
-		}
-		if err := os.Remove(seg.Path); err != nil {
-			s.sealed = s.sealed[i:]
-			return i, fmt.Errorf("histstore: %w", err)
-		}
-	}
-	s.sealed = append([]SegmentInfo(nil), s.sealed[drop:]...)
-	return drop, nil
+	_ = s.w.Lock()
+	defer s.w.Unlock()
+	return s.seal()
 }

@@ -4,16 +4,17 @@
 // incidents for actor X last week" is an index probe over per-segment
 // sidecars instead of an O(store) re-detection replay.
 //
-// The layout mirrors internal/evstore deliberately: segment-rotated
-// files of length+CRC32C frames behind an 8-byte magic, JSON sidecar
-// indexes written only after the segment data is flushed (a present
-// sidecar certifies a cleanly sealed segment), torn tails truncated by
-// the next writer Open and surfaced via Recovered, and an OpenRead
-// path that never mutates so queries run safely under a live writer.
-// What differs is the payload: typed history records with their own
-// version byte (the segment magic stays fixed; schema evolution is
-// per-record), and index facets chosen for the query predicates —
-// severity, risk band, class, actor, and the incident time interval.
+// The layout is internal/evstore's because both are internal/seglog's:
+// segment-rotated files of length+CRC32C frames behind an 8-byte magic,
+// JSON sidecar indexes written only after the segment data is flushed
+// (a present sidecar certifies a cleanly sealed segment), torn tails
+// truncated by the next writer Open and surfaced via Recovered, and an
+// OpenRead path that never mutates so queries run safely under a live
+// writer. What is the history's own is the payload: typed history
+// records with their own version byte (the segment magic stays fixed;
+// schema evolution is per-record), and index facets chosen for the
+// query predicates — severity, risk band, class, actor, and the
+// incident time interval.
 //
 // Query soundness under segment pruning rests on the monotonicity of
 // incident aggregates (see core.IncidentUpdate): severity and risk

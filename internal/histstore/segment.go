@@ -1,41 +1,44 @@
 package histstore
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sort"
 	"time"
+
+	"repro/internal/seglog"
 )
 
-// Segment file layout: an 8-byte magic followed by frames of
-//
-//	uint32le payload length | uint32le CRC32C(payload) | payload
-//
-// where every payload is one history record ([kind][version][fields],
-// see AppendRecord). Unlike evstore, the magic never changes across
-// schema revisions: evolution happens at the record version byte, so
-// one segment may legally mix record versions and old segments stay
-// readable forever. Anything failing the length bound, the checksum,
-// or the strict record decode marks the end of the valid prefix;
-// readers stop there and report the remainder as tail loss, and the
-// writer truncates it away on open so appends never land after
-// garbage.
+// Segment files are internal/seglog's: an 8-byte magic followed by
+// length+CRC32C framed payloads, where every payload is one history
+// record ([kind][version][fields], see AppendRecord). Unlike evstore,
+// the magic never changes across schema revisions: evolution happens
+// at the record version byte, so one segment may legally mix record
+// versions and old segments stay readable forever. A payload failing
+// the strict record decode marks the end of the valid prefix just as
+// a bad length or checksum does.
 const (
 	segMagic = "HSEG0001"
 	// maxFrame bounds a frame payload; history records are a few
 	// hundred bytes, so anything near a megabyte is corruption.
-	maxFrame       = 1 << 20
-	frameHeaderLen = 8
+	maxFrame = 1 << 20
 )
 
 // castagnoli matches evstore's v2 framing: hardware-accelerated
 // CRC32-Castagnoli on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// format is the history's file family: hist-%08d.hr data files with
+// .hx sidecars. The read buffer is a quarter of evstore's because a
+// query opens a fresh reader for every selected 1 MiB segment and pays
+// for zeroing it each time.
+var format = seglog.Format{
+	Name: "histstore", Noun: "history",
+	Prefix: "hist-", DataExt: ".hr", IndexExt: ".hx",
+	Magics:   []seglog.Magic{{Text: segMagic, Table: castagnoli}},
+	MaxFrame: maxFrame,
+	ReadBuf:  64 << 10,
+}
 
 // IndexVersion is the sidecar schema version this build writes.
 // Unknown versions are rebuilt from the segment data, never trusted.
@@ -56,9 +59,9 @@ const IndexVersion = 1
 //     and incident [Opened, LastAlert] intervals), so a since/until
 //     window skips segments it cannot overlap.
 //
-// Invariants shared with evstore: the sidecar is written only after
-// the segment's frames are flushed, and counts cover exactly the
-// valid frame prefix.
+// Invariants (seglog's): the sidecar is written only after the
+// segment's frames are flushed, and counts cover exactly the valid
+// frame prefix.
 type Index struct {
 	Version         int            `json:"version"`
 	Records         int            `json:"records"`
@@ -74,6 +77,10 @@ type Index struct {
 	Classes         []string       `json:"classes,omitempty"`
 	ClassesOverflow bool           `json:"classes_overflow,omitempty"`
 }
+
+// Trusted implements seglog.Index: a sidecar of another schema version
+// is rebuilt from the segment data, never trusted.
+func (ix Index) Trusted() bool { return ix.Version == IndexVersion }
 
 // indexBuilder accumulates the distinct-value sets an Index seals.
 type indexBuilder struct {
@@ -155,18 +162,12 @@ func sortedKeys(set map[string]struct{}, overflow bool) []string {
 	return out
 }
 
-// DecodeResult reports what a segment scan found: how much of the
-// file was a valid frame sequence and how much trailing corruption
-// (if any) was cut off.
+// DecodeResult reports what a segment scan found: the frame reader's
+// account of the valid prefix and any trailing corruption (ValidBytes,
+// TailLossBytes, Truncated, Reason), plus the record count.
 type DecodeResult struct {
-	Records    int
-	ValidBytes int64 // length of the valid prefix including magic
-	// TailLossBytes is how many trailing bytes were unreadable —
-	// non-zero only when Truncated is set.
-	TailLossBytes int64
-	Truncated     bool
-	// Reason describes the first bad frame when Truncated.
-	Reason string
+	seglog.ScanResult
+	Records int
 }
 
 // DecodeFrames scans a history segment byte stream, invoking fn for
@@ -178,113 +179,42 @@ type DecodeResult struct {
 // stream length if known (for tail-loss accounting), or -1.
 func DecodeFrames(r io.Reader, size int64, fn func(Record) error) (DecodeResult, error) {
 	var res DecodeResult
-	br := bufio.NewReaderSize(r, 64<<10)
-	truncate := func(reason string) (DecodeResult, error) {
-		res.Truncated = true
-		res.Reason = reason
-		if size >= 0 {
-			res.TailLossBytes = size - res.ValidBytes
-		}
-		return res, nil
-	}
-
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != segMagic {
-		return truncate("bad magic")
-	}
-	res.ValidBytes = int64(len(segMagic))
-
-	var hdr [frameHeaderLen]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return res, nil // clean end of segment
-			}
-			return truncate("short frame header")
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxFrame {
-			return truncate("implausible frame length")
-		}
-		if uint32(cap(payload)) < length {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return truncate("short frame payload")
-		}
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return truncate("checksum mismatch")
-		}
+	var err error
+	res.ScanResult, err = format.ReadFrames(r, size, nil, func(_ int, payload []byte) (string, error) {
 		rec, err := DecodeRecord(payload)
 		if err != nil {
-			return truncate("frame not a record")
+			return "frame not a record", nil
 		}
-		res.ValidBytes += frameHeaderLen + int64(length)
 		res.Records++
-		if err := fn(rec); err != nil {
-			return res, err
-		}
-	}
+		return "", fn(rec)
+	})
+	return res, err
 }
 
 // scanSegment decodes a segment file from disk.
 func scanSegment(path string, fn func(Record) error) (DecodeResult, error) {
-	f, err := os.Open(path)
+	f, size, err := seglog.OpenData(path)
 	if err != nil {
 		return DecodeResult{}, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return DecodeResult{}, err
-	}
-	return DecodeFrames(f, st.Size(), fn)
+	return DecodeFrames(f, size, fn)
 }
 
-// rebuildIndex reconstructs a sidecar by scanning the segment data —
-// the recovery path for a segment whose writer died before sealing.
-func rebuildIndex(path string, maxActors, maxClasses int) (Index, DecodeResult, error) {
+// rebuild reconstructs a sidecar by scanning the segment data — the
+// recovery path for a segment whose writer died before sealing.
+func (o Options) rebuild(path string) (Index, seglog.ScanResult, error) {
 	ix := Index{Version: IndexVersion}
 	b := newIndexBuilder()
 	res, err := scanSegment(path, func(r Record) error {
 		// Bytes is re-derived from the valid prefix below.
-		ix.observe(r, 0, b, maxActors, maxClasses)
+		ix.observe(r, 0, b, o.MaxActors, o.MaxClasses)
 		return nil
 	})
 	if err != nil {
-		return Index{}, res, err
+		return Index{}, res.ScanResult, err
 	}
 	ix.seal(b)
 	ix.Bytes = res.ValidBytes
-	return ix, res, nil
-}
-
-func indexPath(segPath string) string {
-	return segPath[:len(segPath)-len(".hr")] + ".hx"
-}
-
-func loadIndex(path string) (Index, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Index{}, false
-	}
-	var ix Index
-	if err := json.Unmarshal(data, &ix); err != nil || ix.Version != IndexVersion {
-		return Index{}, false
-	}
-	return ix, true
-}
-
-func writeIndex(path string, ix Index) error {
-	data, err := json.Marshal(ix)
-	if err != nil {
-		return fmt.Errorf("histstore: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("histstore: %w", err)
-	}
-	return nil
+	return ix, res.ScanResult, nil
 }
