@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -92,6 +93,14 @@ type Store struct {
 	enc    *binEncoder // nil for CodecJSON
 	ix     Index
 	actors map[string]struct{}
+
+	// free parks the segment buffers sharded Replay calls have drained,
+	// so a session of questions against one open store allocates event
+	// arrays once. Sized to the largest look-ahead one call can have;
+	// take and put never block; Close empties it. A channel, not a
+	// sync.Pool: a collection between two questions would purge a
+	// pool's warm capacity exactly when it matters.
+	free chan *segBuf
 }
 
 // Open creates or opens a store directory for appending. Existing
@@ -127,7 +136,8 @@ func newStore(log *seglog.Log[Index], opts Options, err error) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{Log: log, w: seglog.WriterOf(log), opts: opts, magic: magicBinary}
+	s := &Store{Log: log, w: seglog.WriterOf(log), opts: opts, magic: magicBinary,
+		free: make(chan *segBuf, runtime.GOMAXPROCS(0)+2)}
 	if opts.Codec == CodecJSON {
 		s.magic = magicJSON
 	}
@@ -298,8 +308,15 @@ func (s *Store) seal() error {
 
 // Close seals the active segment (if any) — whatever the sticky error,
 // so the file is released — and returns the sticky error. The store
-// stays usable for reads; a later Append starts a fresh segment.
+// stays usable for reads; a later Append starts a fresh segment. The
+// replay buffers parked on the store are dropped.
 func (s *Store) Close() error {
+	for len(s.free) > 0 {
+		select {
+		case <-s.free:
+		default:
+		}
+	}
 	_ = s.w.Lock()
 	defer s.w.Unlock()
 	return s.seal()

@@ -148,7 +148,7 @@ func FuzzReadSegment(f *testing.F) {
 		// events, same truncation verdict, same loss accounting.
 		var arenaEvents int
 		sc := &decodeScratch{arena: &trace.Arena{}}
-		resA, err := decodeFrames(bytes.NewReader(data), int64(len(data)), nil, sc, func(e trace.Event) error {
+		resA, err := decodeFrames(bytes.NewReader(data), int64(len(data)), nil, sc, func(e *trace.Event) error {
 			if arenaEvents >= len(plainJSON) {
 				t.Fatalf("arena decode produced extra event %d", arenaEvents)
 			}

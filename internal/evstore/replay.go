@@ -21,7 +21,11 @@ type Filter struct {
 }
 
 // Match reports whether one event passes the filter.
-func (f Filter) Match(e trace.Event) bool {
+func (f Filter) Match(e trace.Event) bool { return f.match(&e) }
+
+// match is Match without the copy of the event: the form the per-frame
+// decode paths call.
+func (f Filter) match(e *trace.Event) bool {
 	if !f.Since.IsZero() && e.Time.Before(f.Since) {
 		return false
 	}
@@ -40,7 +44,7 @@ func (f Filter) Match(e trace.Event) bool {
 			return false
 		}
 	}
-	if f.Actor != "" && trace.ActorKey(e) != f.Actor {
+	if f.Actor != "" && e.ActorKey() != f.Actor {
 		return false
 	}
 	return true
@@ -114,6 +118,26 @@ func (f Filter) pushDown() func(kind trace.Kind, actor string) bool {
 	}
 }
 
+// mayMatch bounds, from the sidecar alone, how many events of a
+// segment can pass f: every one for the zero filter, the requested
+// kinds' counts for a kinds-only filter. Time and actor facets have no
+// per-event counts in the sidecar, so for them it returns 0 — no bound
+// known — and Replay starts from whatever capacity a recycled buffer
+// brings and grows by append.
+func (f Filter) mayMatch(ix Index) int {
+	if f.Actor != "" || !f.Since.IsZero() || !f.Until.IsZero() {
+		return 0
+	}
+	if len(f.Kinds) == 0 {
+		return ix.Events
+	}
+	n := 0
+	for _, k := range f.Kinds {
+		n += ix.Kinds[k]
+	}
+	return min(n, ix.Events) // a kind listed twice counts twice
+}
+
 // ReplayStats summarizes one replay pass.
 type ReplayStats struct {
 	SegmentsTotal    int   // sealed segments in the store
@@ -131,12 +155,13 @@ type ReplayStats struct {
 // strings are ordinary heap strings the caller may retain freely (no
 // arena), which is what export/conversion consumers expect.
 func (s *Store) Scan(f Filter, fn func(trace.Event) error) (ReplayStats, error) {
-	return s.scan(f, nil, fn)
+	return s.scan(f, nil, func(e *trace.Event) error { return fn(*e) })
 }
 
 // scan is Scan with an optional decode scratch (Replay's serial path
-// passes one carrying an arena; Scan passes nil).
-func (s *Store) scan(f Filter, sc *decodeScratch, fn func(trace.Event) error) (ReplayStats, error) {
+// passes one carrying an arena; Scan passes nil). fn borrows the event
+// for the call.
+func (s *Store) scan(f Filter, sc *decodeScratch, fn func(*trace.Event) error) (ReplayStats, error) {
 	segs := s.Segments()
 	stats := ReplayStats{SegmentsTotal: len(segs)}
 	skip := f.pushDown()
@@ -150,14 +175,14 @@ func (s *Store) scan(f Filter, sc *decodeScratch, fn func(trace.Event) error) (R
 			continue
 		}
 		stats.SegmentsSelected++
-		res, err := scanSegment(seg.Path, skip, sc, func(e trace.Event) error {
-			stats.Decoded++
-			if !f.Match(e) {
+		res, err := scanSegment(seg.Path, skip, sc, func(e *trace.Event) error {
+			if !f.match(e) {
 				return nil
 			}
 			stats.Events++
 			return fn(e)
 		})
+		stats.Decoded += int64(res.Events)
 		stats.Skipped += int64(res.Skipped)
 		stats.TailLossBytes += res.TailLossBytes
 		if err != nil {
@@ -167,13 +192,34 @@ func (s *Store) scan(f Filter, sc *decodeScratch, fn func(trace.Event) error) (R
 	return stats, nil
 }
 
+// segBuf is one decoded segment of a sharded replay: the events that
+// passed the filter as a flat array, a parallel shard-tag array that
+// shard worker w walks to copy out only its events, and the decode
+// scratch — read buffer, payload buffer, dictionary slice, string
+// arena — so recycling a segBuf recycles the whole per-segment decode
+// state. Flat-plus-tags beats per-shard buckets because one array has
+// one size to get right where skewed actor sharding gives every bucket
+// its own.
+//
+// Recycling reuses containers only: arena chunks are append-only, so
+// strings already handed to shard workers (or copied out by consumers)
+// are never overwritten by the next segment decoded into the same
+// segBuf. That is what makes it safe to release a segment before a
+// worker's partial cross-segment batch has been flushed to process,
+// and to hand the buffer to another Replay call altogether.
+type segBuf struct {
+	events []trace.Event
+	shard  []uint32
+	sc     decodeScratch
+}
+
 // Replay feeds matching events to process in batches, sharded by
 // actor across `workers` goroutines — the store-native equivalent of
 // workload.Replay, without ever materializing the trace.
 //
 // Parallelism is two-level: segments decode concurrently (bounded
-// look-ahead), and each decoded segment is split into per-shard
-// buckets that shard workers consume strictly in segment order. One
+// look-ahead), and each decoded segment's events are tagged by shard
+// and consumed by the shard workers strictly in segment order. One
 // actor's events therefore arrive at its single shard worker in
 // append order even though decoding overlaps — the same per-group
 // serial-equivalence contract as workload.Replay — while segments the
@@ -201,8 +247,8 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 		// costs O(segments) allocations, same as the sharded path.
 		sc := &decodeScratch{arena: &trace.Arena{}}
 		buf := make([]trace.Event, 0, batch)
-		stats, err := s.scan(f, sc, func(e trace.Event) error {
-			buf = append(buf, e)
+		stats, err := s.scan(f, sc, func(e *trace.Event) error {
+			buf = append(buf, *e)
 			if len(buf) == batch {
 				process(buf)
 				buf = buf[:0]
@@ -228,34 +274,17 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 		return stats, nil
 	}
 
-	skip := f.pushDown()
-	var decoded, skipped, matched, tailLoss atomic.Int64
-	var errMu sync.Mutex
-	var firstErr error
-
-	// Each decoded segment materializes once as a flat event array
-	// plus a parallel shard-tag array; shard worker w walks the tags
-	// and copies out only its events. Flat-plus-tags beats per-shard
-	// buckets because the sidecar records the segment's exact event
-	// count: the array is allocated right-sized and never regrows,
-	// where skewed actor sharding made bucket growth (and the zeroing
-	// of ever-larger backing arrays) the replay's dominant cost.
-	// Each segBuf also owns the decode scratch — read buffer, payload
-	// buffer, dictionary slice, and the string arena — so recycling a
-	// buffer through the free list recycles the whole per-segment
-	// decode state. Recycling reuses containers only: arena chunks are
-	// append-only, so strings already handed to shard workers (or
-	// copied out by consumers) are never overwritten by the next
-	// segment decoded into the same segBuf. That is what makes it safe
-	// to release a segment before a worker's partial cross-segment
-	// batch has been flushed to process.
-	type segBuf struct {
-		events []trace.Event
-		shard  []uint32
-		sc     decodeScratch
-	}
+	// Each selected segment materializes once, into a segBuf taken from
+	// the store's free list and sized by what the sidecar says can match
+	// (mayMatch), not by what the segment holds: a filtered question
+	// pays for the events it delivers. The decode goroutine fills in
+	// everything but readers and closes done; the totals are read after
+	// the last worker has seen every done.
 	type segState struct {
-		buf     *segBuf // valid once done is closed
+		buf     *segBuf // valid once done is closed, until the last reader parks it
+		res     DecodeResult
+		matched int
+		err     error
 		done    chan struct{}
 		readers atomic.Int32 // shard workers yet to finish with it
 	}
@@ -266,23 +295,15 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 		states[i] = st
 	}
 
-	// Bounded decode look-ahead keeps at most a few segments'
-	// filtered events in memory at once. Look-ahead past the
-	// machine's parallelism can't speed decoding up — it only holds
-	// more segments live — so the bound also caps at GOMAXPROCS+2,
-	// which is what lets the free list actually recycle buffers
-	// mid-pass on small stores. Drained buffers recycle through that
-	// free list (a channel, not a sync.Pool: mid-pass GC would purge
-	// a pool's warm capacity exactly when it matters).
-	ahead := workers + 2
-	if p := runtime.GOMAXPROCS(0) + 2; ahead > p {
-		ahead = p
-	}
-	if ahead > len(segs) {
-		ahead = len(segs)
-	}
+	// Bounded decode look-ahead keeps at most a few segments' filtered
+	// events in memory at once. Look-ahead past the machine's
+	// parallelism can't speed decoding up — it only holds more segments
+	// live — so the bound also caps at GOMAXPROCS+2, which is also the
+	// size of the store's free list: every buffer one call drains finds
+	// a place to park.
+	ahead := min(workers+2, runtime.GOMAXPROCS(0)+2, len(segs))
 	slots := make(chan struct{}, ahead)
-	free := make(chan *segBuf, ahead)
+	skip := f.pushDown()
 
 	go func() {
 		for i := range segs {
@@ -291,38 +312,22 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 				st := states[i]
 				var sb *segBuf
 				select {
-				case sb = <-free:
+				case sb = <-s.free:
 				default:
 					sb = &segBuf{sc: decodeScratch{arena: &trace.Arena{}}}
 				}
-				n := segs[i].Index.Events
-				if cap(sb.events) < n {
+				if n := f.mayMatch(segs[i].Index); cap(sb.events) < n {
 					sb.events = make([]trace.Event, 0, n)
 					sb.shard = make([]uint32, 0, n)
-				} else {
-					sb.events = sb.events[:0]
-					sb.shard = sb.shard[:0]
 				}
-				res, err := scanSegment(segs[i].Path, skip, &sb.sc, func(e trace.Event) error {
-					decoded.Add(1)
-					if !f.Match(e) {
-						return nil
+				st.res, st.err = scanSegment(segs[i].Path, skip, &sb.sc, func(e *trace.Event) error {
+					if f.match(e) {
+						sb.events = append(sb.events, *e)
+						sb.shard = append(sb.shard, uint32(trace.ShardIndex(e.ActorKey(), workers)))
 					}
-					matched.Add(1)
-					sb.events = append(sb.events, e)
-					sb.shard = append(sb.shard, uint32(trace.ShardIndex(trace.ActorKey(e), workers)))
 					return nil
 				})
-				skipped.Add(int64(res.Skipped))
-				tailLoss.Add(res.TailLossBytes)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-				st.buf = sb
+				st.buf, st.matched = sb, len(sb.events)
 				close(st.done)
 			}(i)
 		}
@@ -335,8 +340,7 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 			defer wg.Done()
 			mine := uint32(w)
 			buf := make([]trace.Event, 0, batch)
-			for i := range segs {
-				st := states[i]
+			for _, st := range states {
 				<-st.done
 				sb := st.buf
 				for j, sh := range sb.shard {
@@ -350,11 +354,16 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 					}
 				}
 				if st.readers.Add(-1) == 0 {
+					// Parked all zero and empty: the buffer holds its own
+					// capacity, not the arena chunks of what it last decoded
+					// (decodeFrames has cleared the dictionary the same way).
+					st.buf = nil
+					clear(sb.events)
+					sb.events, sb.shard = sb.events[:0], sb.shard[:0]
 					select {
-					case free <- sb:
+					case s.free <- sb:
 					default:
 					}
-					st.buf = nil
 					<-slots
 				}
 			}
@@ -365,9 +374,15 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 	}
 	wg.Wait()
 
-	stats.Decoded = decoded.Load()
-	stats.Skipped = skipped.Load()
-	stats.Events = matched.Load()
-	stats.TailLossBytes = tailLoss.Load()
+	var firstErr error
+	for _, st := range states {
+		stats.Decoded += int64(st.res.Events)
+		stats.Skipped += int64(st.res.Skipped)
+		stats.Events += int64(st.matched)
+		stats.TailLossBytes += st.res.TailLossBytes
+		if firstErr == nil {
+			firstErr = st.err
+		}
+	}
 	return stats, firstErr
 }

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -256,6 +259,33 @@ func TestReplayReportsTailLoss(t *testing.T) {
 	}
 }
 
+// writeExecStore fills a binary store with n exec events spread evenly
+// over `users` actors: repeated strings engage the dictionary, and each
+// event carries a unique code string with pad in it — a dictionary
+// entry of its own up to maxInternLen, inline in the frame (and so
+// decoded only when the frame is) past it.
+func writeExecStore(t *testing.T, dir string, n, users int, segmentBytes int64, pad string) {
+	t.Helper()
+	s, err := Open(dir, Options{SegmentBytes: segmentBytes, Codec: CodecBinary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2026, 6, 2, 8, 0, 0, 0, time.UTC)
+	for i := 0; i < n; i++ {
+		if err := s.Append(trace.Event{
+			Seq: uint64(i + 1), Time: base.Add(time.Duration(i) * time.Second),
+			Kind: trace.KindExec, User: fmt.Sprintf("user%d", i%users),
+			Path: fmt.Sprintf("/nb/%d.ipynb", i%11),
+			Code: fmt.Sprintf("print(%d) # %s%d", i, pad, i),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReplayArenaAllocationsScaleWithSegments pins the tentpole perf
 // claim at the store layer: a serial binary-store replay performs
 // O(segments) heap allocations, not O(events × string fields). The
@@ -265,26 +295,9 @@ func TestReplayReportsTailLoss(t *testing.T) {
 func TestReplayArenaAllocationsScaleWithSegments(t *testing.T) {
 	dir := t.TempDir()
 	// Small segments force a real multi-segment pass; 4000 events with
-	// repeated strings engage the dictionary, unique suffixes keep some
-	// inline traffic flowing through the arena.
-	s, err := Open(dir, Options{SegmentBytes: 32 << 10, Codec: CodecBinary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := time.Date(2026, 6, 2, 8, 0, 0, 0, time.UTC)
-	for i := 0; i < 4000; i++ {
-		if err := s.Append(trace.Event{
-			Seq: uint64(i + 1), Time: base.Add(time.Duration(i) * time.Second),
-			Kind: trace.KindExec, User: fmt.Sprintf("user%d", i%7),
-			Path: fmt.Sprintf("/nb/%d.ipynb", i%11),
-			Code: fmt.Sprintf("print(%d) # unique-inline-padding-%d", i, i),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// repeated strings engage the dictionary, unique suffixes keep the
+	// arena busy.
+	writeExecStore(t, dir, 4000, 7, 32<<10, "unique-inline-padding-")
 	rs, err := OpenRead(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -317,6 +330,219 @@ func TestReplayArenaAllocationsScaleWithSegments(t *testing.T) {
 	if allocs > uint64(64*segs) {
 		t.Fatalf("serial replay allocated %d times for %d segments (%d events); want O(segments)",
 			allocs, segs, events)
+	}
+}
+
+// TestFilteredReplayAllocatesWhatItMatches pins the sizing of the
+// sharded path: once the store's free list is warm, a question that
+// matches 5% of the events allocates less than the event array of one
+// full segment — where sizing every buffer by Index.Events allocated one
+// such array per selected segment, whatever the filter.
+func TestFilteredReplayAllocatesWhatItMatches(t *testing.T) {
+	dir := t.TempDir()
+	writeExecStore(t, dir, 60000, 20, 2<<20, strings.Repeat("x", maxInternLen))
+	s, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	segs := s.Segments()
+	if len(segs) < 3 {
+		t.Fatalf("want a multi-segment store, got %d segments", len(segs))
+	}
+	fullArray := uint64(segs[0].Index.Events) * uint64(unsafe.Sizeof(trace.Event{}))
+
+	var events atomic.Int64
+	replay := func() {
+		events.Store(0)
+		stats, err := s.Replay(Filter{Actor: "user3"}, 2, 64, func(b []trace.Event) {
+			events.Add(int64(len(b)))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.SegmentsSelected != len(segs) {
+			t.Fatalf("actor filter selected %d of %d segments; the test needs all of them read", stats.SegmentsSelected, len(segs))
+		}
+	}
+	replay() // warm the store's free list
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	replay()
+	runtime.ReadMemStats(&m1)
+	if events.Load() != 3000 {
+		t.Fatalf("replayed %d events, want 3000", events.Load())
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= fullArray {
+		t.Fatalf("warm filtered replay of %d segments allocated %d bytes; one segment's full event array is %d",
+			len(segs), got, fullArray)
+	}
+}
+
+// parked lists the buffers on the store's free list without removing
+// any.
+func parked(s *Store) map[*segBuf]bool {
+	out := map[*segBuf]bool{}
+	for n := len(s.free); n > 0; n-- {
+		sb := <-s.free
+		out[sb] = true
+		s.free <- sb
+	}
+	return out
+}
+
+// TestReplayRecyclingNeverRewritesStrings is the borrow contract across
+// calls: strings a consumer kept by reference from pass 1 read the same
+// after passes 2 and 3 have decoded other events into the same buffers.
+// Containers recycle; arena bytes never do.
+func TestReplayRecyclingNeverRewritesStrings(t *testing.T) {
+	dir := t.TempDir()
+	writeExecStore(t, dir, 4000, 7, 64<<10, strings.Repeat("x", maxInternLen))
+	s, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	type kept struct{ ref, copy string }
+	var mu sync.Mutex
+	keep := map[uint64]kept{}
+	if _, err := s.Replay(Filter{}, 4, 64, func(b []trace.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range b {
+			keep[b[i].Seq] = kept{ref: b[i].Code, copy: strings.Clone(b[i].Code)}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(keep) != 4000 {
+		t.Fatalf("pass 1 delivered %d events, want 4000", len(keep))
+	}
+	first := parked(s)
+	if len(first) == 0 {
+		t.Fatal("pass 1 parked no buffer on the store")
+	}
+	for _, f := range []Filter{{Actor: "user5"}, {Kinds: []trace.Kind{trace.KindExec}}} {
+		if _, err := s.Replay(f, 4, 64, func([]trace.Event) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reused := 0
+	for sb := range parked(s) {
+		if first[sb] {
+			reused++
+		}
+		if len(sb.events) != 0 || len(sb.shard) != 0 {
+			t.Fatalf("parked buffer holds %d events, %d tags; want it empty", len(sb.events), len(sb.shard))
+		}
+		for i, e := range sb.events[:cap(sb.events)] {
+			if e.Code != "" || e.User != "" {
+				t.Fatalf("parked buffer still references event strings at slot %d", i)
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatal("passes 2 and 3 reused none of pass 1's buffers")
+	}
+	for seq, k := range keep {
+		if k.ref != k.copy {
+			t.Fatalf("seq %d: string kept from pass 1 now reads %q, was %q", seq, k.ref, k.copy)
+		}
+	}
+}
+
+// TestConcurrentReplaysShareTheFreeList runs two sessions against one
+// open store at once — different filters, one free list — and each
+// must still deliver exactly what Scan delivers. Run under -race.
+func TestConcurrentReplaysShareTheFreeList(t *testing.T) {
+	dir := t.TempDir()
+	writeMixed(t, dir, 500)
+	s, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	filters := []Filter{{Actor: "user2"}, {Kinds: []trace.Kind{trace.KindAuth, trace.KindScanFinding}}}
+	var wg sync.WaitGroup
+	for _, f := range filters {
+		want := map[uint64]string{}
+		for _, e := range scanFiltered(t, s, f) {
+			j, _ := json.Marshal(e)
+			want[e.Seq] = string(j)
+		}
+		wg.Add(1)
+		go func(f Filter) {
+			defer wg.Done()
+			for pass := 0; pass < 8; pass++ {
+				var mu sync.Mutex
+				got := map[uint64]string{}
+				if _, err := s.Replay(f, 3, 32, func(b []trace.Event) {
+					mu.Lock()
+					defer mu.Unlock()
+					for _, e := range b {
+						j, _ := json.Marshal(e)
+						got[e.Seq] = string(j)
+					}
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				if len(got) != len(want) {
+					t.Errorf("filter %+v pass %d: %d events, scan found %d", f, pass, len(got), len(want))
+					return
+				}
+				for seq, j := range want {
+					if got[seq] != j {
+						t.Errorf("filter %+v pass %d seq %d:\n got %s\nwant %s", f, pass, seq, got[seq], j)
+						return
+					}
+				}
+			}
+		}(f)
+	}
+	wg.Wait()
+}
+
+// TestCloseDropsParkedBuffers: the free list belongs to the open store.
+// Close empties it, and a store reopened on the same directory starts
+// with none and replays the same events.
+func TestCloseDropsParkedBuffers(t *testing.T) {
+	dir := t.TempDir()
+	writeMixed(t, dir, 300)
+	count := func(s *Store) int64 {
+		t.Helper()
+		stats, err := s.Replay(Filter{}, 4, 64, func([]trace.Event) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats.Events
+	}
+	s, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := count(s); n != 600 {
+		t.Fatalf("replayed %d events, want 600", n)
+	}
+	if len(s.free) == 0 || len(s.free) > cap(s.free) {
+		t.Fatalf("after a replay the store parks %d buffers, want 1..%d", len(s.free), cap(s.free))
+	}
+	s.Close()
+	if len(s.free) != 0 {
+		t.Fatalf("Close left %d buffers parked", len(s.free))
+	}
+	again, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if len(again.free) != 0 {
+		t.Fatalf("a reopened store starts with %d parked buffers", len(again.free))
+	}
+	if n := count(again); n != 600 {
+		t.Fatalf("reopened store replayed %d events, want 600", n)
 	}
 }
 

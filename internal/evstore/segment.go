@@ -261,7 +261,7 @@ type DecodeResult struct {
 // from fn aborts the scan and is returned as-is. size is the total
 // stream length if known (for tail-loss accounting), or -1.
 func DecodeFrames(r io.Reader, size int64, fn func(trace.Event) error) (DecodeResult, error) {
-	return decodeFrames(r, size, nil, nil, fn)
+	return decodeFrames(r, size, nil, nil, func(e *trace.Event) error { return fn(*e) })
 }
 
 // decodeScratch is the reusable per-segment decode state: the frame
@@ -289,7 +289,8 @@ type decodeScratch struct {
 // the body decodes; returning true drops the frame without decoding
 // it. v1 segments have no header to push into, so skip is ignored
 // there and per-event filtering stays with the caller. sc may be nil.
-func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor string) bool, sc *decodeScratch, fn func(trace.Event) error) (DecodeResult, error) {
+// fn borrows the event: the next frame decodes over it.
+func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor string) bool, sc *decodeScratch, fn func(*trace.Event) error) (DecodeResult, error) {
 	var res DecodeResult
 	if sc == nil {
 		sc = &decodeScratch{}
@@ -349,9 +350,12 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 			}
 		}
 		res.Events++
-		return "", fn(e)
+		return "", fn(&e)
 	})
-	sc.dict = dict[:0] // hand grown capacity back so the next segment reuses it
+	// Hand grown capacity back so the next segment reuses it, emptied: a
+	// scratch at rest must not pin the arena chunks of its last segment.
+	clear(dict)
+	sc.dict = dict[:0]
 	if res.Magic >= 0 {
 		res.Codec = codecs[res.Magic]
 	}
@@ -362,7 +366,7 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 // push-down predicate and reusable decode scratch — the replay paths
 // thread one scratch (and its arena) across all the segments they
 // visit.
-func scanSegment(path string, skip func(kind trace.Kind, actor string) bool, sc *decodeScratch, fn func(trace.Event) error) (DecodeResult, error) {
+func scanSegment(path string, skip func(kind trace.Kind, actor string) bool, sc *decodeScratch, fn func(*trace.Event) error) (DecodeResult, error) {
 	f, size, err := seglog.OpenData(path)
 	if err != nil {
 		return DecodeResult{}, err
@@ -376,9 +380,9 @@ func scanSegment(path string, skip func(kind trace.Kind, actor string) bool, sc 
 func (o Options) rebuild(path string) (Index, seglog.ScanResult, error) {
 	ix := Index{Version: IndexVersion}
 	actors := map[string]struct{}{}
-	res, err := scanSegment(path, nil, nil, func(e trace.Event) error {
+	res, err := scanSegment(path, nil, nil, func(e *trace.Event) error {
 		// Bytes is re-derived from the valid prefix below.
-		ix.observe(&e, e.ActorKey(), 0, actors, o.MaxActors)
+		ix.observe(e, e.ActorKey(), 0, actors, o.MaxActors)
 		return nil
 	})
 	if err != nil {

@@ -236,6 +236,58 @@ func TestDedupAcrossGenerationsAndOrder(t *testing.T) {
 	}
 }
 
+// TestDedupKeyKeepsHostileActorsApart: actors are tenant input and may
+// hold any byte, so two incidents whose (actor, class, generation)
+// differ must stay two however their strings would concatenate — a
+// key joined on NUL folded each of these pairs into one incident.
+func TestDedupKeyKeepsHostileActorsApart(t *testing.T) {
+	cases := []struct {
+		name string
+		a, b IncidentRecord
+	}{
+		{"NUL moves from actor to class",
+			mkIncident("a\x00b", "c", 0, 1, rules.SevLow, 20, t0, t0),
+			mkIncident("a", "b\x00c", 0, 2, rules.SevHigh, 60, t0, t0)},
+		{"NUL moves from class to actor",
+			mkIncident("a", "c\x001", 0, 1, rules.SevLow, 20, t0, t0),
+			mkIncident("a\x00c", "1", 0, 2, rules.SevHigh, 60, t0, t0)},
+		{"generations only",
+			mkIncident("a", "c", 0, 1, rules.SevLow, 20, t0, t0),
+			mkIncident("a", "c", 1, 2, rules.SevHigh, 60, t0.Add(time.Hour), t0.Add(time.Hour))},
+	}
+	for _, tc := range cases {
+		s, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range []IncidentRecord{tc.a, tc.b} {
+			if err := s.AppendIncident(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		incs, _, err := QueryIncidents(s, Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(incs) != 2 {
+			t.Errorf("%s: query returned %d incidents, want both", tc.name, len(incs))
+			continue
+		}
+		got := map[string]int{}
+		for _, inc := range incs {
+			got[inc.Actor+"|"+inc.Class] = inc.AlertCount()
+		}
+		for _, rec := range []IncidentRecord{tc.a, tc.b} {
+			if got[rec.Actor+"|"+rec.Class] < 1 {
+				t.Errorf("%s: incident %q/%q missing from %v", tc.name, rec.Actor, rec.Class, got)
+			}
+		}
+	}
+}
+
 func TestOpenWithModes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "hist")
 	s, err := OpenWith(dir, OpenFresh, Options{})

@@ -2,11 +2,11 @@ package histstore
 
 import (
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/rules"
+	"repro/internal/seglog"
 )
 
 // Query is a history filter. Every predicate is either constant per
@@ -149,6 +149,31 @@ type QueryStats struct {
 	TailLossBytes    int64
 }
 
+// scan feeds fn every record of the segments q's index check cannot
+// rule out, in log order. One frame reader serves the whole call.
+func (q Query) scan(s *Store, fn func(Record)) (QueryStats, error) {
+	var st QueryStats
+	var sc seglog.Scratch
+	segs := s.Segments()
+	st.SegmentsTotal = len(segs)
+	for _, seg := range segs {
+		if !q.MatchIndex(seg.Index) {
+			continue
+		}
+		st.SegmentsSelected++
+		res, err := scanSegment(seg.Path, &sc, func(r Record) error {
+			st.Records++
+			fn(r)
+			return nil
+		})
+		if err != nil {
+			return st, err
+		}
+		st.TailLossBytes += res.TailLossBytes
+	}
+	return st, nil
+}
+
 // QueryIncidents reconstructs the final state of every incident
 // matching q: segments the index rules out are never opened, matching
 // incident records dedup by (actor, class, generation) keeping the
@@ -158,30 +183,24 @@ type QueryStats struct {
 // equal histories render byte-identical tables regardless of segment
 // layout or writer concurrency.
 func QueryIncidents(s *Store, q Query) ([]*core.Incident, QueryStats, error) {
-	var st QueryStats
-	finals := map[string]IncidentRecord{}
-	segs := s.Segments()
-	st.SegmentsTotal = len(segs)
-	for _, seg := range segs {
-		if !q.MatchIndex(seg.Index) {
-			continue
+	// A struct key, not a joined string: actors come from tenant input,
+	// and no separator byte is one an actor cannot contain.
+	type incidentKey struct {
+		actor, class string
+		gen          int
+	}
+	finals := map[incidentKey]IncidentRecord{}
+	st, err := q.scan(s, func(r Record) {
+		if r.Kind != KindIncident || !q.matchIncident(r.Incident) {
+			return
 		}
-		st.SegmentsSelected++
-		res, err := scanSegment(seg.Path, func(r Record) error {
-			st.Records++
-			if r.Kind != KindIncident || !q.matchIncident(r.Incident) {
-				return nil
-			}
-			key := r.Incident.Actor + "\x00" + r.Incident.Class + "\x00" + strconv.Itoa(r.Incident.Gen)
-			if prev, ok := finals[key]; !ok || r.Incident.Alerts > prev.Alerts {
-				finals[key] = r.Incident
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, st, err
+		key := incidentKey{r.Incident.Actor, r.Incident.Class, r.Incident.Gen}
+		if prev, ok := finals[key]; !ok || r.Incident.Alerts > prev.Alerts {
+			finals[key] = r.Incident
 		}
-		st.TailLossBytes += res.TailLossBytes
+	})
+	if err != nil {
+		return nil, st, err
 	}
 	incs := make([]*core.Incident, 0, len(finals))
 	for _, in := range finals {
@@ -211,26 +230,14 @@ func QueryIncidents(s *Store, q Query) ([]*core.Incident, QueryStats, error) {
 // QueryAlerts returns the alert records matching q, sorted by time,
 // then actor, rule, and class for a deterministic listing.
 func QueryAlerts(s *Store, q Query) ([]AlertRecord, QueryStats, error) {
-	var st QueryStats
 	var out []AlertRecord
-	segs := s.Segments()
-	st.SegmentsTotal = len(segs)
-	for _, seg := range segs {
-		if !q.MatchIndex(seg.Index) {
-			continue
+	st, err := q.scan(s, func(r Record) {
+		if r.Kind == KindAlert && q.matchAlert(r.Alert) {
+			out = append(out, r.Alert)
 		}
-		st.SegmentsSelected++
-		res, err := scanSegment(seg.Path, func(r Record) error {
-			st.Records++
-			if r.Kind == KindAlert && q.matchAlert(r.Alert) {
-				out = append(out, r.Alert)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, st, err
-		}
-		st.TailLossBytes += res.TailLossBytes
+	})
+	if err != nil {
+		return nil, st, err
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

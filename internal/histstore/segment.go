@@ -29,9 +29,8 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // format is the history's file family: hist-%08d.hr data files with
-// .hx sidecars. The read buffer is a quarter of evstore's because a
-// query opens a fresh reader for every selected 1 MiB segment and pays
-// for zeroing it each time.
+// .hx sidecars. The read buffer is a quarter of evstore's: every query
+// allocates one (and one only, see Query.scan), and segments are 1 MiB.
 var format = seglog.Format{
 	Name: "histstore", Noun: "history",
 	Prefix: "hist-", DataExt: ".hr", IndexExt: ".hx",
@@ -178,9 +177,15 @@ type DecodeResult struct {
 // from fn aborts the scan and is returned as-is. size is the total
 // stream length if known (for tail-loss accounting), or -1.
 func DecodeFrames(r io.Reader, size int64, fn func(Record) error) (DecodeResult, error) {
+	return decodeFrames(r, size, nil, fn)
+}
+
+// decodeFrames is DecodeFrames through a reusable frame reader; a nil
+// sc allocates a fresh one.
+func decodeFrames(r io.Reader, size int64, sc *seglog.Scratch, fn func(Record) error) (DecodeResult, error) {
 	var res DecodeResult
 	var err error
-	res.ScanResult, err = format.ReadFrames(r, size, nil, func(_ int, payload []byte) (string, error) {
+	res.ScanResult, err = format.ReadFrames(r, size, sc, func(_ int, payload []byte) (string, error) {
 		rec, err := DecodeRecord(payload)
 		if err != nil {
 			return "frame not a record", nil
@@ -191,14 +196,14 @@ func DecodeFrames(r io.Reader, size int64, fn func(Record) error) (DecodeResult,
 	return res, err
 }
 
-// scanSegment decodes a segment file from disk.
-func scanSegment(path string, fn func(Record) error) (DecodeResult, error) {
+// scanSegment decodes a segment file from disk; sc as in decodeFrames.
+func scanSegment(path string, sc *seglog.Scratch, fn func(Record) error) (DecodeResult, error) {
 	f, size, err := seglog.OpenData(path)
 	if err != nil {
 		return DecodeResult{}, err
 	}
 	defer f.Close()
-	return DecodeFrames(f, size, fn)
+	return decodeFrames(f, size, sc, fn)
 }
 
 // rebuild reconstructs a sidecar by scanning the segment data — the
@@ -206,7 +211,7 @@ func scanSegment(path string, fn func(Record) error) (DecodeResult, error) {
 func (o Options) rebuild(path string) (Index, seglog.ScanResult, error) {
 	ix := Index{Version: IndexVersion}
 	b := newIndexBuilder()
-	res, err := scanSegment(path, func(r Record) error {
+	res, err := scanSegment(path, nil, func(r Record) error {
 		// Bytes is re-derived from the valid prefix below.
 		ix.observe(r, 0, b, o.MaxActors, o.MaxClasses)
 		return nil
