@@ -1,7 +1,9 @@
 package histstore
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -32,7 +34,8 @@ type Query struct {
 	MinBand Band
 	// Since/Until bound the time window (inclusive); zero means
 	// unbounded. An incident matches when [Opened, LastAlert] overlaps
-	// the window; an alert when its Time falls inside it.
+	// the window; an alert when its Time falls inside it. A record
+	// whose Opened or Time is zero matches no bounded window.
 	Since time.Time
 	Until time.Time
 }
@@ -92,47 +95,33 @@ func contains(list []string, s string) bool {
 	return false
 }
 
-// matchIncident applies the record-level predicate. Monotonicity
+// match applies the record-level predicate, on the borrowed bytes
+// (string(b) == s compiles to a compare, not a copy). It is the only
+// one: both queries and FilterIncidents call it, and an alert is the
+// degenerate interval opened == last (see view). Monotonicity
 // guarantees that if any record of an incident matches, the
 // incident's final record matches too, so dedup-by-max-count over the
 // matching records yields exactly the final states.
-func (q Query) matchIncident(in IncidentRecord) bool {
-	if q.Actor != "" && in.Actor != q.Actor {
+func (q *Query) match(v *view) bool {
+	if q.Actor != "" && string(v.actor) != q.Actor {
 		return false
 	}
-	if q.Class != "" && in.Class != q.Class {
+	if q.Class != "" && string(v.class) != q.Class {
 		return false
 	}
-	if q.MinSeverity != "" && in.Severity.Rank() < q.MinSeverity.Rank() {
+	if q.MinSeverity != "" && rules.Severity(v.sev).Rank() < q.MinSeverity.Rank() {
 		return false
 	}
-	if q.MinBand != "" && BandRank(RiskBandOf(in.RiskScore)) < BandRank(q.MinBand) {
+	if q.MinBand != "" && v.kind == KindIncident && BandRank(RiskBandOf(v.risk)) < BandRank(q.MinBand) {
 		return false
 	}
-	if !q.Since.IsZero() && in.LastAlert.Before(q.Since) {
+	if !q.Since.IsZero() && v.last.Before(q.Since) {
 		return false
 	}
-	if !q.Until.IsZero() && in.Opened.After(q.Until) {
-		return false
-	}
-	return true
-}
-
-// matchAlert applies the record-level predicate to an alert record.
-func (q Query) matchAlert(a AlertRecord) bool {
-	if q.Actor != "" && a.Actor != q.Actor {
-		return false
-	}
-	if q.Class != "" && a.Class != q.Class {
-		return false
-	}
-	if q.MinSeverity != "" && a.Severity.Rank() < q.MinSeverity.Rank() {
-		return false
-	}
-	if !q.Since.IsZero() && a.Time.Before(q.Since) {
-		return false
-	}
-	if !q.Until.IsZero() && a.Time.After(q.Until) {
+	// A zero time lies in no bounded window: it is before every Since
+	// already, and must be outside every Until too, because the index's
+	// MinTime skips it and would prune the segment.
+	if !q.Until.IsZero() && (v.opened.IsZero() || v.opened.After(q.Until)) {
 		return false
 	}
 	return true
@@ -150,8 +139,9 @@ type QueryStats struct {
 }
 
 // scan feeds fn every record of the segments q's index check cannot
-// rule out, in log order. One frame reader serves the whole call.
-func (q Query) scan(s *Store, fn func(Record)) (QueryStats, error) {
+// rule out, in log order, as a view borrowed for the call. One frame
+// reader serves the whole call.
+func (q *Query) scan(s *Store, fn func(*view) error) (QueryStats, error) {
 	var st QueryStats
 	var sc seglog.Scratch
 	segs := s.Segments()
@@ -161,11 +151,8 @@ func (q Query) scan(s *Store, fn func(Record)) (QueryStats, error) {
 			continue
 		}
 		st.SegmentsSelected++
-		res, err := scanSegment(seg.Path, &sc, func(r Record) error {
-			st.Records++
-			fn(r)
-			return nil
-		})
+		res, err := scanSegment(seg.Path, &sc, fn)
+		st.Records += res.Records
 		if err != nil {
 			return st, err
 		}
@@ -174,14 +161,30 @@ func (q Query) scan(s *Store, fn func(Record)) (QueryStats, error) {
 	return st, nil
 }
 
+// interner copies borrowed bytes out as strings, once per distinct
+// value: a result set repeats a handful of severities, classes and rule
+// ids and one actor per incident. It lives for one query, so it holds
+// nothing a result does not.
+type interner map[string]string
+
+func (in interner) str(b []byte) string {
+	s, ok := in[string(b)]
+	if !ok {
+		s = string(b)
+		in[s] = s
+	}
+	return s
+}
+
 // QueryIncidents reconstructs the final state of every incident
 // matching q: segments the index rules out are never opened, matching
 // incident records dedup by (actor, class, generation) keeping the
 // highest alert count — the latest snapshot, by monotonicity — and
 // the result is materialized as core.Incident values (Count set,
-// Alerts payload absent) sorted by actor, class, then generation, so
-// equal histories render byte-identical tables regardless of segment
-// layout or writer concurrency.
+// Alerts payload absent) sorted by actor, class, then opening time
+// (successive generations of one pair open in order), so equal
+// histories render byte-identical tables regardless of segment layout
+// or writer concurrency.
 func QueryIncidents(s *Store, q Query) ([]*core.Incident, QueryStats, error) {
 	// A struct key, not a joined string: actors come from tenant input,
 	// and no separator byte is one an actor cannot contain.
@@ -189,68 +192,88 @@ func QueryIncidents(s *Store, q Query) ([]*core.Incident, QueryStats, error) {
 		actor, class string
 		gen          int
 	}
-	finals := map[incidentKey]IncidentRecord{}
-	st, err := q.scan(s, func(r Record) {
-		if r.Kind != KindIncident || !q.matchIncident(r.Incident) {
-			return
+	var finals []core.Incident // one backing array for the result
+	at := map[incidentKey]int{}
+	in := interner{}
+	st, err := q.scan(s, func(v *view) error {
+		if v.kind != KindIncident || !q.match(v) {
+			return nil
 		}
-		key := incidentKey{r.Incident.Actor, r.Incident.Class, r.Incident.Gen}
-		if prev, ok := finals[key]; !ok || r.Incident.Alerts > prev.Alerts {
-			finals[key] = r.Incident
+		// Looked up on the borrowed bytes; strings exist only from an
+		// incident's first record on.
+		i, seen := at[incidentKey{string(v.actor), string(v.class), v.gen}]
+		if !seen {
+			i = len(finals)
+			actor, class := in.str(v.actor), in.str(v.class)
+			at[incidentKey{actor, class, v.gen}] = i
+			finals = append(finals, core.Incident{Actor: actor, Class: class})
+		} else if v.count <= finals[i].Count {
+			return nil
 		}
+		inc := &finals[i]
+		inc.Opened, inc.LastAlert, inc.RiskScore, inc.Count = v.opened, v.last, v.risk, v.count
+		inc.Severity = rules.Severity(in.str(v.sev))
+		return nil
 	})
 	if err != nil {
 		return nil, st, err
 	}
-	incs := make([]*core.Incident, 0, len(finals))
-	for _, in := range finals {
-		incs = append(incs, &core.Incident{
-			Actor:     in.Actor,
-			Class:     in.Class,
-			Opened:    in.Opened,
-			LastAlert: in.LastAlert,
-			Severity:  in.Severity,
-			RiskScore: in.RiskScore,
-			Count:     in.Alerts,
-		})
+	incs := make([]*core.Incident, len(finals))
+	for i := range finals {
+		incs[i] = &finals[i]
 	}
-	sort.Slice(incs, func(i, j int) bool {
-		a, b := incs[i], incs[j]
-		if a.Actor != b.Actor {
-			return a.Actor < b.Actor
+	slices.SortFunc(incs, func(a, b *core.Incident) int {
+		if c := strings.Compare(a.Actor, b.Actor); c != 0 {
+			return c
 		}
-		if a.Class != b.Class {
-			return a.Class < b.Class
+		if c := strings.Compare(a.Class, b.Class); c != 0 {
+			return c
 		}
-		return a.Opened.Before(b.Opened)
+		return a.Opened.Compare(b.Opened)
 	})
 	return incs, st, nil
 }
 
-// QueryAlerts returns the alert records matching q, sorted by time,
-// then actor, rule, and class for a deterministic listing.
+// QueryAlerts returns the alert records matching q in a total order
+// over the record — time, then actor, rule, class, severity and count —
+// so the listing is the same whatever the segment layout or the
+// interleaving of the writers.
 func QueryAlerts(s *Store, q Query) ([]AlertRecord, QueryStats, error) {
 	var out []AlertRecord
-	st, err := q.scan(s, func(r Record) {
-		if r.Kind == KindAlert && q.matchAlert(r.Alert) {
-			out = append(out, r.Alert)
+	in := interner{}
+	st, err := q.scan(s, func(v *view) error {
+		if v.kind == KindAlert && q.match(v) {
+			out = append(out, AlertRecord{
+				Time: v.last, Actor: in.str(v.actor), Class: in.str(v.class),
+				RuleID: in.str(v.rule), Severity: rules.Severity(in.str(v.sev)), Count: v.count,
+			})
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, st, err
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
+	slices.SortFunc(out, func(a, b AlertRecord) int {
+		if c := a.Time.Compare(b.Time); c != 0 {
+			return c
 		}
-		if a.Actor != b.Actor {
-			return a.Actor < b.Actor
+		if c := strings.Compare(a.Actor, b.Actor); c != 0 {
+			return c
 		}
-		if a.RuleID != b.RuleID {
-			return a.RuleID < b.RuleID
+		if c := strings.Compare(a.RuleID, b.RuleID); c != 0 {
+			return c
 		}
-		return a.Class < b.Class
+		if c := strings.Compare(a.Class, b.Class); c != 0 {
+			return c
+		}
+		// Rank first, then the name: two unknown severities share a rank.
+		if c := cmp.Compare(a.Severity.Rank(), b.Severity.Rank()); c != 0 {
+			return c
+		}
+		if c := strings.Compare(string(a.Severity), string(b.Severity)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Count, b.Count)
 	})
 	return out, st, nil
 }
@@ -262,16 +285,12 @@ func QueryAlerts(s *Store, q Query) ([]AlertRecord, QueryStats, error) {
 func FilterIncidents(incs []*core.Incident, q Query) []*core.Incident {
 	out := make([]*core.Incident, 0, len(incs))
 	for _, inc := range incs {
-		rec := IncidentRecord{
-			Actor:     inc.Actor,
-			Class:     inc.Class,
-			Opened:    inc.Opened,
-			LastAlert: inc.LastAlert,
-			Alerts:    inc.AlertCount(),
-			Severity:  inc.Severity,
-			RiskScore: inc.RiskScore,
+		v := view{
+			kind:  KindIncident,
+			actor: []byte(inc.Actor), class: []byte(inc.Class), sev: []byte(inc.Severity),
+			opened: inc.Opened, last: inc.LastAlert, risk: inc.RiskScore,
 		}
-		if q.matchIncident(rec) {
+		if q.match(&v) {
 			out = append(out, inc)
 		}
 	}

@@ -191,52 +191,91 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	return dst, fmt.Errorf("histstore: unknown record kind %d", r.Kind)
 }
 
-// DecodeRecord decodes one frame payload. It is strict: an unknown
-// kind or version, an implausible count, a non-canonical time, or
-// trailing bytes after the last field are all errors — a corrupt
-// frame must terminate the valid prefix, never half-decode.
-func DecodeRecord(payload []byte) (Record, error) {
+// view is one decoded record that borrows: its string fields alias the
+// payload decode was given, so a view is valid only until that buffer is
+// reused — inside the scan callback that receives it, no longer. What
+// outlives the callback is copied out (record, or the query's interner).
+// One struct serves both kinds: count is an alert's Count or an
+// incident's Alerts, and an alert's Time is the interval's both ends,
+// opened == last, so one window predicate reads either kind.
+type view struct {
+	kind                    byte
+	actor, class, rule, sev []byte
+	gen, count              int
+	opened, last            time.Time
+	risk                    float64
+}
+
+// decode is the one record decoder. It is strict: an unknown kind or
+// version, an implausible count, a non-canonical time, or trailing
+// bytes after the last field are all errors — a corrupt frame must
+// terminate the valid prefix, never half-decode — and it walks every
+// field whether or not the caller wants the record.
+func (v *view) decode(payload []byte) error {
 	if len(payload) < 2 {
-		return Record{}, fmt.Errorf("histstore: record too short")
+		return fmt.Errorf("histstore: record too short")
 	}
 	kind, version := payload[0], payload[1]
 	if version != RecordVersion {
 		// v1 is the only version ever written so far; when v2 lands
 		// this becomes a switch and v1 stays decodable.
-		return Record{}, fmt.Errorf("histstore: unknown record version %d", version)
+		return fmt.Errorf("histstore: unknown record version %d", version)
 	}
 	rd := recReader{buf: payload, off: 2}
-	var r Record
-	r.Kind = kind
+	*v = view{kind: kind}
 	switch kind {
 	case KindAlert:
-		a := &r.Alert
-		a.Time = rd.time()
-		a.Actor = rd.str()
-		a.Class = rd.str()
-		a.RuleID = rd.str()
-		a.Severity = rules.Severity(rd.str())
-		a.Count = rd.count()
+		v.opened = rd.time()
+		v.last = v.opened
+		v.actor = rd.str()
+		v.class = rd.str()
+		v.rule = rd.str()
+		v.sev = rd.str()
+		v.count = rd.count()
 	case KindIncident:
-		in := &r.Incident
-		in.Actor = rd.str()
-		in.Class = rd.str()
-		in.Gen = rd.count()
-		in.Opened = rd.time()
-		in.LastAlert = rd.time()
-		in.Alerts = rd.count()
-		in.Severity = rules.Severity(rd.str())
-		in.RiskScore = math.Float64frombits(rd.u64())
+		v.actor = rd.str()
+		v.class = rd.str()
+		v.gen = rd.count()
+		v.opened = rd.time()
+		v.last = rd.time()
+		v.count = rd.count()
+		v.sev = rd.str()
+		v.risk = math.Float64frombits(rd.u64())
 	default:
-		return Record{}, fmt.Errorf("histstore: unknown record kind %d", kind)
+		return fmt.Errorf("histstore: unknown record kind %d", kind)
 	}
 	if rd.err != nil {
-		return Record{}, rd.err
+		return rd.err
 	}
 	if rd.off != len(payload) {
-		return Record{}, fmt.Errorf("histstore: %d trailing bytes after record", len(payload)-rd.off)
+		return fmt.Errorf("histstore: %d trailing bytes after record", len(payload)-rd.off)
 	}
-	return r, nil
+	return nil
+}
+
+// record materialises the view as an owning Record.
+func (v *view) record() Record {
+	if v.kind == KindAlert {
+		return Record{Kind: KindAlert, Alert: AlertRecord{
+			Time: v.last, Actor: string(v.actor), Class: string(v.class),
+			RuleID: string(v.rule), Severity: rules.Severity(v.sev), Count: v.count,
+		}}
+	}
+	return Record{Kind: KindIncident, Incident: IncidentRecord{
+		Actor: string(v.actor), Class: string(v.class), Gen: v.gen,
+		Opened: v.opened, LastAlert: v.last, Alerts: v.count,
+		Severity: rules.Severity(v.sev), RiskScore: v.risk,
+	}}
+}
+
+// DecodeRecord decodes one frame payload into a Record that owns its
+// strings; strictness is decode's.
+func DecodeRecord(payload []byte) (Record, error) {
+	var v view
+	if err := v.decode(payload); err != nil {
+		return Record{}, err
+	}
+	return v.record(), nil
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -297,16 +336,17 @@ func (rd *recReader) varint() int64 {
 	return v
 }
 
-func (rd *recReader) str() string {
+// str returns the string field's bytes in place, not a copy.
+func (rd *recReader) str() []byte {
 	n := rd.uvarint()
 	if rd.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(rd.buf)-rd.off) {
 		rd.fail("string length past end of record")
-		return ""
+		return nil
 	}
-	s := string(rd.buf[rd.off : rd.off+int(n)])
+	s := rd.buf[rd.off : rd.off+int(n)]
 	rd.off += int(n)
 	return s
 }

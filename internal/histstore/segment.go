@@ -177,27 +177,29 @@ type DecodeResult struct {
 // from fn aborts the scan and is returned as-is. size is the total
 // stream length if known (for tail-loss accounting), or -1.
 func DecodeFrames(r io.Reader, size int64, fn func(Record) error) (DecodeResult, error) {
-	return decodeFrames(r, size, nil, fn)
+	return decodeFrames(r, size, nil, func(v *view) error { return fn(v.record()) })
 }
 
-// decodeFrames is DecodeFrames through a reusable frame reader; a nil
-// sc allocates a fresh one.
-func decodeFrames(r io.Reader, size int64, sc *seglog.Scratch, fn func(Record) error) (DecodeResult, error) {
+// decodeFrames is DecodeFrames through a reusable frame reader (a nil
+// sc allocates a fresh one) and without the copy: fn borrows each
+// record as a view, valid only during the call.
+func decodeFrames(r io.Reader, size int64, sc *seglog.Scratch, fn func(*view) error) (DecodeResult, error) {
 	var res DecodeResult
+	var v view
 	var err error
 	res.ScanResult, err = format.ReadFrames(r, size, sc, func(_ int, payload []byte) (string, error) {
-		rec, err := DecodeRecord(payload)
-		if err != nil {
+		if v.decode(payload) != nil {
 			return "frame not a record", nil
 		}
 		res.Records++
-		return "", fn(rec)
+		return "", fn(&v)
 	})
 	return res, err
 }
 
-// scanSegment decodes a segment file from disk; sc as in decodeFrames.
-func scanSegment(path string, sc *seglog.Scratch, fn func(Record) error) (DecodeResult, error) {
+// scanSegment decodes a segment file from disk; sc and fn as in
+// decodeFrames.
+func scanSegment(path string, sc *seglog.Scratch, fn func(*view) error) (DecodeResult, error) {
 	f, size, err := seglog.OpenData(path)
 	if err != nil {
 		return DecodeResult{}, err
@@ -211,9 +213,9 @@ func scanSegment(path string, sc *seglog.Scratch, fn func(Record) error) (Decode
 func (o Options) rebuild(path string) (Index, seglog.ScanResult, error) {
 	ix := Index{Version: IndexVersion}
 	b := newIndexBuilder()
-	res, err := scanSegment(path, nil, func(r Record) error {
+	res, err := scanSegment(path, nil, func(v *view) error {
 		// Bytes is re-derived from the valid prefix below.
-		ix.observe(r, 0, b, o.MaxActors, o.MaxClasses)
+		ix.observe(v.record(), 0, b, o.MaxActors, o.MaxClasses)
 		return nil
 	})
 	if err != nil {

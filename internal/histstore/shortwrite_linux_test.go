@@ -73,7 +73,7 @@ func TestShortWriteNeverCertified(t *testing.T) {
 		return s, lift
 	}
 	decodable := func(t *testing.T, path string) int {
-		res, err := scanSegment(path, nil, func(Record) error { return nil })
+		res, err := scanSegment(path, nil, func(*view) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
