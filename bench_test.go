@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -480,6 +481,40 @@ func BenchmarkCoreParallel(b *testing.B) {
 			})
 		}
 		b.ReportMetric(float64(len(events)), "events/op")
+	})
+	// The shape that shows or hides a per-event write to shared memory:
+	// GOMAXPROCS goroutines, each feeding its own actors' events in
+	// 256-event batches into one engine. With disjoint actors the
+	// shard locks are uncontended, so what is left between the
+	// goroutines is whatever every event touches whatever its actor —
+	// a counter, a lock word, a rule-set pointer.
+	b.Run("batch-shared", func(b *testing.B) {
+		big := workload.StandardMix(11, 80000).Events
+		parts := workload.Partition(big, runtime.GOMAXPROCS(0))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			eng := core.MustEngine()
+			b.StartTimer()
+			var wg sync.WaitGroup
+			for _, part := range parts {
+				wg.Add(1)
+				go func(part []trace.Event) {
+					defer wg.Done()
+					for len(part) > 0 {
+						n := min(256, len(part))
+						eng.ProcessBatch(part[:n])
+						part = part[n:]
+					}
+				}(part)
+			}
+			wg.Wait()
+			if got := eng.Stats().Events; got != uint64(len(big)) {
+				b.Fatalf("engine counted %d of %d events", got, len(big))
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(big)), "ns/event")
 	})
 }
 

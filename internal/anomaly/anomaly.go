@@ -51,17 +51,27 @@ type Factory struct {
 	Name string
 	// New returns a fresh, stateless-start instance.
 	New func() Detector
+	// Kinds lists the event kinds the detector looks at; nil means
+	// every kind. An engine uses it as an index, never a filter: it
+	// skips the call for other kinds, so Process must return nil for
+	// those without touching its state.
+	Kinds []trace.Kind
 }
 
-// SuiteFactories returns factories for the default detector suite.
+// SuiteFactories returns factories for the default detector suite,
+// each declaring the kinds its Process looks past its first test for.
 // Sharded engines build one set per shard; a serial pipeline wanting a
 // single set calls Build(SuiteFactories()).
 func SuiteFactories() []Factory {
 	return []Factory{
-		{Name: "anomaly.ransomware", New: func() Detector { return NewRansomware(DefaultRansomwareConfig()) }},
-		{Name: "anomaly.exfil", New: func() Detector { return NewExfil(DefaultExfilConfig()) }},
-		{Name: "anomaly.miner", New: func() Detector { return NewMiner(DefaultMinerConfig()) }},
-		{Name: "anomaly.lowslow", New: func() Detector { return NewLowSlow(DefaultLowSlowConfig()) }},
+		{Name: "anomaly.ransomware", New: func() Detector { return NewRansomware(DefaultRansomwareConfig()) },
+			Kinds: []trace.Kind{trace.KindFileOp}},
+		{Name: "anomaly.exfil", New: func() Detector { return NewExfil(DefaultExfilConfig()) },
+			Kinds: []trace.Kind{trace.KindNetOp}},
+		{Name: "anomaly.miner", New: func() Detector { return NewMiner(DefaultMinerConfig()) },
+			Kinds: []trace.Kind{trace.KindSysRes}},
+		{Name: "anomaly.lowslow", New: func() Detector { return NewLowSlow(DefaultLowSlowConfig()) },
+			Kinds: []trace.Kind{trace.KindHTTP, trace.KindAuth}},
 	}
 }
 
@@ -144,12 +154,19 @@ type Ransomware struct {
 
 	mu         sync.Mutex
 	writeTimes map[string][]time.Time // actor key -> encrypted-looking write times
-	// lastEntropy is keyed by actor+path, not bare path: entropy
+	// lastEntropy is keyed by actor and path, not bare path: entropy
 	// history must stay confined to one actor or per-shard instances
 	// (each seeing only its own actors' writes) would diverge from a
-	// global one when two users touch the same file.
-	lastEntropy map[string]float64
+	// global one when two users touch the same file. Pointer-valued so
+	// a repeat write updates in place: assigning through the map would
+	// swap the stored key for the event's strings, which may be backed
+	// by a decode arena or a wire line.
+	lastEntropy map[fileKey]*float64
 }
+
+// fileKey is a struct, not a joined string: no separator byte can make
+// two (actor, target) pairs collide, and a lookup builds nothing.
+type fileKey struct{ actor, target string }
 
 // NewRansomware returns a ransomware detector.
 func NewRansomware(cfg RansomwareConfig) *Ransomware {
@@ -159,7 +176,7 @@ func NewRansomware(cfg RansomwareConfig) *Ransomware {
 	return &Ransomware{
 		cfg:         cfg,
 		writeTimes:  map[string][]time.Time{},
-		lastEntropy: map[string]float64{},
+		lastEntropy: map[fileKey]*float64{},
 	}
 }
 
@@ -178,17 +195,21 @@ func (d *Ransomware) Process(e trace.Event) []rules.Alert {
 
 	// Per-file entropy jump: a notebook that was text suddenly
 	// becomes ciphertext.
-	entKey := actor + "\x00" + e.Target
-	prev, seen := d.lastEntropy[entKey]
-	d.lastEntropy[entKey] = e.Entropy
-	if seen && e.Entropy-prev >= d.cfg.EntropyJump && e.Entropy >= d.cfg.EntropyThreshold {
-		alerts = append(alerts, rules.Alert{
-			RuleID: "ANOM-RW-entropy-jump", Class: rules.ClassRansomware,
-			Severity: rules.SevHigh,
-			Description: fmt.Sprintf("entropy of %s jumped %.1f -> %.1f bits/byte",
-				e.Target, prev, e.Entropy),
-			Time: e.Time, Group: actor, Trigger: e.Clone(), Count: 1,
-		})
+	if last := d.lastEntropy[fileKey{actor, e.Target}]; last == nil {
+		first := e.Entropy
+		d.lastEntropy[fileKey{strings.Clone(actor), strings.Clone(e.Target)}] = &first
+	} else {
+		prev := *last
+		*last = e.Entropy
+		if e.Entropy-prev >= d.cfg.EntropyJump && e.Entropy >= d.cfg.EntropyThreshold {
+			alerts = append(alerts, rules.Alert{
+				RuleID: "ANOM-RW-entropy-jump", Class: rules.ClassRansomware,
+				Severity: rules.SevHigh,
+				Description: fmt.Sprintf("entropy of %s jumped %.1f -> %.1f bits/byte",
+					e.Target, prev, e.Entropy),
+				Time: e.Time, Group: actor, Trigger: e.Clone(), Count: 1,
+			})
+		}
 	}
 
 	// Burst of encrypted-looking writes.

@@ -101,6 +101,44 @@ func TestRansomwareEntropyJump(t *testing.T) {
 	}
 }
 
+// Entropy history is keyed by the (actor, target) pair itself: a NUL
+// inside either string must not let one actor's file stand in for
+// another's baseline.
+func TestRansomwareEntropyHistoryPerActorAndTarget(t *testing.T) {
+	d := NewRansomware(DefaultRansomwareConfig())
+	write := func(off time.Duration, user, target string, entropy float64) []rules.Alert {
+		return d.Process(at(off, trace.Event{
+			Kind: trace.KindFileOp, Op: "write", User: user,
+			Target: target, Entropy: entropy, Success: true,
+		}))
+	}
+	if a := write(0, "a\x00b", "c", 1.0); len(a) != 0 {
+		t.Fatalf("first write alerted: %+v", a)
+	}
+	// Another actor's first write of another file: no history to jump from.
+	if a := write(time.Second, "a", "b\x00c", 7.95); len(a) != 0 {
+		t.Fatalf("actor %q writing %q was judged against another pair's baseline: %+v", "a", "b\x00c", a)
+	}
+	// Each pair still has its own history.
+	if a := write(2*time.Second, "a\x00b", "c", 7.95); len(a) != 1 || a[0].RuleID != "ANOM-RW-entropy-jump" {
+		t.Fatalf("the first pair lost its history: %+v", a)
+	}
+}
+
+// A notebook save to a known (actor, file) is the common file_op of a
+// benign mix; it must not build a key.
+func TestRansomwareRepeatWriteDoesNotAllocate(t *testing.T) {
+	d := NewRansomware(DefaultRansomwareConfig())
+	e := at(0, trace.Event{
+		Kind: trace.KindFileOp, Op: "write", User: "alice",
+		Target: "work/nb.ipynb", Entropy: 4.2, Success: true,
+	})
+	d.Process(e)
+	if allocs := testing.AllocsPerRun(200, func() { d.Process(e) }); allocs != 0 {
+		t.Fatalf("a repeat write costs %.1f allocations, want 0", allocs)
+	}
+}
+
 func TestRansomwareIgnoresBenignWrites(t *testing.T) {
 	d := NewRansomware(DefaultRansomwareConfig())
 	for i := 0; i < 50; i++ {
@@ -314,6 +352,37 @@ func TestSuiteComplete(t *testing.T) {
 	for _, want := range []string{"ransomware", "exfil", "miner", "lowslow"} {
 		if !strings.Contains(desc, want) {
 			t.Errorf("describe missing %s: %s", want, desc)
+		}
+	}
+}
+
+// Factory.Kinds is an index, never a filter: a suite detector must
+// return nil for an event of any kind it does not list, however
+// alarming the event's other fields are.
+func TestSuiteKindsCoverWhatProcessLooksAt(t *testing.T) {
+	for _, f := range SuiteFactories() {
+		if len(f.Kinds) == 0 {
+			t.Fatalf("%s declares no kinds", f.Name)
+		}
+		listed := map[trace.Kind]bool{}
+		for _, k := range f.Kinds {
+			listed[k] = true
+		}
+		d := f.New()
+		for _, k := range append(trace.KnownKinds(), "", "custom") {
+			if listed[k] {
+				continue
+			}
+			for i := 0; i < 20; i++ {
+				a := d.Process(at(time.Duration(i)*time.Minute, trace.Event{
+					Kind: k, Op: "write", User: "m", SrcIP: "203.0.113.9", KernelID: "k1",
+					Target: "nb.ipynb", Entropy: 7.99, Bytes: 1 << 30, CPUMillis: 1 << 30,
+					Success: i == 0,
+				}))
+				if len(a) != 0 {
+					t.Fatalf("%s alerted on unlisted kind %q: %+v", f.Name, k, a)
+				}
+			}
 		}
 	}
 }

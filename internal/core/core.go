@@ -181,6 +181,10 @@ type Engine struct {
 	onAlert    atomic.Pointer[func(rules.Alert)]
 	onIncident atomic.Pointer[func(IncidentUpdate)]
 	shards     []coreShard
+	// detsFor[trace.KindIndex(k)] lists, in factory order, the positions
+	// in every shard's dets of the detectors that look at kind k. Most
+	// kinds have none: their events pick no shard and take no lock.
+	detsFor [trace.NumKinds + 1][]int
 
 	events atomic.Uint64
 	alerts atomic.Uint64
@@ -220,6 +224,17 @@ func NewEngine(opts Options) (*Engine, error) {
 		e.shards[i].dets = anomaly.Build(opts.Detectors)
 		e.shards[i].open = map[string]*Incident{}
 	}
+	for pos, f := range opts.Detectors {
+		var in [trace.NumKinds + 1]bool
+		for _, k := range f.Kinds {
+			in[trace.KindIndex(k)] = true
+		}
+		for i := range e.detsFor {
+			if f.Kinds == nil || in[i] {
+				e.detsFor[i] = append(e.detsFor[i], pos)
+			}
+		}
+	}
 	e.SetOnAlert(opts.OnAlert)
 	e.SetOnIncidentUpdate(opts.OnIncidentUpdate)
 	return e, nil
@@ -258,16 +273,20 @@ func (e *Engine) SetOnIncidentUpdate(fn func(IncidentUpdate)) {
 
 // Emit implements trace.Sink.
 func (e *Engine) Emit(ev trace.Event) {
-	e.process(&ev)
+	b := e.begin()
+	e.process(&b, &ev)
+	e.end(&b)
 }
 
 // EmitBatch implements trace.BatchSink: the events in order, each
 // through the same body as Emit, without a copy of any of them. The
 // slice is only read during the call; alerts carry clones.
 func (e *Engine) EmitBatch(events []trace.Event) {
+	b := e.begin()
 	for i := range events {
-		e.process(&events[i])
+		e.process(&b, &events[i])
 	}
+	e.end(&b)
 }
 
 // ProcessBatch evaluates events in order and returns all alerts
@@ -275,10 +294,12 @@ func (e *Engine) EmitBatch(events []trace.Event) {
 // per-event overhead; it is safe to call concurrently as long as
 // events for the same actor stay within one batch stream.
 func (e *Engine) ProcessBatch(events []trace.Event) []rules.Alert {
+	b := e.begin()
 	var fired []rules.Alert
 	for i := range events {
-		fired = append(fired, e.process(&events[i])...)
+		fired = append(fired, e.process(&b, &events[i])...)
 	}
+	e.end(&b)
 	return fired
 }
 
@@ -288,22 +309,52 @@ func (e *Engine) ProcessBatch(events []trace.Event) []rules.Alert {
 // each alert's actor shard (correlation) are locked, briefly and
 // never nested. OnAlert runs after every lock is released.
 func (e *Engine) Process(ev trace.Event) []rules.Alert {
-	return e.process(&ev)
+	b := e.begin()
+	fired := e.process(&b, &ev)
+	e.end(&b)
+	return fired
+}
+
+// batch is what one call carries from event to event on its stack: the
+// signature engine's handle and the events not yet added to e.events.
+type batch struct {
+	sig     rules.Batch
+	pending uint64
+}
+
+func (e *Engine) begin() batch { return batch{sig: e.sig.Begin()} }
+
+// publish adds the batch's pending events to the shared counter. It
+// runs at the end of every call and before any callback, so Stats is
+// exact whenever no call is in flight and a callback never sees
+// Events behind the event that fired it.
+func (e *Engine) publish(b *batch) {
+	e.events.Add(b.pending)
+	b.pending = 0
+}
+
+func (e *Engine) end(b *batch) {
+	b.sig.End()
+	e.publish(b)
 }
 
 // process is the one per-event body behind Emit, EmitBatch, Process
-// and ProcessBatch. It reads ev and keeps nothing of it.
-func (e *Engine) process(ev *trace.Event) []rules.Alert {
-	fired := e.sig.ProcessEvent(ev)
-	sh := &e.shards[trace.ShardIndex(ev.ActorKey(), len(e.shards))]
-	sh.mu.Lock()
-	for _, d := range sh.dets {
-		// By value: a pointer handed to an interface method would move
-		// Emit's and Process's parameter to the heap, once per event.
-		fired = append(fired, d.Process(*ev)...)
+// and ProcessBatch. It reads ev and keeps nothing of it, and writes
+// to nothing shared unless a detector looks at the event's kind (that
+// actor's shard) or an alert fires.
+func (e *Engine) process(b *batch, ev *trace.Event) []rules.Alert {
+	b.pending++
+	fired := b.sig.Process(ev)
+	if dets := e.detsFor[trace.KindIndex(ev.Kind)]; len(dets) > 0 {
+		sh := &e.shards[trace.ShardIndex(ev.ActorKey(), len(e.shards))]
+		sh.mu.Lock()
+		for _, pos := range dets {
+			// By value: a pointer handed to an interface method would move
+			// Emit's and Process's parameter to the heap, once per event.
+			fired = append(fired, sh.dets[pos].Process(*ev)...)
+		}
+		sh.mu.Unlock()
 	}
-	sh.mu.Unlock()
-	e.events.Add(1)
 	if len(fired) > 0 {
 		e.alerts.Add(uint64(len(fired)))
 		// correlate snapshots the incident's aggregate state under the
@@ -320,6 +371,7 @@ func (e *Engine) process(ev *trace.Event) []rules.Alert {
 				updates = append(updates, u)
 			}
 		}
+		e.publish(b)
 		if cb := e.onAlert.Load(); cb != nil {
 			for _, a := range fired {
 				(*cb)(a)
@@ -513,6 +565,7 @@ func TopIncidents(incs []*Incident, k int) []*Incident {
 
 // Stats returns engine counters. It takes no locks (the counters are
 // atomic), so it is safe to call from inside an OnAlert callback.
+// Events is added per batch: exact whenever no call is in flight.
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Events:    e.events.Load(),

@@ -1,8 +1,11 @@
 package histstore
 
 import (
+	"bytes"
 	"os"
+	"os/exec"
 	"os/signal"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -49,6 +52,80 @@ func openDescriptors(t *testing.T) int {
 	return len(fds)
 }
 
+// underLimitEnv, set to "<order>:<dir>", turns a run of this test
+// binary into the child that does the size-limited part of
+// TestShortWriteNeverCertified on dir.
+const underLimitEnv = "SHORTWRITE_UNDER_LIMIT"
+
+const (
+	liftThenClose = "lift-then-close" // Close's retry of the failed flush succeeds
+	closeThenLift = "close-then-lift" // and fails
+	shortWriteN   = 64
+)
+
+// runUnderLimit re-executes the test binary as that child and fails
+// the test with the child's output if it fails. The limit is per
+// process, and in the test's own process it also caught the testing
+// package's log (go test's -test.testlogfile): a flush of that inside
+// the window failed the run with "file too large" about once in
+// twenty. The child is started without a test log and reports through
+// a pipe, which no file-size limit applies to.
+func runUnderLimit(t *testing.T, order, dir string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestShortWriteNeverCertified$", "-test.v")
+	cmd.Env = append(os.Environ(), underLimitEnv+"="+order+":"+dir)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("the child under the size limit: %v\n%s", err, out)
+	}
+	if bytes.Contains(out, []byte("--- SKIP")) {
+		t.Skipf("the child could not limit itself:\n%s", out)
+	}
+}
+
+// shortWriteChild is the child: open, limit, append until the one
+// flush fails, then Close and lift in the given order. It checks what
+// only the process that holds the store can see; the parent reopens
+// the directory and checks what reached the disk.
+func shortWriteChild(t *testing.T, spec string) {
+	order, dir, _ := strings.Cut(spec, ":")
+	// The first regular file a process opens starts the runtime's
+	// poller, whose two descriptors stay: not a leak, so not counted.
+	if f, err := os.Open(os.Args[0]); err == nil {
+		f.Close()
+	}
+	before := openDescriptors(t)
+	s, err := Open(dir, Options{FlushEvery: shortWriteN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lift := limitFileSize(t, 1000)
+	var appendErr error
+	for i := 0; i < shortWriteN; i++ {
+		appendErr = s.AppendAlert(mkAlert("mallory", rules.SevHigh, t0.Add(time.Duration(i)*time.Second)))
+	}
+	if appendErr == nil || s.Err() == nil {
+		t.Fatalf("the flush past the size limit reported no error (append %v, Err %v)", appendErr, s.Err())
+	}
+	if order == liftThenClose {
+		lift()
+	}
+	err = s.Close()
+	lift()
+	if err == nil {
+		t.Fatal("Close dropped the sticky error")
+	}
+	if order == liftThenClose {
+		return
+	}
+	if after := openDescriptors(t); after != before {
+		t.Fatalf("%d descriptors open after Close, %d before Open: the failed seal leaked the segment file", after, before)
+	}
+	if len(s.Segments()) != 0 {
+		t.Fatalf("a failed seal retired the segment as readable: %+v", s.Segments())
+	}
+}
+
 // TestShortWriteNeverCertified pins what Close may certify after a
 // short write: the one flush of 64 records hits a 1000-byte file-size
 // limit, so part of the buffer reaches the file and the write fails.
@@ -56,22 +133,11 @@ func openDescriptors(t *testing.T) int {
 // count records the data file does not hold — a present sidecar is
 // trusted without re-reading the data, so the loss would be silent.
 func TestShortWriteNeverCertified(t *testing.T) {
-	const n = 64
-	appendUnderLimit := func(t *testing.T, dir string) (s *Store, lift func()) {
-		s, err := Open(dir, Options{FlushEvery: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lift = limitFileSize(t, 1000)
-		var appendErr error
-		for i := 0; i < n; i++ {
-			appendErr = s.AppendAlert(mkAlert("mallory", rules.SevHigh, t0.Add(time.Duration(i)*time.Second)))
-		}
-		if appendErr == nil || s.Err() == nil {
-			t.Fatalf("the flush past the size limit reported no error (append %v, Err %v)", appendErr, s.Err())
-		}
-		return s, lift
+	if spec := os.Getenv(underLimitEnv); spec != "" {
+		shortWriteChild(t, spec)
+		return
 	}
+	const n = shortWriteN
 	decodable := func(t *testing.T, path string) int {
 		res, err := scanSegment(path, nil, func(*view) error { return nil })
 		if err != nil {
@@ -82,11 +148,7 @@ func TestShortWriteNeverCertified(t *testing.T) {
 
 	t.Run("retry succeeds", func(t *testing.T) {
 		dir := t.TempDir()
-		s, lift := appendUnderLimit(t, dir)
-		lift()
-		if err := s.Close(); err == nil {
-			t.Fatal("Close dropped the sticky error")
-		}
+		runUnderLimit(t, liftThenClose, dir)
 		re, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -107,21 +169,10 @@ func TestShortWriteNeverCertified(t *testing.T) {
 
 	t.Run("retry fails", func(t *testing.T) {
 		dir := t.TempDir()
-		before := openDescriptors(t)
-		s, lift := appendUnderLimit(t, dir)
-		if err := s.Close(); err == nil {
-			t.Fatal("Close dropped the sticky error")
-		}
-		lift()
-		if after := openDescriptors(t); after != before {
-			t.Fatalf("%d descriptors open after Close, %d before Open: the failed seal leaked the segment file", after, before)
-		}
-		data := s.Dir() + "/hist-00000001.hr"
+		runUnderLimit(t, closeThenLift, dir)
+		data := dir + "/hist-00000001.hr"
 		if _, err := os.Stat(indexPath(data)); !os.IsNotExist(err) {
 			t.Fatalf("a failed seal left a sidecar (stat: %v)", err)
-		}
-		if len(s.Segments()) != 0 {
-			t.Fatalf("a failed seal retired the segment as readable: %+v", s.Segments())
 		}
 		st, err := os.Stat(data)
 		if err != nil {

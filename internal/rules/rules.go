@@ -9,7 +9,8 @@
 //
 // The Engine is the detection substrate's hot path and is built for
 // multi-core streaming: rules are indexed by the event kind they can
-// match, stateless matching is lock-free, and threshold/sequence
+// match, stateless matching reads one immutable snapshot and writes
+// nothing shared, and threshold/sequence
 // correlation state is sharded per group so concurrent Process calls
 // from independent actors never serialize. See DESIGN.md ("Detection
 // pipeline v2").
@@ -330,10 +331,12 @@ type Alert struct {
 // concurrent use from many goroutines and is built so the hot path
 // scales with cores:
 //
-//   - Compiled rules are indexed by the event Kind they can match, so
-//     Process only visits candidate rules instead of the whole set.
-//   - Stateless condition matching runs under a read lock only (the
-//     rule set is copy-on-write; AddRule is the rare writer).
+//   - The compiled rule set — a candidate list per event kind and the
+//     OnAlert callback — is one immutable ruleSet behind an atomic
+//     pointer: an event indexes an array to find its candidates and
+//     writes nothing shared unless a rule fires. AddRule and OnAlert,
+//     the rare writers, build the next ruleSet and swap it in.
+//   - The evaluated counter is added once per Batch, not per event.
 //   - Stateful threshold/sequence tracking lives in per-group shards
 //     (FNV hash of ruleID+group), so two actors' correlation state
 //     never contends on one lock.
@@ -343,14 +346,8 @@ type Alert struct {
 // different groups may be processed concurrently in any interleaving
 // and produce the same alerts as a serial run.
 type Engine struct {
-	rulesMu sync.RWMutex
-	rules   []*Rule
-	// byKind maps an event kind to its candidate rules — rules pinned
-	// to that kind plus kind-agnostic rules — in registration order.
-	// Kinds absent from the map fall back to the wildcard list.
-	byKind  map[trace.Kind][]*Rule
-	wild    []*Rule
-	onAlert func(Alert)
+	writeMu sync.Mutex // serialises AddRule and OnAlert; readers never take it
+	set     atomic.Pointer[ruleSet]
 
 	shards [stateShards]stateShard
 
@@ -358,6 +355,19 @@ type Engine struct {
 	alerts   []Alert
 
 	evaluated atomic.Uint64
+}
+
+// ruleSet is one published state of the engine's rules; nothing in it
+// changes after the pointer to it is stored.
+type ruleSet struct {
+	rules []*Rule
+	// byKind[trace.KindIndex(k)] lists the candidate rules for kind k —
+	// rules pinned to it plus kind-agnostic rules — in registration
+	// order. The last slot serves every foreign kind: it holds every
+	// rule pinned to any foreign kind (the rule's own kind condition
+	// still decides) plus the kind-agnostic ones.
+	byKind  [trace.NumKinds + 1][]*Rule
+	onAlert func(Alert)
 }
 
 // stateShards is the number of correlation-state shards. 32 keeps lock
@@ -417,31 +427,32 @@ func stateKey(dst []byte, ruleID, group string) []byte {
 	return append(dst, group...)
 }
 
-// ruleKinds returns the event kinds a compiled rule can possibly
-// match, or nil when the rule is kind-agnostic. A plain or threshold
-// rule is pinned by an equals-condition on the "kind" field; a
-// sequence rule is a candidate for every kind any of its stages pins,
-// and agnostic if any stage is.
-func ruleKinds(r *Rule) []trace.Kind {
+// ruleSlots marks the byKind slots of the kinds a compiled rule can
+// possibly match; a kind-agnostic rule marks every slot. A plain or
+// threshold rule is pinned by an equals-condition on the "kind" field;
+// a sequence rule is a candidate for every kind any of its stages
+// pins, and agnostic if any stage is.
+func ruleSlots(r *Rule) (in [trace.NumKinds + 1]bool) {
+	pinned := true
+	mark := func(conds []Condition) {
+		if k, ok := condsKind(conds); ok {
+			in[trace.KindIndex(k)] = true
+		} else {
+			pinned = false
+		}
+	}
 	if len(r.Sequence) == 0 {
-		if k, ok := condsKind(r.Conditions); ok {
-			return []trace.Kind{k}
-		}
-		return nil
+		mark(r.Conditions)
 	}
-	seen := map[trace.Kind]bool{}
-	var out []trace.Kind
 	for i := range r.Sequence {
-		k, ok := condsKind(r.Sequence[i].Conditions)
-		if !ok {
-			return nil
-		}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
+		mark(r.Sequence[i].Conditions)
+	}
+	if !pinned {
+		for i := range in {
+			in[i] = true
 		}
 	}
-	return out
+	return in
 }
 
 func condsKind(conds []Condition) (trace.Kind, bool) {
@@ -453,38 +464,19 @@ func condsKind(conds []Condition) (trace.Kind, bool) {
 	return "", false
 }
 
-// rebuildIndexLocked recomputes byKind/wild from en.rules. Callers
-// hold rulesMu for writing.
-func (en *Engine) rebuildIndexLocked() {
-	perKind := map[trace.Kind][]*Rule{}
-	var wild []*Rule
-	for _, r := range en.rules {
-		ks := ruleKinds(r)
-		if ks == nil {
-			wild = append(wild, r)
-			continue
-		}
-		for _, k := range ks {
-			perKind[k] = append(perKind[k], r)
+// newRuleSet indexes rs. Walking the rules once in registration order
+// keeps every candidate list in that order, so evaluation order (and
+// hence alert order within one event) is that of a linear scan.
+func newRuleSet(rs []*Rule, onAlert func(Alert)) *ruleSet {
+	set := &ruleSet{rules: rs, onAlert: onAlert}
+	for _, r := range rs {
+		for i, ok := range ruleSlots(r) {
+			if ok {
+				set.byKind[i] = append(set.byKind[i], r)
+			}
 		}
 	}
-	// Merge the wildcard rules into each kind's candidate list in
-	// registration order, so evaluation order (and hence alert order
-	// within one event) is identical to a linear scan of en.rules.
-	pos := map[*Rule]int{}
-	for i, r := range en.rules {
-		pos[r] = i
-	}
-	byKind := make(map[trace.Kind][]*Rule, len(perKind))
-	for k, rs := range perKind {
-		merged := make([]*Rule, 0, len(rs)+len(wild))
-		merged = append(merged, rs...)
-		merged = append(merged, wild...)
-		sort.Slice(merged, func(i, j int) bool { return pos[merged[i]] < pos[merged[j]] })
-		byKind[k] = merged
-	}
-	en.byKind = byKind
-	en.wild = wild
+	return set
 }
 
 // NewEngine returns an engine with the given compiled rules.
@@ -494,49 +486,50 @@ func NewEngine(ruleset []*Rule) (*Engine, error) {
 			return nil, err
 		}
 	}
-	en := &Engine{rules: ruleset}
+	en := &Engine{}
 	for i := range en.shards {
 		en.shards[i].thresholds = map[string]*threshState{}
 		en.shards[i].sequences = map[string]*seqState{}
 	}
-	en.rulesMu.Lock()
-	en.rebuildIndexLocked()
-	en.rulesMu.Unlock()
+	en.set.Store(newRuleSet(ruleset, nil))
 	return en, nil
 }
 
 // OnAlert registers a callback invoked synchronously for each alert.
+// A Batch begun after OnAlert returns calls fn; one in flight keeps
+// the callback it began with.
 func (en *Engine) OnAlert(fn func(Alert)) {
-	en.rulesMu.Lock()
-	defer en.rulesMu.Unlock()
-	en.onAlert = fn
+	en.writeMu.Lock()
+	defer en.writeMu.Unlock()
+	cur := en.set.Load()
+	next := *cur // the index is shared, not rebuilt: it is immutable
+	next.onAlert = fn
+	en.set.Store(&next)
 }
 
 // AddRule appends a rule at runtime (threat-intel distribution path).
+// Every Batch begun after AddRule returns evaluates the rule; one in
+// flight finishes on the set it began with, so an event is never
+// judged by half an update.
 func (en *Engine) AddRule(r *Rule) error {
 	if err := r.Compile(); err != nil {
 		return err
 	}
-	en.rulesMu.Lock()
-	defer en.rulesMu.Unlock()
-	// Copy-on-write: concurrent Process holds snapshots of the old
-	// slices, which stay valid and immutable.
-	next := make([]*Rule, len(en.rules)+1)
-	copy(next, en.rules)
-	next[len(en.rules)] = r
-	en.rules = next
-	en.rebuildIndexLocked()
+	en.writeMu.Lock()
+	defer en.writeMu.Unlock()
+	cur := en.set.Load()
+	en.set.Store(newRuleSet(append(cur.rules[:len(cur.rules):len(cur.rules)], r), cur.onAlert))
 	return nil
 }
 
 // RuleCount returns the number of loaded rules.
 func (en *Engine) RuleCount() int {
-	en.rulesMu.RLock()
-	defer en.rulesMu.RUnlock()
-	return len(en.rules)
+	return len(en.set.Load().rules)
 }
 
-// Evaluated returns the number of events processed.
+// Evaluated returns the number of events processed: exact whenever no
+// Batch is in flight, and inside an OnAlert callback never behind the
+// event that fired it.
 func (en *Engine) Evaluated() uint64 {
 	return en.evaluated.Load()
 }
@@ -552,33 +545,13 @@ func (en *Engine) Process(e trace.Event) []Alert {
 	return en.ProcessEvent(&e)
 }
 
-// ProcessEvent is Process for a caller that already holds the event
-// (the core engine's batch path, ProcessBatch): no copy of the event
-// is made, and e is only read — a fired alert carries a Clone.
+// ProcessEvent is Process for a caller that already holds the event:
+// no copy of the event is made, and e is only read — a fired alert
+// carries a Clone.
 func (en *Engine) ProcessEvent(e *trace.Event) []Alert {
-	en.evaluated.Add(1)
-	en.rulesMu.RLock()
-	candidates, ok := en.byKind[e.Kind]
-	if !ok {
-		candidates = en.wild
-	}
-	onAlert := en.onAlert
-	en.rulesMu.RUnlock()
-
-	var fired []Alert
-	for _, r := range candidates {
-		fired = en.evalRule(r, e, fired)
-	}
-	if len(fired) > 0 {
-		en.alertsMu.Lock()
-		en.alerts = append(en.alerts, fired...)
-		en.alertsMu.Unlock()
-		if onAlert != nil {
-			for _, a := range fired {
-				onAlert(a)
-			}
-		}
-	}
+	b := en.Begin()
+	fired := b.Process(e)
+	b.End()
 	return fired
 }
 
@@ -586,11 +559,59 @@ func (en *Engine) ProcessEvent(e *trace.Event) []Alert {
 // in firing order. Batching amortizes per-call overhead on replay and
 // high-rate ingest paths.
 func (en *Engine) ProcessBatch(events []trace.Event) []Alert {
+	b := en.Begin()
 	var fired []Alert
 	for i := range events {
-		fired = append(fired, en.ProcessEvent(&events[i])...)
+		fired = append(fired, b.Process(&events[i])...)
+	}
+	b.End()
+	return fired
+}
+
+// Batch is one caller's pass over a run of events: the rule set it
+// began with and the events processed but not yet added to the engine's
+// counter. It is the one per-event body behind Emit, Process,
+// ProcessEvent and ProcessBatch, and the core engine holds one across
+// each of its batches. One goroutine's value; pair every Begin with End.
+type Batch struct {
+	en      *Engine
+	set     *ruleSet
+	pending uint64
+}
+
+// Begin starts a Batch on the current rule set.
+func (en *Engine) Begin() Batch {
+	return Batch{en: en, set: en.set.Load()}
+}
+
+// Process evaluates one event against the candidate rules for its
+// kind and returns any alerts fired. e is only read.
+func (b *Batch) Process(e *trace.Event) []Alert {
+	b.pending++
+	var fired []Alert
+	for _, r := range b.set.byKind[trace.KindIndex(e.Kind)] {
+		fired = b.en.evalRule(r, e, fired)
+	}
+	if len(fired) > 0 {
+		en := b.en
+		en.alertsMu.Lock()
+		en.alerts = append(en.alerts, fired...)
+		en.alertsMu.Unlock()
+		if b.set.onAlert != nil {
+			b.End() // a callback reading Evaluated sees this event counted
+			for _, a := range fired {
+				b.set.onAlert(a)
+			}
+		}
 	}
 	return fired
+}
+
+// End adds the events processed since Begin (or the last End) to the
+// engine's counter. The Batch stays usable.
+func (b *Batch) End() {
+	b.en.evaluated.Add(b.pending)
+	b.pending = 0
 }
 
 // evalRule routes one candidate rule and returns fired, extended by

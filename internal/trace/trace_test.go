@@ -265,3 +265,32 @@ func TestJSONLWriterErrSticky(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// KindIndex is written out as a switch so the per-event paths pay no
+// loop or hash; this ties it to the KnownKinds order it must agree
+// with and to NumKinds, the slot every other kind shares.
+func TestKindIndexAgreesWithKnownKinds(t *testing.T) {
+	kinds := KnownKinds()
+	if len(kinds) != NumKinds {
+		t.Fatalf("NumKinds = %d, KnownKinds has %d", NumKinds, len(kinds))
+	}
+	for i, k := range kinds {
+		if k == "" {
+			t.Fatalf("KnownKinds()[%d] is empty", i)
+		}
+		if got := KindIndex(k); got != i {
+			t.Fatalf("KindIndex(%q) = %d, want %d", k, got, i)
+		}
+		if !KnownKind(k) {
+			t.Fatalf("KnownKind(%q) = false", k)
+		}
+	}
+	for _, k := range []Kind{"", "custom", "HTTP", "http "} {
+		if got := KindIndex(k); got != NumKinds {
+			t.Fatalf("KindIndex(%q) = %d, want the foreign slot %d", k, got, NumKinds)
+		}
+		if KnownKind(k) {
+			t.Fatalf("KnownKind(%q) = true", k)
+		}
+	}
+}

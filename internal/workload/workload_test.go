@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -33,6 +34,33 @@ func TestDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical traces")
+	}
+}
+
+// StandardMix reserves the whole trace up front; the trace must be
+// what the same calls append to a trace that reserves nothing.
+func TestStandardMixReservationChangesNothing(t *testing.T) {
+	const seed, steps = 7, 900
+	g := NewGenerator(seed, time.Date(2026, 6, 1, 9, 0, 0, 0, time.UTC))
+	want := &Trace{}
+	users := []string{"alice", "bob", "carol", "dave"}
+	g.Benign(want, users, steps/3)
+	g.InjectRansomware(want, "mallory-rw", 12)
+	g.InjectExfil(want, "mallory-ex", 8<<20, 4)
+	g.Benign(want, users, steps/3)
+	g.InjectMiner(want, "mallory-cm", 6, 45*time.Second, 15*time.Second)
+	g.InjectBruteForce(want, "203.0.113.66", 12, true)
+	g.Benign(want, users, steps-2*(steps/3))
+	g.InjectLowSlow(want, "198.51.100.9", 30, 30*time.Second)
+	g.InjectTerminalRecon(want, "mallory-tr", "203.0.113.99")
+
+	got := StandardMix(seed, steps)
+	if !reflect.DeepEqual(got.Events, want.Events) || !reflect.DeepEqual(got.Labels, want.Labels) {
+		t.Fatalf("StandardMix differs from its calls on an unreserved trace: %d events and %d labels, want %d and %d",
+			len(got.Events), len(got.Labels), len(want.Events), len(want.Labels))
+	}
+	if cap(got.Events) < len(got.Events) || cap(got.Events) > 2*len(got.Events) {
+		t.Fatalf("reserved %d for %d events", cap(got.Events), len(got.Events))
 	}
 }
 
