@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/jmsg"
 	"repro/internal/kernel"
-	"repro/internal/kernel/minilang"
 	"repro/internal/rules"
 	"repro/internal/trace"
 	"repro/internal/vfs"
@@ -124,25 +123,12 @@ write_file("out/summary.txt", str(total))`
 			}
 		}
 	}
-	// The engine axis rides along: no-audit runs the default bytecode
-	// VM, tree-engine the reference interpreter, so the audit overhead
-	// is measured relative to both execution baselines.
+	// The interpreter's cost for the same cell is minilang's
+	// BenchmarkAuditCell.
 	b.Run("no-audit", func(b *testing.B) {
 		fs := vfs.New()
 		seed(fs)
 		mgr := kernel.NewManager(kernel.Config{FS: fs})
-		k := mgr.Start("", "bench")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if res, err := k.Execute(cell, nil); err != nil || res.Status != "ok" {
-				b.Fatalf("%+v %v", res, err)
-			}
-		}
-	})
-	b.Run("tree-engine", func(b *testing.B) {
-		fs := vfs.New()
-		seed(fs)
-		mgr := kernel.NewManager(kernel.Config{FS: fs, Engine: minilang.EngineTree})
 		k := mgr.Start("", "bench")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

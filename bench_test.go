@@ -742,200 +742,6 @@ func BenchmarkEntropy(b *testing.B) {
 	}
 }
 
-func BenchmarkMinilangInterp(b *testing.B) {
-	host := benchHost{}
-	in := minilang.NewInterp(host, minilang.Limits{})
-	src := `total = 0
-for i in range(100)
-    total = total + i
-end`
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := in.Run(src); err != nil {
-			b.Fatal(err)
-		}
-		in.TakeStdout()
-	}
-}
-
-// minilangEngineCases are the tree-vs-VM comparison workloads. fib-iter
-// and tight-loop are the paper-table cases the bench gate pins a ≥5x
-// VM speedup on: pure numeric loops where slot-resolved variables,
-// unboxed numbers, constant folding, and fused compare-branch
-// superinstructions all pay off. basic-ops and builtin-calls bound the
-// other end: work dominated by host/builtin dispatch, where both
-// engines share the same runtime substrate.
-var minilangEngineCases = []struct {
-	name string
-	src  string
-}{
-	{"basic-ops", `a = 3
-b = 4
-c = a * a + b * b
-d = c > 24 and c < 26
-s = "py" + "thia"
-t = s + str(c)`},
-	{"builtin-calls", `parts = split("a,b,c,d,e,f,g,h", ",")
-s = join(parts, "-")
-u = upper(s)
-n = len(u) + len(parts)
-h = sha256(u)`},
-	{"fib-iter", `a = 0
-b = 1
-k = 0
-while k < 60
-t = a + b
-a = b
-b = t
-k = k + 1
-end`},
-	{"tight-loop", `s = 0
-i = 0
-while i < 200
-s = s + i * (3 * 7 + 2)
-i = i + 1
-end`},
-}
-
-// BenchmarkMinilangEngines runs each workload on both engines. The vm
-// sub-benchmarks additionally report a "speedup" metric (tree ns/op ÷
-// vm ns/op, measured in the same process) so the ≥5x claim on
-// fib-iter and tight-loop is a pinned number in BENCH_8.json rather
-// than a cross-run subtraction.
-func BenchmarkMinilangEngines(b *testing.B) {
-	limits := minilang.Limits{MaxSteps: 1_000_000}
-	for _, tc := range minilangEngineCases {
-		prog, err := minilang.Parse(tc.src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(tc.name+"/tree", func(b *testing.B) {
-			in := minilang.NewInterp(benchHost{}, limits)
-			if err := in.RunProgram(prog); err != nil { // warm up
-				b.Fatal(err)
-			}
-			in.TakeStdout()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := in.RunProgram(prog); err != nil {
-					b.Fatal(err)
-				}
-				in.TakeStdout()
-			}
-		})
-		b.Run(tc.name+"/vm", func(b *testing.B) {
-			vm := minilang.NewVM(benchHost{}, limits)
-			if err := vm.RunProgram(prog); err != nil { // warm up: compile the chunk
-				b.Fatal(err)
-			}
-			vm.TakeStdout()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := vm.RunProgram(prog); err != nil {
-					b.Fatal(err)
-				}
-				vm.TakeStdout()
-			}
-			vmNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.StopTimer()
-			// Reference the tree-walker on the same program, same
-			// process, so the ratio is insensitive to machine speed.
-			in := minilang.NewInterp(benchHost{}, limits)
-			const probe = 2000
-			start := time.Now()
-			for i := 0; i < probe; i++ {
-				if err := in.RunProgram(prog); err != nil {
-					b.Fatal(err)
-				}
-				in.TakeStdout()
-			}
-			treeNs := float64(time.Since(start).Nanoseconds()) / probe
-			if vmNs > 0 {
-				b.ReportMetric(treeNs/vmNs, "speedup")
-			}
-		})
-	}
-
-	// host-cell is the one-shot case that used to favor the tree
-	// engine: a cell dominated by host dispatch, executed once per
-	// request (the fleet-census shape — one probe notebook replayed
-	// against many servers). Pre-cache, every execution paid
-	// Run(src) = parse + (vm only) compile, so the VM's front-end
-	// overhead bought nothing — the oneshot variants pin that
-	// penalty. With the manager program cache, the steady-state
-	// per-execution cost is RunProgram on a shared parsed program
-	// through the kernel's persistent engine (parse skipped by the
-	// cache, bytecode compile skipped by the VM's per-program chunk
-	// memo) — the "cached" variants — and the VM no longer trails the
-	// tree-walker on its worst-case workload. vm/cached reports the
-	// ratio against a same-process tree cached probe so the claim is
-	// a pinned metric in the bench artifact.
-	const hostCell = `d = read_file("/var/log/auth.log")
-n = len(d)
-s1 = http_post("http://collector.internal/ingest", d)
-s2 = http_post("http://collector.internal/ack", "probe")
-o = shell("id")
-r = str(n) + ":" + str(s1) + ":" + str(s2) + ":" + o`
-	hostProg, err := minilang.Parse(hostCell)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("host-cell/tree/oneshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			in := minilang.NewInterp(benchHost{}, limits)
-			if err := in.Run(hostCell); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("host-cell/vm/oneshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			vm := minilang.NewVM(benchHost{}, limits)
-			if err := vm.Run(hostCell); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("host-cell/tree/cached", func(b *testing.B) {
-		in := minilang.NewInterp(benchHost{}, limits)
-		if err := in.RunProgram(hostProg); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := in.RunProgram(hostProg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("host-cell/vm/cached", func(b *testing.B) {
-		vm := minilang.NewVM(benchHost{}, limits)
-		if err := vm.RunProgram(hostProg); err != nil { // warm: compile the chunk once
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := vm.RunProgram(hostProg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		vmNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		b.StopTimer()
-		const probe = 2000
-		in := minilang.NewInterp(benchHost{}, limits)
-		start := time.Now()
-		for i := 0; i < probe; i++ {
-			if err := in.RunProgram(hostProg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		treeNs := float64(time.Since(start).Nanoseconds()) / probe
-		if vmNs > 0 {
-			b.ReportMetric(treeNs/vmNs, "vs-tree-cached")
-		}
-	})
-}
-
 // BenchmarkBuiltinNames pins that the memoized builtin listing is
 // allocation-free after the first call (the completion path sorts it
 // once, not per keystroke).
@@ -949,22 +755,6 @@ func BenchmarkBuiltinNames(b *testing.B) {
 		}
 	}
 }
-
-// benchHost is a no-op minilang host for interpreter micro-benchmarks.
-type benchHost struct{}
-
-func (benchHost) ReadFile(string) ([]byte, error)    { return nil, nil }
-func (benchHost) WriteFile(string, []byte) error     { return nil }
-func (benchHost) DeleteFile(string) error            { return nil }
-func (benchHost) RenameFile(string, string) error    { return nil }
-func (benchHost) ListFiles(string) ([]string, error) { return nil, nil }
-func (benchHost) HTTPRequest(string, string, []byte) (int, []byte, error) {
-	return 200, nil, nil
-}
-func (benchHost) Shell(string) (string, error) { return "", nil }
-func (benchHost) Spin(int64)                   {}
-func (benchHost) Hostname() string             { return "bench" }
-func (benchHost) Env(string) string            { return "" }
 
 // repeatReader yields the same byte slice n times.
 type repeatReader struct {
@@ -990,7 +780,7 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ---- E16: event-store replay vs flat JSONL, v1 JSON vs v2 binary ----
+// ---- E16: event-store replay vs flat JSONL ----
 //
 // The storage-layer claim: a filtered, segment-parallel store replay
 // beats loading a whole JSONL trace into memory and replaying it,
@@ -999,13 +789,11 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 // events. The mixed trace is ~100k events (the paper's "production
 // traffic" scale knob); jsonl-full is the pre-store pipeline.
 //
-// Every store case runs against both segment codecs side by side —
-// json-v1 (the recorded baseline) and binary-v2 — so the codec's
-// speedup is a first-class number in the published bench JSON. The
+// The store is written in the binary-v2 segment codec. The
 // pushdown-skip case is the codec's headline: a benign-user actor
 // filter that appears in every segment, defeating sidecar pruning, so
-// v1 must JSON-decode all ~100k frames while v2 discards non-matching
-// bodies from the frame header alone.
+// only the frame headers let replay discard non-matching bodies
+// undecoded.
 func BenchmarkStoreReplay(b *testing.B) {
 	tr := workload.StandardMix(11, 75000)
 	dir := b.TempDir()
@@ -1024,31 +812,24 @@ func BenchmarkStoreReplay(b *testing.B) {
 	}
 	jf.Close()
 
-	buildStore := func(name string, codec evstore.Codec) *evstore.Store {
-		storeDir := filepath.Join(dir, name)
-		st, err := evstore.Open(storeDir, evstore.Options{SegmentBytes: 2 << 20, Codec: codec})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := st.AppendBatch(tr.Events); err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Close(); err != nil {
-			b.Fatal(err)
-		}
-		store, err := evstore.OpenRead(storeDir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return store
+	storeDir := filepath.Join(dir, "store-v2")
+	st, err := evstore.Open(storeDir, evstore.Options{SegmentBytes: 2 << 20})
+	if err != nil {
+		b.Fatal(err)
 	}
-	stores := []struct {
-		name  string
-		store *evstore.Store
-	}{
-		{"json-v1", buildStore("store-v1", evstore.CodecJSON)},
-		{"binary-v2", buildStore("store-v2", evstore.CodecBinary)},
+	if err := st.AppendBatch(tr.Events); err != nil {
+		b.Fatal(err)
 	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	store, err := evstore.OpenRead(storeDir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The "binary-v2" suffix keeps the names the bench artifacts of
+	// builds with a second segment codec recorded these cases under.
+	const codec = "binary-v2"
 
 	newEng := func() *rules.Engine {
 		eng, err := rules.NewEngine(rules.BuiltinRules())
@@ -1081,94 +862,90 @@ func BenchmarkStoreReplay(b *testing.B) {
 		b.ReportMetric(float64(len(tr.Events)), "events/op")
 	})
 
-	for _, sc := range stores {
-		store := sc.store
-
-		b.Run("store-full/"+sc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng := newEng()
-				stats, err := store.Replay(evstore.Filter{}, workers, batch, func(bt []trace.Event) {
-					eng.ProcessBatch(bt)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.Events != int64(len(tr.Events)) {
-					b.Fatalf("replayed %d of %d", stats.Events, len(tr.Events))
-				}
+	b.Run("store-full/"+codec, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng := newEng()
+			stats, err := store.Replay(evstore.Filter{}, workers, batch, func(bt []trace.Event) {
+				eng.ProcessBatch(bt)
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(tr.Events)), "events/op")
-		})
-
-		b.Run("store-filter-kind/"+sc.name, func(b *testing.B) {
-			var matched int64
-			for i := 0; i < b.N; i++ {
-				eng := newEng()
-				stats, err := store.Replay(evstore.Filter{
-					Kinds: []trace.Kind{trace.KindAuth},
-				}, workers, batch, func(bt []trace.Event) {
-					eng.ProcessBatch(bt)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				matched = stats.Events
-				if matched == 0 {
-					b.Fatal("kind filter matched nothing")
-				}
+			if stats.Events != int64(len(tr.Events)) {
+				b.Fatalf("replayed %d of %d", stats.Events, len(tr.Events))
 			}
-			b.ReportMetric(float64(matched), "events/op")
-		})
+		}
+		b.ReportMetric(float64(len(tr.Events)), "events/op")
+	})
 
-		// The brute-force source address appears in one injection
-		// window: the actor index prunes nearly every segment, so this
-		// is the needle-in-haystack query the sidecar exists for.
-		b.Run("store-filter-actor/"+sc.name, func(b *testing.B) {
-			var selected int
-			for i := 0; i < b.N; i++ {
-				eng := newEng()
-				stats, err := store.Replay(evstore.Filter{
-					Actor: "203.0.113.66",
-				}, workers, batch, func(bt []trace.Event) {
-					eng.ProcessBatch(bt)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.Events == 0 {
-					b.Fatal("actor filter matched nothing")
-				}
-				if len(eng.Alerts()) == 0 {
-					b.Fatal("brute-force campaign not re-detected from filtered replay")
-				}
-				selected = stats.SegmentsSelected
+	b.Run("store-filter-kind/"+codec, func(b *testing.B) {
+		var matched int64
+		for i := 0; i < b.N; i++ {
+			eng := newEng()
+			stats, err := store.Replay(evstore.Filter{
+				Kinds: []trace.Kind{trace.KindAuth},
+			}, workers, batch, func(bt []trace.Event) {
+				eng.ProcessBatch(bt)
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(selected), "segments-read/op")
-		})
+			matched = stats.Events
+			if matched == 0 {
+				b.Fatal("kind filter matched nothing")
+			}
+		}
+		b.ReportMetric(float64(matched), "events/op")
+	})
 
-		// A benign user active from first segment to last: the sidecar
-		// selects everything, so the entire win must come from skipping
-		// frame-body decodes — zero on v1, most of the store on v2.
-		b.Run("store-pushdown-skip/"+sc.name, func(b *testing.B) {
-			var skipped int64
-			for i := 0; i < b.N; i++ {
-				eng := newEng()
-				stats, err := store.Replay(evstore.Filter{
-					Actor: "alice",
-				}, workers, batch, func(bt []trace.Event) {
-					eng.ProcessBatch(bt)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.Events == 0 {
-					b.Fatal("benign-actor filter matched nothing")
-				}
-				skipped = stats.Skipped
+	// The brute-force source address appears in one injection
+	// window: the actor index prunes nearly every segment, so this
+	// is the needle-in-haystack query the sidecar exists for.
+	b.Run("store-filter-actor/"+codec, func(b *testing.B) {
+		var selected int
+		for i := 0; i < b.N; i++ {
+			eng := newEng()
+			stats, err := store.Replay(evstore.Filter{
+				Actor: "203.0.113.66",
+			}, workers, batch, func(bt []trace.Event) {
+				eng.ProcessBatch(bt)
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(skipped), "frames-skipped/op")
-		})
-	}
+			if stats.Events == 0 {
+				b.Fatal("actor filter matched nothing")
+			}
+			if len(eng.Alerts()) == 0 {
+				b.Fatal("brute-force campaign not re-detected from filtered replay")
+			}
+			selected = stats.SegmentsSelected
+		}
+		b.ReportMetric(float64(selected), "segments-read/op")
+	})
+
+	// A benign user active from first segment to last: the sidecar
+	// selects everything, so the entire win must come from skipping
+	// frame-body decodes — most of the store.
+	b.Run("store-pushdown-skip/"+codec, func(b *testing.B) {
+		var skipped int64
+		for i := 0; i < b.N; i++ {
+			eng := newEng()
+			stats, err := store.Replay(evstore.Filter{
+				Actor: "alice",
+			}, workers, batch, func(bt []trace.Event) {
+				eng.ProcessBatch(bt)
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if stats.Events == 0 {
+				b.Fatal("benign-actor filter matched nothing")
+			}
+			skipped = stats.Skipped
+		}
+		b.ReportMetric(float64(skipped), "frames-skipped/op")
+	})
 }
 
 // BenchmarkIncidentQuery pins the history layer's perf contract: a
@@ -1187,7 +964,7 @@ func BenchmarkIncidentQuery(b *testing.B) {
 
 	// The events store — what re-detection has to chew through.
 	storeDir := filepath.Join(dir, "events")
-	st, err := evstore.Open(storeDir, evstore.Options{SegmentBytes: 2 << 20, Codec: evstore.CodecBinary})
+	st, err := evstore.Open(storeDir, evstore.Options{SegmentBytes: 2 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1290,46 +1067,39 @@ func BenchmarkIncidentQuery(b *testing.B) {
 }
 
 // BenchmarkStoreAppend is the encode-path companion: the same trace
-// appended through Store.AppendBatch under each codec, reporting the
-// on-disk footprint alongside the encode cost so the codec's size win
-// is recorded with its speed win.
+// appended through Store.AppendBatch, reporting the on-disk footprint
+// alongside the encode cost.
 func BenchmarkStoreAppend(b *testing.B) {
 	tr := workload.StandardMix(11, 25000)
-	for _, codec := range []evstore.Codec{evstore.CodecJSON, evstore.CodecBinary} {
-		name := "json-v1"
-		if codec == evstore.CodecBinary {
-			name = "binary-v2"
-		}
-		b.Run(name, func(b *testing.B) {
-			var storeBytes int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dir := filepath.Join(b.TempDir(), "store")
-				b.StartTimer()
-				st, err := evstore.Open(dir, evstore.Options{SegmentBytes: 2 << 20, Codec: codec})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := st.AppendBatch(tr.Events); err != nil {
-					b.Fatal(err)
-				}
-				if err := st.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				storeBytes = 0
-				for _, seg := range st.Segments() {
-					storeBytes += seg.Index.Bytes
-				}
-				if err := os.RemoveAll(dir); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
+	b.Run("binary-v2", func(b *testing.B) {
+		var storeBytes int64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dir := filepath.Join(b.TempDir(), "store")
+			b.StartTimer()
+			st, err := evstore.Open(dir, evstore.Options{SegmentBytes: 2 << 20})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(tr.Events)), "events/op")
-			b.ReportMetric(float64(storeBytes)/float64(len(tr.Events)), "disk-B/event")
-		})
-	}
+			if err := st.AppendBatch(tr.Events); err != nil {
+				b.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			storeBytes = 0
+			for _, seg := range st.Segments() {
+				storeBytes += seg.Index.Bytes
+			}
+			if err := os.RemoveAll(dir); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(len(tr.Events)), "events/op")
+		b.ReportMetric(float64(storeBytes)/float64(len(tr.Events)), "disk-B/event")
+	})
 }
 
 // ---- Ingest front-end under sustained multi-tenant load ----

@@ -9,15 +9,14 @@
 // startup, or minted offline with --mint for distribution to agents.
 //
 //	jingestd --tenants acme=s3cret,globex=hunter2 --store ./events
-//	jingestd --tenants acme=s3cret --store ./events --codec=json
 //	jingestd --tenants acme=s3cret --policy drop --rate 500 --burst 100
 //	jingestd --tenants acme=s3cret --mint acme
 //
-// New --store segments use the compact binary-v2 codec by default;
-// --codec=json records v1 JSON segments instead. Replay dispatches
-// per segment, so stores that mix codecs across restarts replay
-// identically. The JSONL wire format agents POST is unchanged either
-// way — the codec only affects the on-disk segment frames.
+// --store segments use the compact binary-v2 codec. Replay dispatches
+// per segment, so a store an older build started in v1 JSON segments
+// replays identically after a restart appends to it. The codec only
+// affects the on-disk segment frames, not the JSONL wire format
+// agents POST.
 //
 // Agents POST JSONL event batches to /ingest or stream them over
 // /ingest/ws (one JSONL batch per message) with headers:
@@ -68,18 +67,12 @@ func main() {
 	maxConns := flag.Int("max-conns", 4096, "max concurrently admitted connections across all tenants")
 	queue := flag.Int("queue", 1024, "per-tenant queue depth")
 	topK := flag.Int("top", 10, "incidents to list in the shutdown report")
-	codecFlag := flag.String("codec", "", "segment format for new --store segments: binary (default) or json")
 	history := flag.String("history", "", "record alert/incident history here for jsentinel query (defaults to <store>/history when --store and --detect are on; \"none\" disables)")
 	retainEvents := flag.Int("retain-events", -1, "at drain, keep at most this many sealed event segments (-1 = keep all)")
 	retainHistory := flag.Int("retain-history", -1, "at drain, keep at most this many sealed history segments (-1 = keep all); events always compact first")
 	flag.Parse()
 
 	keyring, err := parseTenants(*tenantsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jingestd: %v\n", err)
-		os.Exit(2)
-	}
-	codec, err := evstore.ParseCodec(*codecFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jingestd: %v\n", err)
 		os.Exit(2)
@@ -149,7 +142,7 @@ func main() {
 	closeStore := func() error { return nil }
 	var eventStore *evstore.Store
 	if *storePath != "" {
-		h, err := evstore.OpenSink(*storePath, evstore.SinkAppend, codec)
+		h, err := evstore.OpenSink(*storePath, evstore.SinkAppend, "")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jingestd: %v\n", err)
 			os.Exit(1)

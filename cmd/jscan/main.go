@@ -17,12 +17,10 @@
 //	jscan --fleet 64 --suites misconfig,nbscan,crypto,intel
 //	jscan --fleet 64 --rate 100 --resume sweep.ckpt --jsonl results.jsonl --events ./census-store
 //	jscan --fleet 64 --events findings.jsonl   (legacy flat JSONL stream)
-//	jscan --fleet 64 --events ./census-store --codec=json   (v1 JSON segments)
 //
-// Store recordings default to the compact binary-v2 segment codec;
-// --codec=json keeps v1 JSON segments for tooling that greps frames.
-// Readers dispatch per segment, so either codec (or a mix) replays
-// identically.
+// Store recordings use the compact binary-v2 segment codec. Readers
+// dispatch per segment, so stores holding v1 JSON segments from older
+// builds (or a mix) replay identically.
 //
 // When --events records to a store directory, the alerts and incident
 // snapshots the core engine correlates also land in an indexed
@@ -74,15 +72,9 @@ func main() {
 	topK := flag.Int("topk", 5, "rows in the fleet census's worst-targets list and top-incidents-by-risk table")
 	jsonl := flag.String("jsonl", "", "stream per-target fleet results as JSONL to this file ('-' = stdout)")
 	events := flag.String("events", "", "record every fleet finding as a trace-event stream, replayable with jsentinel --replay: an event-store directory, or legacy JSONL when the path ends in .jsonl")
-	codecFlag := flag.String("codec", "", "segment format for new --events store segments: binary (default) or json")
 	history := flag.String("history", "", "record alert/incident history here for jsentinel query (defaults to <events>/history when --events records to a store directory; \"none\" disables)")
 	flag.Parse()
 
-	codec, err := evstore.ParseCodec(*codecFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jscan: %v\n", err)
-		os.Exit(2)
-	}
 	switch {
 	case *fleetN > 0:
 		suiteNames := strings.Split(*suitesFlag, ",")
@@ -99,7 +91,7 @@ func main() {
 			TopK:           *topK,
 			Suites:         suiteNames,
 			CheckpointPath: *resume,
-		}, *jsonl, *events, codec, *history))
+		}, *jsonl, *events, *history))
 	case *notebook != "":
 		data, err := os.ReadFile(*notebook)
 		if err != nil {
@@ -128,7 +120,7 @@ func main() {
 			fmt.Println()
 			fmt.Print(cryptoaudit.Audit(cfg).Render())
 		}
-		if misconfig.Score(findings) < 70 {
+		if scan.Score(findings) < 70 {
 			os.Exit(1)
 		}
 	case *probe != "":
@@ -155,7 +147,7 @@ func main() {
 // finding also flows through a bounded stage into the core detection
 // engine; the resulting alert tally and the OSCRP incident/risk
 // summary are part of the census. Returns the process exit code.
-func runFleet(n int, seed int64, opts fleet.Options, jsonlPath, eventsPath string, codec evstore.Codec, historyPath string) int {
+func runFleet(n int, seed int64, opts fleet.Options, jsonlPath, eventsPath, historyPath string) int {
 	var stream io.Writer
 	var jsonlFile *os.File
 	switch jsonlPath {
@@ -200,7 +192,7 @@ func runFleet(n int, seed int64, opts fleet.Options, jsonlPath, eventsPath strin
 		if opts.CheckpointPath != "" {
 			mode = evstore.SinkReplace
 		}
-		h, err := evstore.OpenSink(eventsPath, mode, codec)
+		h, err := evstore.OpenSink(eventsPath, mode, "")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jscan: --events: %v\n", err)
 			return 1

@@ -27,11 +27,9 @@
 // shard the same way offline.
 //
 // Live mode can record the tapped stream with --log (a store
-// directory, or legacy JSONL when the path ends in .jsonl); --codec
-// selects the segment format for new store segments (binary by
-// default, --codec=json as the escape hatch). Live mode drains
-// cleanly on SIGINT or SIGTERM: queued stage events are processed
-// before the final report renders.
+// directory in binary-v2 segments, or legacy JSONL when the path ends
+// in .jsonl). Live mode drains cleanly on SIGINT or SIGTERM: queued
+// stage events are processed before the final report renders.
 //
 // Both modes can persist what detection found — alert records and
 // incident snapshots — to an indexed history store (internal/histstore)
@@ -59,7 +57,7 @@
 //	jsentinel query ./store --severity high --actor mallory-rw
 //	jsentinel query ./store --risk critical --since 2026-06-01T00:00:00Z
 //	jsentinel --listen 127.0.0.1:9999 --token <tok>   (tapped live server)
-//	jsentinel --listen 127.0.0.1:9999 --log ./tap-store --codec=binary
+//	jsentinel --listen 127.0.0.1:9999 --log ./tap-store
 package main
 
 import (
@@ -105,15 +103,9 @@ func main() {
 	actor := flag.String("actor", "", "replay filter: only events of this actor key (user, source IP, or kernel)")
 	topK := flag.Int("topk", 5, "incidents listed in the top-incidents-by-risk table")
 	logPath := flag.String("log", "", "live mode: record the tapped stream here (store directory, or JSONL when the path ends in .jsonl)")
-	codecFlag := flag.String("codec", "", "segment format for new --log store segments: binary (default) or json")
 	history := flag.String("history", "", "record alert/incident history here for later `jsentinel query` (replay: off unless set, rebuilt each run; live with a store --log: defaults to <log>/history, \"none\" disables)")
 	flag.Parse()
 
-	codec, err := evstore.ParseCodec(*codecFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
-		os.Exit(2)
-	}
 	switch {
 	case *replay != "":
 		filter, err := parseFilter(*since, *until, *kinds, *actor)
@@ -123,7 +115,7 @@ func main() {
 		}
 		replayTrace(*replay, *showAlerts, *workers, *batch, *topK, filter, *history)
 	case *listen != "":
-		live(*listen, *token, *showAlerts, *zeekOut, *logPath, codec, *workers, *queue, *topK, *history)
+		live(*listen, *token, *showAlerts, *zeekOut, *logPath, *workers, *queue, *topK, *history)
 	default:
 		fmt.Fprintln(os.Stderr, "jsentinel: need --replay PATH or --listen ADDR")
 		os.Exit(2)
@@ -504,7 +496,7 @@ func renderKindMix(counts map[trace.Kind]int) string {
 	return strings.Join(parts, " ")
 }
 
-func live(addr, token string, showAlerts bool, zeekOut, logPath string, codec evstore.Codec, workers, queue, topK int, history string) {
+func live(addr, token string, showAlerts bool, zeekOut, logPath string, workers, queue, topK int, history string) {
 	cfg := server.HardenedConfig(token)
 	srv := server.NewServer(cfg)
 	mon := netmon.NewMonitor(netmon.FullVisibility(), nil)
@@ -526,7 +518,7 @@ func live(addr, token string, showAlerts bool, zeekOut, logPath string, codec ev
 	// --replay. SinkAppend: a monitor log spans restarts.
 	var rec *evstore.SinkHandle
 	if logPath != "" {
-		h, err := evstore.OpenSink(logPath, evstore.SinkAppend, codec)
+		h, err := evstore.OpenSink(logPath, evstore.SinkAppend, "")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
 			os.Exit(1)

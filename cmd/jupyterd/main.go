@@ -7,23 +7,18 @@
 // Trace events stream to --log: an event-store directory by default
 // (segmented, indexed, replayable with jsentinel --replay DIR and its
 // filters), or a legacy flat JSONL file when the path ends in .jsonl.
-// New store segments use the compact binary-v2 codec unless
-// --codec=json asks for v1 JSON frames; readers dispatch per segment,
-// so a log that mixes codecs across restarts replays identically.
+// Store segments use the compact binary-v2 codec; readers dispatch per
+// segment, so a log an older build started in v1 JSON frames replays
+// identically after a restart appends v2 segments to it.
 // On SIGINT or SIGTERM the server shuts down cleanly and flushes the
 // log's buffered writes before exiting — a signal never tears the
 // recording's tail.
 //
-// Kernels execute minilang on the bytecode VM by default;
-// --engine=tree selects the reference tree-walking interpreter (the
-// differential-testing oracle) instead. Both are observably
-// equivalent, so the flag only trades speed for simplicity.
+// Kernels execute minilang on the bytecode VM.
 //
 //	jupyterd --addr 127.0.0.1:8888
 //	jupyterd --sloppy --log ./events-store
-//	jupyterd --sloppy --log ./events-store --codec=json
 //	jupyterd --sloppy --log events.jsonl
-//	jupyterd --engine=tree
 package main
 
 import (
@@ -38,7 +33,6 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/evstore"
-	"repro/internal/kernel/minilang"
 	"repro/internal/misconfig"
 	"repro/internal/server"
 )
@@ -50,20 +44,7 @@ func main() {
 	logPath := flag.String("log", "", "record trace events here: an event-store directory, or JSONL when the path ends in .jsonl")
 	terminals := flag.Bool("terminals", false, "enable terminals on hardened config")
 	scan := flag.Bool("scan", false, "print misconfiguration scan of the chosen config and exit")
-	codecFlag := flag.String("codec", "", "segment format for new --log store segments: binary (default) or json")
-	engine := flag.String("engine", "", "minilang kernel engine: vm (default) or tree")
 	flag.Parse()
-
-	codec, err := evstore.ParseCodec(*codecFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jupyterd: %v\n", err)
-		os.Exit(2)
-	}
-	if !minilang.ValidEngine(*engine) {
-		fmt.Fprintf(os.Stderr, "jupyterd: bad --engine %q (want %q or %q)\n",
-			*engine, minilang.EngineVM, minilang.EngineTree)
-		os.Exit(2)
-	}
 
 	var cfg server.Config
 	if *sloppy {
@@ -83,7 +64,6 @@ func main() {
 	}
 	cfg.BindAddress = host
 	cfg.Port, _ = strconv.Atoi(portStr)
-	cfg.KernelEngine = *engine
 
 	if *scan {
 		fmt.Print(misconfig.Render(misconfig.Scan(cfg)))
@@ -95,7 +75,7 @@ func main() {
 	// write error, so a torn log never exits 0.
 	closeLog := func() error { return nil }
 	if *logPath != "" {
-		h, err := evstore.OpenSink(*logPath, evstore.SinkAppend, codec)
+		h, err := evstore.OpenSink(*logPath, evstore.SinkAppend, "")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jupyterd: %v\n", err)
 			os.Exit(1)

@@ -66,13 +66,13 @@
 // exposes kind and actor, so kind/actor-filtered replays discard
 // non-matching frames after the CRC check without decoding their
 // bodies. Writers (jscan --events, jupyterd --log, jingestd,
-// jsentinel --log) default to binary with --codec=json as the
-// interchange escape hatch; readers dispatch on the per-segment magic
-// so mixed-version stores replay identically (JSON stays the
-// interchange format, and .jsonl paths still stream flat JSONL).
-// Compact enforces retention, and corrupt tails from crashed writers
-// are truncated and surfaced on open, never silently replayed —
-// identically for both codecs, with exact tail-loss accounting.
+// jsentinel --log) write v2 only; readers dispatch on the per-segment
+// magic, so stores holding v1 segments from older builds, alone or
+// continued in v2, replay identically (JSON stays the interchange
+// format: .jsonl paths still stream flat JSONL, and jdataset exports
+// it). Compact enforces retention, and corrupt tails from crashed
+// writers are truncated and surfaced on open, never silently replayed
+// — identically for both versions, with exact tail-loss accounting.
 // Replay decoding is arena-backed: each segment's strings land in an
 // append-only per-segment arena (zero-copy string headers behind a
 // tested unsafe wrapper), segment buffers recycle containers through
@@ -129,20 +129,19 @@
 // lowered to a flat instruction stream with slot-resolved variables,
 // constant folding, and fused superinstructions, giving ≈5–6x over
 // the tree-walking interpreter on the loop-heavy programs attack
-// payloads resemble (BenchmarkMinilangEngines, pinned in the CI bench
-// artifact). The interpreter remains the reference engine — selected
-// with jupyterd --engine=tree or posture.Config.KernelEngine — and
-// the oracle for the standing differential fuzz harness
-// (FuzzVMMatchesInterp): both engines are observably equivalent down
-// to host-call order, stdout bytes, error lines, and step-limit
-// accounting, so attack scenarios replay to byte-identical trace
-// streams and incident tables on either engine
-// (internal/attacks/engine_equiv_test.go). The kernel manager caches
-// parsed programs in a bounded LRU keyed by source hash
-// (kernel.Config.ProgramCacheSize), shared across kernels, so
-// repeated cells — the fleet-census shape — skip the parse and, on
-// the VM, bytecode compilation entirely; hit/miss counters surface
-// in kernel usage.
+// payloads resemble (BenchmarkMinilangEngines in
+// internal/kernel/minilang, pinned in the CI bench artifact). The VM
+// is the only engine kernels run. The interpreter lives in minilang's
+// tests as the oracle of the standing differential fuzz harness
+// (FuzzVMMatchesInterp): the two must agree down to host-call order,
+// stdout bytes, error lines, and step-limit accounting, and the
+// harness's seed corpus holds every attack payload the drivers send
+// (written by internal/attacks' TestAttackPayloadFuzzSeeds), so every
+// go test run compares the engines on the real payloads. The kernel
+// manager caches parsed programs in a bounded LRU keyed by source hash
+// (256 programs), shared across kernels, so repeated cells — the
+// fleet-census shape — skip the parse and bytecode compilation
+// entirely; hit/miss counters surface in kernel usage.
 //
 // See DESIGN.md for the system inventory and each layer's contract
 // ("Performance budget" has the per-hop cost of a live event). The root

@@ -83,64 +83,62 @@ func requireSameFiles(t *testing.T, label string, want, got map[string][]byte) {
 // at the same event.
 func TestEmitBatchWritesTheSameBytes(t *testing.T) {
 	events := batchTestEvents()
-	for _, codec := range []Codec{CodecBinary, CodecJSON} {
-		opts := Options{Codec: codec, SegmentBytes: 16 << 10, FlushEvery: 16}
-		write := func(feed func(*Store)) (map[string][]byte, string) {
-			dir := t.TempDir()
-			s, err := Open(dir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed(s)
-			cerr := s.Close()
-			if cerr == nil || s.Err() == nil {
-				t.Fatalf("%s: the oversized event left no sticky error", codec)
-			}
-			return dirFiles(t, dir), cerr.Error()
+	opts := Options{SegmentBytes: 16 << 10, FlushEvery: 16}
+	write := func(feed func(*Store)) (map[string][]byte, string) {
+		dir := t.TempDir()
+		s, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want, wantErr := write(func(s *Store) {
-			for _, e := range events {
-				s.Emit(e)
+		feed(s)
+		cerr := s.Close()
+		if cerr == nil || s.Err() == nil {
+			t.Fatal("the oversized event left no sticky error")
+		}
+		return dirFiles(t, dir), cerr.Error()
+	}
+	want, wantErr := write(func(s *Store) {
+		for _, e := range events {
+			s.Emit(e)
+		}
+	})
+	segments := 0
+	for name := range want {
+		if strings.HasSuffix(name, ".ev") {
+			segments++
+		}
+	}
+	if segments < 3 {
+		t.Fatalf("%d segments; the stream must rotate inside a batch", segments)
+	}
+	for _, sizes := range [][]int{{1}, {3, 64, 1, 128}, {len(events)}} {
+		got, gotErr := write(func(s *Store) {
+			for i, k := 0, 0; i < len(events); k++ {
+				n := min(sizes[k%len(sizes)], len(events)-i)
+				s.EmitBatch(events[i : i+n])
+				i += n
 			}
 		})
-		segments := 0
-		for name := range want {
-			if strings.HasSuffix(name, ".ev") {
-				segments++
-			}
+		label := fmt.Sprintf("batches %v", sizes)
+		requireSameFiles(t, label, want, got)
+		if gotErr != wantErr {
+			t.Fatalf("%s: error %q, want %q", label, gotErr, wantErr)
 		}
-		if segments < 3 {
-			t.Fatalf("%s: %d segments; the stream must rotate inside a batch", codec, segments)
+	}
+	// What is on disk is exactly the events before the refused one.
+	dir := t.TempDir()
+	for name, data := range want {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		for _, sizes := range [][]int{{1}, {3, 64, 1, 128}, {len(events)}} {
-			got, gotErr := write(func(s *Store) {
-				for i, k := 0, 0; i < len(events); k++ {
-					n := min(sizes[k%len(sizes)], len(events)-i)
-					s.EmitBatch(events[i : i+n])
-					i += n
-				}
-			})
-			label := fmt.Sprintf("%s batches %v", codec, sizes)
-			requireSameFiles(t, label, want, got)
-			if gotErr != wantErr {
-				t.Fatalf("%s: error %q, want %q", label, gotErr, wantErr)
-			}
-		}
-		// What is on disk is exactly the events before the refused one.
-		dir := t.TempDir()
-		for name, data := range want {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		back := readAll(t, dir)
-		if len(back) != oversizedAt {
-			t.Fatalf("%s: %d events on disk, want the %d before the oversized one", codec, len(back), oversizedAt)
-		}
-		for i, e := range back {
-			if e.Seq != events[i].Seq || e.User == "whale" {
-				t.Fatalf("%s: event %d on disk is seq %d user %q", codec, i, e.Seq, e.User)
-			}
+	}
+	back := readAll(t, dir)
+	if len(back) != oversizedAt {
+		t.Fatalf("%d events on disk, want the %d before the oversized one", len(back), oversizedAt)
+	}
+	for i, e := range back {
+		if e.Seq != events[i].Seq || e.User == "whale" {
+			t.Fatalf("event %d on disk is seq %d user %q", i, e.Seq, e.User)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package evstore
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,20 +13,57 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSegmentMagicFollowsCodec pins the on-disk dispatch byte: the
-// codec option selects the magic of new segments, and the sidecar
-// records which codec sealed them.
+// v1Store is a store of v1 (JSON) segments written by the last build
+// that could still write them, so v1 reading is tested on real bytes:
+// workload.StandardMix(11, 100).Events (226 events) appended in one
+// AppendBatch to Open(dir, Options{Codec: CodecJSON, SegmentBytes:
+// 2048}) and closed — 19 sealed segments with their sidecars. It is
+// read-only input; tests work on a copy (copyV1Store).
+const v1Store = "testdata/v1-store"
+
+// v1Events is the stream v1Store holds, in append order.
+func v1Events() []trace.Event { return attackTrace(100) }
+
+// copyV1Store copies v1Store into a fresh temp dir and returns it.
+func copyV1Store(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, data := range dirFiles(t, v1Store) {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// writeStore appends evs to the store at dir in one batch and closes it.
+func writeStore(t *testing.T, dir string, opts Options, evs []trace.Event) {
+	t.Helper()
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendBatch(evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSegmentMagicFollowsCodec pins the on-disk dispatch byte: a store
+// writes v2 segments whose sidecars say "binary", and the v1 store's
+// segments carry the v1 magic and a "json" sidecar.
 func TestSegmentMagicFollowsCodec(t *testing.T) {
+	written := t.TempDir()
+	fillStore(t, written, Options{}, 3)
 	for _, tc := range []struct {
-		codec Codec
-		magic string
+		dir, magic, codec string
 	}{
-		{CodecBinary, segMagicV2},
-		{CodecJSON, segMagic},
+		{written, segMagicV2, string(CodecBinary)},
+		{v1Store, segMagic, "json"},
 	} {
-		dir := t.TempDir()
-		fillStore(t, dir, Options{Codec: tc.codec}, 3)
-		s, err := OpenRead(dir)
+		s, err := OpenRead(tc.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,25 +78,21 @@ func TestSegmentMagicFollowsCodec(t *testing.T) {
 			}
 			f.Close()
 			if string(head) != tc.magic {
-				t.Fatalf("codec %s wrote magic %q, want %q", tc.codec, head, tc.magic)
+				t.Fatalf("%s has magic %q, want %q", seg.Path, head, tc.magic)
 			}
-			if seg.Index.Codec != string(tc.codec) {
-				t.Fatalf("codec %s sealed sidecar codec %q", tc.codec, seg.Index.Codec)
+			if seg.Index.Codec != tc.codec {
+				t.Fatalf("%s sidecar codec %q, want %q", seg.Path, seg.Index.Codec, tc.codec)
 			}
 		}
 	}
-
-	if _, err := Open(t.TempDir(), Options{Codec: Codec("protobuf")}); err == nil {
-		t.Fatal("unknown codec accepted")
-	}
 }
 
-// TestJSONCodecRoundTrip keeps the v1 write path honest now that the
-// default is binary: an explicitly JSON store round-trips and rotates
-// exactly as before.
+// TestJSONCodecRoundTrip keeps the v1 read path honest: the v1 store
+// reads back exactly the stream that was written into it, segment by
+// segment.
 func TestJSONCodecRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	want := fillStore(t, dir, Options{Codec: CodecJSON, SegmentBytes: 2048, FlushEvery: 3}, 300)
+	dir := copyV1Store(t)
+	want := v1Events()
 	got := readAll(t, dir)
 	if len(got) != len(want) {
 		t.Fatalf("read %d events, wrote %d", len(got), len(want))
@@ -68,38 +102,41 @@ func TestJSONCodecRoundTrip(t *testing.T) {
 			t.Fatalf("event %d diverged: got %+v want %+v", i, got[i], want[i])
 		}
 	}
-}
-
-// writeMixedWith is writeMixed pinned to a codec.
-func writeMixedWith(t *testing.T, dir string, codec Codec, perPhase int) {
-	t.Helper()
-	writeMixedOpts(t, dir, Options{SegmentBytes: 4096, FlushEvery: 16, Codec: codec}, perPhase)
+	s, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Segments != 19 || st.Codecs["json"] != 19 || st.RecoveredLossBytes != 0 {
+		t.Fatalf("v1 store stats %+v, want 19 clean json segments", st)
+	}
 }
 
 // TestPushDownSkipsBodyDecode pins the v2 header filter: a kind or
 // actor filter must discard non-matching frames before the body
-// decode (Skipped > 0), deliver exactly the events a JSON store's
-// per-event filtering delivers, and report identical frame-level loss
-// accounting whether or not frames were skipped.
+// decode (Skipped > 0), deliver exactly the events per-event filtering
+// of the same stream in v1 segments delivers, and report identical
+// frame-level loss accounting whether or not frames were skipped.
 func TestPushDownSkipsBodyDecode(t *testing.T) {
-	binDir, jsonDir := t.TempDir(), t.TempDir()
-	writeMixedWith(t, binDir, CodecBinary, 400)
-	writeMixedWith(t, jsonDir, CodecJSON, 400)
+	binDir := t.TempDir()
+	writeStore(t, binDir, Options{SegmentBytes: 4096, FlushEvery: 16}, readAll(t, v1Store))
 	bin, err := OpenRead(binDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsn, err := OpenRead(jsonDir)
+	jsn, err := OpenRead(copyV1Store(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for name, f := range map[string]Filter{
-		"kind":       {Kinds: []trace.Kind{trace.KindScanFinding}},
-		"actor":      {Actor: "user2"},
-		"kind+actor": {Kinds: []trace.Kind{trace.KindExec, trace.KindFileOp}, Actor: "user3"},
+		"kind":       {Kinds: []trace.Kind{trace.KindAuth}},
+		"actor":      {Actor: "mallory-ex"},
+		"kind+actor": {Kinds: []trace.Kind{trace.KindExec, trace.KindFileOp}, Actor: "mallory-rw"},
 	} {
 		want := scanFiltered(t, jsn, f)
+		if len(want) == 0 {
+			t.Fatalf("%s: the v1 store holds no matching event", name)
+		}
 		var got []trace.Event
 		stats, err := bin.Scan(f, func(e trace.Event) error {
 			got = append(got, e)
@@ -126,7 +163,7 @@ func TestPushDownSkipsBodyDecode(t *testing.T) {
 		}
 
 		// A time-only filter has no header facet to push into.
-		tstats, err := bin.Scan(Filter{Until: time.Date(2026, 6, 1, 23, 0, 0, 0, time.UTC)}, func(trace.Event) error { return nil })
+		tstats, err := bin.Scan(Filter{Until: want[len(want)-1].Time}, func(trace.Event) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +179,7 @@ func TestPushDownSkipsBodyDecode(t *testing.T) {
 // exactly the same loss as a full one.
 func TestPushDownLossAccountingFilterIndependent(t *testing.T) {
 	dir := t.TempDir()
-	writeMixedWith(t, dir, CodecBinary, 200)
+	writeMixedOpts(t, dir, Options{SegmentBytes: 4096, FlushEvery: 16}, 200)
 	s, err := OpenRead(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +220,7 @@ func TestPushDownLossAccountingFilterIndependent(t *testing.T) {
 // appends cleanly afterwards.
 func TestV2CorruptTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	fillStore(t, dir, Options{Codec: CodecBinary}, 50)
+	fillStore(t, dir, Options{}, 50)
 	s, err := OpenRead(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +237,7 @@ func TestV2CorruptTailRecovery(t *testing.T) {
 	// recovery rebuilds from the data, as after a crash mid-seal.
 	os.Remove(indexPath(seg.Path))
 
-	w, err := Open(dir, Options{Codec: CodecBinary})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,35 +299,25 @@ func incidentTable(t *testing.T, dir string, workers int) string {
 	return core.RenderTopIncidents(eng.Incidents(), 10)
 }
 
-// TestMixedCodecStoreReplaysIdentically is the tentpole guarantee: a
-// store holding v1 JSON and v2 binary segments side by side replays
-// to a byte-identical top-incidents table as an all-JSON recording of
-// the same stream, at worker counts 1 and 8, surviving Compact and a
-// crash-torn v2 tail along the way.
+// TestMixedCodecStoreReplaysIdentically is the mixed-store guarantee:
+// the v1 store with v2 segments appended after a reopen — the shape a
+// store recorded by an older build takes — replays to a byte-identical
+// top-incidents table as an all-v2 recording of the same stream, at
+// worker counts 1 and 8, surviving Compact and a crash-torn v2 tail
+// along the way.
 func TestMixedCodecStoreReplaysIdentically(t *testing.T) {
-	events := attackTrace(1500)
-	half := len(events) / 2
-
-	jsonDir, mixedDir := t.TempDir(), t.TempDir()
-	write := func(dir string, codec Codec, evs []trace.Event) {
-		t.Helper()
-		s, err := Open(dir, Options{SegmentBytes: 16 << 10, FlushEvery: 32, Codec: codec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.AppendBatch(evs); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	old := v1Events()
+	more := workload.StandardMix(37, 100).Events
+	for i := range more {
+		more[i].Seq = old[len(old)-1].Seq + uint64(i+1)
 	}
-	// Reference: the whole stream as v1 JSON.
-	write(jsonDir, CodecJSON, events)
-	// Mixed: first half v1, second half appended as v2 after a reopen —
-	// the codec-migration shape a real store goes through.
-	write(mixedDir, CodecJSON, events[:half])
-	write(mixedDir, CodecBinary, events[half:])
+	opts := Options{SegmentBytes: 2048, FlushEvery: 32}
+
+	binDir, mixedDir := t.TempDir(), copyV1Store(t)
+	// Reference: the whole stream as v2.
+	writeStore(t, binDir, opts, append(append([]trace.Event(nil), old...), more...))
+	// Mixed: the v1 store, continued in v2.
+	writeStore(t, mixedDir, opts, more)
 
 	var codecs []string
 	ms, err := OpenRead(mixedDir)
@@ -305,13 +332,13 @@ func TestMixedCodecStoreReplaysIdentically(t *testing.T) {
 		t.Fatalf("store not actually mixed: segment codecs %v", codecs)
 	}
 
-	want := incidentTable(t, jsonDir, 1)
-	if !strings.Contains(want, "INCIDENTS BY RISK") && want == "" {
-		t.Fatal("reference incident table empty; workload raised nothing")
+	want := incidentTable(t, binDir, 1)
+	if !strings.Contains(want, "mallory-rw") {
+		t.Fatalf("reference incident table raised nothing:\n%s", want)
 	}
 	for _, workers := range []int{1, 8} {
 		if got := incidentTable(t, mixedDir, workers); got != want {
-			t.Fatalf("mixed store at workers=%d diverged from all-JSON table:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
+			t.Fatalf("mixed store at workers=%d diverged from all-v2 table:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
 		}
 	}
 
@@ -328,7 +355,7 @@ func TestMixedCodecStoreReplaysIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Remove(indexPath(last.Path))
-	w, err := Open(mixedDir, Options{Codec: CodecBinary})
+	w, err := Open(mixedDir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +372,8 @@ func TestMixedCodecStoreReplaysIdentically(t *testing.T) {
 	}
 
 	// Compact must honor retention identically across codecs: drop the
-	// oldest (JSON) segments and keep replaying the survivors cleanly.
-	w, err = Open(mixedDir, Options{Codec: CodecBinary})
+	// oldest (v1) segments and keep replaying the survivors cleanly.
+	w, err = Open(mixedDir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

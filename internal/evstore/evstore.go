@@ -18,9 +18,7 @@
 package evstore
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"runtime"
 	"sort"
 	"strings"
@@ -42,11 +40,6 @@ type Options struct {
 	// more distinct actors is marked overflowed and matches any actor
 	// filter. Default 256.
 	MaxActors int
-	// Codec selects the segment format NEW segments are written in:
-	// CodecBinary (v2, the default) or CodecJSON (v1). Reading is
-	// always version-dispatched per segment from its magic, so a
-	// store may freely mix segments of both formats.
-	Codec Codec
 }
 
 func (o Options) withDefaults() Options {
@@ -59,9 +52,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxActors <= 0 {
 		o.MaxActors = 256
 	}
-	if o.Codec == "" {
-		o.Codec = CodecBinary
-	}
 	return o
 }
 
@@ -72,7 +62,9 @@ type SegmentInfo = seglog.Segment[Index]
 // TailLoss records corruption found and truncated during Open.
 type TailLoss = seglog.TailLoss
 
-// Store is an event log rooted at one directory. It implements
+// Store is an event log rooted at one directory. It writes v2 (binary)
+// segments; reading is version-dispatched per segment from its magic,
+// so a store may also hold v1 (JSON) segments an older build wrote. It implements
 // trace.Sink (Emit records the first append failure, exposed via Err,
 // mirroring JSONLWriter), so it drops into any pipeline slot a JSONL
 // writer occupied. Append/Emit are safe for concurrent use; the
@@ -84,13 +76,12 @@ type TailLoss = seglog.TailLoss
 // paths over them.
 type Store struct {
 	*seglog.Log[Index]
-	w     seglog.Writer[Index]
-	opts  Options
-	magic int // of the segments this store writes: opts.Codec's
+	w    seglog.Writer[Index]
+	opts Options
 
 	// The active segment's codec and index state, reset whenever the
 	// writer starts a fresh segment; guarded by the writer's lock.
-	enc    *binEncoder // nil for CodecJSON
+	enc    *binEncoder
 	ix     Index
 	actors map[string]struct{}
 
@@ -114,9 +105,6 @@ type Store struct {
 // consumers that only read must use OpenRead, which never writes.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	if opts.Codec != CodecBinary && opts.Codec != CodecJSON {
-		return nil, fmt.Errorf("evstore: unknown codec %q", opts.Codec)
-	}
 	log, err := seglog.Open(&format, dir, opts.SegmentBytes, opts.FlushEvery, opts.rebuild)
 	return newStore(log, opts, err)
 }
@@ -136,12 +124,8 @@ func newStore(log *seglog.Log[Index], opts Options, err error) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{Log: log, w: seglog.WriterOf(log), opts: opts, magic: magicBinary,
-		free: make(chan *segBuf, runtime.GOMAXPROCS(0)+2)}
-	if opts.Codec == CodecJSON {
-		s.magic = magicJSON
-	}
-	return s, nil
+	return &Store{Log: log, w: seglog.WriterOf(log), opts: opts,
+		free: make(chan *segBuf, runtime.GOMAXPROCS(0)+2)}, nil
 }
 
 // Events returns the total events across sealed segments.
@@ -179,7 +163,7 @@ func (s *Store) Stats() StoreStats {
 		if codec == "" {
 			// Sidecars written before the codec field existed describe
 			// v1 JSON segments; readers trust the magic anyway.
-			codec = string(CodecJSON)
+			codec = string(codecs[magicJSON])
 		}
 		st.Codecs[codec]++
 	}
@@ -254,37 +238,21 @@ func (s *Store) EmitBatch(events []trace.Event) { _ = s.AppendBatch(events) }
 // rotation checks, each counted in events whatever the batch size. It
 // reads e and keeps nothing of it but strings.
 func (s *Store) append(e *trace.Event) error {
-	buf, fresh, err := s.w.Begin(s.magic)
+	buf, fresh, err := s.w.Begin(magicBinary)
 	if err != nil {
 		return err
 	}
 	if fresh {
-		s.enc = nil
-		if s.magic == magicBinary {
-			s.enc = newBinEncoder()
-		}
-		s.ix = Index{Version: IndexVersion, Bytes: seglog.MagicLen, Codec: string(s.opts.Codec)}
+		s.enc = newBinEncoder()
+		s.ix = Index{Version: IndexVersion, Bytes: seglog.MagicLen, Codec: string(CodecBinary)}
 		s.actors = map[string]struct{}{}
 	}
 	start := len(buf)
 	actor := e.ActorKey() // once: the frame header and the index both carry it
-	if s.enc != nil {
-		// On error the growth of buf — any dictionary frames staged for
-		// this event — is dropped with it: the writer never sees it.
-		if buf, err = s.enc.appendEvent(buf, e, actor); err != nil {
-			return err
-		}
-	} else {
-		// By value: a pointer in Marshal's interface argument would move
-		// every caller's event to the heap, binary codec included.
-		payload, err := json.Marshal(*e)
-		if err != nil {
-			return fmt.Errorf("evstore: encode: %w", err)
-		}
-		if len(payload) > maxFrame {
-			return fmt.Errorf("evstore: event of %d bytes exceeds frame limit", len(payload))
-		}
-		buf = seglog.AppendFrame(buf, payload, crc32.IEEETable)
+	// On error the growth of buf — any dictionary frames staged for
+	// this event — is dropped with it: the writer never sees it.
+	if buf, err = s.enc.appendEvent(buf, e, actor); err != nil {
+		return err
 	}
 	// frameBytes covers everything this event put on the wire,
 	// including any v2 dictionary frames it introduced, keeping the

@@ -422,7 +422,7 @@ func TestOpenSinkDispatch(t *testing.T) {
 	if _, err := OpenSink(storePath, SinkFresh, CodecBinary); err == nil {
 		t.Fatal("SinkFresh open of a non-empty store accepted")
 	}
-	h, err = OpenSink(storePath, SinkAppend, CodecJSON)
+	h, err = OpenSink(storePath, SinkAppend, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,6 +435,30 @@ func TestOpenSinkDispatch(t *testing.T) {
 	}
 	if got := len(readAll(t, storePath)); got != 6 {
 		t.Fatalf("append mode holds %d events, want 6", got)
+	}
+	if _, err := OpenSink(storePath, SinkAppend, "json"); err == nil {
+		t.Fatal("a json codec was accepted for new segments")
+	}
+
+	// Append mode continues a v1 store in v2 segments.
+	v1Path := copyV1Store(t)
+	h, err = OpenSink(v1Path, SinkAppend, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(v1Events()); h.ExistingEvents != n {
+		t.Fatalf("append-mode open of the v1 store reports %d existing events, want %d", h.ExistingEvents, n)
+	}
+	h.Emit(mkEvent(1000, trace.KindExec, "u", time.Now()))
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	vs, err := OpenRead(v1Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := vs.Stats(); st.Events != len(v1Events())+1 || st.Codecs["binary"] != 1 {
+		t.Fatalf("continued v1 store stats %+v, want one more event in one binary segment", st)
 	}
 
 	// Replace mode drops the old recording — the store analogue of

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -36,30 +37,51 @@ func dirDigest(t *testing.T, dir string) (string, []string) {
 
 // TestOnDiskBytesPinned pins "same bytes on disk": a fixed input
 // appended in runs of any length must leave exactly the data files and
-// sidecars the store wrote when these digests were taken — at the
-// commit before the segment machine moved into internal/seglog. A
-// digest that moves means the frame format, the rotation point or the
-// sidecar changed, and stores already on disk would read or prune
-// differently.
+// sidecars the store wrote when these digests were taken. A digest that
+// moves means the frame format, the rotation point or the sidecar
+// changed, and stores already on disk would read or prune differently.
+//
+// The binary cases start from an empty dir; their digest was taken at
+// the commit before the segment machine moved into internal/seglog. The
+// v1 cases continue the v1 fixture store (copyV1Store) in v2 segments —
+// the shape a store recorded by an older build takes — and pin that the
+// v1 segments are left untouched and numbering and rotation carry on
+// from them; their digest matches the last build that could still write
+// v1.
 func TestOnDiskBytesPinned(t *testing.T) {
-	events := workload.StandardMix(11, 5000).Events
-	want := map[Codec]struct {
-		digest string
-		files  int
-	}{
-		CodecBinary: {"65cd6e07c4d5003cd7476f2b090ae20a07717232dd000f68017731d97715eb2b", 10},
-		CodecJSON:   {"14b0bff3dadeabd700f1a3b8e987aa5cf331916b46578e406005b78bf755418b", 38},
+	more := workload.StandardMix(37, 100).Events
+	old := v1Events()
+	for i := range more {
+		more[i].Seq = old[len(old)-1].Seq + uint64(i+1)
 	}
-	for _, codec := range []Codec{CodecBinary, CodecJSON} {
+	for _, tc := range []struct {
+		name       string
+		dir        func(t *testing.T) string
+		opts       Options
+		events     []trace.Event
+		wantDigest string
+		wantFiles  int
+	}{
+		{
+			name: string(CodecBinary), dir: func(t *testing.T) string { return t.TempDir() },
+			opts: Options{SegmentBytes: 64 << 10}, events: workload.StandardMix(11, 5000).Events,
+			wantDigest: "65cd6e07c4d5003cd7476f2b090ae20a07717232dd000f68017731d97715eb2b", wantFiles: 10,
+		},
+		{
+			name: "v1", dir: copyV1Store,
+			opts: Options{SegmentBytes: 2048}, events: more,
+			wantDigest: "d7dcb6a6d1790c81eb4d99d956b57024b03ffa734e5c0ed5ef24cad4bd12d914", wantFiles: 52,
+		},
+	} {
 		for _, run := range []int{1, 7, 128} {
-			t.Run(fmt.Sprintf("%s/run%d", codec, run), func(t *testing.T) {
-				dir := t.TempDir()
-				s, err := Open(dir, Options{SegmentBytes: 64 << 10, Codec: codec})
+			t.Run(fmt.Sprintf("%s/run%d", tc.name, run), func(t *testing.T) {
+				dir := tc.dir(t)
+				s, err := Open(dir, tc.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < len(events); i += run {
-					if err := s.AppendBatch(events[i:min(i+run, len(events))]); err != nil {
+				for i := 0; i < len(tc.events); i += run {
+					if err := s.AppendBatch(tc.events[i:min(i+run, len(tc.events))]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -67,9 +89,9 @@ func TestOnDiskBytesPinned(t *testing.T) {
 					t.Fatal(err)
 				}
 				got, files := dirDigest(t, dir)
-				if w := want[codec]; got != w.digest || len(files) != w.files {
+				if got != tc.wantDigest || len(files) != tc.wantFiles {
 					t.Fatalf("store digest %s over %d files, want %s over %d; files:\n%s",
-						got, len(files), w.digest, w.files, strings.Join(files, "\n"))
+						got, len(files), tc.wantDigest, tc.wantFiles, strings.Join(files, "\n"))
 				}
 			})
 		}

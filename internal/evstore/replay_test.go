@@ -266,7 +266,7 @@ func TestReplayReportsTailLoss(t *testing.T) {
 // decoded only when the frame is) past it.
 func writeExecStore(t *testing.T, dir string, n, users int, segmentBytes int64, pad string) {
 	t.Helper()
-	s, err := Open(dir, Options{SegmentBytes: segmentBytes, Codec: CodecBinary})
+	s, err := Open(dir, Options{SegmentBytes: segmentBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,11 +549,12 @@ func TestCloseDropsParkedBuffers(t *testing.T) {
 // TestReplayArenaMatchesScanExactly is the store-layer differential:
 // the arena-backed Replay (serial and sharded) must deliver exactly
 // the events the copying Scan delivers, byte-identical under JSON
-// re-encoding, across both codecs and a filtered pass.
+// re-encoding, on v2 segments and on the v1 store, and on a filtered
+// pass.
 func TestReplayArenaMatchesScanExactly(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecJSON} {
-		dir := t.TempDir()
-		writeMixedOpts(t, dir, Options{SegmentBytes: 4096, FlushEvery: 16, Codec: codec}, 300)
+	binDir := t.TempDir()
+	writeMixedOpts(t, binDir, Options{SegmentBytes: 4096, FlushEvery: 16}, 300)
+	for codec, dir := range map[Codec]string{CodecBinary: binDir, "json": copyV1Store(t)} {
 		s, err := OpenRead(dir)
 		if err != nil {
 			t.Fatal(err)

@@ -29,6 +29,8 @@ import (
 //     exactly as in v1. The kind+actor header lets a filtered replay
 //     skip the body decode entirely for non-matching events.
 //
+// Stores write v2 only; v1 segments are read, never written.
+//
 // A payload that fails the decode marks the end of the valid prefix
 // just as a bad length or checksum does: readers stop there and report
 // the remainder as tail loss.
@@ -62,7 +64,7 @@ const (
 	magicBinary
 )
 
-var codecs = [...]Codec{magicJSON: CodecJSON, magicBinary: CodecBinary}
+var codecs = [...]Codec{magicJSON: "json", magicBinary: CodecBinary}
 
 // format is the store's file family: seg-%08d.ev data files with .idx
 // sidecars. The read buffer is sized for replay, which streams whole
@@ -75,28 +77,14 @@ var format = seglog.Format{
 	ReadBuf:  256 << 10,
 }
 
-// Codec names a segment payload encoding.
+// Codec names a segment payload encoding, as a segment's magic
+// announces it: "json" (v1) or "binary" (v2).
 type Codec string
 
-const (
-	// CodecBinary writes v2 segments: compact tagged binary events
-	// with a per-segment interning dictionary. The default.
-	CodecBinary Codec = "binary"
-	// CodecJSON writes v1 segments: one JSON event per frame — the
-	// escape hatch for tooling that greps segment files directly.
-	CodecJSON Codec = "json"
-)
-
-// ParseCodec validates a --codec flag value.
-func ParseCodec(s string) (Codec, error) {
-	switch Codec(s) {
-	case CodecBinary, CodecJSON:
-		return Codec(s), nil
-	case "":
-		return CodecBinary, nil
-	}
-	return "", fmt.Errorf("evstore: unknown codec %q: want binary or json", s)
-}
+// CodecBinary names v2 segments: compact tagged binary events with a
+// per-segment interning dictionary. Every segment a store writes is
+// v2; v1 segments are only ever read.
+const CodecBinary Codec = "binary"
 
 // IndexVersion is the sidecar schema version this build writes.
 // Unknown versions are rebuilt from the segment data, never trusted.

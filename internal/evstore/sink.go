@@ -69,11 +69,13 @@ const (
 )
 
 // OpenSink opens an event-recording path per the suffix convention.
-// codec selects the segment format for store paths (CodecBinary when
-// empty); .jsonl paths are JSON by definition and ignore it. Reading
-// back is always per-segment version-dispatched, so the choice only
-// affects new segments.
+// Store paths get v2 (binary) segments; codec must be empty or
+// CodecBinary, anything else is an error. The parameter is kept for
+// source compatibility with existing callers and selects nothing.
 func OpenSink(path string, mode SinkMode, codec Codec) (*SinkHandle, error) {
+	if codec != "" && codec != CodecBinary {
+		return nil, fmt.Errorf("evstore: segments are written as %q, not %q", CodecBinary, codec)
+	}
 	if strings.HasSuffix(path, ".jsonl") {
 		f, err := os.Create(path)
 		if err != nil {
@@ -103,7 +105,7 @@ func OpenSink(path string, mode SinkMode, codec Codec) (*SinkHandle, error) {
 			return nil, fmt.Errorf("evstore: %s already holds a recorded stream (%d events); delete it or record elsewhere", path, existing)
 		}
 	}
-	store, err := Open(path, Options{Codec: codec})
+	store, err := Open(path, Options{})
 	if err != nil {
 		return nil, err
 	}

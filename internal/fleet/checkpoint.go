@@ -13,9 +13,10 @@ import (
 
 // Checkpoint format v2: a header line {"fleet_checkpoint":2,
 // "fleet_sig":"...","suites":[...]} followed by one JSON Result per
-// line, appended as targets complete. Legacy (v1) files have no
-// header and carry pre-suite Result JSON; LoadCheckpoint reads them
-// by defaulting every record to the misconfig suite. A sweep killed
+// line, appended as targets complete. A non-empty file whose first
+// line is not that header (the headerless v1 format, which predates
+// suites) is rejected: its sweep cannot be resumed, only restarted
+// with a fresh checkpoint. A sweep killed
 // mid-write leaves at most one torn trailing line, which
 // LoadCheckpoint tolerates; corruption anywhere else is an error, not
 // silent data loss.
@@ -60,16 +61,15 @@ func FleetSignature(targets []Target) string {
 // LoadCheckpoint reads the results recorded in a checkpoint file. A
 // missing file is an empty checkpoint. Later records win when a
 // target appears twice (a resumed sweep re-appends nothing, but a
-// crashed one may). Legacy headerless files load with every record
-// normalized to the misconfig suite.
+// crashed one may). A non-empty file without a v2 header is an error.
 func LoadCheckpoint(path string) (map[string]Result, error) {
 	out, _, err := loadCheckpoint(path)
 	return out, err
 }
 
-// loadCheckpoint is LoadCheckpoint plus the parsed header (zero
-// header for legacy files), which Scan checks against the current
-// fleet signature and suite set.
+// loadCheckpoint is LoadCheckpoint plus the parsed header (zero for a
+// missing or empty file), which Scan checks against the current fleet
+// signature and suite set.
 func loadCheckpoint(path string) (map[string]Result, checkpointHeader, error) {
 	var hdr checkpointHeader
 	data, err := os.ReadFile(path)
@@ -79,6 +79,9 @@ func loadCheckpoint(path string) (map[string]Result, checkpointHeader, error) {
 	if err != nil {
 		return nil, hdr, fmt.Errorf("fleet: checkpoint: %w", err)
 	}
+	if len(data) == 0 {
+		return map[string]Result{}, hdr, nil
+	}
 	out := map[string]Result{}
 	lines := bytes.Split(data, []byte{'\n'})
 	for i, line := range lines {
@@ -86,19 +89,19 @@ func loadCheckpoint(path string) (map[string]Result, checkpointHeader, error) {
 		if len(line) == 0 {
 			continue
 		}
-		if i == 0 {
-			// Only the first line may be a header; a legacy file's
-			// first line is a Result and carries no version key.
+		if hdr.Version == 0 {
+			// The first line must be the header.
 			var h checkpointHeader
-			if err := json.Unmarshal(line, &h); err == nil && h.Version > 0 {
-				if h.Version > CheckpointVersion {
-					return nil, hdr, fmt.Errorf(
-						"fleet: checkpoint %s is schema v%d but this binary reads up to v%d; upgrade or start a fresh checkpoint",
-						path, h.Version, CheckpointVersion)
-				}
-				hdr = h
-				continue
+			if err := json.Unmarshal(line, &h); err != nil || h.Version <= 0 {
+				return nil, hdr, errNoHeader(path)
 			}
+			if h.Version > CheckpointVersion {
+				return nil, hdr, fmt.Errorf(
+					"fleet: checkpoint %s is schema v%d but this binary reads up to v%d; upgrade or start a fresh checkpoint",
+					path, h.Version, CheckpointVersion)
+			}
+			hdr = h
+			continue
 		}
 		var r Result
 		if err := json.Unmarshal(line, &r); err != nil {
@@ -112,24 +115,18 @@ func loadCheckpoint(path string) (map[string]Result, checkpointHeader, error) {
 		if r.TargetID == "" {
 			return nil, hdr, fmt.Errorf("fleet: checkpoint %s line %d: missing target_id", path, i+1)
 		}
-		normalizeLegacyResult(&r)
 		out[r.TargetID] = r
+	}
+	if hdr.Version == 0 {
+		return nil, hdr, errNoHeader(path) // whitespace only
 	}
 	return out, hdr, nil
 }
 
-// normalizeLegacyResult upgrades a pre-suite (v1) record in place:
-// records written before the unified Finding carried only misconfig
-// findings and no suite list.
-func normalizeLegacyResult(r *Result) {
-	if len(r.Suites) == 0 {
-		r.Suites = []string{"misconfig"}
-	}
-	for i := range r.Findings {
-		if r.Findings[i].Suite == "" {
-			r.Findings[i].Suite = "misconfig"
-		}
-	}
+// errNoHeader rejects a non-empty checkpoint that does not open with a
+// header line, such as the headerless format of older builds.
+func errNoHeader(path string) error {
+	return fmt.Errorf("fleet: checkpoint %s has no v%d header; start a fresh checkpoint", path, CheckpointVersion)
 }
 
 // checkpointWriter appends results to the checkpoint file, flushing
@@ -140,9 +137,8 @@ type checkpointWriter struct {
 }
 
 // openCheckpoint opens the checkpoint for appending, stamping the
-// header on a fresh (or empty) file. An existing legacy file keeps
-// its headerless format; its provenance was already validated by the
-// loader's per-target checks.
+// header on a fresh (or empty) file. A non-empty file already passed
+// the loader, so it starts with a header.
 func openCheckpoint(path string, hdr checkpointHeader) (*checkpointWriter, error) {
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {

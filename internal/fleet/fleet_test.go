@@ -218,10 +218,14 @@ func TestCheckpointRejectsDifferentFleet(t *testing.T) {
 	}
 }
 
+// testCkptHeader is a v2 checkpoint header line.
+const testCkptHeader = `{"fleet_checkpoint":2,"fleet_sig":"ab","suites":["misconfig"]}` + "\n"
+
 func TestLoadCheckpointToleratesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.ckpt")
 	whole, _ := json.Marshal(Result{TargetID: "tgt-0001", Score: 50})
-	content := append(whole, '\n')
+	content := append([]byte(testCkptHeader), whole...)
+	content = append(content, '\n')
 	content = append(content, []byte(`{"target_id":"tgt-0002","sco`)...) // torn write
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
@@ -237,7 +241,7 @@ func TestLoadCheckpointToleratesTornTail(t *testing.T) {
 
 func TestLoadCheckpointRejectsMidFileCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.ckpt")
-	content := []byte("not json at all\n{\"target_id\":\"tgt-0001\"}\n")
+	content := []byte(testCkptHeader + "not json at all\n{\"target_id\":\"tgt-0001\"}\n")
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -435,29 +439,38 @@ func TestCheckpointHeaderWritten(t *testing.T) {
 }
 
 func TestLoadCheckpointLegacyHeaderless(t *testing.T) {
-	// A v1 checkpoint: no header, pre-suite Result JSON whose findings
-	// carry no suite field. It must load with every record normalized
-	// to the misconfig suite, so old sweeps stay resumable.
+	// A v1 checkpoint: no header, pre-suite Result JSON. It cannot be
+	// resumed; loading it (or resuming a sweep from it) must fail with
+	// an error naming the file and saying to start afresh.
 	path := filepath.Join(t.TempDir(), "legacy.ckpt")
 	legacy := `{"target_id":"tgt-0000","preset":"hardened","addr":"127.0.0.1:1","reachable":true,"open_access":false,"terminals_open":false,"wildcard_cors":false,"score":100,"findings":null}
 {"target_id":"tgt-0001","preset":"no-auth","addr":"127.0.0.1:2","reachable":true,"open_access":true,"terminals_open":false,"wildcard_cors":false,"score":55,"findings":[{"check_id":"JPY-001","title":"Authentication disabled","severity":"critical","class":"security_misconfiguration","evidence":"x","remediation":"y"}]}
 `
+	for name, content := range map[string]string{"legacy": legacy, "blank": "\n \n"} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadCheckpoint(path)
+		if err == nil {
+			t.Fatalf("%s: headerless checkpoint loaded %d records", name, len(got))
+		}
+		if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "start a fresh checkpoint") {
+			t.Fatalf("%s: error %q does not name the file and the remedy", name, err)
+		}
+	}
 	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCheckpoint(path)
+	f := spawnFleet(t, 1, 2)
+	if _, err := Scan(context.Background(), f.Targets(), Options{Workers: 1, CheckpointPath: path}); err == nil {
+		t.Fatal("a sweep resumed from a headerless checkpoint")
+	}
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("loaded %d records, want 2", len(got))
-	}
-	r := got["tgt-0001"]
-	if len(r.Suites) != 1 || r.Suites[0] != "misconfig" {
-		t.Fatalf("legacy record suites = %v", r.Suites)
-	}
-	if len(r.Findings) != 1 || r.Findings[0].Suite != "misconfig" || r.Findings[0].CheckID != "JPY-001" {
-		t.Fatalf("legacy finding not normalized: %+v", r.Findings)
+	if string(after) != legacy {
+		t.Fatal("the refused checkpoint was modified")
 	}
 }
 

@@ -79,16 +79,6 @@ type Config struct {
 	ShellEnabled bool
 	// ConnectionKey signs kernel wire messages; empty disables signing.
 	ConnectionKey string
-	// Engine selects the minilang execution engine: minilang.EngineVM
-	// (the default) or minilang.EngineTree, the reference interpreter
-	// the VM is differentially tested against. Both are observably
-	// equivalent; tree exists as the oracle and as a fallback knob.
-	Engine string
-	// ProgramCacheSize bounds the manager-wide compiled-program cache
-	// (parsed cell sources shared across kernels, LRU-evicted). 0
-	// means the default capacity; negative disables the cache so
-	// every execution re-parses — the diagnostic escape hatch.
-	ProgramCacheSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -106,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FS == nil {
 		c.FS = vfs.New(vfs.WithClock(c.Clock))
-	}
-	if c.Engine == "" {
-		c.Engine = minilang.EngineVM
 	}
 	return c
 }
@@ -227,8 +214,8 @@ type Kernel struct {
 
 	mu        sync.Mutex
 	cfg       Config
-	eng       minilang.Engine
-	progs     *progCache // manager-shared; nil disables caching
+	eng       *minilang.VM
+	progs     *progCache // manager-shared
 	signer    *jmsg.Signer
 	execCount int
 	state     string
@@ -348,25 +335,18 @@ func (k *Kernel) Execute(code string, parent *jmsg.Message) (*ExecResult, error)
 		k.cfg.ExecHook(k.ID, user, code)
 	}
 	before := k.eng.Counters()
-	var runErr error
-	if k.progs != nil {
-		// Cache hit: the parse front end is skipped outright, and the
-		// engine's per-program compiled form is reused on every run of
-		// this program after the kernel's first. Parse failures come
-		// back as the same SyntaxError Run would produce.
-		prog, hit, perr := k.progs.program(code)
-		if hit {
-			k.usage.ProgCacheHits++
-		} else {
-			k.usage.ProgCacheMisses++
-		}
-		if perr != nil {
-			runErr = perr
-		} else {
-			runErr = k.eng.RunProgram(prog)
-		}
+	// Cache hit: the parse front end is skipped outright, and the VM's
+	// per-program compiled form is reused on every run of this program
+	// after the kernel's first. Parse failures come back as the same
+	// SyntaxError Run would produce.
+	prog, hit, runErr := k.progs.program(code)
+	if hit {
+		k.usage.ProgCacheHits++
 	} else {
-		runErr = k.eng.Run(code)
+		k.usage.ProgCacheMisses++
+	}
+	if runErr == nil {
+		runErr = k.eng.RunProgram(prog)
 	}
 	after := k.eng.Counters()
 	stdout := k.eng.TakeStdout()
@@ -610,26 +590,19 @@ type Manager struct {
 	mu      sync.Mutex
 	cfg     Config
 	kernels map[string]*Kernel
-	progs   *progCache // shared across kernels; nil when disabled
+	progs   *progCache // shared across kernels
 	seq     int
 }
 
 // NewManager returns a kernel manager with the given configuration.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
-	m := &Manager{cfg: cfg, kernels: map[string]*Kernel{}}
-	if cfg.ProgramCacheSize >= 0 {
-		m.progs = newProgCache(cfg.ProgramCacheSize)
-	}
-	return m
+	return &Manager{cfg: cfg, kernels: map[string]*Kernel{}, progs: newProgCache(defaultProgCacheCap)}
 }
 
 // ProgCacheStats reports the manager-wide program cache counters:
 // cumulative hits and misses, and the number of resident programs.
 func (m *Manager) ProgCacheStats() (hits, misses uint64, resident int) {
-	if m.progs == nil {
-		return 0, 0, 0
-	}
 	hits, misses = m.progs.stats()
 	return hits, misses, m.progs.len()
 }
@@ -653,7 +626,7 @@ func (m *Manager) Start(name, user string) *Kernel {
 		ConnInfo: jmsg.NewConnectionInfo("127.0.0.1", 50000+m.seq*10, m.cfg.ConnectionKey),
 		cfg:      m.cfg,
 		progs:    m.progs,
-		eng:      minilang.NewEngine(m.cfg.Engine, host, m.cfg.Limits),
+		eng:      minilang.NewVM(host, m.cfg.Limits),
 		signer:   jmsg.NewSigner([]byte(m.cfg.ConnectionKey)),
 		state:    StateIdle,
 		user:     user,
@@ -689,7 +662,7 @@ func (m *Manager) Restart(id string) error {
 		host = m.cfg.HostWrapper(k.ID, k.user, host)
 	}
 	k.mu.Lock()
-	k.eng = minilang.NewEngine(m.cfg.Engine, host, m.cfg.Limits)
+	k.eng = minilang.NewVM(host, m.cfg.Limits)
 	k.state = StateIdle
 	k.execCount = 0
 	k.mu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/jmsg"
-	"repro/internal/kernel/minilang"
 	"repro/internal/trace"
 	"repro/internal/vfs"
 )
@@ -448,70 +447,5 @@ func TestParentUsernamePropagates(t *testing.T) {
 	evs := ring.Filter(func(e trace.Event) bool { return e.Kind == trace.KindExec })
 	if len(evs) != 1 || evs[0].User != "intruder" || evs[0].Session != "sess-9" {
 		t.Fatalf("attribution = %+v", evs)
-	}
-}
-
-// newEngineManager is newManager with an explicit engine selection.
-func newEngineManager(t *testing.T, engine string) *Manager {
-	t.Helper()
-	clock := trace.NewFakeClock(t0)
-	bus := trace.NewBus(clock)
-	fs := vfs.New(vfs.WithClock(clock), vfs.WithSink(bus))
-	_ = fs.Write("data/in.txt", "setup", []byte("line one\nline two"))
-	return NewManager(Config{
-		FS: fs, Clock: clock, Sink: bus, Engine: engine,
-		ShellEnabled: true,
-		Limits:       minilang.Limits{MaxSteps: 5000},
-	})
-}
-
-// TestEngineEquivalence pins that a kernel backed by the bytecode VM
-// and one backed by the tree interpreter produce identical execution
-// replies — status, stdout, error name/value, counts, and usage —
-// across ok cells, runtime errors, syntax errors, host calls, and a
-// step-limit blowout.
-func TestEngineEquivalence(t *testing.T) {
-	cells := []string{
-		"x = 2\ny = x * 21\nprint(y)",
-		"print(x + y)", // namespace persists
-		`data = read_file("data/in.txt")` + "\nprint(len(data))",
-		`print(shell("whoami"))`,
-		"print(nope)",         // NameError
-		"if without_end",      // SyntaxError
-		"print(1/0)",          // ZeroDivisionError
-		"while 1\nz = 1\nend", // ResourceError: step limit
-		"print(x, y)",         // still alive after errors
-	}
-	tm := newEngineManager(t, minilang.EngineTree)
-	vm := newEngineManager(t, minilang.EngineVM)
-	tk := tm.Start("", "alice")
-	vk := vm.Start("", "alice")
-	for i, code := range cells {
-		tr, terr := tk.Execute(code, nil)
-		vr, verr := vk.Execute(code, nil)
-		if (terr == nil) != (verr == nil) {
-			t.Fatalf("cell %d: err tree=%v vm=%v", i, terr, verr)
-		}
-		if terr != nil {
-			continue
-		}
-		if tr.Status != vr.Status || tr.Stdout != vr.Stdout ||
-			tr.EName != vr.EName || tr.EValue != vr.EValue ||
-			tr.ExecutionCount != vr.ExecutionCount {
-			t.Errorf("cell %d diverges:\ntree: %+v\nvm:   %+v", i, tr, vr)
-		}
-	}
-	if tu, vu := tk.Usage(), vk.Usage(); tu != vu {
-		t.Errorf("usage diverges:\ntree: %+v\nvm:   %+v", tu, vu)
-	}
-}
-
-// TestEngineConfigSelection pins the default and the tree fallback.
-func TestEngineConfigSelection(t *testing.T) {
-	if got := (Config{}).withDefaults().Engine; got != minilang.EngineVM {
-		t.Fatalf("default engine = %q, want %q", got, minilang.EngineVM)
-	}
-	if got := (Config{Engine: minilang.EngineTree}).withDefaults().Engine; got != minilang.EngineTree {
-		t.Fatalf("tree engine overridden to %q", got)
 	}
 }

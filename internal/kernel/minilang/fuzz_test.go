@@ -1,7 +1,11 @@
 package minilang
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -70,14 +74,15 @@ func TestRunTerminatesOnTokenSoup(t *testing.T) {
 			b.WriteByte('\n')
 		}
 		src := b.String()
-		in := NewInterp(newMemHost(), Limits{MaxSteps: 50000})
+		p := newEnginePair(Limits{MaxSteps: 50000})
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("Run panicked on %q: %v", src, r)
 				}
 			}()
-			_ = in.Run(src) // errors fine; panics and hangs are not
+			// Errors are fine; panics, hangs and divergence are not.
+			_, _ = p.runBoth(t, src)
 		}()
 	}
 }
@@ -96,8 +101,8 @@ func TestDeepNestingBounded(t *testing.T) {
 }
 
 func TestHugeLiteralsRejectedByLimits(t *testing.T) {
-	in := NewInterp(newMemHost(), Limits{MaxSteps: 100000, MaxValueBytes: 4096})
-	err := in.Run(`x = "` + strings.Repeat("a", 2000) + `"
+	p := newEnginePair(Limits{MaxSteps: 100000, MaxValueBytes: 4096})
+	_, err := p.runBoth(t, `x = "`+strings.Repeat("a", 2000)+`"
 y = x + x + x`)
 	if err == nil {
 		t.Fatal("oversized value accepted")
@@ -128,14 +133,65 @@ func FuzzVMMatchesInterp(f *testing.F) {
 		if len(src) > 4096 {
 			t.Skip()
 		}
-		// Tight budgets keep hostile loops fast and make limit
-		// accounting part of the differential surface.
-		p := newEnginePair(Limits{
-			MaxSteps:       20_000,
-			MaxOutputBytes: 4096,
-			MaxValueBytes:  1 << 16,
-			MaxSpinMillis:  50,
-		})
-		p.runBoth(t, src)
+		newFuzzPair().runBoth(t, src)
 	})
+}
+
+// newFuzzPair is FuzzVMMatchesInterp's engine pair. Tight budgets keep
+// hostile loops fast and make limit accounting part of the
+// differential surface. The hosts also hold a small notebook server's
+// files — notebooks/, data/ and models/, the directories the attack
+// payloads in the seed corpus sweep — so those seeds run their loops
+// and host calls instead of stopping at an empty listing.
+func newFuzzPair() *enginePair {
+	p := newEnginePair(Limits{
+		MaxSteps:       20_000,
+		MaxOutputBytes: 4096,
+		MaxValueBytes:  1 << 16,
+		MaxSpinMillis:  50,
+	})
+	for _, h := range []*memHost{p.mi, p.mv} {
+		for i := 0; i < 4; i++ {
+			h.files[fmt.Sprintf("notebooks/exp_%c.ipynb", 'a'+i)] = fmt.Sprintf(`{"cells":[],"n":%d}`, i)
+		}
+		h.files["data/train.csv"] = "f1,f2,label\n0.1,0.2,1\n"
+		h.files["models/weights.bin"] = "Wq7Wq7Wq7Wq7Wq7Wq7Wq7Wq7"
+	}
+	return p
+}
+
+// TestAttackSeedsRunPastFirstHostCall holds the attack payloads in
+// FuzzVMMatchesInterp's seed corpus (testdata/fuzz/FuzzVMMatchesInterp/
+// attack-*, written by internal/attacks' TestAttackPayloadFuzzSeeds) to
+// their purpose: on the harness's hosts and under its limits each one
+// runs to completion, makes more than one host call, and reads data or
+// burns CPU — a payload that found no file to sweep would do neither.
+func TestAttackSeedsRunPastFirstHostCall(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzVMMatchesInterp", "attack-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no attack seeds in the corpus")
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(string(data), "go test fuzz v1\nstring(")
+		lit, ok2 := strings.CutSuffix(lit, ")\n")
+		src, err := strconv.Unquote(lit)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("%s: not a one-string seed file", path)
+		}
+		p := newFuzzPair()
+		if _, err := p.runBoth(t, src); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		c := p.vm.Counters()
+		if len(p.hv.calls) < 2 || c.BytesRead == 0 && c.CPUMillis == 0 {
+			t.Fatalf("%s: stopped at its first host call: calls %v, counters %+v", path, p.hv.calls, c)
+		}
+	}
 }

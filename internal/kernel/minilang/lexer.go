@@ -19,12 +19,12 @@
 // Values are strings, numbers, lists, and nil. Expressions support
 // calls, + (concat/add), comparisons, and indexing.
 //
-// Two execution engines share one runtime substrate (rt): the
-// reference tree-walking interpreter (Interp) and a bytecode VM (VM)
-// that compiles programs to a register/stack hybrid with constant
-// folding and fused superinstructions (compile.go, opt.go, vm.go).
-// The VM is the default engine (NewEngine, kernel Config.Engine); the
-// interpreter remains the oracle the VM is differentially fuzzed
+// Programs run on a bytecode VM (VM) that compiles them to a
+// register/stack hybrid with constant folding and fused
+// superinstructions (compile.go, opt.go, vm.go). Its runtime
+// substrate (rt, the builtins, operator semantics; runtime.go) is also
+// what the tree-walking interpreter in the package's tests runs on:
+// that interpreter is the oracle the VM is differentially fuzzed
 // against (FuzzVMMatchesInterp), with observable equivalence pinned
 // down to host-call order, stdout bytes, error lines, and step
 // accounting. VM.SetProfiler attaches a deterministic per-opcode /

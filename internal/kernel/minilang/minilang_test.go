@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 )
 
-// memHost is a self-contained Host for interpreter tests.
+// memHost is a self-contained Host for engine tests.
 type memHost struct {
 	files    map[string]string
 	requests []string
@@ -87,20 +87,22 @@ func (h *memHost) Hostname() string { return "testhost" }
 
 func (h *memHost) Env(name string) string { return map[string]string{"USER": "jovyan"}[name] }
 
-func run(t *testing.T, src string) (*Interp, *memHost, string) {
+// run executes src on a fresh engine pair, failing on an error or on
+// any divergence between the VM and the interpreter, and returns the
+// stdout both produced.
+func run(t *testing.T, src string) string {
 	t.Helper()
-	host := newMemHost()
-	in := NewInterp(host, Limits{})
-	if err := in.Run(src); err != nil {
+	out, err := newEnginePair(Limits{}).runBoth(t, src)
+	if err != nil {
 		t.Fatalf("run: %v\nsource:\n%s", err, src)
 	}
-	return in, host, in.TakeStdout()
+	return out
 }
 
+// runErr is run for a program that must fail on both engines.
 func runErr(t *testing.T, src string) error {
 	t.Helper()
-	in := NewInterp(newMemHost(), Limits{})
-	err := in.Run(src)
+	_, err := newEnginePair(Limits{}).runBoth(t, src)
 	if err == nil {
 		t.Fatalf("expected error for:\n%s", src)
 	}
@@ -108,14 +110,14 @@ func runErr(t *testing.T, src string) error {
 }
 
 func TestArithmetic(t *testing.T) {
-	_, _, out := run(t, `print(1 + 2 * 3, 10 / 4, 10 % 3, 2 - 5)`)
+	out := run(t, `print(1 + 2 * 3, 10 / 4, 10 % 3, 2 - 5)`)
 	if out != "7 2.5 1 -3\n" {
 		t.Fatalf("out = %q", out)
 	}
 }
 
 func TestStringOps(t *testing.T) {
-	_, _, out := run(t, `s = "abc" + "def"
+	out := run(t, `s = "abc" + "def"
 print(s, len(s), upper(s), s[0], s[-1])`)
 	if out != "abcdef 6 ABCDEF a f\n" {
 		t.Fatalf("out = %q", out)
@@ -123,14 +125,14 @@ print(s, len(s), upper(s), s[0], s[-1])`)
 }
 
 func TestStringRepetition(t *testing.T) {
-	_, _, out := run(t, `print("ab" * 3)`)
+	out := run(t, `print("ab" * 3)`)
 	if out != "ababab\n" {
 		t.Fatalf("out = %q", out)
 	}
 }
 
 func TestComparisons(t *testing.T) {
-	_, _, out := run(t, `print(1 < 2, 2 <= 2, 3 > 4, "a" == "a", "a" != "b", "abc" < "abd")`)
+	out := run(t, `print(1 < 2, 2 <= 2, 3 > 4, "a" == "a", "a" != "b", "abc" < "abd")`)
 	if out != "1 1 0 1 1 1\n" {
 		t.Fatalf("out = %q", out)
 	}
@@ -138,21 +140,21 @@ func TestComparisons(t *testing.T) {
 
 func TestLogicalShortCircuit(t *testing.T) {
 	// The right side would fail (NameError) if evaluated.
-	_, _, out := run(t, `print(0 and missing_var, 1 or missing_var)`)
+	out := run(t, `print(0 and missing_var, 1 or missing_var)`)
 	if out != "0 1\n" {
 		t.Fatalf("out = %q", out)
 	}
 }
 
 func TestNot(t *testing.T) {
-	_, _, out := run(t, `print(not 0, not 1, not "", not "x")`)
+	out := run(t, `print(not 0, not 1, not "", not "x")`)
 	if out != "1 0 1 0\n" {
 		t.Fatalf("out = %q", out)
 	}
 }
 
 func TestIfElse(t *testing.T) {
-	_, _, out := run(t, `x = 5
+	out := run(t, `x = 5
 if x > 3
     print("big")
 else
@@ -167,7 +169,7 @@ end`)
 }
 
 func TestWhileAndBreak(t *testing.T) {
-	_, _, out := run(t, `i = 0
+	out := run(t, `i = 0
 while 1
     i = i + 1
     if i >= 5
@@ -181,7 +183,7 @@ print(i)`)
 }
 
 func TestForOverList(t *testing.T) {
-	_, _, out := run(t, `total = 0
+	out := run(t, `total = 0
 for x in [1, 2, 3, 4]
     total = total + x
 end
@@ -192,7 +194,7 @@ print(total)`)
 }
 
 func TestForOverRange(t *testing.T) {
-	_, _, out := run(t, `s = 0
+	out := run(t, `s = 0
 for i in range(5)
     s = s + i
 end
@@ -203,7 +205,7 @@ print(s)`)
 }
 
 func TestForOverStringLines(t *testing.T) {
-	_, _, out := run(t, `n = 0
+	out := run(t, `n = 0
 for line in "a\nb\nc"
     n = n + 1
 end
@@ -214,7 +216,7 @@ print(n)`)
 }
 
 func TestSplitJoin(t *testing.T) {
-	_, _, out := run(t, `parts = split("a,b,c", ",")
+	out := run(t, `parts = split("a,b,c", ",")
 print(len(parts), parts[1], join(parts, "-"))`)
 	if out != "3 b a-b-c\n" {
 		t.Fatalf("out = %q", out)
@@ -222,7 +224,7 @@ print(len(parts), parts[1], join(parts, "-"))`)
 }
 
 func TestListOps(t *testing.T) {
-	_, _, out := run(t, `l = [1, 2]
+	out := run(t, `l = [1, 2]
 l = append(l, 3)
 l2 = l + [4]
 print(len(l), len(l2), l2[3])`)
@@ -232,10 +234,10 @@ print(len(l), len(l2), l2[3])`)
 }
 
 func TestFileBuiltins(t *testing.T) {
-	host := newMemHost()
-	host.files["data/a.txt"] = "hello"
-	in := NewInterp(host, Limits{})
-	err := in.Run(`data = read_file("data/a.txt")
+	p := newEnginePair(Limits{})
+	p.mi.files["data/a.txt"] = "hello"
+	p.mv.files["data/a.txt"] = "hello"
+	out, err := p.runBoth(t, `data = read_file("data/a.txt")
 write_file("data/b.txt", data + " world")
 rename_file("data/b.txt", "data/c.txt")
 print(read_file("data/c.txt"))
@@ -244,17 +246,16 @@ print(len(list_files("data")))`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := in.TakeStdout()
 	if out != "hello world\n1\n" {
 		t.Fatalf("out = %q", out)
 	}
-	if in.BytesRead == 0 || in.BytesWritten == 0 {
+	if c := p.vm.Counters(); c.BytesRead == 0 || c.BytesWritten == 0 {
 		t.Fatal("usage counters not updated")
 	}
 }
 
 func TestEncryptDecryptInvolution(t *testing.T) {
-	_, _, out := run(t, `data = "sensitive model weights 0123456789"
+	out := run(t, `data = "sensitive model weights 0123456789"
 enc = encrypt(data, "key")
 print(enc == data)
 print(decrypt(enc, "key") == data)
@@ -265,14 +266,14 @@ print(decrypt(enc, "wrong") == data)`)
 }
 
 func TestEncryptProducesHighEntropy(t *testing.T) {
-	host := newMemHost()
-	in := NewInterp(host, Limits{})
+	p := newEnginePair(Limits{})
 	plain := strings.Repeat("science data rows and columns ", 200)
-	host.files["d.csv"] = plain
-	if err := in.Run(`write_file("d.enc", encrypt(read_file("d.csv"), "k"))`); err != nil {
+	p.mi.files["d.csv"] = plain
+	p.mv.files["d.csv"] = plain
+	if _, err := p.runBoth(t, `write_file("d.enc", encrypt(read_file("d.csv"), "k"))`); err != nil {
 		t.Fatal(err)
 	}
-	enc := host.files["d.enc"]
+	enc := p.mv.files["d.enc"]
 	if len(enc) != len(plain) {
 		t.Fatalf("length changed: %d vs %d", len(enc), len(plain))
 	}
@@ -298,27 +299,26 @@ func TestXorKeystreamProperty(t *testing.T) {
 }
 
 func TestNetworkBuiltins(t *testing.T) {
-	host := newMemHost()
-	in := NewInterp(host, Limits{})
-	err := in.Run(`status = http_post("http://x.example/drop", "payload")
+	p := newEnginePair(Limits{})
+	out, err := p.runBoth(t, `status = http_post("http://x.example/drop", "payload")
 body = http_get("http://x.example/check")
 print(status, body)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := in.TakeStdout(); out != "200 ok\n" {
+	if out != "200 ok\n" {
 		t.Fatalf("out = %q", out)
 	}
-	if len(host.requests) != 2 || in.NetCalls != 2 {
-		t.Fatalf("requests = %v netcalls = %d", host.requests, in.NetCalls)
+	if len(p.mv.requests) != 2 || p.vm.NetCalls != 2 {
+		t.Fatalf("requests = %v netcalls = %d", p.mv.requests, p.vm.NetCalls)
 	}
 }
 
 func TestNetworkDeniedSurfacesError(t *testing.T) {
-	host := newMemHost()
-	host.denyNet = true
-	in := NewInterp(host, Limits{})
-	err := in.Run(`http_post("http://x/", "data")`)
+	p := newEnginePair(Limits{})
+	p.mi.denyNet = true
+	p.mv.denyNet = true
+	_, err := p.runBoth(t, `http_post("http://x/", "data")`)
 	var rt *RuntimeError
 	if !errors.As(err, &rt) || rt.EName != "OSError" {
 		t.Fatalf("err = %v", err)
@@ -326,37 +326,36 @@ func TestNetworkDeniedSurfacesError(t *testing.T) {
 }
 
 func TestShellAndSpin(t *testing.T) {
-	host := newMemHost()
-	in := NewInterp(host, Limits{})
-	if err := in.Run(`print(shell("whoami"))
+	p := newEnginePair(Limits{})
+	if _, err := p.runBoth(t, `print(shell("whoami"))
 spin(5000)`); err != nil {
 		t.Fatal(err)
 	}
-	if len(host.shells) != 1 || host.spun != 5000 || in.CPUMillis != 5000 || in.ShellCalls != 1 {
-		t.Fatalf("shells=%v spun=%d cpu=%d", host.shells, host.spun, in.CPUMillis)
+	host, vm := p.mv, p.vm
+	if len(host.shells) != 1 || host.spun != 5000 || vm.CPUMillis != 5000 || vm.ShellCalls != 1 {
+		t.Fatalf("shells=%v spun=%d cpu=%d", host.shells, host.spun, vm.CPUMillis)
 	}
 }
 
 func TestSpinCapped(t *testing.T) {
-	host := newMemHost()
-	in := NewInterp(host, Limits{MaxSpinMillis: 1000})
-	if err := in.Run(`spin(999999)`); err != nil {
+	p := newEnginePair(Limits{MaxSpinMillis: 1000})
+	if _, err := p.runBoth(t, `spin(999999)`); err != nil {
 		t.Fatal(err)
 	}
-	if host.spun != 1000 {
-		t.Fatalf("spun = %d", host.spun)
+	if p.mv.spun != 1000 {
+		t.Fatalf("spun = %d", p.mv.spun)
 	}
 }
 
 func TestHostnameEnv(t *testing.T) {
-	_, _, out := run(t, `print(hostname(), env("USER"), env("MISSING"))`)
+	out := run(t, `print(hostname(), env("USER"), env("MISSING"))`)
 	if out != "testhost jovyan \n" {
 		t.Fatalf("out = %q", out)
 	}
 }
 
 func TestHashAndB64(t *testing.T) {
-	_, _, out := run(t, `print(sha256("abc"))
+	out := run(t, `print(sha256("abc"))
 print(b64encode("hi"), b64decode("aGk="))`)
 	want := "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad\naGk= hi\n"
 	if out != want {
@@ -365,14 +364,15 @@ print(b64encode("hi"), b64decode("aGk="))`)
 }
 
 func TestVariablesPersistAcrossRuns(t *testing.T) {
-	in := NewInterp(newMemHost(), Limits{})
-	if err := in.Run(`x = 41`); err != nil {
+	p := newEnginePair(Limits{})
+	if _, err := p.runBoth(t, `x = 41`); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Run(`print(x + 1)`); err != nil {
+	out, err := p.runBoth(t, `print(x + 1)`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out := in.TakeStdout(); out != "42\n" {
+	if out != "42\n" {
 		t.Fatalf("out = %q", out)
 	}
 }
@@ -418,8 +418,7 @@ func TestSyntaxErrors(t *testing.T) {
 		`for x [1]`,
 		`@`,
 	} {
-		in := NewInterp(newMemHost(), Limits{})
-		err := in.Run(src)
+		_, err := newEnginePair(Limits{}).runBoth(t, src)
 		if err == nil {
 			t.Errorf("%q: accepted", src)
 			continue
@@ -433,8 +432,7 @@ func TestSyntaxErrors(t *testing.T) {
 }
 
 func TestInfiniteLoopBudget(t *testing.T) {
-	in := NewInterp(newMemHost(), Limits{MaxSteps: 10000})
-	err := in.Run(`while 1
+	_, err := newEnginePair(Limits{MaxSteps: 10000}).runBoth(t, `while 1
 x = 1
 end`)
 	var rt *RuntimeError
@@ -444,8 +442,7 @@ end`)
 }
 
 func TestOutputBudget(t *testing.T) {
-	in := NewInterp(newMemHost(), Limits{MaxOutputBytes: 100})
-	err := in.Run(`while 1
+	_, err := newEnginePair(Limits{MaxOutputBytes: 100}).runBoth(t, `while 1
 print("aaaaaaaaaaaaaaaaaaaaaaaa")
 end`)
 	var rt *RuntimeError
@@ -455,8 +452,7 @@ end`)
 }
 
 func TestStringSizeBudget(t *testing.T) {
-	in := NewInterp(newMemHost(), Limits{MaxValueBytes: 1 << 16})
-	err := in.Run(`s = "x"
+	_, err := newEnginePair(Limits{MaxValueBytes: 1 << 16}).runBoth(t, `s = "x"
 while 1
 s = s + s
 end`)
@@ -467,7 +463,7 @@ end`)
 }
 
 func TestCommentsAndSemicolons(t *testing.T) {
-	_, _, out := run(t, `# leading comment
+	out := run(t, `# leading comment
 x = 1; y = 2  # trailing comment
 print(x + y)`)
 	if out != "3\n" {
@@ -526,7 +522,7 @@ func TestTruthy(t *testing.T) {
 }
 
 func TestNegativeNumbers(t *testing.T) {
-	_, _, out := run(t, `x = -5
+	out := run(t, `x = -5
 print(x, -x, 3 + -2)`)
 	if out != "-5 5 1\n" {
 		t.Fatalf("out = %q", out)
@@ -534,7 +530,7 @@ print(x, -x, 3 + -2)`)
 }
 
 func TestNestedLoops(t *testing.T) {
-	_, _, out := run(t, `total = 0
+	out := run(t, `total = 0
 for i in range(3)
     for j in range(3)
         total = total + 1
@@ -547,7 +543,7 @@ print(total)`)
 }
 
 func TestBreakOnlyInnerLoop(t *testing.T) {
-	_, _, out := run(t, `count = 0
+	out := run(t, `count = 0
 for i in range(3)
     for j in range(10)
         if j >= 2

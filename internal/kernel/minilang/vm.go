@@ -8,11 +8,12 @@ import (
 
 // VM executes minilang by compiling each program to bytecode
 // (compile.go, opt.go) and dispatching it on a value stack. It is
-// observably equivalent to Interp — same host-call order, stdout,
-// errors, and step accounting — but keeps numbers unboxed on the
-// stack and in variable slots, resolves variables to slot indices at
-// compile time, and folds constant subtrees, which is where the
-// speedup over the tree-walker comes from.
+// observably equivalent to the tree-walking interpreter its tests
+// compare it with — same host-call order, stdout, errors, and step
+// accounting — but keeps numbers unboxed on the stack and in variable
+// slots, resolves variables to slot indices at compile time, and folds
+// constant subtrees, which is where the speedup over the tree-walker
+// comes from.
 type VM struct {
 	rt
 

@@ -65,11 +65,14 @@ func (h *traceHost) Env(n string) string {
 }
 
 // enginePair is a tree-walker and a VM on identical (but separate)
-// hosts, for lock-step differential execution.
+// hosts, for lock-step differential execution. mi and mv are the
+// hosts' backing stores, for tests that seed files or read back what
+// a program wrote.
 type enginePair struct {
 	interp *Interp
 	vm     *VM
 	hi, hv *traceHost
+	mi, mv *memHost
 }
 
 func newEnginePair(limits Limits) *enginePair {
@@ -87,14 +90,16 @@ func newEnginePair(limits Limits) *enginePair {
 		vm:     NewVM(hv, limits),
 		hi:     hi,
 		hv:     hv,
+		mi:     mi,
+		mv:     mv,
 	}
 }
 
 // runBoth executes src on both engines and fails the test on any
 // observable divergence: error, stdout, variables, host-call trace,
-// or usage counters. It returns the interpreter error for callers
-// asserting specific outcomes.
-func (p *enginePair) runBoth(t *testing.T, src string) error {
+// or usage counters. It returns the agreed stdout and error for
+// callers asserting specific outcomes.
+func (p *enginePair) runBoth(t *testing.T, src string) (string, error) {
 	t.Helper()
 	errI := p.interp.Run(src)
 	errV := p.vm.Run(src)
@@ -114,7 +119,7 @@ func (p *enginePair) runBoth(t *testing.T, src string) error {
 	if p.interp.Counters() != p.vm.Counters() {
 		t.Fatalf("counter divergence on %q:\n  tree: %+v\n  vm:   %+v", src, p.interp.Counters(), p.vm.Counters())
 	}
-	return errI
+	return outV, errV
 }
 
 // dumpVars renders a namespace kind-tagged so NaN compares equal to
@@ -258,7 +263,7 @@ func TestVMStepLimitEquivalence(t *testing.T) {
 		sawLimit, sawOK := false, false
 		for max := 1; max <= 150; max++ {
 			p := newEnginePair(Limits{MaxSteps: max})
-			err := p.runBoth(t, src)
+			_, err := p.runBoth(t, src)
 			var rerr *RuntimeError
 			if err == nil {
 				sawOK = true
@@ -380,7 +385,7 @@ func TestConstantFoldingSkipsRuntimeErrors(t *testing.T) {
 	}
 	// Unexecuted erroring constant: dead branch, no error.
 	p := newEnginePair(Limits{})
-	if err := p.runBoth(t, "if 0\nx = 1 / 0\nend\nprint(\"ok\")"); err != nil {
+	if _, err := p.runBoth(t, "if 0\nx = 1 / 0\nend\nprint(\"ok\")"); err != nil {
 		t.Fatalf("dead 1/0 raised: %v", err)
 	}
 }
@@ -450,40 +455,19 @@ func TestBuiltinNamesMemoized(t *testing.T) {
 	}
 }
 
-func TestEngineSelection(t *testing.T) {
-	h := newMemHost()
-	if _, ok := NewEngine(EngineTree, h, Limits{}).(*Interp); !ok {
-		t.Fatal("tree must select the interpreter")
-	}
-	if _, ok := NewEngine(EngineVM, h, Limits{}).(*VM); !ok {
-		t.Fatal("vm must select the VM")
-	}
-	if _, ok := NewEngine("", h, Limits{}).(*VM); !ok {
-		t.Fatal("default engine must be the VM")
-	}
-	for name, want := range map[string]bool{"": true, "tree": true, "vm": true, "jit": false} {
-		if got := ValidEngine(name); got != want {
-			t.Fatalf("ValidEngine(%q) = %v, want %v", name, got, want)
-		}
-	}
-}
-
 func TestVMEngineContract(t *testing.T) {
-	// Both engines satisfy Engine and agree through the interface.
-	for _, name := range []string{EngineTree, EngineVM} {
-		eng := NewEngine(name, newMemHost(), Limits{})
-		if err := eng.Run("x = 6 * 7\nprint(x)"); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := eng.TakeStdout(); got != "42\n" {
-			t.Fatalf("%s stdout = %q", name, got)
-		}
-		if got := eng.Vars()["x"]; got != Number(42) {
-			t.Fatalf("%s vars[x] = %v", name, got)
-		}
-		if eng.TakeStdout() != "" {
-			t.Fatalf("%s TakeStdout did not clear", name)
-		}
+	vm := NewVM(newMemHost(), Limits{})
+	if err := vm.Run("x = 6 * 7\nprint(x)"); err != nil {
+		t.Fatal(err)
+	}
+	if got := vm.TakeStdout(); got != "42\n" {
+		t.Fatalf("stdout = %q", got)
+	}
+	if got := vm.Vars()["x"]; got != Number(42) {
+		t.Fatalf("vars[x] = %v", got)
+	}
+	if vm.TakeStdout() != "" {
+		t.Fatal("TakeStdout did not clear")
 	}
 }
 

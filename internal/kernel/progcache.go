@@ -5,13 +5,12 @@ package kernel
 // server; attack simulations re-run fixed payloads), so the manager
 // keeps a bounded LRU of parsed minilang programs keyed by the
 // SHA-256 of the source. A hit skips the parse front end entirely,
-// and — because minilang.Engine.RunProgram never mutates the program
+// and — because minilang.VM.RunProgram never mutates the program
 // and the VM memoizes compiled chunks per *Program pointer — the VM
 // also skips bytecode compilation for every execution of a cached
 // program after a kernel's first. Correctness rides on the existing
-// FuzzVMMatchesInterp oracle: Run is exactly Parse+RunProgram in both
-// engines, so routing Execute through the cache is observationally
-// identical.
+// FuzzVMMatchesInterp oracle: the VM's Run is exactly Parse+RunProgram,
+// so routing Execute through the cache is observationally identical.
 
 import (
 	"container/list"
@@ -44,9 +43,6 @@ type progCache struct {
 }
 
 func newProgCache(capacity int) *progCache {
-	if capacity <= 0 {
-		capacity = defaultProgCacheCap
-	}
 	return &progCache{
 		cap:     capacity,
 		entries: make(map[[sha256.Size]byte]*list.Element, capacity),
@@ -56,7 +52,7 @@ func newProgCache(capacity int) *progCache {
 
 // program returns the parsed form of src, parsing at most once per
 // distinct source while it stays resident. The returned program is
-// shared — callers must treat it as immutable, which Engine.RunProgram
+// shared — callers must treat it as immutable, which VM.RunProgram
 // guarantees. hit reports whether the parse was skipped. A source
 // that fails to parse is not cached: the syntax error is the caller's
 // to surface, and retrying a corrected cell must not see a stale

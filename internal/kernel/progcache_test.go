@@ -98,53 +98,28 @@ func TestProgCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestProgCacheDisabled: a negative size knob turns the cache off and
-// Execute falls back to per-execution parsing, counters untouched.
-func TestProgCacheDisabled(t *testing.T) {
-	clockM, _, _, _ := newManager(t)
-	_ = clockM
-	m := NewManager(Config{ProgramCacheSize: -1})
-	k := m.Start("minilang", "alice")
-	for i := 0; i < 3; i++ {
-		if _, err := k.Execute("x = 1", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	u := k.Usage()
-	if u.ProgCacheHits != 0 || u.ProgCacheMisses != 0 {
-		t.Fatalf("disabled cache counted %d/%d", u.ProgCacheHits, u.ProgCacheMisses)
-	}
-	if h, ms, r := m.ProgCacheStats(); h != 0 || ms != 0 || r != 0 {
-		t.Fatalf("disabled cache stats = %d/%d/%d", h, ms, r)
-	}
-}
-
 // TestProgCacheIdenticalOutput: cached executions produce output
-// identical to an uncached engine run, across both engines — the
-// transparency claim, anchored to the same Parse+RunProgram identity
-// FuzzVMMatchesInterp exercises.
+// identical to an uncached VM run — the transparency claim, anchored
+// to the same Parse+RunProgram identity FuzzVMMatchesInterp exercises.
 func TestProgCacheIdenticalOutput(t *testing.T) {
 	src := "total = 0\nfor i in range(10)\n    total = total + i\nend\nprint(total)"
-	for _, engine := range []string{minilang.EngineVM, minilang.EngineTree} {
-		m := NewManager(Config{Engine: engine})
-		k := m.Start("minilang", "alice")
-		var outs []string
-		for i := 0; i < 3; i++ {
-			res, err := k.Execute(src, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs = append(outs, res.Stdout)
-		}
-		ref := minilang.NewEngine(engine, nil, minilang.Limits{})
-		if err := ref.Run(src); err != nil {
+	k := NewManager(Config{}).Start("minilang", "alice")
+	var outs []string
+	for i := 0; i < 3; i++ {
+		res, err := k.Execute(src, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		want := ref.TakeStdout()
-		for i, got := range outs {
-			if got != want {
-				t.Fatalf("engine=%s run %d: stdout %q, want %q", engine, i, got, want)
-			}
+		outs = append(outs, res.Stdout)
+	}
+	ref := minilang.NewVM(nil, minilang.Limits{})
+	if err := ref.Run(src); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.TakeStdout()
+	for i, got := range outs {
+		if got != want {
+			t.Fatalf("run %d: stdout %q, want %q", i, got, want)
 		}
 	}
 }

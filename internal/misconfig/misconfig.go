@@ -20,11 +20,6 @@ import (
 // SuiteName is this scanner's key in the scan suite registry.
 const SuiteName = "misconfig"
 
-// Finding is the unified scan finding; misconfig produces findings
-// with Suite = "misconfig". The alias is the compatibility shim for
-// callers that predate the scan package.
-type Finding = scan.Finding
-
 // Check is one configuration test.
 type Check struct {
 	ID          string
@@ -174,11 +169,11 @@ func Checks() []Check {
 }
 
 // Scan runs all static checks against a configuration.
-func Scan(cfg posture.Config) []Finding {
-	var out []Finding
+func Scan(cfg posture.Config) []scan.Finding {
+	var out []scan.Finding
 	for _, c := range Checks() {
 		if ev := c.Eval(cfg); ev != "" {
-			out = append(out, Finding{
+			out = append(out, scan.Finding{
 				Suite: SuiteName, CheckID: c.ID, Title: c.Title, Severity: c.Severity,
 				Class: rules.ClassMisconfig, Evidence: ev, Remediation: c.Remediation,
 			})
@@ -188,25 +183,11 @@ func Scan(cfg posture.Config) []Finding {
 	return out
 }
 
-// Score converts findings into a 0-100 hardening score (100 = clean).
-// Shim over scan.Score: the severity weight table lives in the scan
-// package so every suite and the census score consistently.
-func Score(findings []Finding) float64 { return scan.Score(findings) }
-
-// SeverityCounts tallies findings per severity label. Shim over
-// scan.SeverityCounts.
-func SeverityCounts(findings []Finding) map[string]int { return scan.SeverityCounts(findings) }
-
-// MergeFindings combines finding lists, deduplicating (first
-// occurrence wins) and restoring canonical order. Shim over
-// scan.Merge.
-func MergeFindings(lists ...[]Finding) []Finding { return scan.Merge(lists...) }
-
 // Render prints findings as an aligned report.
-func Render(findings []Finding) string {
+func Render(findings []scan.Finding) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Misconfiguration scan: %d findings, hardening score %.0f/100\n",
-		len(findings), Score(findings))
+		len(findings), scan.Score(findings))
 	for _, f := range findings {
 		fmt.Fprintf(&b, "[%-8s] %s — %s\n    evidence: %s\n    fix: %s\n",
 			f.Severity, f.CheckID, f.Title, f.Evidence, f.Remediation)
@@ -220,7 +201,7 @@ type ProbeResult struct {
 	OpenAccess       bool // /api/status served without credentials
 	TerminalsEnabled bool
 	WildcardCORS     bool
-	Findings         []Finding
+	Findings         []scan.Finding
 }
 
 // Probe tests a live server the way an internet scanner would:
@@ -247,7 +228,7 @@ func ProbeCtx(ctx context.Context, addr string, timeout time.Duration) ProbeResu
 	res.Reachable = true
 	if resp.StatusCode == http.StatusOK {
 		res.OpenAccess = true
-		res.Findings = append(res.Findings, Finding{
+		res.Findings = append(res.Findings, scan.Finding{
 			Suite: SuiteName, CheckID: "PRB-001", Title: "API reachable without credentials",
 			Severity: rules.SevCritical, Class: rules.ClassMisconfig,
 			Evidence:    "GET /api/status returned 200 unauthenticated",
@@ -256,7 +237,7 @@ func ProbeCtx(ctx context.Context, addr string, timeout time.Duration) ProbeResu
 	}
 	if ao := resp.Header.Get("Access-Control-Allow-Origin"); ao == "*" {
 		res.WildcardCORS = true
-		res.Findings = append(res.Findings, Finding{
+		res.Findings = append(res.Findings, scan.Finding{
 			Suite: SuiteName, CheckID: "PRB-002", Title: "Wildcard CORS on live server",
 			Severity: rules.SevHigh, Class: rules.ClassMisconfig,
 			Evidence:    "Access-Control-Allow-Origin: *",
@@ -276,7 +257,7 @@ func ProbeCtx(ctx context.Context, addr string, timeout time.Duration) ProbeResu
 			tresp.Body.Close()
 			if tresp.StatusCode == http.StatusCreated {
 				res.TerminalsEnabled = true
-				res.Findings = append(res.Findings, Finding{
+				res.Findings = append(res.Findings, scan.Finding{
 					Suite: SuiteName, CheckID: "PRB-003", Title: "Terminals spawnable by anonymous users",
 					Severity: rules.SevCritical, Class: rules.ClassMisconfig,
 					Evidence:    "POST /api/terminals returned 201 unauthenticated",

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/rules"
+	"repro/internal/scan"
 	"repro/internal/server"
 )
 
@@ -19,8 +20,8 @@ func TestHardenedConfigIsClean(t *testing.T) {
 	if len(findings) != 0 {
 		t.Fatalf("hardened config has findings: %+v", findings)
 	}
-	if Score(findings) != 100 {
-		t.Fatalf("score = %f", Score(findings))
+	if scan.Score(findings) != 100 {
+		t.Fatalf("score = %f", scan.Score(findings))
 	}
 }
 
@@ -47,7 +48,7 @@ func TestSloppyConfigFindsEverything(t *testing.T) {
 			t.Errorf("check %s did not fire on sloppy config", id)
 		}
 	}
-	if s := Score(findings); s > 10 {
+	if s := scan.Score(findings); s > 10 {
 		t.Fatalf("sloppy score = %f (should be near 0)", s)
 	}
 }
@@ -207,11 +208,11 @@ func TestProbeCtxCancelled(t *testing.T) {
 
 func TestMergeFindings(t *testing.T) {
 	static := Scan(server.SloppyConfig())
-	probe := []Finding{
+	probe := []scan.Finding{
 		{Suite: SuiteName, CheckID: "PRB-001", Title: "open", Severity: rules.SevCritical, Class: rules.ClassMisconfig},
 		{Suite: SuiteName, CheckID: "JPY-001", Title: "dup of static", Severity: rules.SevCritical, Class: rules.ClassMisconfig},
 	}
-	merged := MergeFindings(probe, static)
+	merged := scan.Merge(probe, static)
 	if len(merged) != len(static)+1 {
 		t.Fatalf("merged %d findings, want %d", len(merged), len(static)+1)
 	}
@@ -230,7 +231,7 @@ func TestMergeFindings(t *testing.T) {
 }
 
 func TestSeverityCounts(t *testing.T) {
-	counts := SeverityCounts(Scan(server.SloppyConfig()))
+	counts := scan.SeverityCounts(Scan(server.SloppyConfig()))
 	total := 0
 	for _, n := range counts {
 		total += n

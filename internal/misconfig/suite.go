@@ -34,7 +34,7 @@ func (SweepSuite) Run(ctx context.Context, t scan.Target) (scan.Outcome, error) 
 		pr = ProbeCtx(ctx, t.Addr, budget)
 	}
 	return scan.Outcome{
-		Findings: MergeFindings(pr.Findings, static),
+		Findings: scan.Merge(pr.Findings, static),
 		Attrs: map[string]string{
 			scan.AttrReachable:     strconv.FormatBool(pr.Reachable),
 			scan.AttrOpenAccess:    strconv.FormatBool(pr.OpenAccess),

@@ -27,12 +27,6 @@ import (
 // SuiteName is this scanner's key in the scan suite registry.
 const SuiteName = "nbscan"
 
-// Finding is the unified scan finding; nbscan produces findings with
-// Suite = "nbscan", the flagged cell ID in Target, and the reason in
-// Evidence. The alias is the compatibility shim for callers that
-// predate the scan package.
-type Finding = scan.Finding
-
 var minerStrings = regexp.MustCompile(`(?i)(stratum\+tcp|xmrig|minerd|cryptonight|coinhive)`)
 
 // pattern is one call-combination rule.
@@ -78,10 +72,10 @@ var patterns = []pattern{
 }
 
 // ScanSource statically analyzes one cell source.
-func ScanSource(cellID, src string) []Finding {
-	var out []Finding
+func ScanSource(cellID, src string) []scan.Finding {
+	var out []scan.Finding
 	if m := minerStrings.FindString(src); m != "" {
-		out = append(out, Finding{
+		out = append(out, scan.Finding{
 			Suite: SuiteName, CheckID: "NB-miner-string", Title: "Miner indicator in cell source",
 			Severity: rules.SevCritical, Class: rules.ClassCryptomining, Target: cellID,
 			Evidence:    fmt.Sprintf("miner indicator %q in source", m),
@@ -92,7 +86,7 @@ func ScanSource(cellID, src string) []Finding {
 	if err != nil {
 		// Unparseable code cells cannot be vetted; surface that fact
 		// at low severity rather than passing them silently.
-		out = append(out, Finding{
+		out = append(out, scan.Finding{
 			Suite: SuiteName, CheckID: "NB-unscannable", Title: "Cell cannot be vetted",
 			Severity: rules.SevInfo, Class: rules.ClassZeroDay, Target: cellID,
 			Evidence: fmt.Sprintf("cell does not parse (%v): unscannable", err),
@@ -117,7 +111,7 @@ func ScanSource(cellID, src string) []Finding {
 			}
 		}
 		if match {
-			out = append(out, Finding{
+			out = append(out, scan.Finding{
 				Suite: SuiteName, CheckID: "NB-" + p.name, Title: "Attack-shaped cell: " + p.name,
 				Severity: p.severity, Class: p.class, Target: cellID,
 				Evidence:    p.reason + " (calls: " + strings.Join(calls, ", ") + ")",
@@ -129,8 +123,8 @@ func ScanSource(cellID, src string) []Finding {
 }
 
 // ScanNotebook scans every code cell.
-func ScanNotebook(nb *nbformat.Notebook) []Finding {
-	var out []Finding
+func ScanNotebook(nb *nbformat.Notebook) []scan.Finding {
+	var out []scan.Finding
 	for i := range nb.Cells {
 		c := &nb.Cells[i]
 		if c.CellType != nbformat.CellCode {
@@ -143,7 +137,7 @@ func ScanNotebook(nb *nbformat.Notebook) []Finding {
 }
 
 // TopSeverity returns the worst severity among findings ("" if none).
-func TopSeverity(findings []Finding) rules.Severity {
+func TopSeverity(findings []scan.Finding) rules.Severity {
 	var top rules.Severity
 	for _, f := range findings {
 		if f.Severity.Rank() > top.Rank() {
@@ -154,7 +148,7 @@ func TopSeverity(findings []Finding) rules.Severity {
 }
 
 // Render prints findings for CLI use.
-func Render(findings []Finding) string {
+func Render(findings []scan.Finding) string {
 	if len(findings) == 0 {
 		return "notebook scan: clean\n"
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/nbformat"
 	"repro/internal/rules"
+	"repro/internal/scan"
 )
 
 func nb(sources ...string) *nbformat.Notebook {
@@ -16,7 +17,7 @@ func nb(sources ...string) *nbformat.Notebook {
 	return out
 }
 
-func classesOf(findings []Finding) map[string]bool {
+func classesOf(findings []scan.Finding) map[string]bool {
 	m := map[string]bool{}
 	for _, f := range findings {
 		m[f.Class] = true

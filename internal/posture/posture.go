@@ -39,12 +39,6 @@ type Config struct {
 	KernelLimits  Limits
 	ConnectionKey string
 
-	// KernelEngine selects the minilang execution engine for kernels:
-	// "vm" (bytecode, the default when empty) or "tree" (the reference
-	// tree-walking interpreter). Both are observably equivalent; tree
-	// is the differential-testing oracle and a fallback knob.
-	KernelEngine string
-
 	// Quota for the content filesystem (bytes, 0 = unlimited).
 	ContentQuota int64
 }

@@ -151,7 +151,6 @@ func NewServer(cfg Config, opts ...Option) *Server {
 		Gateway:       s.gateway,
 		HostWrapper:   s.hostWrapper,
 		ExecHook:      s.execHook,
-		Engine:        cfg.KernelEngine,
 	}
 	if cfg.KernelLimits.MaxSteps > 0 {
 		kcfg.Limits.MaxSteps = cfg.KernelLimits.MaxSteps
