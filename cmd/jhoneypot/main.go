@@ -9,10 +9,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/honeypot"
 )
 
@@ -29,9 +28,9 @@ func main() {
 	fmt.Printf("jhoneypot: decoy %q listening on http://%s (deliberately open, baited)\n", *id, hp.Addr)
 	fmt.Println("jhoneypot: Ctrl-C to stop and publish intel")
 
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
+	ctx, stop := cliutil.SignalContext()
+	defer stop()
+	<-ctx.Done()
 	_ = hp.Close()
 
 	fps := hp.Fingerprints()

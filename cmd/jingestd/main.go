@@ -16,7 +16,8 @@
 // per segment, so a store an older build started in v1 JSON segments
 // replays identically after a restart appends to it. The codec only
 // affects the on-disk segment frames, not the JSONL wire format
-// agents POST.
+// agents POST. A --store path ending in .jsonl records a flat JSONL
+// file instead, with no history.
 //
 // Agents POST JSONL event batches to /ingest or stream them over
 // /ingest/ws (one JSONL batch per message) with headers:
@@ -40,13 +41,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/auth"
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/evstore"
 	"repro/internal/histstore"
@@ -58,7 +57,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
 	tenantsFlag := flag.String("tenants", "", "comma-separated name=secret tenant declarations (required)")
 	mint := flag.String("mint", "", "print the bearer token for this tenant and exit")
-	storePath := flag.String("store", "", "record accepted events to this event-store directory (replayable with jsentinel --replay)")
+	storePath := flag.String("store", "", "record accepted events to this event-store directory (replayable with jsentinel --replay); a path ending in .jsonl records a flat JSONL file with no history")
 	detect := flag.Bool("detect", true, "run the detection engine live and print the incident report on shutdown")
 	policy := flag.String("policy", "block", "default backpressure policy: block (lossless) or drop (shed newest, counted)")
 	tenantPolicy := flag.String("tenant-policy", "", "per-tenant policy overrides, e.g. acme=drop,globex=block")
@@ -67,7 +66,7 @@ func main() {
 	maxConns := flag.Int("max-conns", 4096, "max concurrently admitted connections across all tenants")
 	queue := flag.Int("queue", 1024, "per-tenant queue depth")
 	topK := flag.Int("top", 10, "incidents to list in the shutdown report")
-	history := flag.String("history", "", "record alert/incident history here for jsentinel query (defaults to <store>/history when --store and --detect are on; \"none\" disables)")
+	history := flag.String("history", "", "record alert/incident history here for jsentinel query (defaults to <store>/history when --store is a store directory and --detect is on; \"none\" disables)")
 	retainEvents := flag.Int("retain-events", -1, "at drain, keep at most this many sealed event segments (-1 = keep all)")
 	retainHistory := flag.Int("retain-history", -1, "at drain, keep at most this many sealed history segments (-1 = keep all); events always compact first")
 	flag.Parse()
@@ -104,60 +103,30 @@ func main() {
 	}
 
 	// The sink fan-out: live engine, durable store, either, or both.
-	// With both, the engine's alert/incident stream lands in an
-	// indexed history next to the store (default <store>/history,
-	// appended across restarts like the store itself), so the daemon's
-	// detection results are queryable offline with jsentinel query.
+	// The store and its history append across restarts; without
+	// detection there is nothing to record in a history.
+	hist := *history
+	if !*detect {
+		hist = "none"
+	}
+	rec, err := cliutil.Open("jingestd", *storePath, hist, evstore.SinkAppend)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jingestd: %v\n", err)
+		os.Exit(1)
+	}
 	var sinks []trace.Sink
 	var eng *core.Engine
-	var hrec *histstore.Recorder
-	if *history == "" && *storePath != "" && *detect {
-		*history = filepath.Join(*storePath, "history")
-	}
-	if *detect && *history != "" && *history != "none" {
-		hs, err := histstore.OpenWith(*history, histstore.OpenAppend, histstore.Options{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jingestd: %v\n", err)
-			os.Exit(1)
-		}
-		for _, loss := range hs.Recovered() {
-			fmt.Fprintf(os.Stderr, "jingestd: recovered %s: %d bytes truncated (%s)\n",
-				loss.Segment, loss.LostBytes, loss.Reason)
-		}
-		hrec = histstore.NewRecorder(hs)
-	}
 	if *detect {
 		engOpts := core.DefaultOptions()
-		if hrec != nil {
-			engOpts.OnAlert = hrec.OnAlert
-			engOpts.OnIncidentUpdate = hrec.OnIncidentUpdate
-		}
-		var err error
+		rec.Hook(&engOpts)
 		if eng, err = core.NewEngine(engOpts); err != nil {
 			fmt.Fprintf(os.Stderr, "jingestd: %v\n", err)
 			os.Exit(1)
 		}
 		sinks = append(sinks, eng)
 	}
-	closeStore := func() error { return nil }
-	var eventStore *evstore.Store
-	if *storePath != "" {
-		h, err := evstore.OpenSink(*storePath, evstore.SinkAppend, "")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jingestd: %v\n", err)
-			os.Exit(1)
-		}
-		for _, loss := range h.Recovered {
-			fmt.Fprintf(os.Stderr, "jingestd: recovered %s: %d bytes truncated (%s)\n",
-				loss.Segment, loss.LostBytes, loss.Reason)
-		}
-		if h.ExistingEvents > 0 {
-			fmt.Fprintf(os.Stderr, "jingestd: appending to existing event store (%d events recorded)\n",
-				h.ExistingEvents)
-		}
-		sinks = append(sinks, h)
-		closeStore = h.Close
-		eventStore = h.Store
+	if rec.Events != nil {
+		sinks = append(sinks, rec.Events)
 	}
 
 	svc := ingest.New(cfg, trace.Tee(sinks...))
@@ -174,31 +143,30 @@ func main() {
 	}
 	fmt.Println("jingestd: POST /ingest or stream /ingest/ws; /stats for counters; Ctrl-C to drain")
 
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
+	ctx, stop := cliutil.SignalContext()
+	defer stop()
+	<-ctx.Done()
 	fmt.Println("\njingestd: draining")
 	svc.Drain()
 
 	fmt.Print(svc.Stats().RenderTenantTable())
-	if err := closeStore(); err != nil {
-		fmt.Fprintf(os.Stderr, "jingestd: event store: %v\n", err)
+	if err := rec.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "jingestd: %v\n", err)
 		os.Exit(1)
-	}
-	var histStore *histstore.Store
-	if hrec != nil {
-		histStore = hrec.Store()
-		if err := histStore.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "jingestd: history: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("jingestd: history recorded to %s (%s)\n", *history, histStore.Stats().Render())
 	}
 	// Tiered retention runs after both stores have sealed, so the
 	// active segments count toward the kept tally. Events compact
 	// first, history last: as long as an event segment survives its
 	// history can be re-derived, never the other way around.
 	if *retainEvents >= 0 || *retainHistory >= 0 {
+		var eventStore *evstore.Store
+		var histStore *histstore.Store
+		if rec.Events != nil {
+			eventStore = rec.Events.Store
+		}
+		if rec.History != nil {
+			histStore = rec.History.Store()
+		}
 		res, err := histstore.ApplyTieredRetention(eventStore, histStore, *retainEvents, *retainHistory)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jingestd: retention: %v\n", err)

@@ -37,18 +37,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/cryptoaudit"
 	"repro/internal/evstore"
 	"repro/internal/fleet"
-	"repro/internal/histstore"
 	"repro/internal/misconfig"
 	"repro/internal/nbformat"
 	"repro/internal/nbscan"
@@ -174,56 +171,21 @@ func runFleet(n int, seed int64, opts fleet.Options, jsonlPath, eventsPath, hist
 	// order — a multi-worker stage may reorder findings, but every
 	// incident aggregate (count, top severity, risk) is
 	// order-independent.
-	// The finding stream lands in the segmented event store by
-	// default; a .jsonl path keeps the legacy flat file. Either way
-	// the recording's sticky error is checked before exit — a
-	// truncated stream must not look like a clean sweep. Opened before
-	// the history store so the events policy (the one users see) wins
-	// when both refuse a non-empty target.
-	var eventsSink *evstore.SinkHandle
-	if eventsPath != "" {
-		// A census is one sweep: refuse a store that already holds a
-		// recorded stream, or the stream would disagree with the
-		// report just printed. A resumed sweep is the exception — it
-		// re-emits resumed findings, so the interrupted run's partial
-		// recording is replaced by the complete stream (exactly what
-		// os.Create truncation did for the legacy .jsonl path).
-		mode := evstore.SinkFresh
-		if opts.CheckpointPath != "" {
-			mode = evstore.SinkReplace
-		}
-		h, err := evstore.OpenSink(eventsPath, mode, "")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jscan: --events: %v\n", err)
-			return 1
-		}
-		eventsSink = h
+	// A census is one sweep: a store that already holds a recorded
+	// stream is refused, or it would disagree with the report just
+	// printed. A resumed sweep re-emits resumed findings, so its
+	// complete stream replaces the interrupted run's partial one.
+	mode := evstore.SinkFresh
+	if opts.CheckpointPath != "" {
+		mode = evstore.SinkReplace
 	}
-	// History rides next to the finding store by default, so a census
-	// is queryable afterwards (`jsentinel query <events-store>`)
-	// without re-detecting. Same freshness policy as the event
-	// recording: one sweep, one history — replaced when resuming.
-	if historyPath == "" && eventsPath != "" && !strings.HasSuffix(eventsPath, ".jsonl") {
-		historyPath = filepath.Join(eventsPath, "history")
-	}
-	var hrec *histstore.Recorder
-	if historyPath != "" && historyPath != "none" {
-		mode := histstore.OpenFresh
-		if opts.CheckpointPath != "" {
-			mode = histstore.OpenReplace
-		}
-		hs, err := histstore.OpenWith(historyPath, mode, histstore.Options{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jscan: --history: %v\n", err)
-			return 1
-		}
-		hrec = histstore.NewRecorder(hs)
+	rec, err := cliutil.Open("jscan", eventsPath, historyPath, mode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jscan: %v\n", err)
+		return 1
 	}
 	engineOpts := core.DefaultOptions()
-	if hrec != nil {
-		engineOpts.OnAlert = hrec.OnAlert
-		engineOpts.OnIncidentUpdate = hrec.OnIncidentUpdate
-	}
+	rec.Hook(&engineOpts)
 	engine, err := core.NewEngine(engineOpts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jscan: %v\n", err)
@@ -232,8 +194,8 @@ func runFleet(n int, seed int64, opts fleet.Options, jsonlPath, eventsPath, hist
 	stage := trace.NewStage(engine, opts.Workers, 4096, trace.Block)
 	opts.Events = trace.SinkFunc(func(e trace.Event) {
 		stage.Emit(e)
-		if eventsSink != nil {
-			eventsSink.Emit(e)
+		if rec.Events != nil {
+			rec.Events.Emit(e)
 		}
 	})
 
@@ -247,25 +209,15 @@ func runFleet(n int, seed int64, opts fleet.Options, jsonlPath, eventsPath, hist
 
 	// Ctrl-C cancels the sweep; completed targets are already in the
 	// checkpoint, so rerunning with --resume picks up the remainder.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cliutil.SignalContext()
 	defer stop()
 	report, err := fleet.Scan(ctx, fl.Targets(), opts)
 	stage.Close() // drain queued findings before the alert tally
-	if hrec != nil {
-		// Stage drained: every finding's alerts and incident updates
-		// have reached the history store. Stats go to stderr so the
-		// census stdout stays byte-identical run to run.
-		if cerr := hrec.Store().Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("history: %w", cerr)
-		} else {
-			fmt.Fprintf(os.Stderr, "jscan: history recorded to %s (%s)\n",
-				historyPath, hrec.Store().Stats().Render())
-		}
-	}
-	if eventsSink != nil {
-		if cerr := eventsSink.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("event stream: %w", cerr)
-		}
+	// Stage drained: every finding's alerts and incident updates have
+	// reached the history. Its report goes to stderr, so the census
+	// stdout stays byte-identical run to run.
+	if cerr := rec.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	if jsonlFile != nil {
 		// Close errors mean the JSONL stream is incomplete; a silent

@@ -66,14 +66,12 @@ import (
 	"io"
 	"net"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/evstore"
 	"repro/internal/histstore"
@@ -115,7 +113,7 @@ func main() {
 		}
 		replayTrace(*replay, *showAlerts, *workers, *batch, *topK, filter, *history)
 	case *listen != "":
-		live(*listen, *token, *showAlerts, *zeekOut, *logPath, *workers, *queue, *topK, *history)
+		os.Exit(live(*listen, *token, *showAlerts, *zeekOut, *logPath, *workers, *queue, *topK, *history))
 	default:
 		fmt.Fprintln(os.Stderr, "jsentinel: need --replay PATH or --listen ADDR")
 		os.Exit(2)
@@ -229,8 +227,8 @@ func queryCmd(argv []string) {
 	// the store prints its stats too, pointing straight at a history
 	// directory skips them.
 	histDir := path
-	if st, err := os.Stat(filepath.Join(path, "history")); err == nil && st.IsDir() {
-		histDir = filepath.Join(path, "history")
+	if st, err := os.Stat(cliutil.HistoryDir(path)); err == nil && st.IsDir() {
+		histDir = cliutil.HistoryDir(path)
 		if es, err := evstore.OpenRead(path); err == nil {
 			fmt.Printf("store stats: %s\n", es.Stats().Render())
 		}
@@ -295,58 +293,22 @@ func parseRFC3339(flagName, value string) (time.Time, error) {
 	return t, nil
 }
 
-// newEngine builds the detection engine, optionally printing alerts
-// and/or recording history. The recorder's hooks run first so a
-// printed alert is never ahead of its persisted record.
-func newEngine(showAlerts bool, rec *histstore.Recorder) *core.Engine {
+// newEngine builds the detection engine, optionally printing alerts,
+// with rec's history hooked in.
+func newEngine(showAlerts bool, rec *cliutil.Recording) *core.Engine {
 	opts := core.DefaultOptions()
-	var print func(rules.Alert)
 	if showAlerts {
-		print = func(a rules.Alert) {
+		opts.OnAlert = func(a rules.Alert) {
 			fmt.Printf("ALERT [%-8s] %-28s %-24s %s\n", a.Severity, a.Class, a.RuleID, a.Description)
 		}
 	}
-	opts.OnAlert = print
-	if rec != nil {
-		opts.OnIncidentUpdate = rec.OnIncidentUpdate
-		opts.OnAlert = func(a rules.Alert) {
-			rec.OnAlert(a)
-			if print != nil {
-				print(a)
-			}
-		}
-	}
+	rec.Hook(&opts)
 	eng, err := core.NewEngine(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
 		os.Exit(1)
 	}
 	return eng
-}
-
-// openHistory opens the history store for a recording mode, exiting
-// on failure. mode differs per caller: replay rebuilds (Replace),
-// live appends across restarts.
-func openHistory(path string, mode histstore.Mode) *histstore.Recorder {
-	hs, err := histstore.OpenWith(path, mode, histstore.Options{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
-		os.Exit(1)
-	}
-	for _, loss := range hs.Recovered() {
-		fmt.Fprintf(os.Stderr, "jsentinel: %s had a torn tail: %d bytes truncated (%s)\n",
-			loss.Segment, loss.LostBytes, loss.Reason)
-	}
-	return histstore.NewRecorder(hs)
-}
-
-// closeHistory seals the history and reports where it landed.
-func closeHistory(rec *histstore.Recorder, path string) {
-	if err := rec.Store().Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "jsentinel: history: %v\n", err)
-		return
-	}
-	fmt.Printf("history: recorded to %s (%s)\n", path, rec.Store().Stats().Render())
 }
 
 // replayTrace pushes a recorded trace — JSONL file or store directory
@@ -360,12 +322,14 @@ func replayTrace(path string, showAlerts bool, workers, batch, topK int, filter 
 		fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
 		os.Exit(1)
 	}
-	// Replay history is explicit opt-in and rebuilt from scratch: a
-	// replay re-derives the complete detection result, so appending to
-	// a previous run's history would duplicate every incident.
-	var rec *histstore.Recorder
-	if history != "" && history != "none" {
-		rec = openHistory(history, histstore.OpenReplace)
+	// Replay history is explicit opt-in (there is no events path to
+	// default it from) and rebuilt from scratch: a replay re-derives the
+	// complete detection result, so appending to a previous run's
+	// history would duplicate every incident.
+	rec, err := cliutil.Open("jsentinel", "", history, evstore.SinkReplace)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
+		os.Exit(1)
 	}
 	eng := newEngine(showAlerts, rec)
 	var mu sync.Mutex
@@ -461,24 +425,14 @@ func replayTrace(path string, showAlerts bool, workers, batch, topK int, filter 
 	fmt.Printf("event mix: %s\n\n", renderKindMix(counts))
 	fmt.Print(eng.Report(time.Now()).Render())
 	incs := eng.Incidents()
-	fmt.Print(renderTopIncidents(incs, topK))
+	fmt.Print(core.RenderTopIncidents(incs, topK))
 	for _, inc := range incs {
 		fmt.Println(inc.Summary())
 	}
-	if rec != nil {
-		if err := rec.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "jsentinel: history: %v\n", err)
-			os.Exit(1)
-		}
-		closeHistory(rec, history)
+	if err := rec.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
+		os.Exit(1)
 	}
-}
-
-// renderTopIncidents prints the risk-ranked incident table from an
-// Incidents() snapshot via the shared core rendering, so jsentinel
-// and jscan can never drift apart on the table format.
-func renderTopIncidents(incs []*core.Incident, topK int) string {
-	return core.RenderTopIncidents(incs, topK)
 }
 
 // renderKindMix summarizes the replayed stream's composition, sorted
@@ -496,42 +450,21 @@ func renderKindMix(counts map[trace.Kind]int) string {
 	return strings.Join(parts, " ")
 }
 
-func live(addr, token string, showAlerts bool, zeekOut, logPath string, workers, queue, topK int, history string) {
+// live monitors a tapped server until SIGINT or SIGTERM and returns
+// the process exit code.
+func live(addr, token string, showAlerts bool, zeekOut, logPath string, workers, queue, topK int, history string) int {
 	cfg := server.HardenedConfig(token)
 	srv := server.NewServer(cfg)
 	mon := netmon.NewMonitor(netmon.FullVisibility(), nil)
-	// History rides next to the event log by default: when --log
-	// records to a store directory, <log>/history accumulates the
-	// alert/incident records for `jsentinel query`, appended across
-	// restarts like the log itself. "none" opts out; an explicit
-	// --history records even without --log.
-	if history == "" && logPath != "" && !strings.HasSuffix(logPath, ".jsonl") {
-		history = filepath.Join(logPath, "history")
+	// The tapped stream, replayable later with --replay, and the
+	// history next to it both append: a monitor log spans restarts.
+	rec, err := cliutil.Open("jsentinel", logPath, history, evstore.SinkAppend)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
+		os.Exit(1)
 	}
-	var hrec *histstore.Recorder
-	if history != "" && history != "none" {
-		hrec = openHistory(history, histstore.OpenAppend)
-	}
-	eng := newEngine(showAlerts, hrec)
+	eng := newEngine(showAlerts, rec)
 
-	// Optional recording of the tapped stream, replayable later with
-	// --replay. SinkAppend: a monitor log spans restarts.
-	var rec *evstore.SinkHandle
-	if logPath != "" {
-		h, err := evstore.OpenSink(logPath, evstore.SinkAppend, "")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
-			os.Exit(1)
-		}
-		for _, loss := range h.Recovered {
-			fmt.Fprintf(os.Stderr, "jsentinel: %s had a torn tail: %d bytes truncated (%s)\n",
-				loss.Segment, loss.LostBytes, loss.Reason)
-		}
-		if h.ExistingEvents > 0 {
-			fmt.Fprintf(os.Stderr, "jsentinel: appending to %s (%d events already recorded)\n", logPath, h.ExistingEvents)
-		}
-		rec = h
-	}
 	// Decouple request handling from detection: events queue into
 	// bounded stages drained off the serving path. One single-worker
 	// stage per detection worker, routed by actor key — a shared
@@ -546,8 +479,8 @@ func live(addr, token string, showAlerts bool, zeekOut, logPath string, workers,
 		stages[i] = trace.NewStage(eng, 1, queue, trace.Block)
 	}
 	router := trace.SinkFunc(func(e trace.Event) {
-		if rec != nil {
-			rec.Emit(e)
+		if rec.Events != nil {
+			rec.Events.Emit(e)
 		}
 		stages[workload.ShardIndex(workload.ActorKey(e), len(stages))].Emit(e)
 	})
@@ -567,43 +500,41 @@ func live(addr, token string, showAlerts bool, zeekOut, logPath string, workers,
 	fmt.Printf("jsentinel: monitored server on http://%s (token %s)\n", bound, token)
 	fmt.Println("jsentinel: streaming alerts; Ctrl-C for final report")
 
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
+	ctx, stop := cliutil.SignalContext()
+	defer stop()
+	<-ctx.Done()
 	_ = srv.Close()
 	for _, st := range stages {
 		st.Close() // drain queued events before the final report
 	}
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "jsentinel: recording: %v\n", err)
-		} else {
-			fmt.Printf("jsentinel: tapped stream recorded to %s\n", logPath)
-		}
-	}
-	if hrec != nil {
-		// Stages are drained, so every queued event's alerts and
-		// incident updates have already landed in the history.
-		closeHistory(hrec, history)
+	// Stages are drained, so every queued event's alerts and incident
+	// updates have already reached the history.
+	code := 0
+	if err := rec.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
+		code = 1
+	} else if logPath != "" {
+		fmt.Printf("jsentinel: tapped stream recorded to %s\n", logPath)
 	}
 
 	vis := mon.Visibility()
 	fmt.Printf("\nwire visibility: conns=%d bytes=%d http=%d ws_frames=%d jupyter_msgs=%d\n",
 		vis.Conns, vis.BytesTotal, vis.HTTPRequests, vis.WSFrames, vis.JupyterMessages)
 	fmt.Print(eng.Report(time.Now()).Render())
-	fmt.Print(renderTopIncidents(eng.Incidents(), topK))
+	fmt.Print(core.RenderTopIncidents(eng.Incidents(), topK))
 
 	if zeekOut != "" {
 		f, err := os.Create(zeekOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
-			return
+			return code
 		}
 		defer f.Close()
 		if err := mon.WriteAllLogs(f); err != nil {
 			fmt.Fprintf(os.Stderr, "jsentinel: zeek export: %v\n", err)
-			return
+			return code
 		}
 		fmt.Printf("jsentinel: Zeek logs written to %s\n", zeekOut)
 	}
+	return code
 }

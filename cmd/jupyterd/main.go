@@ -26,12 +26,11 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"repro/internal/auth"
+	"repro/internal/cliutil"
 	"repro/internal/evstore"
 	"repro/internal/misconfig"
 	"repro/internal/server"
@@ -71,27 +70,15 @@ func main() {
 	}
 
 	srv := server.NewServer(cfg)
-	// closeLog flushes the event log on shutdown and returns the first
-	// write error, so a torn log never exits 0.
-	closeLog := func() error { return nil }
-	if *logPath != "" {
-		h, err := evstore.OpenSink(*logPath, evstore.SinkAppend, "")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jupyterd: %v\n", err)
-			os.Exit(1)
-		}
-		for _, loss := range h.Recovered {
-			fmt.Fprintf(os.Stderr, "jupyterd: recovered %s: %d bytes truncated (%s)\n",
-				loss.Segment, loss.LostBytes, loss.Reason)
-		}
-		if h.ExistingEvents > 0 {
-			// A server log legitimately spans restarts; say so rather
-			// than silently growing an old recording.
-			fmt.Fprintf(os.Stderr, "jupyterd: appending to existing event store (%d events recorded)\n",
-				h.ExistingEvents)
-		}
-		srv.Bus().Subscribe(h)
-		closeLog = h.Close
+	// A server log legitimately spans restarts, so it appends (and
+	// says so). The server runs no detection, so there is no history.
+	rec, err := cliutil.Open("jupyterd", *logPath, "none", evstore.SinkAppend)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jupyterd: %v\n", err)
+		os.Exit(1)
+	}
+	if rec.Events != nil {
+		srv.Bus().Subscribe(rec.Events)
 	}
 
 	bound, err := srv.Start()
@@ -113,13 +100,15 @@ func main() {
 			indent(misconfig.Render(misconfig.Scan(cfg))))
 	}
 
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
+	ctx, stop := cliutil.SignalContext()
+	defer stop()
+	<-ctx.Done()
 	fmt.Println("\njupyterd: shutting down")
 	_ = srv.Close()
-	if err := closeLog(); err != nil {
-		fmt.Fprintf(os.Stderr, "jupyterd: event log: %v\n", err)
+	// Close flushes the log's buffered writes and returns the first
+	// write error, so a torn log never exits 0.
+	if err := rec.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "jupyterd: %v\n", err)
 		os.Exit(1)
 	}
 }
