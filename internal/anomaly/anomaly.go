@@ -24,6 +24,7 @@ package anomaly
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -152,15 +153,16 @@ func DefaultRansomwareConfig() RansomwareConfig {
 type Ransomware struct {
 	cfg RansomwareConfig
 
-	mu         sync.Mutex
-	writeTimes map[string][]time.Time // actor key -> encrypted-looking write times
+	mu sync.Mutex
+	// Every state map here is pointer-valued, its key cloned on first
+	// insert, so a repeat event updates in place: assigning through the
+	// map would swap the stored key for the event's strings, which may
+	// be backed by a whole decode arena chunk or wire line.
+	writeTimes map[string]*[]time.Time // actor key -> encrypted-looking write times
 	// lastEntropy is keyed by actor and path, not bare path: entropy
 	// history must stay confined to one actor or per-shard instances
 	// (each seeing only its own actors' writes) would diverge from a
-	// global one when two users touch the same file. Pointer-valued so
-	// a repeat write updates in place: assigning through the map would
-	// swap the stored key for the event's strings, which may be backed
-	// by a decode arena or a wire line.
+	// global one when two users touch the same file.
 	lastEntropy map[fileKey]*float64
 }
 
@@ -175,7 +177,7 @@ func NewRansomware(cfg RansomwareConfig) *Ransomware {
 	}
 	return &Ransomware{
 		cfg:         cfg,
-		writeTimes:  map[string][]time.Time{},
+		writeTimes:  map[string]*[]time.Time{},
 		lastEntropy: map[fileKey]*float64{},
 	}
 }
@@ -215,16 +217,20 @@ func (d *Ransomware) Process(e trace.Event) []rules.Alert {
 	// Burst of encrypted-looking writes.
 	if e.Entropy >= d.cfg.EntropyThreshold {
 		times := d.writeTimes[actor]
-		fresh := times[:0]
-		for _, t := range times {
+		if times == nil {
+			times = new([]time.Time)
+			d.writeTimes[strings.Clone(actor)] = times
+		}
+		fresh := (*times)[:0]
+		for _, t := range *times {
 			if e.Time.Sub(t) <= d.cfg.BurstWindow {
 				fresh = append(fresh, t)
 			}
 		}
 		fresh = append(fresh, e.Time)
-		d.writeTimes[actor] = fresh
+		*times = fresh
 		if len(fresh) >= d.cfg.BurstCount {
-			d.writeTimes[actor] = nil
+			*times = fresh[:0]
 			alerts = append(alerts, rules.Alert{
 				RuleID: "ANOM-RW-write-burst", Class: rules.ClassRansomware,
 				Severity: rules.SevCritical,
@@ -270,7 +276,7 @@ type Exfil struct {
 	cfg ExfilConfig
 
 	mu        sync.Mutex
-	baselines map[string]*EWMA // actor key -> outbound bytes baseline
+	baselines map[string]*EWMA // actor key (cloned on first insert) -> outbound bytes baseline
 }
 
 // NewExfil returns an exfiltration detector.
@@ -313,7 +319,7 @@ func (d *Exfil) Process(e trace.Event) []rules.Alert {
 	b := d.baselines[actor]
 	if b == nil {
 		b = &EWMA{Alpha: 0.2}
-		d.baselines[actor] = b
+		d.baselines[strings.Clone(actor)] = b
 	}
 	if z := b.Update(float64(e.Bytes)); z >= d.cfg.VolumeZ {
 		alerts = append(alerts, rules.Alert{
@@ -352,8 +358,11 @@ func DefaultMinerConfig() MinerConfig {
 type Miner struct {
 	cfg MinerConfig
 
-	mu    sync.Mutex
-	usage map[string][]cpuSample // actor key (the kernel) -> samples
+	mu sync.Mutex
+	// usage is pointer-valued, like Ransomware.lastEntropy, so a sample
+	// updates the window in place and the key stays the clone made on
+	// first insert.
+	usage map[string]*cpuWindow // actor key (the kernel) -> its window
 }
 
 type cpuSample struct {
@@ -361,12 +370,63 @@ type cpuSample struct {
 	ms int64
 }
 
+// cpuWindow holds one kernel's samples no older than the window, in
+// arrival order, as samples[head:], with their CPU total. While they
+// are in time order and a sample arrives no older than the newest, the
+// ones that fall out of the window are a prefix: they expire from the
+// front, O(1) amortized, and the dead prefix is reclaimed when it is
+// half of the array. A sample older than the newest held one makes
+// push test every held sample against it instead, as a full rebuild of
+// the window would; the window stays on that path until it is back in
+// time order.
+type cpuWindow struct {
+	samples   []cpuSample
+	head      int
+	burned    int64 // CPU ms over samples[head:]
+	unordered bool  // samples[head:] is not in time order
+}
+
+// push adds the sample at t and drops every held sample more than
+// window older than t; it reports the samples held.
+func (w *cpuWindow) push(t time.Time, ms int64, window time.Duration) []cpuSample {
+	held := w.samples[w.head:]
+	if w.unordered || (len(held) > 0 && t.Before(held[len(held)-1].t)) {
+		// Compact, append, and keep what is within the window in place.
+		all := append(w.samples[:copy(w.samples, held)], cpuSample{t, ms})
+		kept := all[:0]
+		w.burned, w.head = 0, 0
+		for _, s := range all {
+			if t.Sub(s.t) <= window {
+				kept = append(kept, s)
+				w.burned += s.ms
+			}
+		}
+		w.samples = kept
+		w.unordered = !slices.IsSortedFunc(kept, func(a, b cpuSample) int { return a.t.Compare(b.t) })
+		return kept
+	}
+	if w.head > 0 && len(w.samples) == cap(w.samples) && w.head >= len(w.samples)/2 {
+		w.samples = w.samples[:copy(w.samples, held)]
+		w.head = 0
+	}
+	w.samples = append(w.samples, cpuSample{t, ms})
+	w.burned += ms
+	for w.head < len(w.samples) && t.Sub(w.samples[w.head].t) > window {
+		w.burned -= w.samples[w.head].ms
+		w.head++
+	}
+	return w.samples[w.head:]
+}
+
+// reset empties the window, keeping its array.
+func (w *cpuWindow) reset() { *w = cpuWindow{samples: w.samples[:0]} }
+
 // NewMiner returns a mining detector.
 func NewMiner(cfg MinerConfig) *Miner {
 	if cfg.CPUMillisPerExec == 0 {
 		cfg = DefaultMinerConfig()
 	}
-	return &Miner{cfg: cfg, usage: map[string][]cpuSample{}}
+	return &Miner{cfg: cfg, usage: map[string]*cpuWindow{}}
 }
 
 // Name implements Detector.
@@ -380,7 +440,7 @@ func (d *Miner) Process(e trace.Event) []rules.Alert {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var alerts []rules.Alert
-	actor := trace.ActorKey(e)
+	actor := e.ActorKey()
 	if e.CPUMillis >= d.cfg.CPUMillisPerExec {
 		alerts = append(alerts, rules.Alert{
 			RuleID: "ANOM-CM-single-burn", Class: rules.ClassCryptomining,
@@ -389,22 +449,18 @@ func (d *Miner) Process(e trace.Event) []rules.Alert {
 			Time:        e.Time, Group: actor, Trigger: e.Clone(), Count: 1,
 		})
 	}
-	samples := append(d.usage[actor], cpuSample{t: e.Time, ms: e.CPUMillis})
-	fresh := samples[:0]
-	var burned int64
-	for _, s := range samples {
-		if e.Time.Sub(s.t) <= d.cfg.Window {
-			fresh = append(fresh, s)
-			burned += s.ms
-		}
+	w := d.usage[actor]
+	if w == nil {
+		w = &cpuWindow{}
+		d.usage[strings.Clone(actor)] = w
 	}
-	d.usage[actor] = fresh
+	fresh := w.push(e.Time, e.CPUMillis, d.cfg.Window)
 	if len(fresh) >= 3 {
 		span := e.Time.Sub(fresh[0].t)
 		if span > 0 {
-			duty := float64(burned) / float64(span.Milliseconds())
+			duty := float64(w.burned) / float64(span.Milliseconds())
 			if duty >= d.cfg.DutyCycle {
-				d.usage[actor] = nil
+				w.reset()
 				alerts = append(alerts, rules.Alert{
 					RuleID: "ANOM-CM-duty-cycle", Class: rules.ClassCryptomining,
 					Severity: rules.SevCritical,
@@ -451,7 +507,7 @@ type LowSlow struct {
 	cfg LowSlowConfig
 
 	mu      sync.Mutex
-	sources map[string]*lowSlowState // actor key: SrcIP, which ActorKey yields for http/auth
+	sources map[string]*lowSlowState // actor key: SrcIP, which ActorKey yields for http/auth; cloned on first insert
 }
 
 type lowSlowState struct {
@@ -486,7 +542,7 @@ func (d *LowSlow) Process(e trace.Event) []rules.Alert {
 	st := d.sources[e.SrcIP]
 	if st == nil {
 		st = &lowSlowState{first: e.Time, last: e.Time}
-		d.sources[e.SrcIP] = st
+		d.sources[strings.Clone(e.SrcIP)] = st
 		st.events = 1
 		if !e.Success {
 			st.failures++

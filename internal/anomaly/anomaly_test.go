@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/rules"
 	"repro/internal/trace"
@@ -136,6 +137,101 @@ func TestRansomwareRepeatWriteDoesNotAllocate(t *testing.T) {
 	d.Process(e)
 	if allocs := testing.AllocsPerRun(200, func() { d.Process(e) }); allocs != 0 {
 		t.Fatalf("a repeat write costs %.1f allocations, want 0", allocs)
+	}
+}
+
+// TestDetectorStateKeysAreClones: every detector map that keys state
+// by an event string stores a clone made on first insert, so its state
+// never pins the memory the event's strings live in (a whole replay
+// arena chunk, or an ingest line), and a repeat event updates the
+// state in place without allocating.
+func TestDetectorStateKeysAreClones(t *testing.T) {
+	// own gives s memory of its own, as each decoded event's strings have.
+	own := func(s string) string { return string([]byte(s)) }
+	cases := []struct {
+		name  string
+		d     Detector
+		event func(i int) trace.Event // the i-th repeat
+	}{{
+		name: "ransomware", d: NewRansomware(DefaultRansomwareConfig()),
+		event: func(i int) trace.Event {
+			// High entropy, but three minutes apart: never a burst.
+			return at(time.Duration(i)*3*time.Minute, trace.Event{Kind: trace.KindFileOp, Op: "write",
+				User: own("mallory"), Target: own("nb.ipynb"), Entropy: 7.9, Success: true})
+		},
+	}, {
+		name: "exfil", d: NewExfil(DefaultExfilConfig()),
+		event: func(i int) trace.Event {
+			return at(time.Duration(i)*time.Second, trace.Event{Kind: trace.KindNetOp, Op: "GET",
+				User: own("alice"), Target: own("http://conda/pkg"), Bytes: 1000, Entropy: 4, Success: true})
+		},
+	}, {
+		name: "miner", d: NewMiner(DefaultMinerConfig()),
+		event: func(i int) trace.Event {
+			return at(time.Duration(i)*10*time.Second, trace.Event{Kind: trace.KindSysRes,
+				KernelID: own("kern-b01"), CPUMillis: 500, Success: true})
+		},
+	}, {
+		name: "lowslow", d: NewLowSlow(DefaultLowSlowConfig()),
+		event: func(int) trace.Event {
+			return at(0, trace.Event{Kind: trace.KindHTTP, SrcIP: own("198.51.100.7"), Status: 200, Success: true})
+		},
+	}}
+	for _, c := range cases {
+		events := make([]trace.Event, 300)
+		for i := range events {
+			events[i] = c.event(i)
+		}
+		stored := func() []string {
+			var keys []string
+			switch d := c.d.(type) {
+			case *Ransomware:
+				for k := range d.writeTimes {
+					keys = append(keys, k)
+				}
+				for k := range d.lastEntropy {
+					keys = append(keys, k.actor, k.target)
+				}
+			case *Exfil:
+				for k := range d.baselines {
+					keys = append(keys, k)
+				}
+			case *Miner:
+				for k := range d.usage {
+					keys = append(keys, k)
+				}
+			case *LowSlow:
+				for k := range d.sources {
+					keys = append(keys, k)
+				}
+			}
+			return keys
+		}
+		for i, e := range events[:2] {
+			if a := c.d.Process(e); len(a) != 0 {
+				t.Fatalf("%s: event %d fired %+v", c.name, i, a)
+			}
+			keys := stored()
+			if len(keys) == 0 {
+				t.Fatalf("%s: no state stored", c.name)
+			}
+			for _, k := range keys {
+				for _, seen := range events[:i+1] {
+					for _, s := range []string{seen.User, seen.Target, seen.KernelID, seen.SrcIP} {
+						if s != "" && unsafe.StringData(k) == unsafe.StringData(s) {
+							t.Fatalf("%s: after event %d a stored key shares the memory of an event's %q", c.name, i, k)
+						}
+					}
+				}
+			}
+		}
+		next := 2
+		if allocs := testing.AllocsPerRun(200, func() {
+			c.d.Process(events[next])
+			next++
+		}); allocs != 0 {
+			t.Fatalf("%s: a repeat event costs %.1f allocations, want 0", c.name, allocs)
+		}
 	}
 }
 

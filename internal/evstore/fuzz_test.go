@@ -5,6 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -148,7 +152,7 @@ func FuzzReadSegment(f *testing.F) {
 		// events, same truncation verdict, same loss accounting.
 		var arenaEvents int
 		sc := &decodeScratch{arena: &trace.Arena{}}
-		resA, err := decodeFrames(bytes.NewReader(data), int64(len(data)), nil, sc, func(e *trace.Event) error {
+		resA, err := decodeFrames(bytes.NewReader(data), int64(len(data)), nil, sc, nil, func(e *trace.Event) error {
 			if arenaEvents >= len(plainJSON) {
 				t.Fatalf("arena decode produced extra event %d", arenaEvents)
 			}
@@ -169,6 +173,49 @@ func FuzzReadSegment(f *testing.F) {
 		if arenaEvents != events || resA != res {
 			t.Fatalf("arena decode result diverged: %+v (%d events), plain %+v (%d events)",
 				resA, arenaEvents, res, events)
+		}
+
+		// Replay differential: the bytes as the one segment of a store,
+		// replayed serially and sharded, deliver exactly what DecodeFrames
+		// delivers, each actor's events in decode order.
+		want := map[string][]string{}
+		i := 0
+		if _, err := DecodeFrames(bytes.NewReader(data), int64(len(data)), func(e trace.Event) error {
+			want[e.ActorKey()] = append(want[e.ActorKey()], string(plainJSON[i]))
+			i++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-00000001.ev"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenRead(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for _, workers := range []int{1, 3} {
+			var mu sync.Mutex
+			got := map[string][]string{}
+			stats, err := s.Replay(Filter{}, workers, 2, func(b []trace.Event) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, e := range b {
+					j, _ := json.Marshal(e)
+					got[e.ActorKey()] = append(got[e.ActorKey()], string(j))
+				}
+			})
+			if err != nil {
+				t.Fatalf("workers=%d: replay returned %v", workers, err)
+			}
+			if stats.Events != int64(events) || stats.Decoded != int64(events) || stats.TailLossBytes != res.TailLossBytes {
+				t.Fatalf("workers=%d: replay stats %+v, decode found %d events and %d lost bytes", workers, stats, events, res.TailLossBytes)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: replay per actor\n got %q\nwant %q", workers, got, want)
+			}
 		}
 	})
 }

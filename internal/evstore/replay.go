@@ -23,9 +23,9 @@ type Filter struct {
 // Match reports whether one event passes the filter.
 func (f Filter) Match(e trace.Event) bool { return f.match(&e) }
 
-// match is Match without the copy of the event: the form the per-frame
-// decode paths call.
-func (f Filter) match(e *trace.Event) bool {
+// match is Match without the copies of the event and the filter: the
+// form the per-frame decode paths call.
+func (f *Filter) match(e *trace.Event) bool {
 	if !f.Since.IsZero() && e.Time.Before(f.Since) {
 		return false
 	}
@@ -155,13 +155,14 @@ type ReplayStats struct {
 // strings are ordinary heap strings the caller may retain freely (no
 // arena), which is what export/conversion consumers expect.
 func (s *Store) Scan(f Filter, fn func(trace.Event) error) (ReplayStats, error) {
-	return s.scan(f, nil, func(e *trace.Event) error { return fn(*e) })
+	return s.scan(f, nil, nil, func(e *trace.Event) error { return fn(*e) })
 }
 
-// scan is Scan with an optional decode scratch (Replay's serial path
-// passes one carrying an arena; Scan passes nil). fn borrows the event
-// for the call.
-func (s *Store) scan(f Filter, sc *decodeScratch, fn func(*trace.Event) error) (ReplayStats, error) {
+// scan is Scan with an optional decode scratch and destination
+// (Replay's serial path passes a scratch carrying an arena and a take
+// into its run; Scan passes nil for both — see decodeFrames). fn sees
+// only matching events; a slot the filter rejects is handed back zero.
+func (s *Store) scan(f Filter, sc *decodeScratch, take func(actor string) *trace.Event, fn func(*trace.Event) error) (ReplayStats, error) {
 	segs := s.Segments()
 	stats := ReplayStats{SegmentsTotal: len(segs)}
 	skip := f.pushDown()
@@ -175,8 +176,9 @@ func (s *Store) scan(f Filter, sc *decodeScratch, fn func(*trace.Event) error) (
 			continue
 		}
 		stats.SegmentsSelected++
-		res, err := scanSegment(seg.Path, skip, sc, func(e *trace.Event) error {
+		res, err := scanSegment(seg.Path, skip, sc, take, func(e *trace.Event) error {
 			if !f.match(e) {
+				*e = trace.Event{}
 				return nil
 			}
 			stats.Events++
@@ -192,25 +194,76 @@ func (s *Store) scan(f Filter, sc *decodeScratch, fn func(*trace.Event) error) (
 	return stats, nil
 }
 
-// segBuf is one decoded segment of a sharded replay: the events that
-// passed the filter as a flat array, a parallel shard-tag array that
-// shard worker w walks to copy out only its events, and the decode
-// scratch — read buffer, payload buffer, dictionary slice, string
-// arena — so recycling a segBuf recycles the whole per-segment decode
-// state. Flat-plus-tags beats per-shard buckets because one array has
-// one size to get right where skewed actor sharding gives every bucket
-// its own.
+// segBuf is one decoded segment of a sharded replay: one run per shard
+// worker, holding the matching events of that worker's actors in
+// decode order, and the decode scratch — read buffer, payload buffer,
+// dictionary slice, string arena — so recycling a segBuf recycles the
+// whole per-segment decode state. Each event body decodes straight
+// into the spare slot of its run (spare): the frame-header actor picks
+// the run before the body is read, and the event is moved only when
+// its own actor key shards elsewhere. Every slot not in a run is zero —
+// fresh, cleared by its worker after delivery, or handed back by the
+// decode — which is what decoding in place needs.
+//
+// A run is a list of batch-long chunks, each delivered whole, drawn
+// from one pool per buffer: skewed actor sharding gives every run its
+// own length, but the runs of a segment together need only the chunks
+// for what it matched plus a part-filled one each, so a pool sized by
+// the sidecar fits whichever worker the events shard to.
 //
 // Recycling reuses containers only: arena chunks are append-only, so
 // strings already handed to shard workers (or copied out by consumers)
 // are never overwritten by the next segment decoded into the same
-// segBuf. That is what makes it safe to release a segment before a
-// worker's partial cross-segment batch has been flushed to process,
-// and to hand the buffer to another Replay call altogether.
+// segBuf, and the buffer can go to another Replay call altogether.
 type segBuf struct {
-	events []trace.Event
-	shard  []uint32
-	sc     decodeScratch
+	runs  [][][]trace.Event // per worker, its chunks; all but the last full
+	free  [][]trace.Event   // empty chunks of batch events, every slot zero
+	batch int
+	sc    decodeScratch
+}
+
+// ready gives sb an empty run per worker and pools chunks of batch
+// events enough to hold the n events the sidecar says can match; past
+// that (or with no bound known) a run takes a fresh chunk when it needs
+// one. Chunks of another batch length are dropped.
+func (sb *segBuf) ready(workers, batch, n int) {
+	if len(sb.runs) != workers {
+		sb.runs = make([][][]trace.Event, workers)
+	}
+	if sb.batch != batch {
+		clear(sb.free)
+		sb.free, sb.batch = sb.free[:0], batch
+	}
+	if want := (n+batch-1)/batch + workers; len(sb.free) < want {
+		// One allocation for the shortfall, carved into chunks.
+		slab := make([]trace.Event, (want-len(sb.free))*batch)
+		for i := 0; i < len(slab); i += batch {
+			sb.free = append(sb.free, slab[i:i:i+batch])
+		}
+	}
+}
+
+// spare returns the first free slot of worker w's run, starting a new
+// chunk when the last one is full. The slot joins the run on keep.
+func (sb *segBuf) spare(w int) *trace.Event {
+	run := sb.runs[w]
+	if len(run) == 0 || len(run[len(run)-1]) == sb.batch {
+		if n := len(sb.free); n > 0 {
+			run = append(run, sb.free[n-1])
+			sb.free = sb.free[:n-1]
+		} else {
+			run = append(run, make([]trace.Event, 0, sb.batch))
+		}
+		sb.runs[w] = run
+	}
+	last := run[len(run)-1]
+	return &last[:len(last)+1][len(last)]
+}
+
+// keep extends worker w's run over the slot spare returned.
+func (sb *segBuf) keep(w int) {
+	last := &sb.runs[w][len(sb.runs[w])-1]
+	*last = (*last)[:len(*last)+1]
 }
 
 // Replay feeds matching events to process in batches, sharded by
@@ -218,22 +271,24 @@ type segBuf struct {
 // workload.Replay, without ever materializing the trace.
 //
 // Parallelism is two-level: segments decode concurrently (bounded
-// look-ahead), and each decoded segment's events are tagged by shard
-// and consumed by the shard workers strictly in segment order. One
+// look-ahead), each into one run per shard worker, and every worker
+// consumes its own run of each segment strictly in segment order. One
 // actor's events therefore arrive at its single shard worker in
 // append order even though decoding overlaps — the same per-group
 // serial-equivalence contract as workload.Replay — while segments the
 // sidecar index rules out (wrong kinds, disjoint time window, absent
 // actor) are never read at all.
 //
-// Borrow contract: the batch slice passed to process is reused, so
-// process must not retain the slice or the Event structs in it past
-// the callback's return. Event string fields are decoded into
-// per-segment arenas (trace.Arena) whose chunks are append-only and
-// GC-owned, so a string a consumer does copy out by reference stays
-// valid — retaining one merely pins its chunk. Consumers that keep
-// anything long-lived should still copy explicitly; see DESIGN.md
-// "Replay memory model".
+// Borrow contract: process gets the slots events were decoded into, a
+// batch at a time, and they are cleared and decoded over once it
+// returns, so process must not retain the slice or the Event structs
+// in it past the callback's return. A batch's capacity ends at its
+// length: appending to it copies rather than overwriting the events
+// that follow. Event string fields are decoded into per-segment arenas
+// (trace.Arena) whose chunks are append-only and GC-owned, so a string
+// a consumer does copy out by reference stays valid — retaining one
+// merely pins its chunk. Consumers that keep anything long-lived
+// should still copy explicitly; see DESIGN.md "Replay memory model".
 func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)) (ReplayStats, error) {
 	if workers <= 0 {
 		workers = 1
@@ -244,19 +299,23 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 	if workers == 1 {
 		// Serial path: one scratch (read buffer, payload, dictionary,
 		// arena) serves every segment of the pass, so the whole replay
-		// costs O(segments) allocations, same as the sharded path.
+		// costs O(segments) allocations, same as the sharded path. The
+		// run is one batch long, delivered and cleared whenever it fills.
 		sc := &decodeScratch{arena: &trace.Arena{}}
-		buf := make([]trace.Event, 0, batch)
-		stats, err := s.scan(f, sc, func(e *trace.Event) error {
-			buf = append(buf, *e)
-			if len(buf) == batch {
-				process(buf)
-				buf = buf[:0]
+		run := make([]trace.Event, 0, batch)
+		flush := func() {
+			process(run[:len(run):len(run)])
+			clear(run)
+			run = run[:0]
+		}
+		stats, err := s.scan(f, sc, func(string) *trace.Event { return &run[:len(run)+1][len(run)] }, func(*trace.Event) error {
+			if run = run[:len(run)+1]; len(run) == batch {
+				flush()
 			}
 			return nil
 		})
-		if len(buf) > 0 {
-			process(buf)
+		if len(run) > 0 {
+			flush()
 		}
 		return stats, err
 	}
@@ -316,18 +375,37 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 				default:
 					sb = &segBuf{sc: decodeScratch{arena: &trace.Arena{}}}
 				}
-				if n := f.mayMatch(segs[i].Index); cap(sb.events) < n {
-					sb.events = make([]trace.Event, 0, n)
-					sb.shard = make([]uint32, 0, n)
-				}
-				st.res, st.err = scanSegment(segs[i].Path, skip, &sb.sc, func(e *trace.Event) error {
-					if f.match(e) {
-						sb.events = append(sb.events, *e)
-						sb.shard = append(sb.shard, uint32(trace.ShardIndex(e.ActorKey(), workers)))
+				sb.ready(workers, batch, f.mayMatch(segs[i].Index))
+				var w int      // run the slot being decoded came from
+				var hdr string // the frame-header actor that chose it
+				st.res, st.err = scanSegment(segs[i].Path, skip, &sb.sc, func(actor string) *trace.Event {
+					w, hdr = trace.ShardIndex(actor, workers), actor
+					return sb.spare(w)
+				}, func(e *trace.Event) error {
+					if !f.match(e) {
+						*e = trace.Event{}
+						return nil
 					}
+					to := w
+					if key := e.ActorKey(); key != hdr {
+						// A v1 frame has no header actor, and a hand-built
+						// v2 frame may name another: an event is delivered
+						// by its own actor key's worker.
+						to = trace.ShardIndex(key, workers)
+					}
+					if to != w {
+						*sb.spare(to) = *e
+						*e = trace.Event{}
+					}
+					sb.keep(to)
 					return nil
 				})
-				st.buf, st.matched = sb, len(sb.events)
+				for _, run := range sb.runs {
+					for _, c := range run {
+						st.matched += len(c)
+					}
+				}
+				st.buf = sb
 				close(st.done)
 			}(i)
 		}
@@ -338,37 +416,36 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			mine := uint32(w)
-			buf := make([]trace.Event, 0, batch)
 			for _, st := range states {
 				<-st.done
 				sb := st.buf
-				for j, sh := range sb.shard {
-					if sh != mine {
-						continue
+				run := sb.runs[w]
+				for i, c := range run {
+					// The last chunk is empty when the slot that opened it
+					// was handed back.
+					if len(c) > 0 {
+						process(c[:len(c):len(c)])
 					}
-					buf = append(buf, sb.events[j])
-					if len(buf) == batch {
-						process(buf)
-						buf = buf[:0]
-					}
+					// Parked all zero and empty: the buffer holds its own
+					// capacity, not the arena chunks of what it last
+					// decoded (decodeFrames clears the dictionary the same
+					// way).
+					clear(c)
+					run[i] = c[:0]
 				}
 				if st.readers.Add(-1) == 0 {
-					// Parked all zero and empty: the buffer holds its own
-					// capacity, not the arena chunks of what it last decoded
-					// (decodeFrames has cleared the dictionary the same way).
 					st.buf = nil
-					clear(sb.events)
-					sb.events, sb.shard = sb.events[:0], sb.shard[:0]
+					for i, run := range sb.runs {
+						sb.free = append(sb.free, run...)
+						clear(run)
+						sb.runs[i] = run[:0]
+					}
 					select {
 					case s.free <- sb:
 					default:
 					}
 					<-slots
 				}
-			}
-			if len(buf) > 0 {
-				process(buf)
 			}
 		}(w)
 	}

@@ -1,9 +1,12 @@
 package evstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +15,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/seglog"
 	"repro/internal/trace"
 )
 
@@ -167,51 +171,90 @@ func TestIndexPrunesSegments(t *testing.T) {
 	}
 }
 
+// replayDiff is one store the replay differentials run on, with the
+// filters to run it under.
+type replayDiff struct {
+	name    string
+	s       *Store
+	filters []Filter
+}
+
+// replayDiffs lists the stores the replay differentials run on: a v2
+// store written here and the committed v1 fixture, whose frames carry
+// no header actor, so each of its events is placed by the actor key it
+// decodes to. Besides the zero filter each store gets a kind filter,
+// an actor filter, and a time window whose bounding segments decode
+// events only to reject them.
+func replayDiffs(t *testing.T) []replayDiff {
+	t.Helper()
+	binDir := t.TempDir()
+	writeMixed(t, binDir, 500)
+	var out []replayDiff
+	for _, c := range []struct{ name, dir string }{{"v2", binDir}, {"v1", copyV1Store(t)}} {
+		s, err := OpenRead(c.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		all := scanFiltered(t, s, Filter{})
+		n := len(all)
+		window := Filter{Since: all[n/3].Time, Until: all[2*n/3].Time}
+		stats, err := s.Scan(window, func(trace.Event) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Decoded <= stats.Events {
+			t.Fatalf("%s: the time window decoded %d frames for %d events; it must reject some after decoding", c.name, stats.Decoded, stats.Events)
+		}
+		out = append(out, replayDiff{name: c.name, s: s, filters: []Filter{
+			{},
+			{Kinds: []trace.Kind{trace.KindAuth, trace.KindScanFinding}},
+			{Actor: all[n/2].ActorKey()},
+			window,
+		}})
+	}
+	return out
+}
+
+// replayWorkers are the worker counts the replay differentials run at:
+// the serial path, and sharded runs both below and above the number of
+// segments in flight.
+var replayWorkers = []int{1, 2, 3, 8}
+
 // TestReplayShardedMatchesScan pins the replay contract: any worker
 // count delivers exactly the filtered event set, and each actor's
 // events arrive at one worker in append order.
 func TestReplayShardedMatchesScan(t *testing.T) {
-	dir := t.TempDir()
-	writeMixed(t, dir, 500)
-	s, err := OpenRead(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	filters := []Filter{
-		{},
-		{Kinds: []trace.Kind{trace.KindAuth, trace.KindScanFinding}},
-		{Actor: "user2"},
-		{Since: time.Date(2026, 6, 2, 0, 0, 0, 0, time.UTC)},
-	}
-	for fi, f := range filters {
-		want := scanFiltered(t, s, f)
-		for _, workers := range []int{2, 4, 8} {
-			var mu sync.Mutex
-			perActor := map[string][]uint64{}
-			total := 0
-			stats, err := s.Replay(f, workers, 64, func(batch []trace.Event) {
-				mu.Lock()
-				defer mu.Unlock()
-				total += len(batch)
-				for _, e := range batch {
-					a := trace.ActorKey(e)
-					perActor[a] = append(perActor[a], e.Seq)
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
+	for _, d := range replayDiffs(t) {
+		for fi, f := range d.filters {
+			want := map[string][]uint64{}
+			scanned := scanFiltered(t, d.s, f)
+			for _, e := range scanned {
+				want[e.ActorKey()] = append(want[e.ActorKey()], e.Seq)
 			}
-			if total != len(want) {
-				t.Fatalf("filter %d workers=%d: replayed %d events, scan found %d", fi, workers, total, len(want))
-			}
-			if stats.Events != int64(len(want)) {
-				t.Fatalf("filter %d workers=%d: stats.Events=%d, want %d", fi, workers, stats.Events, len(want))
-			}
-			for actor, seqs := range perActor {
-				for i := 1; i < len(seqs); i++ {
-					if seqs[i] <= seqs[i-1] {
-						t.Fatalf("filter %d workers=%d: actor %s replayed out of order: %v", fi, workers, actor, seqs)
+			for _, workers := range replayWorkers {
+				var mu sync.Mutex
+				got := map[string][]uint64{}
+				total := 0
+				stats, err := d.s.Replay(f, workers, 64, func(batch []trace.Event) {
+					mu.Lock()
+					defer mu.Unlock()
+					if len(batch) == 0 {
+						t.Errorf("%s filter %d workers=%d: an empty batch was delivered", d.name, fi, workers)
 					}
+					total += len(batch)
+					for _, e := range batch {
+						got[e.ActorKey()] = append(got[e.ActorKey()], e.Seq)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if total != len(scanned) || stats.Events != int64(len(scanned)) {
+					t.Fatalf("%s filter %d workers=%d: replayed %d events (stats %d), scan found %d", d.name, fi, workers, total, stats.Events, len(scanned))
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s filter %d workers=%d: per-actor sequence numbers differ from scan's:\n got %v\nwant %v", d.name, fi, workers, got, want)
 				}
 			}
 		}
@@ -392,9 +435,34 @@ func parked(s *Store) map[*segBuf]bool {
 	return out
 }
 
+// checkParkedEmpty fails unless every buffer parked on s has empty
+// runs and a pool of empty chunks whose every slot, to the end of its
+// capacity, is the zero event: delivered, rejected and corrupt slots
+// alike were handed back.
+func checkParkedEmpty(t *testing.T, s *Store) {
+	t.Helper()
+	for sb := range parked(s) {
+		for w, run := range sb.runs {
+			if len(run) != 0 {
+				t.Fatalf("parked buffer's run %d holds %d chunks; want it empty", w, len(run))
+			}
+		}
+		for i, c := range sb.free {
+			if len(c) != 0 {
+				t.Fatalf("parked chunk %d holds %d events; want it empty", i, len(c))
+			}
+			for j, e := range c[:cap(c)] {
+				if !reflect.ValueOf(e).IsZero() {
+					t.Fatalf("parked chunk %d still holds an event at slot %d: %+v", i, j, e)
+				}
+			}
+		}
+	}
+}
+
 // TestReplayRecyclingNeverRewritesStrings is the borrow contract across
 // calls: strings a consumer kept by reference from pass 1 read the same
-// after passes 2 and 3 have decoded other events into the same buffers.
+// after passes 2-4 have decoded other events into the same chunks.
 // Containers recycle; arena bytes never do.
 func TestReplayRecyclingNeverRewritesStrings(t *testing.T) {
 	dir := t.TempDir()
@@ -424,32 +492,197 @@ func TestReplayRecyclingNeverRewritesStrings(t *testing.T) {
 	if len(first) == 0 {
 		t.Fatal("pass 1 parked no buffer on the store")
 	}
-	for _, f := range []Filter{{Actor: "user5"}, {Kinds: []trace.Kind{trace.KindExec}}} {
+	checkParkedEmpty(t, s)
+	base := time.Date(2026, 6, 2, 8, 0, 0, 0, time.UTC)
+	for _, f := range []Filter{
+		{Actor: "user5"},
+		{Kinds: []trace.Kind{trace.KindExec}},
+		// Every frame decodes; four in five are rejected after it.
+		{Since: base.Add(1000 * time.Second), Until: base.Add(1799 * time.Second)},
+	} {
 		if _, err := s.Replay(f, 4, 64, func([]trace.Event) {}); err != nil {
 			t.Fatal(err)
 		}
+		checkParkedEmpty(t, s)
 	}
 	reused := 0
 	for sb := range parked(s) {
 		if first[sb] {
 			reused++
 		}
-		if len(sb.events) != 0 || len(sb.shard) != 0 {
-			t.Fatalf("parked buffer holds %d events, %d tags; want it empty", len(sb.events), len(sb.shard))
-		}
-		for i, e := range sb.events[:cap(sb.events)] {
-			if e.Code != "" || e.User != "" {
-				t.Fatalf("parked buffer still references event strings at slot %d", i)
-			}
-		}
 	}
 	if reused == 0 {
-		t.Fatal("passes 2 and 3 reused none of pass 1's buffers")
+		t.Fatal("passes 2-4 reused none of pass 1's buffers")
 	}
 	for seq, k := range keep {
 		if k.ref != k.copy {
 			t.Fatalf("seq %d: string kept from pass 1 now reads %q, was %q", seq, k.ref, k.copy)
 		}
+	}
+}
+
+// TestReplayBatchAppendCannotOverwrite: process gets windows of a run
+// whose capacity ends at their length, so a consumer that appends to
+// its batch copies it instead of writing over the events the next
+// window delivers.
+func TestReplayBatchAppendCannotOverwrite(t *testing.T) {
+	dir := t.TempDir()
+	writeMixed(t, dir, 300)
+	s, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := map[uint64]string{}
+	for _, e := range scanFiltered(t, s, Filter{}) {
+		j, _ := json.Marshal(e)
+		want[e.Seq] = string(j)
+	}
+	clobber := trace.Event{Seq: 1 << 40, Kind: trace.KindExec, User: "clobber"}
+	for _, workers := range replayWorkers {
+		var mu sync.Mutex
+		got := map[uint64]string{}
+		batches, grown := 0, 0
+		if _, err := s.Replay(Filter{}, workers, 5, func(b []trace.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, e := range b {
+				j, _ := json.Marshal(e)
+				got[e.Seq] = string(j)
+			}
+			batches++
+			grown += len(append(b, clobber, clobber))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: %d events delivered (want %d), or some differ from scan's; an append overwrote a slot", workers, len(got), len(want))
+		}
+		if grown != len(want)+2*batches {
+			t.Fatalf("workers=%d: %d batches grew to %d events in all", workers, batches, grown)
+		}
+	}
+}
+
+// writeSegment writes data as the only segment of a fresh store
+// directory and opens it for reading; the sidecar is rebuilt from the
+// data.
+func writeSegment(t *testing.T, data []byte) *Store {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.ev"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestReplayRoutesByActorKeyNotHeader: the frame-header actor picks
+// the run an event decodes into, but the event is delivered by its own
+// actor key's worker. In a hand-built segment every other frame names
+// an actor that shards elsewhere at every worker count tried; each
+// batch must still hold one worker's actors only, in append order.
+func TestReplayRoutesByActorKeyNotHeader(t *testing.T) {
+	elsewhere := func(actor string) string {
+		for i := 0; ; i++ {
+			h := fmt.Sprintf("header-%d", i)
+			differs := true
+			for _, w := range replayWorkers[1:] {
+				differs = differs && trace.ShardIndex(h, w) != trace.ShardIndex(actor, w)
+			}
+			if differs {
+				return h
+			}
+		}
+	}
+	data := []byte(segMagicV2)
+	enc := newBinEncoder()
+	want := map[string][]uint64{}
+	for i := 0; i < 120; i++ {
+		e := trace.Event{Seq: uint64(i + 1), Kind: trace.KindExec, User: fmt.Sprintf("user%d", i%6)}
+		header := e.ActorKey()
+		if i%2 == 1 {
+			header = elsewhere(header)
+		}
+		var err error
+		if data, err = enc.appendEvent(data, &e, header); err != nil {
+			t.Fatal(err)
+		}
+		want[e.User] = append(want[e.User], e.Seq)
+	}
+	s := writeSegment(t, data)
+	for _, workers := range replayWorkers {
+		var mu sync.Mutex
+		got := map[string][]uint64{}
+		if _, err := s.Replay(Filter{}, workers, 256, func(b []trace.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, e := range b {
+				if w, first := trace.ShardIndex(e.ActorKey(), workers), trace.ShardIndex(b[0].ActorKey(), workers); w != first {
+					t.Errorf("workers=%d: one batch holds actors of workers %d and %d", workers, first, w)
+				}
+				got[e.User] = append(got[e.User], e.Seq)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: per-actor delivery\n got %v\nwant %v", workers, got, want)
+		}
+	}
+}
+
+// TestReplayCorruptBodyReleasesSlot: an event frame whose checksum
+// holds but whose body fails part-way has already decoded some fields
+// into its slot. The slot is handed back zero — in the sharded runs
+// parked on the store and in the serial path's run alike — and the
+// replay delivers the frames before it.
+func TestReplayCorruptBodyReleasesSlot(t *testing.T) {
+	var valid []trace.Event
+	for i := 0; i < 10; i++ {
+		valid = append(valid, trace.Event{Seq: uint64(i + 1), Kind: trace.KindExec, User: fmt.Sprintf("user%d", i%3)})
+	}
+	data := buildSegmentV2(valid...)
+	// Kind and actor inline, then a body that sets Seq and User before
+	// citing dictionary entry 99, which no frame defined.
+	body := []byte{frameEvent, 0, 4, 'e', 'x', 'e', 'c', 0, 5, 'u', 's', 'e', 'r', '1'}
+	body = append(body, 1<<3, 77, 7<<3|2, 0, 5, 'u', 's', 'e', 'r', '1', 3<<3|2, 100)
+	data = seglog.AppendFrame(data, body, castagnoli)
+	data = append(data, buildSegmentV2(valid[0])[len(segMagicV2):]...) // never reached
+
+	slot := new(trace.Event)
+	res, err := decodeFrames(bytes.NewReader(data), int64(len(data)), nil, nil,
+		func(string) *trace.Event { return slot },
+		func(e *trace.Event) error { *e = trace.Event{}; return nil })
+	if err != nil || res.Events != len(valid) || !res.Truncated {
+		t.Fatalf("decode: %+v, %v; want %d events and a truncated tail", res, err, len(valid))
+	}
+	if !reflect.ValueOf(*slot).IsZero() {
+		t.Fatalf("the corrupt frame's slot was not handed back: %+v", *slot)
+	}
+
+	s := writeSegment(t, data)
+	for _, workers := range replayWorkers {
+		var n atomic.Int64
+		stats, err := s.Replay(Filter{}, workers, 4, func(b []trace.Event) {
+			for _, e := range b {
+				if e.Seq == 77 {
+					t.Errorf("workers=%d: the corrupt frame's partial event was delivered", workers)
+				}
+			}
+			n.Add(int64(len(b)))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Load() != int64(len(valid)) || stats.TailLossBytes == 0 {
+			t.Fatalf("workers=%d: delivered %d events, %d bytes of tail loss; want %d and a loss", workers, n.Load(), stats.TailLossBytes, len(valid))
+		}
+		checkParkedEmpty(t, s)
 	}
 }
 
@@ -549,26 +782,20 @@ func TestCloseDropsParkedBuffers(t *testing.T) {
 // TestReplayArenaMatchesScanExactly is the store-layer differential:
 // the arena-backed Replay (serial and sharded) must deliver exactly
 // the events the copying Scan delivers, byte-identical under JSON
-// re-encoding, on v2 segments and on the v1 store, and on a filtered
-// pass.
+// re-encoding, on v2 segments and on the v1 store, unfiltered and
+// under filters that skip frames undecoded or reject them after.
 func TestReplayArenaMatchesScanExactly(t *testing.T) {
-	binDir := t.TempDir()
-	writeMixedOpts(t, binDir, Options{SegmentBytes: 4096, FlushEvery: 16}, 300)
-	for codec, dir := range map[Codec]string{CodecBinary: binDir, "json": copyV1Store(t)} {
-		s, err := OpenRead(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range []Filter{{}, {Kinds: []trace.Kind{trace.KindAuth}}} {
+	for _, d := range replayDiffs(t) {
+		for fi, f := range d.filters {
 			want := map[uint64]string{}
-			for _, e := range scanFiltered(t, s, f) {
+			for _, e := range scanFiltered(t, d.s, f) {
 				j, _ := json.Marshal(e)
 				want[e.Seq] = string(j)
 			}
-			for _, workers := range []int{1, 8} {
+			for _, workers := range replayWorkers {
 				got := map[uint64]string{}
 				var mu sync.Mutex
-				if _, err := s.Replay(f, workers, 64, func(b []trace.Event) {
+				if _, err := d.s.Replay(f, workers, 64, func(b []trace.Event) {
 					mu.Lock()
 					for _, e := range b {
 						j, _ := json.Marshal(e)
@@ -579,15 +806,14 @@ func TestReplayArenaMatchesScanExactly(t *testing.T) {
 					t.Fatal(err)
 				}
 				if len(got) != len(want) {
-					t.Fatalf("codec=%s workers=%d: got %d events, want %d", codec, workers, len(got), len(want))
+					t.Fatalf("%s filter %d workers=%d: got %d events, want %d", d.name, fi, workers, len(got), len(want))
 				}
 				for seq, j := range want {
 					if got[seq] != j {
-						t.Fatalf("codec=%s workers=%d seq=%d:\n got %s\nwant %s", codec, workers, seq, got[seq], j)
+						t.Fatalf("%s filter %d workers=%d seq=%d:\n got %s\nwant %s", d.name, fi, workers, seq, got[seq], j)
 					}
 				}
 			}
 		}
-		s.Close()
 	}
 }

@@ -249,7 +249,7 @@ type DecodeResult struct {
 // from fn aborts the scan and is returned as-is. size is the total
 // stream length if known (for tail-loss accounting), or -1.
 func DecodeFrames(r io.Reader, size int64, fn func(trace.Event) error) (DecodeResult, error) {
-	return decodeFrames(r, size, nil, nil, func(e *trace.Event) error { return fn(*e) })
+	return decodeFrames(r, size, nil, nil, nil, func(e *trace.Event) error { return fn(*e) })
 }
 
 // decodeScratch is the reusable per-segment decode state: the frame
@@ -271,17 +271,32 @@ type decodeScratch struct {
 	arena  *trace.Arena
 }
 
-// decodeFrames is DecodeFrames plus the v2 push-down hook and scratch
-// reuse: when skip is non-nil it is consulted with each event frame's
-// header kind and actor key, after the checksum verifies but before
-// the body decodes; returning true drops the frame without decoding
-// it. v1 segments have no header to push into, so skip is ignored
-// there and per-event filtering stays with the caller. sc may be nil.
-// fn borrows the event: the next frame decodes over it.
-func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor string) bool, sc *decodeScratch, fn func(*trace.Event) error) (DecodeResult, error) {
+// decodeFrames is DecodeFrames plus the v2 push-down hook, scratch
+// reuse and a caller-chosen destination: when skip is non-nil it is
+// consulted with each event frame's header kind and actor key, after
+// the checksum verifies but before the body decodes; returning true
+// drops the frame without decoding it. v1 segments have no header to
+// push into, so skip is ignored there and per-event filtering stays
+// with the caller. sc may be nil.
+//
+// take lends the zero event the next frame decodes into, given the
+// frame header's actor key ("" for a v1 frame, which has none); this is
+// how Replay decodes each event straight into the slot it is delivered
+// from. A slot whose payload is not an event is cleared here; fn gets
+// every other one and clears it if it does not keep it, so whatever
+// take hands out is zero. A nil take decodes every frame into one
+// scratch event, zeroed first, which fn borrows for the call.
+func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor string) bool, sc *decodeScratch, take func(actor string) *trace.Event, fn func(*trace.Event) error) (DecodeResult, error) {
 	var res DecodeResult
 	if sc == nil {
 		sc = &decodeScratch{}
+	}
+	if take == nil {
+		scratch := new(trace.Event)
+		take = func(string) *trace.Event {
+			*scratch = trace.Event{}
+			return scratch
+		}
 	}
 	dict := sc.dict[:0]
 	lookup := func(ref uint64) (string, bool) {
@@ -292,15 +307,13 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 	}
 	// Decoded events copy whatever they keep (into sc.arena when set),
 	// so the payload never outlives the callback and the hot replay path
-	// stays allocation-free per event. The event is hoisted too: &e
-	// escapes into json.Unmarshal, so a per-frame declaration would
-	// heap-allocate every event.
-	var e trace.Event
+	// stays allocation-free per event.
 	var err error
 	res.ScanResult, err = format.ReadFrames(r, size, &sc.frames, func(magic int, payload []byte) (string, error) {
-		e = trace.Event{}
+		var e *trace.Event
 		if magic == magicJSON {
-			if json.Unmarshal(payload, &e) != nil {
+			if e = take(""); json.Unmarshal(payload, e) != nil {
+				*e = trace.Event{}
 				return "frame not an event", nil
 			}
 		} else {
@@ -329,8 +342,8 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 					res.Skipped++
 					return "", nil
 				}
-				e, err = trace.DecodeBinaryEventArena(payload[1+n1+n2:], trace.Kind(kind), lookup, sc.arena)
-				if err != nil {
+				if e = take(actor); e.DecodeBinary(payload[1+n1+n2:], trace.Kind(kind), lookup, sc.arena) != nil {
+					*e = trace.Event{}
 					return "frame not an event", nil
 				}
 			default:
@@ -338,7 +351,7 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 			}
 		}
 		res.Events++
-		return "", fn(&e)
+		return "", fn(e)
 	})
 	// Hand grown capacity back so the next segment reuses it, emptied: a
 	// scratch at rest must not pin the arena chunks of its last segment.
@@ -350,17 +363,16 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 	return res, err
 }
 
-// scanSegment decodes a segment file from disk, with an optional v2
-// push-down predicate and reusable decode scratch — the replay paths
-// thread one scratch (and its arena) across all the segments they
-// visit.
-func scanSegment(path string, skip func(kind trace.Kind, actor string) bool, sc *decodeScratch, fn func(*trace.Event) error) (DecodeResult, error) {
+// scanSegment is decodeFrames over a segment file on disk — the replay
+// paths thread one scratch (and its arena) across all the segments
+// they visit.
+func scanSegment(path string, skip func(kind trace.Kind, actor string) bool, sc *decodeScratch, take func(actor string) *trace.Event, fn func(*trace.Event) error) (DecodeResult, error) {
 	f, size, err := seglog.OpenData(path)
 	if err != nil {
 		return DecodeResult{}, err
 	}
 	defer f.Close()
-	return decodeFrames(f, size, skip, sc, fn)
+	return decodeFrames(f, size, skip, sc, take, fn)
 }
 
 // rebuild reconstructs a sidecar by scanning the segment data — the
@@ -368,7 +380,7 @@ func scanSegment(path string, skip func(kind trace.Kind, actor string) bool, sc 
 func (o Options) rebuild(path string) (Index, seglog.ScanResult, error) {
 	ix := Index{Version: IndexVersion}
 	actors := map[string]struct{}{}
-	res, err := scanSegment(path, nil, nil, func(e *trace.Event) error {
+	res, err := scanSegment(path, nil, nil, nil, func(e *trace.Event) error {
 		// Bytes is re-derived from the valid prefix below.
 		ix.observe(e, e.ActorKey(), 0, actors, o.MaxActors)
 		return nil

@@ -108,8 +108,8 @@ func TestDecodeBinaryEventArenaMatchesPlainDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dict=%v event %d: plain decode: %v", withDict, i, err)
 			}
-			viaArena, err := DecodeBinaryEventArena(body, e.Kind, lookup, &arena)
-			if err != nil {
+			var viaArena Event
+			if err := viaArena.DecodeBinary(body, e.Kind, lookup, &arena); err != nil {
 				t.Fatalf("dict=%v event %d: arena decode: %v", withDict, i, err)
 			}
 			pj, _ := json.Marshal(plain)
@@ -123,9 +123,9 @@ func TestDecodeBinaryEventArenaMatchesPlainDecode(t *testing.T) {
 }
 
 // TestDecodeBinaryEventArenaAllocs pins the tentpole claim at the
-// codec layer: decoding an inline-string-heavy event with an arena
-// performs zero per-event heap allocations once the arena's chunk
-// exists (the event struct itself is stack-returned here).
+// codec layer: decoding an inline-string-heavy event in place with an
+// arena performs zero per-event heap allocations once the arena's
+// chunk exists.
 func TestDecodeBinaryEventArenaAllocs(t *testing.T) {
 	e := Event{
 		Seq: 7, Kind: KindExec, SrcIP: "198.51.100.7", User: "mallory",
@@ -138,13 +138,11 @@ func TestDecodeBinaryEventArenaAllocs(t *testing.T) {
 	arena.String(make([]byte, 1)) // pre-create the chunk
 	var sink Event
 	allocs := testing.AllocsPerRun(200, func() {
-		ev, err := DecodeBinaryEventArena(body, KindExec, nil, &arena)
-		if err != nil {
+		sink = Event{}
+		if err := sink.DecodeBinary(body, KindExec, nil, &arena); err != nil {
 			t.Fatal(err)
 		}
-		sink = ev
 	})
-	_ = sink
 	// Chunk rollovers amortize to well under one allocation per event;
 	// anything ≥1 means a per-string allocation crept back in.
 	if allocs >= 1 {

@@ -367,22 +367,28 @@ func (r *binReader) skip(wire int, lookup Lookup) {
 // Corrupt input returns an error — never a panic, never a partial
 // event presented as complete.
 func DecodeBinaryEvent(data []byte, kind Kind, lookup Lookup) (Event, error) {
-	return DecodeBinaryEventArena(data, kind, lookup, nil)
+	var e Event
+	if err := e.DecodeBinary(data, kind, lookup, nil); err != nil {
+		return Event{}, err
+	}
+	return e, nil
 }
 
-// DecodeBinaryEventArena is DecodeBinaryEvent with an optional arena:
-// when arena is non-nil, every inline string field (including map
-// keys and values) is copied into the arena instead of individually
-// heap-allocated, so decoding a segment's worth of events costs
-// O(chunks) string allocations. Strings resolved through lookup are
-// shared by reference, not re-copied — the segment dictionary already
-// materialized them once. nil arena is byte-for-byte identical to
-// DecodeBinaryEvent.
-func DecodeBinaryEventArena(data []byte, kind Kind, lookup Lookup, arena *Arena) (Event, error) {
+// DecodeBinary is DecodeBinaryEvent in place, with an optional arena:
+// the body decodes straight into e, which must be the zero Event — a
+// field the body omits is left as it is. With a non-nil arena every
+// inline string field (including map keys and values) is copied into
+// the arena instead of individually heap-allocated, so decoding a
+// segment's worth of events costs O(chunks) string allocations.
+// Strings resolved through lookup are shared by reference, not
+// re-copied — the segment dictionary already materialized them once.
+// On error e holds whatever decoded before the corruption; the caller
+// clears it.
+func (e *Event) DecodeBinary(data []byte, kind Kind, lookup Lookup, arena *Arena) error {
 	if lookup == nil {
 		lookup = func(uint64) (string, bool) { return "", false }
 	}
-	e := Event{Kind: kind}
+	e.Kind = kind
 	r := &binReader{data: data, arena: arena}
 	for !r.done() {
 		t := r.byte()
@@ -459,8 +465,5 @@ func DecodeBinaryEventArena(data []byte, kind Kind, lookup Lookup, arena *Arena)
 			r.skip(wire, lookup)
 		}
 	}
-	if r.err != nil {
-		return Event{}, r.err
-	}
-	return e, nil
+	return r.err
 }
