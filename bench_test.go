@@ -395,9 +395,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			workload.Replay(events, 4, 256, func(batch []trace.Event) {
-				eng.ProcessBatch(batch)
-			})
+			stageReplay(batchFunc(func(batch []trace.Event) { eng.ProcessBatch(batch) }), events, 4)
 		}
 		b.ReportMetric(float64(len(events)), "events/op")
 	})
@@ -476,9 +474,7 @@ func BenchmarkCoreParallel(b *testing.B) {
 			b.StopTimer()
 			eng := core.MustEngine()
 			b.StartTimer()
-			workload.Replay(events, 4, 256, func(batch []trace.Event) {
-				eng.ProcessBatch(batch)
-			})
+			stageReplay(eng, events, 4)
 		}
 		b.ReportMetric(float64(len(events)), "events/op")
 	})
@@ -490,7 +486,11 @@ func BenchmarkCoreParallel(b *testing.B) {
 	// a counter, a lock word, a rule-set pointer.
 	b.Run("batch-shared", func(b *testing.B) {
 		big := workload.StandardMix(11, 80000).Events
-		parts := workload.Partition(big, runtime.GOMAXPROCS(0))
+		parts := make([][]trace.Event, runtime.GOMAXPROCS(0))
+		for _, e := range big {
+			i := trace.ShardIndex(e.ActorKey(), len(parts))
+			parts[i] = append(parts[i], e)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -852,9 +852,7 @@ func BenchmarkStoreReplay(b *testing.B) {
 				b.Fatal(err)
 			}
 			eng := newEng()
-			workload.Replay(events, workers, batch, func(bt []trace.Event) {
-				eng.ProcessBatch(bt)
-			})
+			stageReplay(batchFunc(func(bt []trace.Event) { eng.ProcessBatch(bt) }), events, workers)
 			if eng.Evaluated() != uint64(len(tr.Events)) {
 				b.Fatalf("evaluated %d of %d", eng.Evaluated(), len(tr.Events))
 			}
@@ -994,9 +992,7 @@ func BenchmarkIncidentQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	workload.Replay(tr.Events, workers, batch, func(bt []trace.Event) {
-		eng.ProcessBatch(bt)
-	})
+	stageReplay(eng, tr.Events, workers)
 	if err := hrec.Err(); err != nil {
 		b.Fatal(err)
 	}

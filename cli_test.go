@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -574,6 +575,80 @@ func TestCLITools(t *testing.T) {
 		}
 		if strings.Contains(fout, "exec=") {
 			t.Errorf("kind filter leaked exec events:\n%s", fout)
+		}
+	})
+
+	t.Run("jsentinel-replay-parity", func(t *testing.T) {
+		// One trace recorded both ways replays to the same incidents at
+		// any worker count: JSONL through the stage's actor lanes, the
+		// store through evstore's segment-parallel replay.
+		tr := workload.StandardMix(27, 600)
+		jsonlPath := filepath.Join(work, "parity.jsonl")
+		f, err := os.Create(jsonlPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := trace.NewJSONLWriter(f)
+		for _, e := range tr.Events {
+			w.Emit(e)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		storeDir := filepath.Join(work, "parity-store")
+		st, err := evstore.Open(storeDir, evstore.Options{SegmentBytes: 16 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AppendBatch(tr.Events); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// digest keeps what must not depend on the path or the worker
+		// count: the event mix, the ALERT lines (sorted: they print in
+		// arrival order) and everything from the incident table on.
+		digest := func(out string) string {
+			var mix string
+			var alerts []string
+			lines := strings.Split(out, "\n")
+			for i, line := range lines {
+				switch {
+				case strings.HasPrefix(line, "event mix: "):
+					mix = line
+				case strings.HasPrefix(line, "ALERT "):
+					alerts = append(alerts, line)
+				case strings.HasPrefix(line, "top ") && strings.HasSuffix(line, "incidents by risk:"):
+					sort.Strings(alerts)
+					return strings.Join(append(append([]string{mix}, alerts...), lines[i:]...), "\n")
+				}
+			}
+			t.Fatalf("no incident table in output:\n%s", out)
+			return ""
+		}
+		var want, wantFrom string
+		for _, path := range []string{jsonlPath, storeDir} {
+			for _, workers := range []string{"1", "4", "8"} {
+				out, err := runTool(t, filepath.Join(bin, "jsentinel"),
+					"--replay", path, "--workers", workers, "--topk", "50")
+				if err != nil {
+					t.Fatalf("%v\n%s", err, out)
+				}
+				got, from := digest(out), filepath.Base(path)+" --workers "+workers
+				if want == "" {
+					want, wantFrom = got, from
+					if !strings.Contains(got, "ALERT ") || !strings.Contains(got, "[INC-") {
+						t.Fatalf("%s: no alerts or incidents to compare:\n%s", from, out)
+					}
+					continue
+				}
+				if got != want {
+					t.Fatalf("%s diverges from %s:\n%s\nvs\n%s", from, wantFrom, got, want)
+				}
+			}
 		}
 	})
 

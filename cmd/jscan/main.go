@@ -168,9 +168,9 @@ func runFleet(n int, seed int64, opts fleet.Options, jsonlPath, eventsPath, hist
 	// The builtin scan rules are stateless and findings attribute to
 	// stable target IDs, so the alert tally and the incident summary
 	// below are deterministic regardless of worker count or delivery
-	// order — a multi-worker stage may reorder findings, but every
-	// incident aggregate (count, top severity, risk) is
-	// order-independent.
+	// order — the stage keeps each target's findings in order on its
+	// actor lane, and every incident aggregate (count, top severity,
+	// risk) is order-independent across targets.
 	// A census is one sweep: a store that already holds a recorded
 	// stream is refused, or it would disagree with the report just
 	// printed. A resumed sweep re-emits resumed findings, so its

@@ -8,17 +8,20 @@
 // table (--topk): the incident set and its rendering are identical
 // for any --workers value.
 //
-// Replay accepts either a legacy JSONL trace file (streamed one event
-// at a time, never fully buffered) or an event-store directory
-// (internal/evstore) as written by jscan --events or jupyterd --log —
-// either segment codec, JSON v1 or binary v2, in any mix; the store
-// dispatches per segment, so no flag is needed to read old data.
-// Store replay is filtered and segment-parallel: --since/--until/
-// --kinds/--actor prune whole segments via the sidecar indexes, and
-// on binary-v2 segments the kind/actor facets additionally push down
-// into the frame headers, discarding non-matching frames before the
-// payload is ever decoded. The survivors feed the actor-sharded
-// detection workers directly from per-segment readers. Any stream
+// Replay accepts either a legacy JSONL trace file or an event-store
+// directory (internal/evstore) as written by jscan --events or
+// jupyterd --log — either segment codec, JSON v1 or binary v2, in any
+// mix; the store dispatches per segment, so no flag is needed to read
+// old data. A JSONL file streams, never fully buffered: the reader
+// decodes, filters and counts each event, then emits it into a
+// bounded trace.Stage whose --workers lanes each own a share of the
+// actors (--queue is the stage depth). Store replay is filtered and
+// segment-parallel: --since/--until/--kinds/--actor prune whole
+// segments via the sidecar indexes, and on binary-v2 segments the
+// kind/actor facets additionally push down into the frame headers,
+// discarding non-matching frames before the payload is ever decoded.
+// The survivors feed the actor-sharded detection workers directly
+// from per-segment readers, --batch events at a time. Any stream
 // works, including the unified finding stream a fleet census emits:
 // scan_finding events hit the same builtin SC-* rules, so a recorded
 // sweep re-raises its alerts offline. A store recorded by the
@@ -26,7 +29,8 @@
 // top-incidents table as its live run — tenant-namespaced actors
 // shard the same way offline.
 //
-// Live mode can record the tapped stream with --log (a store
+// Live mode feeds the wire and host buses through the same kind of
+// stage, recording the tapped stream first with --log (a store
 // directory in binary-v2 segments, or legacy JSONL when the path ends
 // in .jsonl). Live mode drains cleanly on SIGINT or SIGTERM: queued
 // stage events are processed before the final report renders.
@@ -79,7 +83,6 @@ import (
 	"repro/internal/rules"
 	"repro/internal/server"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -92,9 +95,9 @@ func main() {
 	token := flag.String("token", "sentinel-demo-token", "token for the live server")
 	showAlerts := flag.Bool("alerts", true, "print individual alerts")
 	zeekOut := flag.String("zeek", "", "write Zeek-format conn/http/websocket/jupyter logs here on exit (live mode)")
-	workers := flag.Int("workers", 1, "detection workers: replay shards the trace by actor; live mode drains the tap through an async stage")
-	batch := flag.Int("batch", 256, "events per engine batch during replay")
-	queue := flag.Int("queue", 4096, "live-mode stage queue depth")
+	workers := flag.Int("workers", 1, "detection workers: each owns the events of its share of the actors (replay and live mode)")
+	batch := flag.Int("batch", 256, "events per engine batch during store-directory replay")
+	queue := flag.Int("queue", 4096, "stage queue depth, split across the workers (live mode and JSONL replay)")
 	since := flag.String("since", "", "replay filter: drop events before this RFC3339 time")
 	until := flag.String("until", "", "replay filter: drop events after this RFC3339 time")
 	kinds := flag.String("kinds", "", "replay filter: comma-separated event kinds (e.g. scan_finding,auth)")
@@ -111,7 +114,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
 			os.Exit(2)
 		}
-		replayTrace(*replay, *showAlerts, *workers, *batch, *topK, filter, *history)
+		replayTrace(*replay, *showAlerts, *workers, *batch, *queue, *topK, filter, *history)
 	case *listen != "":
 		os.Exit(live(*listen, *token, *showAlerts, *zeekOut, *logPath, *workers, *queue, *topK, *history))
 	default:
@@ -316,7 +319,7 @@ func newEngine(showAlerts bool, rec *cliutil.Recording) *core.Engine {
 // Sharding by actor keeps every correlation group (threshold windows,
 // sequences) on one worker in time order, so the parallel replay
 // fires the same alerts as a serial one.
-func replayTrace(path string, showAlerts bool, workers, batch, topK int, filter evstore.Filter, history string) {
+func replayTrace(path string, showAlerts bool, workers, batch, queue, topK int, filter evstore.Filter, history string) {
 	st, err := os.Stat(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
@@ -332,16 +335,7 @@ func replayTrace(path string, showAlerts bool, workers, batch, topK int, filter 
 		os.Exit(1)
 	}
 	eng := newEngine(showAlerts, rec)
-	var mu sync.Mutex
 	counts := map[trace.Kind]int{}
-	process := func(b []trace.Event) {
-		eng.ProcessBatch(b)
-		mu.Lock()
-		for _, e := range b {
-			counts[e.Kind]++
-		}
-		mu.Unlock()
-	}
 
 	start := time.Now()
 	var replayed int64
@@ -370,7 +364,15 @@ func replayTrace(path string, showAlerts bool, workers, batch, topK int, filter 
 				knownLoss += loss.LostBytes
 			}
 		}
-		stats, err := store.Replay(filter, workers, batch, process)
+		var mu sync.Mutex
+		stats, err := store.Replay(filter, workers, batch, func(b []trace.Event) {
+			eng.ProcessBatch(b)
+			mu.Lock()
+			for _, e := range b {
+				counts[e.Kind]++
+			}
+			mu.Unlock()
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jsentinel: replay: %v\n", err)
 			os.Exit(1)
@@ -391,32 +393,34 @@ func replayTrace(path string, showAlerts bool, workers, batch, topK int, filter 
 		// retention tiers from, printed here and by `jsentinel query`.
 		fmt.Printf("store stats: %s\n", store.Stats().Render())
 	} else {
-		// Legacy JSONL replays as a stream: decode, filter, and route
-		// to the shard workers one event at a time, so trace size is
-		// bounded by the store, not by RAM.
+		// Legacy JSONL replays as a stream: this goroutine decodes,
+		// filters and counts, and a bounded stage hands each actor's
+		// events to one detection worker in file order, so trace size
+		// is bounded by the queue, not by RAM.
 		f, err := os.Open(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jsentinel: %v\n", err)
 			os.Exit(1)
 		}
 		defer f.Close()
+		stage := trace.NewStage(eng, workers, queue, trace.Block)
 		dec := trace.NewDecoder(f)
-		next := func() (trace.Event, bool) {
-			for {
-				e, err := dec.Next()
-				if err == io.EOF {
-					return trace.Event{}, false
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "jsentinel: parse: %v\n", err)
-					os.Exit(1)
-				}
-				if filter.Match(e) {
-					return e, true
-				}
+		for {
+			e, err := dec.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "jsentinel: parse: %v\n", err)
+				os.Exit(1)
+			}
+			if filter.Match(e) {
+				counts[e.Kind]++
+				replayed++
+				stage.Emit(e)
 			}
 		}
-		replayed = int64(workload.ReplayStream(next, workers, batch, process))
+		stage.Close()
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("\nreplayed %d events in %v (%.0f events/sec, workers=%d batch=%d)\n",
@@ -465,27 +469,18 @@ func live(addr, token string, showAlerts bool, zeekOut, logPath string, workers,
 	}
 	eng := newEngine(showAlerts, rec)
 
-	// Decouple request handling from detection: events queue into
-	// bounded stages drained off the serving path. One single-worker
-	// stage per detection worker, routed by actor key — a shared
-	// multi-worker pool would reorder one actor's events and break
-	// sequence/threshold correlation (fail,fail,success arriving as
-	// fail,success,fail).
-	if workers <= 0 {
-		workers = 1
+	// Decouple request handling from detection: events queue into a
+	// bounded stage drained off the serving path, one actor lane per
+	// detection worker, so each actor's events reach the engine in
+	// order (fail,fail,success never arrives as fail,success,fail).
+	// The recording is written first, on the serving path.
+	stage := trace.NewStage(eng, workers, queue, trace.Block)
+	var tap trace.Sink = stage
+	if rec.Events != nil {
+		tap = trace.Tee(rec.Events, stage)
 	}
-	stages := make([]*trace.Stage, workers)
-	for i := range stages {
-		stages[i] = trace.NewStage(eng, 1, queue, trace.Block)
-	}
-	router := trace.SinkFunc(func(e trace.Event) {
-		if rec.Events != nil {
-			rec.Events.Emit(e)
-		}
-		stages[workload.ShardIndex(workload.ActorKey(e), len(stages))].Emit(e)
-	})
-	mon.Bus().Subscribe(router) // wire-derived events
-	srv.Bus().Subscribe(router) // host-derived events
+	mon.Bus().Subscribe(tap) // wire-derived events
+	srv.Bus().Subscribe(tap) // host-derived events
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -504,10 +499,8 @@ func live(addr, token string, showAlerts bool, zeekOut, logPath string, workers,
 	defer stop()
 	<-ctx.Done()
 	_ = srv.Close()
-	for _, st := range stages {
-		st.Close() // drain queued events before the final report
-	}
-	// Stages are drained, so every queued event's alerts and incident
+	stage.Close() // drain queued events before the final report
+	// The stage is drained, so every queued event's alerts and incident
 	// updates have already reached the history.
 	code := 0
 	if err := rec.Close(); err != nil {

@@ -30,10 +30,11 @@
 // v2"): the trace.Bus stamps sequence numbers atomically and fans out
 // over copy-on-write sink snapshots; a bounded trace.Stage decouples
 // producers from slow consumers with explicit backpressure/drop
-// accounting and hands events over by pointer in batches that grow
-// with its backlog (trace.BatchSink: one store lock per batch, single
-// events when idle); and the rules.Engine indexes signatures by event
-// kind,
+// accounting, keeps each actor's events in order on one worker's lane
+// (the one actor-ordered fan-out: live taps and JSONL replay alike),
+// and hands events over by pointer in batches that grow with its backlog
+// (trace.BatchSink: one store lock per batch, single events when
+// idle); and the rules.Engine indexes signatures by event kind,
 // matches statelessly without locks, and shards threshold/sequence
 // correlation state per group, so detection throughput scales with
 // cores (jsentinel --workers N, BenchmarkEngineParallel). The core
@@ -102,7 +103,7 @@
 // or wsproto WebSockets, each connection authenticated with a
 // per-tenant HMAC-SHA256 token (auth.Keyring, compared via the
 // length-independent auth.DigestEqual), admitted under a global
-// connection cap and per-tenant token-bucket quotas, and routed
+// connection cap and per-tenant trace.TokenBucket quotas, and routed
 // through one bounded single-worker trace.Stage per tenant into the
 // engine and/or an event store. Identity fields are namespaced
 // "tenant/..." so actor keys never cross tenants — one slow or

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/histstore"
 	"repro/internal/rules"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -33,9 +32,7 @@ func detectWithHistory(t *testing.T, tr *workload.Trace, workers int, histDir st
 	if err != nil {
 		t.Fatal(err)
 	}
-	workload.Replay(tr.Events, workers, 256, func(b []trace.Event) {
-		eng.ProcessBatch(b)
-	})
+	stageReplay(eng, tr.Events, workers)
 	if err := rec.Err(); err != nil {
 		t.Fatalf("history recording: %v", err)
 	}

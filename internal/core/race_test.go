@@ -62,6 +62,16 @@ func requireSameSets(t *testing.T, label string, want, got []string) {
 	}
 }
 
+// replayThroughStage emits events into eng through a stage of workers
+// actor lanes and returns once every event has been processed.
+func replayThroughStage(eng *Engine, events []trace.Event, workers int) {
+	st := trace.NewStage(eng, workers, 0, trace.Block)
+	for _, e := range events {
+		st.Emit(e)
+	}
+	st.Close()
+}
+
 // TestShardedCoreMatchesSerial is the core acceptance test of the
 // sharded refactor: actor-sharded parallel replay of the full mixed
 // workload must produce exactly the alert set AND the incident set of
@@ -81,9 +91,7 @@ func TestShardedCoreMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		sharded := MustEngine()
-		workload.Replay(tr.Events, workers, 128, func(b []trace.Event) {
-			sharded.ProcessBatch(b)
-		})
+		replayThroughStage(sharded, tr.Events, workers)
 		requireSameSets(t, fmt.Sprintf("workers=%d alerts", workers),
 			wantAlerts, sortedAlertKeys(sharded.Alerts()))
 		requireSameSets(t, fmt.Sprintf("workers=%d incidents", workers),
@@ -245,9 +253,7 @@ func TestReportDeterministicAcrossWorkers(t *testing.T) {
 	var wantClasses map[string][]string
 	for _, workers := range []int{1, 4, 8} {
 		eng := MustEngine()
-		workload.Replay(tr.Events, workers, 64, func(b []trace.Event) {
-			eng.ProcessBatch(b)
-		})
+		replayThroughStage(eng, tr.Events, workers)
 		gotReport := eng.Report(now).Render() + RenderIncidentTable(eng.TopByRisk(10))
 		gotClasses := map[string][]string{}
 		for class, incs := range eng.IncidentsByClass() {

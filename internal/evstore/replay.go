@@ -267,17 +267,17 @@ func (sb *segBuf) keep(w int) {
 }
 
 // Replay feeds matching events to process in batches, sharded by
-// actor across `workers` goroutines — the store-native equivalent of
-// workload.Replay, without ever materializing the trace.
+// actor (trace.ShardIndex of the actor key) across `workers`
+// goroutines, without ever materializing the trace.
 //
 // Parallelism is two-level: segments decode concurrently (bounded
 // look-ahead), each into one run per shard worker, and every worker
 // consumes its own run of each segment strictly in segment order. One
 // actor's events therefore arrive at its single shard worker in
 // append order even though decoding overlaps — the same per-group
-// serial-equivalence contract as workload.Replay — while segments the
-// sidecar index rules out (wrong kinds, disjoint time window, absent
-// actor) are never read at all.
+// serial-equivalence contract as a multi-worker trace.Stage — while
+// segments the sidecar index rules out (wrong kinds, disjoint time
+// window, absent actor) are never read at all.
 //
 // Borrow contract: process gets the slots events were decoded into, a
 // batch at a time, and they are cleared and decoded over once it

@@ -206,7 +206,7 @@ func Scan(ctx context.Context, targets []Target, opts Options) (*Report, error) 
 	scanCtx, cancelScan := context.WithCancel(ctx)
 	defer cancelScan()
 
-	limiter := newTokenBucket(opts.Rate, opts.Burst)
+	limiter := trace.NewTokenBucket(opts.Rate, opts.Burst)
 	jobs := make(chan Target)
 	results := make(chan timedResult)
 
@@ -399,52 +399,6 @@ func emitFindings(sink trace.Sink, r Result) {
 		e.Fields["target_id"] = r.TargetID
 		e.Fields["preset"] = r.Preset
 		sink.Emit(e)
-	}
-}
-
-// tokenBucket is a minimal context-aware token-bucket rate limiter.
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second; <= 0 means unlimited
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(rate float64, burst int) *tokenBucket {
-	return &tokenBucket{
-		rate:   rate,
-		burst:  float64(burst),
-		tokens: float64(burst),
-		last:   time.Now(),
-	}
-}
-
-// Wait blocks until a token is available or the context is cancelled.
-func (tb *tokenBucket) Wait(ctx context.Context) error {
-	if tb.rate <= 0 {
-		return ctx.Err()
-	}
-	for {
-		tb.mu.Lock()
-		now := time.Now()
-		tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
-		if tb.tokens > tb.burst {
-			tb.tokens = tb.burst
-		}
-		tb.last = now
-		if tb.tokens >= 1 {
-			tb.tokens--
-			tb.mu.Unlock()
-			return nil
-		}
-		wait := time.Duration((1 - tb.tokens) / tb.rate * float64(time.Second))
-		tb.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(wait):
-		}
 	}
 }
 

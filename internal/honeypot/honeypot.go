@@ -59,7 +59,6 @@ type Honeypot struct {
 	lastIP       string
 	engine       engine
 	clock        trace.Clock
-	stage        *trace.Stage
 }
 
 // engine abstracts the detection engine used for classification so the
@@ -78,15 +77,6 @@ type Config struct {
 	Engine interface {
 		Process(trace.Event) []rules.Alert
 	}
-	// AsyncQueue > 0 decouples the decoy server from the observer: the
-	// server's emissions are queued into a bounded trace.Stage drained
-	// by a single worker (one worker keeps attribution order — the
-	// observer correlates kernel events with the last-seen source).
-	AsyncQueue int
-	// AsyncDrop selects the overflow policy for the observer stage
-	// (default trace.Block). A flooded decoy may prefer
-	// trace.DropNewest so the attacker cannot stall the server.
-	AsyncDrop trace.DropPolicy
 }
 
 // New boots a honeypot on an ephemeral loopback port with bait content
@@ -113,12 +103,7 @@ func New(cfg Config) (*Honeypot, error) {
 		engine:       cfg.Engine,
 		clock:        cfg.Clock,
 	}
-	var observer trace.Sink = trace.SinkFunc(hp.observe)
-	if cfg.AsyncQueue > 0 {
-		hp.stage = trace.NewStage(observer, 1, cfg.AsyncQueue, cfg.AsyncDrop)
-		observer = hp.stage
-	}
-	srv.Bus().Subscribe(observer)
+	srv.Bus().Subscribe(trace.SinkFunc(hp.observe))
 	if err := hp.installBait(); err != nil {
 		return nil, err
 	}
@@ -130,39 +115,9 @@ func New(cfg Config) (*Honeypot, error) {
 	return hp, nil
 }
 
-// Close stops the decoy server, then drains everything queued in the
-// observer stage. Emissions from handlers still in flight when the
-// server closes may arrive after the stage shuts and are counted in
-// Dropped() rather than classified — export intel with Drain +
-// PublishIntel (or Fleet.Collect) while the decoy is live to observe
-// every interaction.
+// Close stops the decoy server.
 func (hp *Honeypot) Close() error {
-	err := hp.Server.Close()
-	if hp.stage != nil {
-		hp.stage.Close()
-	}
-	return err
-}
-
-// Dropped reports observer-stage overflow losses (always 0 for a
-// synchronous honeypot or the trace.Block policy).
-func (hp *Honeypot) Dropped() uint64 {
-	if hp.stage == nil {
-		return 0
-	}
-	return hp.stage.Dropped()
-}
-
-// Drain blocks until the observer stage has consumed everything
-// queued so far, without closing it. Synchronous honeypots return
-// immediately.
-func (hp *Honeypot) Drain() {
-	if hp.stage == nil {
-		return
-	}
-	for hp.stage.Processed() < hp.stage.Accepted() {
-		time.Sleep(time.Millisecond)
-	}
+	return hp.Server.Close()
 }
 
 // installBait seeds believable research artifacts: the lure for
@@ -374,33 +329,15 @@ type Fleet struct {
 	Store     *threatintel.Store
 }
 
-// NewFleet boots n honeypots with synchronous observers.
+// NewFleet boots n honeypots.
 func NewFleet(n int, clock trace.Clock) (*Fleet, error) {
-	return newFleet(n, clock, 0, trace.Block)
-}
-
-// NewFleetAsync boots n honeypots whose observers run behind bounded
-// async stages (queue events per decoy), so a burst against one decoy
-// cannot stall its server loop on classification work. Collect drains
-// the stages before merging intel.
-func NewFleetAsync(n int, clock trace.Clock, queue int, drop trace.DropPolicy) (*Fleet, error) {
-	if queue <= 0 {
-		queue = 1024
-	}
-	return newFleet(n, clock, queue, drop)
-}
-
-func newFleet(n int, clock trace.Clock, queue int, drop trace.DropPolicy) (*Fleet, error) {
 	f := &Fleet{Store: threatintel.NewStore()}
 	for i := 0; i < n; i++ {
 		eng, err := rules.NewEngine(rules.BuiltinRules())
 		if err != nil {
 			return nil, err
 		}
-		hp, err := New(Config{
-			ID: fmt.Sprintf("edge-hp-%d", i+1), Clock: clock, Engine: eng,
-			AsyncQueue: queue, AsyncDrop: drop,
-		})
+		hp, err := New(Config{ID: fmt.Sprintf("edge-hp-%d", i+1), Clock: clock, Engine: eng})
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -410,12 +347,9 @@ func newFleet(n int, clock trace.Clock, queue int, drop trace.DropPolicy) (*Flee
 	return f, nil
 }
 
-// Collect drains every honeypot's observer stage, then pulls intel
-// into the fleet store, returning totals of new indicators and rules.
+// Collect pulls every honeypot's intel into the fleet store,
+// returning totals of new indicators and rules.
 func (f *Fleet) Collect(now time.Time) (indicators, sigs int) {
-	for _, hp := range f.Honeypots {
-		hp.Drain()
-	}
 	for _, hp := range f.Honeypots {
 		ni, nr := f.Store.Merge(hp.PublishIntel(now))
 		indicators += ni

@@ -204,53 +204,3 @@ func TestFingerprintClassification(t *testing.T) {
 		t.Fatal("executions not counted")
 	}
 }
-
-// TestAsyncObserverRecordsAndDrains verifies a honeypot whose observer
-// runs behind a bounded stage still fingerprints the attacker once
-// drained, and loses nothing under the Block policy.
-func TestAsyncObserverRecordsAndDrains(t *testing.T) {
-	hp, err := New(Config{ID: "hp-async", AsyncQueue: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hp.Close()
-	c := client.New(hp.Addr, "")
-	_, _ = c.Status()
-	if _, err := c.ReadFile("secrets/.aws_credentials"); err != nil {
-		t.Fatal(err)
-	}
-	hp.Drain()
-	if hp.Dropped() != 0 {
-		t.Fatalf("observer dropped %d events under Block policy", hp.Dropped())
-	}
-	if len(hp.Interactions()) == 0 {
-		t.Fatal("async observer recorded no interactions")
-	}
-	fps := hp.Fingerprints()
-	if len(fps) != 1 || fps[0].Requests < 2 {
-		t.Fatalf("fingerprints = %+v", fps)
-	}
-}
-
-// TestAsyncFleetCollect runs an async fleet end to end: attack one
-// decoy, Collect (which drains), expect intel.
-func TestAsyncFleetCollect(t *testing.T) {
-	fl, err := NewFleetAsync(2, nil, 256, trace.Block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-	c := client.New(fl.Honeypots[0].Addr, "")
-	if _, err := attacks.Cryptominer(c, attacks.MinerOptions{
-		Rounds: 1, BurnMillis: 50, Blatant: true, Username: "attacker",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	indicators, sigs := fl.Collect(time.Now())
-	if indicators == 0 {
-		t.Fatal("async fleet collected no indicators")
-	}
-	if sigs == 0 {
-		t.Fatal("async fleet extracted no signatures")
-	}
-}

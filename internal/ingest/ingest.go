@@ -67,7 +67,8 @@ type Config struct {
 	// MaxMessage bounds one WebSocket message; oversize closes the
 	// connection with code 1009. Default 1 MiB.
 	MaxMessage int
-	// MaxBody bounds one HTTP ingest request body. Default 8 MiB.
+	// MaxBody bounds one HTTP ingest request body; a longer body is
+	// answered 413 after the events before the limit. Default 8 MiB.
 	MaxBody int64
 	// Clock stamps events that arrive without a timestamp.
 	Clock trace.Clock
@@ -161,7 +162,7 @@ func (s *Service) tenantState(name string) *tenant {
 		name:   name,
 		policy: policy,
 		stage:  trace.NewStage(s.sink, 1, s.cfg.Queue, policy),
-		bucket: newTokenBucket(s.cfg.Rate, s.cfg.Burst),
+		bucket: trace.NewTokenBucket(s.cfg.Rate, s.cfg.Burst),
 	}
 	s.tenants[name] = ts
 	return ts
@@ -371,7 +372,8 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer ts.conns.Add(-1)
 
 	resp := batchResponse{Tenant: tenantName}
-	dec := trace.NewDecoder(io.LimitReader(r.Body, s.cfg.MaxBody))
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+	dec := trace.NewDecoder(body)
 	for {
 		e, err := dec.Next()
 		if err == io.EOF {
@@ -379,8 +381,16 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			// Reject the remainder but report what was admitted: the
-			// agent retries from its own cursor, not from zero.
-			writeJSON(w, http.StatusBadRequest, map[string]any{
+			// agent retries from its own cursor, not from zero. A body
+			// over MaxBody is 413 whether the limit ended a line or cut
+			// one (which then fails to decode first); a read of nothing
+			// returns the limit reader's sticky error.
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if _, rerr := body.Read(nil); errors.As(rerr, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, status, map[string]any{
 				"error": err.Error(), "accepted": resp.Accepted, "denied": resp.Denied,
 			})
 			return

@@ -3,9 +3,7 @@ package ingest
 import (
 	"context"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -27,7 +25,7 @@ type tenant struct {
 	name   string
 	policy trace.DropPolicy
 	stage  *trace.Stage
-	bucket *tokenBucket
+	bucket *trace.TokenBucket
 
 	conns  atomic.Int64
 	denied atomic.Uint64 // events refused by the quota (or at drain)
@@ -94,75 +92,4 @@ func stampTenant(name string, e *trace.Event) {
 	}
 	all := b.String()
 	e.User, e.SrcIP, e.KernelID = all[:cut[0]], all[cut[0]:cut[1]], all[cut[1]:cut[2]]
-}
-
-// tokenBucket is the fleet sweep's context-aware rate limiter idiom,
-// applied per tenant: rate tokens/sec with a burst ceiling, Wait for
-// blocking admission, Allow for the non-blocking drop path. rate <= 0
-// means unlimited.
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(rate float64, burst int) *tokenBucket {
-	if burst <= 0 {
-		burst = 1
-	}
-	return &tokenBucket{
-		rate:   rate,
-		burst:  float64(burst),
-		tokens: float64(burst),
-		last:   time.Now(),
-	}
-}
-
-// Allow takes a token if one is available, without blocking.
-func (tb *tokenBucket) Allow() bool {
-	if tb.rate <= 0 {
-		return true
-	}
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	tb.refillLocked()
-	if tb.tokens >= 1 {
-		tb.tokens--
-		return true
-	}
-	return false
-}
-
-// Wait blocks until a token is available or ctx is cancelled.
-func (tb *tokenBucket) Wait(ctx context.Context) error {
-	if tb.rate <= 0 {
-		return ctx.Err()
-	}
-	for {
-		tb.mu.Lock()
-		tb.refillLocked()
-		if tb.tokens >= 1 {
-			tb.tokens--
-			tb.mu.Unlock()
-			return nil
-		}
-		wait := time.Duration((1 - tb.tokens) / tb.rate * float64(time.Second))
-		tb.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(wait):
-		}
-	}
-}
-
-func (tb *tokenBucket) refillLocked() {
-	now := time.Now()
-	tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
-	if tb.tokens > tb.burst {
-		tb.tokens = tb.burst
-	}
-	tb.last = now
 }

@@ -39,17 +39,6 @@ type Config struct {
 	ParseWebSocket bool
 	// ParseJupyter enables Jupyter message extraction from WS frames.
 	ParseJupyter bool
-
-	// AsyncWorkers > 0 decouples the wire analyzers from downstream
-	// detectors: events are queued into a bounded trace.Stage drained
-	// by this many workers instead of being delivered synchronously on
-	// the analyzer goroutine. Use 1 to keep per-connection ordering.
-	AsyncWorkers int
-	// AsyncQueue bounds the stage queue (default 1024).
-	AsyncQueue int
-	// AsyncDrop selects the overflow policy (default trace.Block:
-	// analyzers backpressure rather than lose events).
-	AsyncDrop trace.DropPolicy
 }
 
 // FullVisibility returns a monitor config with every analyzer enabled.
@@ -115,12 +104,12 @@ type Visibility struct {
 }
 
 // Monitor is the passive analyzer. Events derived from the wire are
-// emitted on its Bus; typed logs accumulate for reports.
+// emitted on its Bus, synchronously on the analyzer goroutine (a
+// subscriber that must not stall the analyzers wraps itself in a
+// trace.Stage); typed logs accumulate for reports.
 type Monitor struct {
 	cfg   Config
 	bus   *trace.Bus
-	out   trace.Sink // bus directly, or a Stage in front of it
-	stage *trace.Stage
 	mu    sync.Mutex
 	conns map[uint64]*ConnRecord
 	http  []HTTPRecord
@@ -131,40 +120,16 @@ type Monitor struct {
 }
 
 // NewMonitor returns a Monitor emitting events on bus (a fresh bus is
-// created if nil). With cfg.AsyncWorkers > 0 the emissions flow
-// through a bounded async Stage; call Close to drain it.
+// created if nil).
 func NewMonitor(cfg Config, bus *trace.Bus) *Monitor {
 	if bus == nil {
 		bus = trace.NewBus(nil)
 	}
-	m := &Monitor{cfg: cfg, bus: bus, conns: map[uint64]*ConnRecord{}}
-	m.out = bus
-	if cfg.AsyncWorkers > 0 {
-		m.stage = trace.NewStage(bus, cfg.AsyncWorkers, cfg.AsyncQueue, cfg.AsyncDrop)
-		m.out = m.stage
-	}
-	return m
+	return &Monitor{cfg: cfg, bus: bus, conns: map[uint64]*ConnRecord{}}
 }
 
 // Bus returns the monitor's event bus (subscribe detectors here).
 func (m *Monitor) Bus() *trace.Bus { return m.bus }
-
-// Close drains the async stage, if any. After Close, late analyzer
-// emissions are counted as dropped instead of delivered.
-func (m *Monitor) Close() {
-	if m.stage != nil {
-		m.stage.Close()
-	}
-}
-
-// Dropped reports events lost to stage overflow (always 0 when the
-// monitor is synchronous or uses trace.Block).
-func (m *Monitor) Dropped() uint64 {
-	if m.stage == nil {
-		return 0
-	}
-	return m.stage.Dropped()
-}
 
 // Visibility returns a snapshot of visibility counters.
 func (m *Monitor) Visibility() Visibility {
@@ -239,7 +204,7 @@ func (m *Monitor) tap(c net.Conn) net.Conn {
 	m.conns[id] = rec
 	m.vis.Conns++
 	m.mu.Unlock()
-	m.out.Emit(trace.Event{
+	m.bus.Emit(trace.Event{
 		Kind: trace.KindConn, Op: "open", SrcIP: srcIP, SrcPort: srcPort, Success: true,
 		Fields: map[string]string{"conn_id": strconv.FormatUint(id, 10)},
 	})
@@ -367,7 +332,7 @@ func (m *Monitor) analyzeClient(connID uint64, rec *ConnRecord, r *io.PipeReader
 		m.http = append(m.http, hrec)
 		m.vis.HTTPRequests++
 		m.mu.Unlock()
-		m.out.Emit(trace.Event{
+		m.bus.Emit(trace.Event{
 			Kind: trace.KindHTTP, Method: hrec.Method, Path: hrec.Path,
 			Status: hrec.Status, SrcIP: rec.SrcIP, SrcPort: rec.SrcPort,
 			Success: true,
@@ -446,7 +411,7 @@ func (m *Monitor) analyzeWS(connID uint64, rec *ConnRecord, br *bufio.Reader, fr
 		m.ws = append(m.ws, wrec)
 		m.vis.WSFrames++
 		m.mu.Unlock()
-		m.out.Emit(trace.Event{
+		m.bus.Emit(trace.Event{
 			Kind: trace.KindWSFrame, WSOpcode: wrec.Opcode,
 			Bytes: int64(wrec.Length), SrcIP: rec.SrcIP, SrcPort: rec.SrcPort,
 			Success: true,
@@ -502,7 +467,7 @@ func (m *Monitor) analyzeWS(connID uint64, rec *ConnRecord, br *bufio.Reader, fr
 		m.jup = append(m.jup, jrec)
 		m.vis.JupyterMessages++
 		m.mu.Unlock()
-		m.out.Emit(ev)
+		m.bus.Emit(ev)
 	}
 }
 

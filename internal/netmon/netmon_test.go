@@ -273,24 +273,22 @@ func TestTokenInURLVisibleOnWire(t *testing.T) {
 	}
 }
 
-// TestAsyncMonitorStage drives a tapped server whose monitor emits
-// through a bounded async stage and checks the engine still sees the
-// wire-derived exec event — the pipeline-v2 live topology.
+// TestAsyncMonitorStage drives a tapped server whose monitor bus feeds
+// the engine through a bounded stage and checks the engine still sees
+// the wire-derived exec event — the pipeline-v2 live topology.
 func TestAsyncMonitorStage(t *testing.T) {
-	cfg := FullVisibility()
-	cfg.AsyncWorkers = 1 // preserve per-connection ordering
-	cfg.AsyncQueue = 256
-	c, mon, done := tappedServer(t, cfg)
+	c, mon, done := tappedServer(t, FullVisibility())
 	eng := core.MustEngine()
-	mon.Bus().Subscribe(eng)
+	stage := trace.NewStage(eng, 1, 256, trace.Block)
+	mon.Bus().Subscribe(stage)
 
 	drive(t, c)
 	settle()
 	done()
-	mon.Close() // drain the stage before asserting
+	stage.Close() // drain the stage before asserting
 
-	if mon.Dropped() != 0 {
-		t.Fatalf("stage dropped %d events under Block policy", mon.Dropped())
+	if stage.Dropped() != 0 {
+		t.Fatalf("stage dropped %d events under Block policy", stage.Dropped())
 	}
 	vis := mon.Visibility()
 	if vis.JupyterMessages == 0 {

@@ -8,10 +8,6 @@ package trace
 // threshold window and sequence on one shard, in time order; a custom
 // rule whose GroupBy cuts across actor keys (say, grouping http
 // events by user) loses the serial-equivalence guarantee.
-//
-// It lives in trace (rather than workload, which re-exports it) so the
-// storage layer can index segments by actor without importing the
-// traffic generator.
 func ActorKey(e Event) string { return e.ActorKey() }
 
 // ActorKey is the function ActorKey without the copy of the event: the
@@ -35,9 +31,9 @@ func (e *Event) ActorKey() string {
 }
 
 // ShardIndex maps a shard key to one of n shards via FNV-1a — the
-// routing every sharded consumer (live per-actor stages, store
-// replay, workload.Partition) shares, so one actor always lands on
-// one shard no matter which path delivered it.
+// routing every sharded consumer (Stage lanes, store replay) shares,
+// so one actor always lands on one shard no matter which path
+// delivered it.
 func ShardIndex(key string, n int) int {
 	if n <= 1 {
 		return 0

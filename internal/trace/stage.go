@@ -53,32 +53,29 @@ const (
 )
 
 // Stage decouples event producers from a slow Sink: events are queued
-// into a bounded ring drained by a pool of workers that hand them to
-// the wrapped sink — in batches through EmitBatch when the sink is a
-// BatchSink, one Emit per event otherwise. It implements Sink, so any
-// producer (a Bus subscriber, a monitor, a honeypot observer) can be
-// made asynchronous by wrapping its downstream sink in a Stage.
+// into bounded rings drained by workers that hand them to the wrapped
+// sink — in batches through EmitBatch when the sink is a BatchSink, one
+// Emit per event otherwise. It implements Sink, so any producer (a Bus
+// subscriber, a monitor, a honeypot observer) can be made asynchronous
+// by wrapping its downstream sink in a Stage.
 //
-// With a single worker the wrapped sink observes events in exactly the
-// order they were emitted by a single producer; with N > 1 workers
-// delivery order across events is unspecified and the sink must be
-// safe for concurrent use (the sharded rules.Engine is).
+// Each worker owns one lane: a ring of ceil(depth/workers) events with
+// its own lock. Emit picks the lane by ShardIndex of the event's actor
+// key, so every event of one actor passes through one ring and one
+// worker: each actor's events reach the sink in the order they were
+// emitted, and the relative order of different actors is unspecified.
+// With N > 1 workers the sink must be safe for concurrent use (the
+// sharded rules and core engines are). Under DropNewest an event is
+// dropped when its own lane is full, whatever the other lanes hold.
 //
 // Events emitted after Close — including an Emit still parked on a
-// full queue when Close arrives — are counted as dropped regardless of
+// full lane when Close arrives — are counted as dropped regardless of
 // policy, never delivered, and never panic.
 type Stage struct {
 	sink    Sink
 	policy  DropPolicy
-	takeMax int // per-take ceiling: takeCap, or depth/workers if smaller
-
-	mu       sync.Mutex
-	notEmpty sync.Cond // workers park here
-	notFull  sync.Cond // Block producers park here
-	ring     []Event   // the queue: ring[head], ring[head+1], ... (mod len), queued of them
-	head     int
-	queued   int
-	closed   bool
+	takeMax int // per-take ceiling: takeCap, or the lane size if smaller
+	lanes   []lane
 
 	wg        sync.WaitGroup
 	accepted  atomic.Uint64
@@ -86,8 +83,20 @@ type Stage struct {
 	dropped   atomic.Uint64
 }
 
+// lane is one worker's queue.
+type lane struct {
+	mu       sync.Mutex
+	notEmpty sync.Cond // the worker parks here
+	notFull  sync.Cond // Block producers park here
+	ring     []Event   // the queue: ring[head], ring[head+1], ... (mod len), queued of them
+	head     int
+	queued   int
+	closed   bool
+}
+
 // NewStage starts a stage delivering to sink with the given worker
-// count (min 1), queue depth (default 1024), and drop policy.
+// count (min 1), queue depth (default 1024) split evenly across the
+// workers' lanes, and drop policy.
 func NewStage(sink Sink, workers, depth int, policy DropPolicy) *Stage {
 	if workers <= 0 {
 		workers = 1
@@ -95,56 +104,44 @@ func NewStage(sink Sink, workers, depth int, policy DropPolicy) *Stage {
 	if depth <= 0 {
 		depth = 1024
 	}
-	// No worker may take more than its share of a full queue, or one
-	// worker would serialize what N were asked to run in parallel.
-	takeMax := (depth + workers - 1) / workers
-	if takeMax > takeCap {
-		takeMax = takeCap
-	}
-	st := &Stage{sink: sink, policy: policy, takeMax: takeMax, ring: make([]Event, depth)}
-	st.notEmpty.L = &st.mu
-	st.notFull.L = &st.mu
+	size := (depth + workers - 1) / workers
+	st := &Stage{sink: sink, policy: policy, takeMax: min(size, takeCap), lanes: make([]lane, workers)}
 	st.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go st.worker()
+	for i := range st.lanes {
+		ln := &st.lanes[i]
+		ln.ring = make([]Event, size)
+		ln.notEmpty.L = &ln.mu
+		ln.notFull.L = &ln.mu
+		go st.worker(ln)
 	}
 	return st
 }
 
-func (st *Stage) worker() {
+func (st *Stage) worker(ln *lane) {
 	defer st.wg.Done()
 	var batch []Event // this worker's copy of the run it took; borrowed by the sink per call
 	for {
-		st.mu.Lock()
-		for st.queued == 0 && !st.closed {
-			st.notEmpty.Wait()
+		ln.mu.Lock()
+		for ln.queued == 0 && !ln.closed {
+			ln.notEmpty.Wait()
 		}
-		if st.queued == 0 {
-			st.mu.Unlock()
+		if ln.queued == 0 {
+			ln.mu.Unlock()
 			return // closed and drained
 		}
-		n := st.queued / takeFraction
-		if n < 1 {
-			n = 1
-		}
-		if n > st.takeMax {
-			n = st.takeMax
-		}
+		n := min(max(ln.queued/takeFraction, 1), st.takeMax)
 		batch = batch[:0]
 		for n > 0 {
-			run := st.ring[st.head:min(st.head+n, len(st.ring))]
+			run := ln.ring[ln.head:min(ln.head+n, len(ln.ring))]
 			batch = append(batch, run...)
 			clear(run) // like a channel receive: a consumed slot pins no strings
-			st.head = (st.head + len(run)) % len(st.ring)
-			st.queued -= len(run)
+			ln.head = (ln.head + len(run)) % len(ln.ring)
+			ln.queued -= len(run)
 			n -= len(run)
 		}
 		// Waking costs two atomic loads when nobody is parked.
-		st.notFull.Broadcast()
-		if st.queued > 0 {
-			st.notEmpty.Signal() // more left than this worker took: share it
-		}
-		st.mu.Unlock()
+		ln.notFull.Broadcast()
+		ln.mu.Unlock()
 
 		EmitBatch(st.sink, batch)
 		st.processed.Add(uint64(len(batch)))
@@ -152,41 +149,49 @@ func (st *Stage) worker() {
 	}
 }
 
-// Emit enqueues the event, honoring the drop policy when full.
+// Emit enqueues the event on its actor's lane, honoring the drop
+// policy when that lane is full.
 func (st *Stage) Emit(e Event) {
-	st.mu.Lock()
-	for st.policy == Block && st.queued == len(st.ring) && !st.closed {
-		st.notFull.Wait()
+	ln := &st.lanes[0]
+	if len(st.lanes) > 1 {
+		ln = &st.lanes[ShardIndex(e.ActorKey(), len(st.lanes))]
 	}
-	if st.closed || st.queued == len(st.ring) {
-		st.mu.Unlock()
+	ln.mu.Lock()
+	for st.policy == Block && ln.queued == len(ln.ring) && !ln.closed {
+		ln.notFull.Wait()
+	}
+	if ln.closed || ln.queued == len(ln.ring) {
+		ln.mu.Unlock()
 		st.dropped.Add(1)
 		return
 	}
-	tail := st.head + st.queued
-	if tail >= len(st.ring) {
-		tail -= len(st.ring)
+	tail := ln.head + ln.queued
+	if tail >= len(ln.ring) {
+		tail -= len(ln.ring)
 	}
-	st.ring[tail] = e
-	st.queued++
+	ln.ring[tail] = e
+	ln.queued++
 	// Counted under the lock that publishes the event: a drained stage
 	// must satisfy Processed() == Accepted(), so the counter may never
 	// lag behind an event a worker can already see.
 	st.accepted.Add(1)
-	st.notEmpty.Signal()
-	st.mu.Unlock()
+	ln.notEmpty.Signal()
+	ln.mu.Unlock()
 }
 
-// Close stops accepting events, drains the queue, and waits for the
+// Close stops accepting events, drains every lane, and waits for the
 // workers to finish. It is idempotent.
 func (st *Stage) Close() {
-	st.mu.Lock()
-	if !st.closed {
-		st.closed = true
-		st.notEmpty.Broadcast()
-		st.notFull.Broadcast()
+	for i := range st.lanes {
+		ln := &st.lanes[i]
+		ln.mu.Lock()
+		if !ln.closed {
+			ln.closed = true
+			ln.notEmpty.Broadcast()
+			ln.notFull.Broadcast()
+		}
+		ln.mu.Unlock()
 	}
-	st.mu.Unlock()
 	st.wg.Wait()
 }
 
@@ -196,14 +201,19 @@ func (st *Stage) Accepted() uint64 { return st.accepted.Load() }
 // Processed returns how many events the wrapped sink has consumed.
 func (st *Stage) Processed() uint64 { return st.processed.Load() }
 
-// Dropped returns how many events were discarded (queue overflow under
+// Dropped returns how many events were discarded (a full lane under
 // DropNewest, or emitted after Close).
 func (st *Stage) Dropped() uint64 { return st.dropped.Load() }
 
-// Pending returns the number of events queued and not yet taken by a
-// worker.
+// Pending returns the number of events queued on every lane and not
+// yet taken by a worker.
 func (st *Stage) Pending() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.queued
+	n := 0
+	for i := range st.lanes {
+		ln := &st.lanes[i]
+		ln.mu.Lock()
+		n += ln.queued
+		ln.mu.Unlock()
+	}
+	return n
 }

@@ -307,7 +307,9 @@ func TestStageFourWorkersDeliverEveryEventOnce(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			emitSeqs(st, uint64(p*5000+1), uint64((p+1)*5000))
+			for s := uint64(p*5000 + 1); s <= uint64((p+1)*5000); s++ {
+				st.Emit(Event{Seq: s, User: actorName(int(s % 16))})
+			}
 		}(p)
 	}
 	wg.Wait()
@@ -325,6 +327,135 @@ func TestStageFourWorkersDeliverEveryEventOnce(t *testing.T) {
 		if n > 64/4 {
 			t.Fatalf("a worker took %d events; with 4 workers on depth 64 the ceiling is 16", n)
 		}
+	}
+}
+
+// actorName names actor i; actor 0 is the empty key.
+func actorName(i int) string {
+	if i == 0 {
+		return ""
+	}
+	return "actor-" + string(rune('A'+i/26)) + string(rune('a'+i%26))
+}
+
+// The lane contract: however many workers, every event is delivered
+// once and each actor's events reach the sink in the order they were
+// emitted. Producers share actors, so the order checked is each
+// producer's own per actor; Seq carries producer, actor and index.
+func TestStageLanesKeepActorOrder(t *testing.T) {
+	const producers, actors, each = 4, 64, 2000
+	for _, workers := range []int{1, 2, 3, 8} {
+		rec := &batchRecorder{}
+		st := NewStage(rec, workers, 48, Block)
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					// Runs of three per actor, the actors interleaved:
+					// every actor gets events from every producer.
+					a := (i/3*7 + p) % actors
+					st.Emit(Event{Seq: uint64(p)<<40 | uint64(a)<<32 | uint64(i), User: actorName(a)})
+				}
+			}(p)
+		}
+		wg.Wait()
+		st.Close()
+		if len(rec.seqs) != producers*each || st.Processed() != producers*each || st.Dropped() != 0 {
+			t.Fatalf("workers=%d: delivered %d, processed %d, dropped %d, want %d, %d and 0",
+				workers, len(rec.seqs), st.Processed(), st.Dropped(), producers*each, producers*each)
+		}
+		last := map[uint64]int64{} // producer<<8|actor -> last index seen
+		for _, s := range rec.seqs {
+			key, i := s>>32, int64(s&(1<<32-1))
+			prev, ok := last[key]
+			if !ok {
+				prev = -1
+			}
+			if i <= prev {
+				t.Fatalf("workers=%d: producer %d actor %d: index %d after %d", workers, key>>8, key&0xff, i, prev)
+			}
+			last[key] = i
+		}
+		if len(last) != producers*actors {
+			t.Fatalf("workers=%d: %d producer-actor pairs delivered, want %d", workers, len(last), producers*actors)
+		}
+	}
+}
+
+// twoLaneActors returns two actor keys that land on different lanes of
+// a two-worker stage.
+func twoLaneActors(t *testing.T) (string, string) {
+	t.Helper()
+	a := actorName(1)
+	for i := 2; i < 64; i++ {
+		if b := actorName(i); ShardIndex(b, 2) != ShardIndex(a, 2) {
+			return a, b
+		}
+	}
+	t.Fatal("no two actors on different lanes")
+	return "", ""
+}
+
+func TestStageDropNewestIsPerLane(t *testing.T) {
+	a, b := twoLaneActors(t)
+	rec := &batchRecorder{gate: make(chan struct{})}
+	st := NewStage(rec, 2, 4, DropNewest) // two lanes of two
+	st.Emit(Event{Seq: 1, User: a})
+	waitFor(t, "a's worker to take the first event", func() bool { return st.Pending() == 0 })
+	emitActor := func(user string, from, to uint64) {
+		for s := from; s <= to; s++ {
+			st.Emit(Event{Seq: s, User: user})
+		}
+	}
+	emitActor(a, 2, 4) // two fill a's lane behind the stalled sink, the third drops
+	if st.Accepted() != 3 || st.Dropped() != 1 {
+		t.Fatalf("a's full lane: accepted %d dropped %d, want 3 and 1", st.Accepted(), st.Dropped())
+	}
+	emitActor(b, 5, 6) // b's lane is empty: both accepted while a's stays full
+	if st.Accepted() != 5 || st.Dropped() != 1 {
+		t.Fatalf("b on its own lane: accepted %d dropped %d, want 5 and 1", st.Accepted(), st.Dropped())
+	}
+	close(rec.gate)
+	st.Close()
+	if st.Processed() != 5 || len(rec.seqs) != 5 {
+		t.Fatalf("processed %d delivered %d, want 5", st.Processed(), len(rec.seqs))
+	}
+}
+
+func TestStageCloseDropsEmitParkedOnFullLane(t *testing.T) {
+	a, _ := twoLaneActors(t)
+	rec := &batchRecorder{gate: make(chan struct{})}
+	st := NewStage(rec, 2, 2, Block) // two lanes of one
+	st.Emit(Event{Seq: 1, User: a})
+	waitFor(t, "the worker to take the first event", func() bool { return st.Pending() == 0 })
+	st.Emit(Event{Seq: 2, User: a}) // fills the lane
+	parked := make(chan struct{})
+	var started atomic.Bool
+	go func() {
+		defer close(parked)
+		started.Store(true)
+		st.Emit(Event{Seq: 3, User: a})
+	}()
+	waitFor(t, "the producer to reach the full lane", started.Load)
+	for i := 0; i < 200; i++ {
+		runtime.Gosched()
+	}
+	time.Sleep(2 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		st.Close() // waits for the stalled worker
+	}()
+	<-parked // Close must release the parked Emit before the workers finish
+	if st.Dropped() != 1 || st.Accepted() != 2 {
+		t.Fatalf("parked emit at Close: dropped %d accepted %d, want 1 and 2", st.Dropped(), st.Accepted())
+	}
+	close(rec.gate)
+	<-closed
+	if st.Processed() != 2 || len(rec.seqs) != 2 {
+		t.Fatalf("processed %d delivered %d, want 2", st.Processed(), len(rec.seqs))
 	}
 }
 

@@ -294,3 +294,24 @@ func TestKindIndexAgreesWithKnownKinds(t *testing.T) {
 		}
 	}
 }
+
+func TestActorKeyPrecedence(t *testing.T) {
+	cases := []struct {
+		e    Event
+		want string
+	}{
+		{Event{Kind: KindAuth, SrcIP: "1.2.3.4", User: "alice"}, "1.2.3.4"},
+		{Event{Kind: KindHTTP, SrcIP: "1.2.3.4", User: "alice"}, "1.2.3.4"},
+		{Event{Kind: KindExec, SrcIP: "1.2.3.4", User: "alice"}, "alice"},
+		{Event{Kind: KindFileOp, SrcIP: "1.2.3.4"}, "1.2.3.4"},
+		// sys_res keys by kernel even when a user is present: CM-003
+		// thresholds group resource samples by kernel_id.
+		{Event{Kind: KindSysRes, KernelID: "kern-1", User: "alice"}, "kern-1"},
+		{Event{Kind: KindSysRes, KernelID: "kern-1"}, "kern-1"},
+	}
+	for i, c := range cases {
+		if got := ActorKey(c.e); got != c.want {
+			t.Errorf("case %d: ActorKey = %q, want %q", i, got, c.want)
+		}
+	}
+}

@@ -15,11 +15,9 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/trace"
-	"repro/internal/vfs"
 )
 
 // Label marks a ground-truth attack window.
@@ -291,108 +289,4 @@ func StandardMix(seed int64, benignSteps int) *Trace {
 	g.InjectLowSlow(t, "198.51.100.9", 30, 30*time.Second)
 	g.InjectTerminalRecon(t, "mallory-tr", "203.0.113.99")
 	return t
-}
-
-// EntropyOf is re-exported for tests validating generated payload
-// entropy assumptions against the real estimator.
-func EntropyOf(data []byte) float64 { return vfs.Entropy(data) }
-
-// ActorKey returns the stable identity used to shard an event stream
-// for parallel replay. It now lives in trace (the storage layer
-// indexes segments by it); this re-export keeps existing callers
-// working. See trace.ActorKey for the grouping contract.
-func ActorKey(e trace.Event) string { return trace.ActorKey(e) }
-
-// ShardIndex maps a shard key to one of n shards via FNV-1a — the
-// same routing Partition uses, exported so live pipelines can route a
-// stream of events to per-actor stages consistently. Re-exported from
-// trace.ShardIndex.
-func ShardIndex(key string, n int) int { return trace.ShardIndex(key, n) }
-
-// Partition splits events into n shards by FNV-1a of ActorKey,
-// preserving relative order within each shard. Events of one actor
-// always land in the same shard.
-func Partition(events []trace.Event, n int) [][]trace.Event {
-	if n <= 1 {
-		return [][]trace.Event{events}
-	}
-	shards := make([][]trace.Event, n)
-	for _, e := range events {
-		idx := ShardIndex(ActorKey(e), n)
-		shards[idx] = append(shards[idx], e)
-	}
-	return shards
-}
-
-// Replay feeds events to process in batches of at most batch events
-// (default 256). With workers > 1 the stream is sharded by actor and
-// the shards are replayed concurrently — per-actor ordering is
-// preserved, so a sharded detection engine produces the same alert
-// set as a serial replay (up to output order; sort for stable
-// reports). Replay returns once every event has been processed; it is
-// ReplayStream over a slice cursor, so the sharding invariant lives
-// in one place. The batch slice passed to process is reused between
-// calls; process must not retain it.
-func Replay(events []trace.Event, workers, batch int, process func([]trace.Event)) {
-	i := 0
-	ReplayStream(func() (trace.Event, bool) {
-		if i >= len(events) {
-			return trace.Event{}, false
-		}
-		e := events[i]
-		i++
-		return e, true
-	}, workers, batch, process)
-}
-
-// ReplayStream is Replay for a stream: it pulls events from next until
-// next reports exhaustion, routes each to its actor shard over a
-// bounded channel, and processes per-shard batches concurrently — so
-// an arbitrarily long trace replays in constant memory. Per-actor
-// delivery order matches arrival order (one actor always maps to one
-// shard channel, drained by one worker), preserving the same
-// serial-equivalence guarantee as Replay. It returns the number of
-// events fed. The batch slice passed to process is reused between
-// calls; process must not retain it.
-func ReplayStream(next func() (trace.Event, bool), workers, batch int, process func([]trace.Event)) int {
-	if workers <= 0 {
-		workers = 1
-	}
-	if batch <= 0 {
-		batch = 256
-	}
-	shards := make([]chan trace.Event, workers)
-	var wg sync.WaitGroup
-	for i := range shards {
-		shards[i] = make(chan trace.Event, 4*batch)
-		wg.Add(1)
-		go func(ch chan trace.Event) {
-			defer wg.Done()
-			buf := make([]trace.Event, 0, batch)
-			for e := range ch {
-				buf = append(buf, e)
-				if len(buf) == batch {
-					process(buf)
-					buf = buf[:0]
-				}
-			}
-			if len(buf) > 0 {
-				process(buf)
-			}
-		}(shards[i])
-	}
-	n := 0
-	for {
-		e, ok := next()
-		if !ok {
-			break
-		}
-		shards[ShardIndex(ActorKey(e), workers)] <- e
-		n++
-	}
-	for _, ch := range shards {
-		close(ch)
-	}
-	wg.Wait()
-	return n
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -154,131 +153,11 @@ func TestLowSlowPacingIsRegular(t *testing.T) {
 	}
 }
 
-func TestEntropyOfMatchesVFS(t *testing.T) {
-	if e := EntropyOf([]byte("aaaa")); e != 0 {
-		t.Fatalf("entropy = %f", e)
-	}
-}
-
 func TestGeneratorSeqMonotone(t *testing.T) {
 	tr := StandardMix(4, 100)
 	for i := 1; i < len(tr.Events); i++ {
 		if tr.Events[i].Seq <= tr.Events[i-1].Seq {
 			t.Fatalf("seq not monotone at %d", i)
-		}
-	}
-}
-
-func TestActorKeyPrecedence(t *testing.T) {
-	cases := []struct {
-		e    trace.Event
-		want string
-	}{
-		{trace.Event{Kind: trace.KindAuth, SrcIP: "1.2.3.4", User: "alice"}, "1.2.3.4"},
-		{trace.Event{Kind: trace.KindHTTP, SrcIP: "1.2.3.4", User: "alice"}, "1.2.3.4"},
-		{trace.Event{Kind: trace.KindExec, SrcIP: "1.2.3.4", User: "alice"}, "alice"},
-		{trace.Event{Kind: trace.KindFileOp, SrcIP: "1.2.3.4"}, "1.2.3.4"},
-		// sys_res keys by kernel even when a user is present: CM-003
-		// thresholds group resource samples by kernel_id.
-		{trace.Event{Kind: trace.KindSysRes, KernelID: "kern-1", User: "alice"}, "kern-1"},
-		{trace.Event{Kind: trace.KindSysRes, KernelID: "kern-1"}, "kern-1"},
-	}
-	for i, c := range cases {
-		if got := ActorKey(c.e); got != c.want {
-			t.Errorf("case %d: ActorKey = %q, want %q", i, got, c.want)
-		}
-	}
-}
-
-func TestPartitionPreservesActorOrder(t *testing.T) {
-	tr := StandardMix(31, 300)
-	shards := Partition(tr.Events, 8)
-	total := 0
-	for _, sh := range shards {
-		total += len(sh)
-		// Within a shard, seq must stay monotone per actor (and in
-		// fact globally, since shards preserve stream order).
-		for i := 1; i < len(sh); i++ {
-			if sh[i].Seq <= sh[i-1].Seq {
-				t.Fatalf("shard order broken: seq %d after %d", sh[i].Seq, sh[i-1].Seq)
-			}
-		}
-		// An actor never spans shards.
-	}
-	if total != len(tr.Events) {
-		t.Fatalf("partition lost events: %d != %d", total, len(tr.Events))
-	}
-	seen := map[string]int{}
-	for si, sh := range shards {
-		for _, e := range sh {
-			key := ActorKey(e)
-			if prev, ok := seen[key]; ok && prev != si {
-				t.Fatalf("actor %q split across shards %d and %d", key, prev, si)
-			}
-			seen[key] = si
-		}
-	}
-}
-
-func TestReplayCoversAllEventsInBatches(t *testing.T) {
-	tr := StandardMix(32, 200)
-	for _, workers := range []int{1, 4} {
-		var mu sync.Mutex
-		count := 0
-		maxBatch := 0
-		Replay(tr.Events, workers, 64, func(b []trace.Event) {
-			mu.Lock()
-			count += len(b)
-			if len(b) > maxBatch {
-				maxBatch = len(b)
-			}
-			mu.Unlock()
-		})
-		if count != len(tr.Events) {
-			t.Fatalf("workers=%d: replayed %d of %d events", workers, count, len(tr.Events))
-		}
-		if maxBatch > 64 {
-			t.Fatalf("workers=%d: batch of %d exceeds limit", workers, maxBatch)
-		}
-	}
-}
-
-// TestReplayStreamMatchesReplay verifies the streaming replay covers
-// every event with the same per-actor single-shard guarantee as the
-// slice-based Replay, without the caller ever holding the full trace.
-func TestReplayStreamMatchesReplay(t *testing.T) {
-	tr := StandardMix(33, 300)
-	for _, workers := range []int{1, 4} {
-		i := 0
-		next := func() (trace.Event, bool) {
-			if i >= len(tr.Events) {
-				return trace.Event{}, false
-			}
-			e := tr.Events[i]
-			i++
-			return e, true
-		}
-		var mu sync.Mutex
-		count := 0
-		perActor := map[string][]uint64{}
-		n := ReplayStream(next, workers, 64, func(b []trace.Event) {
-			mu.Lock()
-			defer mu.Unlock()
-			count += len(b)
-			for _, e := range b {
-				key := ActorKey(e)
-				perActor[key] = append(perActor[key], e.Seq)
-			}
-		})
-		if n != len(tr.Events) || count != len(tr.Events) {
-			t.Fatalf("workers=%d: fed %d, processed %d, want %d", workers, n, count, len(tr.Events))
-		}
-		for actor, seqs := range perActor {
-			for j := 1; j < len(seqs); j++ {
-				if seqs[j] <= seqs[j-1] {
-					t.Fatalf("workers=%d: actor %s out of order: %v", workers, actor, seqs)
-				}
-			}
 		}
 	}
 }

@@ -29,6 +29,23 @@ func sortedFingerprints(t *testing.T, alerts []rules.Alert) []string {
 	return out
 }
 
+// batchFunc adapts a batch-processing function to trace.BatchSink.
+type batchFunc func([]trace.Event)
+
+func (f batchFunc) Emit(e trace.Event)             { f([]trace.Event{e}) }
+func (f batchFunc) EmitBatch(events []trace.Event) { f(events) }
+
+// stageReplay emits events into sink through a stage of workers actor
+// lanes — the jsentinel --replay path for a JSONL trace — and returns
+// once every event has been processed.
+func stageReplay(sink trace.Sink, events []trace.Event, workers int) {
+	st := trace.NewStage(sink, workers, workers*1024, trace.Block)
+	for _, e := range events {
+		st.Emit(e)
+	}
+	st.Close()
+}
+
 // TestShardedReplayMatchesSerial replays the standard attack mix
 // serially and through the actor-sharded parallel path and demands
 // identical (sorted) alert sets — the determinism guarantee DESIGN.md
@@ -49,9 +66,7 @@ func TestShardedReplayMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		workload.Replay(tr.Events, workers, 128, func(b []trace.Event) {
-			sharded.ProcessBatch(b)
-		})
+		stageReplay(batchFunc(func(b []trace.Event) { sharded.ProcessBatch(b) }), tr.Events, workers)
 		want := sortedFingerprints(t, serial.Alerts())
 		got := sortedFingerprints(t, sharded.Alerts())
 		if len(got) != len(want) {
