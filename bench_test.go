@@ -12,9 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -23,14 +20,11 @@ import (
 
 	"repro/internal/anomaly"
 	"repro/internal/audit"
-	"repro/internal/auth"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/cryptoaudit"
 	"repro/internal/evstore"
 	"repro/internal/fleet"
-	"repro/internal/histstore"
-	"repro/internal/ingest"
 	"repro/internal/jmsg"
 	"repro/internal/kernel/minilang"
 	"repro/internal/misconfig"
@@ -601,7 +595,7 @@ func BenchmarkWSParse(b *testing.B) {
 	b.SetBytes(int64(len(frame)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fr := wsproto.NewFrameReader(newRepeatReader(frame, 1), 0)
+		fr := wsproto.NewFrameReader(bytes.NewReader(frame), 0)
 		f, err := fr.ReadFrame()
 		if err != nil {
 			b.Fatal(err)
@@ -754,518 +748,6 @@ func BenchmarkBuiltinNames(b *testing.B) {
 			b.Fatal("no builtins")
 		}
 	}
-}
-
-// repeatReader yields the same byte slice n times.
-type repeatReader struct {
-	data []byte
-	pos  int
-	left int
-}
-
-func newRepeatReader(data []byte, n int) *repeatReader {
-	return &repeatReader{data: data, left: n}
-}
-
-func (r *repeatReader) Read(p []byte) (int, error) {
-	if r.left == 0 {
-		return 0, fmt.Errorf("EOF")
-	}
-	n := copy(p, r.data[r.pos:])
-	r.pos += n
-	if r.pos == len(r.data) {
-		r.pos = 0
-		r.left--
-	}
-	return n, nil
-}
-
-// ---- E16: event-store replay vs flat JSONL ----
-//
-// The storage-layer claim: a filtered, segment-parallel store replay
-// beats loading a whole JSONL trace into memory and replaying it,
-// because segments decode concurrently, the sidecar index skips
-// segments that cannot match, and the engine only sees matching
-// events. The mixed trace is ~100k events (the paper's "production
-// traffic" scale knob); jsonl-full is the pre-store pipeline.
-//
-// The store is written in the binary-v2 segment codec. The
-// pushdown-skip case is the codec's headline: a benign-user actor
-// filter that appears in every segment, defeating sidecar pruning, so
-// only the frame headers let replay discard non-matching bodies
-// undecoded.
-func BenchmarkStoreReplay(b *testing.B) {
-	tr := workload.StandardMix(11, 75000)
-	dir := b.TempDir()
-
-	jsonlPath := filepath.Join(dir, "trace.jsonl")
-	jf, err := os.Create(jsonlPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	jw := trace.NewJSONLWriter(jf)
-	for _, e := range tr.Events {
-		jw.Emit(e)
-	}
-	if err := jw.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	jf.Close()
-
-	storeDir := filepath.Join(dir, "store-v2")
-	st, err := evstore.Open(storeDir, evstore.Options{SegmentBytes: 2 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := st.AppendBatch(tr.Events); err != nil {
-		b.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		b.Fatal(err)
-	}
-	store, err := evstore.OpenRead(storeDir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The "binary-v2" suffix keeps the names the bench artifacts of
-	// builds with a second segment codec recorded these cases under.
-	const codec = "binary-v2"
-
-	newEng := func() *rules.Engine {
-		eng, err := rules.NewEngine(rules.BuiltinRules())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return eng
-	}
-	const workers, batch = 8, 256
-
-	b.Run("jsonl-full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f, err := os.Open(jsonlPath)
-			if err != nil {
-				b.Fatal(err)
-			}
-			events, err := trace.ReadJSONL(f)
-			f.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng := newEng()
-			stageReplay(batchFunc(func(bt []trace.Event) { eng.ProcessBatch(bt) }), events, workers)
-			if eng.Evaluated() != uint64(len(tr.Events)) {
-				b.Fatalf("evaluated %d of %d", eng.Evaluated(), len(tr.Events))
-			}
-		}
-		b.ReportMetric(float64(len(tr.Events)), "events/op")
-	})
-
-	b.Run("store-full/"+codec, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			eng := newEng()
-			stats, err := store.Replay(evstore.Filter{}, workers, batch, func(bt []trace.Event) {
-				eng.ProcessBatch(bt)
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if stats.Events != int64(len(tr.Events)) {
-				b.Fatalf("replayed %d of %d", stats.Events, len(tr.Events))
-			}
-		}
-		b.ReportMetric(float64(len(tr.Events)), "events/op")
-	})
-
-	b.Run("store-filter-kind/"+codec, func(b *testing.B) {
-		var matched int64
-		for i := 0; i < b.N; i++ {
-			eng := newEng()
-			stats, err := store.Replay(evstore.Filter{
-				Kinds: []trace.Kind{trace.KindAuth},
-			}, workers, batch, func(bt []trace.Event) {
-				eng.ProcessBatch(bt)
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			matched = stats.Events
-			if matched == 0 {
-				b.Fatal("kind filter matched nothing")
-			}
-		}
-		b.ReportMetric(float64(matched), "events/op")
-	})
-
-	// The brute-force source address appears in one injection
-	// window: the actor index prunes nearly every segment, so this
-	// is the needle-in-haystack query the sidecar exists for.
-	b.Run("store-filter-actor/"+codec, func(b *testing.B) {
-		var selected int
-		for i := 0; i < b.N; i++ {
-			eng := newEng()
-			stats, err := store.Replay(evstore.Filter{
-				Actor: "203.0.113.66",
-			}, workers, batch, func(bt []trace.Event) {
-				eng.ProcessBatch(bt)
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if stats.Events == 0 {
-				b.Fatal("actor filter matched nothing")
-			}
-			if len(eng.Alerts()) == 0 {
-				b.Fatal("brute-force campaign not re-detected from filtered replay")
-			}
-			selected = stats.SegmentsSelected
-		}
-		b.ReportMetric(float64(selected), "segments-read/op")
-	})
-
-	// A benign user active from first segment to last: the sidecar
-	// selects everything, so the entire win must come from skipping
-	// frame-body decodes — most of the store.
-	b.Run("store-pushdown-skip/"+codec, func(b *testing.B) {
-		var skipped int64
-		for i := 0; i < b.N; i++ {
-			eng := newEng()
-			stats, err := store.Replay(evstore.Filter{
-				Actor: "alice",
-			}, workers, batch, func(bt []trace.Event) {
-				eng.ProcessBatch(bt)
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if stats.Events == 0 {
-				b.Fatal("benign-actor filter matched nothing")
-			}
-			skipped = stats.Skipped
-		}
-		b.ReportMetric(float64(skipped), "frames-skipped/op")
-	})
-}
-
-// BenchmarkIncidentQuery pins the history layer's perf contract: a
-// filtered incident query over the recorded history must answer the
-// same question as replay-based re-detection — byte-identical rendered
-// table — at ≥50x less cost on the ~100k-event production-scale trace.
-// The "indexed" case reports a "speedup" metric (re-detection ns/op ÷
-// query ns/op, probed in the same process) so the claim is a pinned
-// number in the published bench JSON, not a cross-run subtraction. The
-// equality check runs inside both loops: a fast path that answers a
-// different question would be a regression, not a win.
-func BenchmarkIncidentQuery(b *testing.B) {
-	tr := workload.StandardMix(11, 75000)
-	dir := b.TempDir()
-	const workers, batch = 8, 256
-
-	// The events store — what re-detection has to chew through.
-	storeDir := filepath.Join(dir, "events")
-	st, err := evstore.Open(storeDir, evstore.Options{SegmentBytes: 2 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := st.AppendBatch(tr.Events); err != nil {
-		b.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		b.Fatal(err)
-	}
-	store, err := evstore.OpenRead(storeDir)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	// The history — recorded once by the detection pass, exactly as
-	// the CLIs record it, then opened read-only like `jsentinel query`.
-	histDir := filepath.Join(dir, "history")
-	hs, err := histstore.OpenWith(histDir, histstore.OpenReplace, histstore.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hrec := histstore.NewRecorder(hs)
-	engOpts := core.DefaultOptions()
-	engOpts.OnAlert = hrec.OnAlert
-	engOpts.OnIncidentUpdate = hrec.OnIncidentUpdate
-	eng, err := core.NewEngine(engOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stageReplay(eng, tr.Events, workers)
-	if err := hrec.Err(); err != nil {
-		b.Fatal(err)
-	}
-	if err := hs.Close(); err != nil {
-		b.Fatal(err)
-	}
-	reader, err := histstore.OpenRead(histDir)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	// The operator question: which incidents reached high severity?
-	q := histstore.Query{MinSeverity: rules.SevHigh}
-	want := core.RenderTopIncidents(histstore.FilterIncidents(eng.Incidents(), q), len(tr.Events))
-	if want == "" {
-		b.Fatal("no high-severity incidents in the trace — benchmark is vacuous")
-	}
-
-	redetect := func() string {
-		e2, err := core.NewEngine(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := store.Replay(evstore.Filter{}, workers, batch, func(bt []trace.Event) {
-			e2.ProcessBatch(bt)
-		}); err != nil {
-			b.Fatal(err)
-		}
-		return core.RenderTopIncidents(histstore.FilterIncidents(e2.Incidents(), q), len(tr.Events))
-	}
-
-	b.Run("redetect", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := redetect(); got != want {
-				b.Fatalf("re-detection table drifted:\n%s\nvs\n%s", got, want)
-			}
-		}
-		b.ReportMetric(float64(len(tr.Events)), "events/op")
-	})
-
-	b.Run("indexed", func(b *testing.B) {
-		var scanned int
-		for i := 0; i < b.N; i++ {
-			incs, qst, err := histstore.QueryIncidents(reader, q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got := core.RenderTopIncidents(incs, len(tr.Events)); got != want {
-				b.Fatalf("indexed query table != re-detection table:\n%s\nvs\n%s", got, want)
-			}
-			scanned = qst.Records
-		}
-		queryNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		b.StopTimer()
-		// Probe re-detection in the same process so the ratio is
-		// insensitive to machine speed — this is the ≥50x contract.
-		const probe = 3
-		start := time.Now()
-		for i := 0; i < probe; i++ {
-			redetect()
-		}
-		redetectNs := float64(time.Since(start).Nanoseconds()) / probe
-		if queryNs > 0 {
-			b.ReportMetric(redetectNs/queryNs, "speedup")
-		}
-		b.ReportMetric(float64(scanned), "records/op")
-	})
-}
-
-// BenchmarkStoreAppend is the encode-path companion: the same trace
-// appended through Store.AppendBatch, reporting the on-disk footprint
-// alongside the encode cost.
-func BenchmarkStoreAppend(b *testing.B) {
-	tr := workload.StandardMix(11, 25000)
-	b.Run("binary-v2", func(b *testing.B) {
-		var storeBytes int64
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir := filepath.Join(b.TempDir(), "store")
-			b.StartTimer()
-			st, err := evstore.Open(dir, evstore.Options{SegmentBytes: 2 << 20})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := st.AppendBatch(tr.Events); err != nil {
-				b.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			storeBytes = 0
-			for _, seg := range st.Segments() {
-				storeBytes += seg.Index.Bytes
-			}
-			if err := os.RemoveAll(dir); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(len(tr.Events)), "events/op")
-		b.ReportMetric(float64(storeBytes)/float64(len(tr.Events)), "disk-B/event")
-	})
-}
-
-// ---- Ingest front-end under sustained multi-tenant load ----
-
-// BenchmarkIngestSustained drives the multi-tenant ingest service
-// with 1024 concurrent WebSocket connections across 16 tenants over
-// real TCP, then drains and audits the books: for every tenant the
-// identity submitted == accepted + dropped + denied must hold to the
-// event, with processed == accepted after the drain. Sub-benchmarks
-// cover both backpressure policies and the recorded (engine + event
-// store) configuration.
-func BenchmarkIngestSustained(b *testing.B) {
-	const (
-		tenantCount = 16
-		connCount   = 1024
-		batchSize   = 16 // events per WebSocket message
-	)
-
-	run := func(b *testing.B, policy trace.DropPolicy, withStore bool) {
-		kr := auth.NewKeyring()
-		names := make([]string, tenantCount)
-		for i := range names {
-			names[i] = fmt.Sprintf("tenant-%02d", i)
-			if err := kr.AddTenant(names[i], []byte("secret-"+names[i])); err != nil {
-				b.Fatal(err)
-			}
-		}
-		eng := core.MustEngine()
-		sink := trace.Sink(eng)
-		var store *evstore.Store
-		if withStore {
-			var err error
-			store, err = evstore.Open(b.TempDir(), evstore.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink = trace.Tee(eng, store)
-		}
-		svc := ingest.New(ingest.Config{
-			Keyring:  kr,
-			MaxConns: 2 * connCount,
-			Queue:    4096,
-			Policy:   policy,
-		}, sink)
-		addr, err := svc.Start("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-
-		// One pre-encoded message per connection: batchSize events
-		// with a per-connection source address so actors spread over
-		// the engine shards.
-		conns := make([]*wsproto.Conn, connCount)
-		msgs := make([][]byte, connCount)
-		for i := range conns {
-			name := names[i%tenantCount]
-			tok, ok := kr.Mint(name)
-			if !ok {
-				b.Fatal("mint failed")
-			}
-			raw, err := net.Dial("tcp", addr)
-			if err != nil {
-				b.Fatalf("conn %d: %v", i, err)
-			}
-			hdr := http.Header{}
-			hdr.Set("X-Tenant", name)
-			hdr.Set("Authorization", "Bearer "+tok)
-			conns[i], err = wsproto.Dial(raw, addr, "/ingest/ws", hdr)
-			if err != nil {
-				b.Fatalf("ws dial %d: %v", i, err)
-			}
-			var msg []byte
-			for j := 0; j < batchSize; j++ {
-				msg = append(msg, fmt.Sprintf(
-					`{"kind":"http","src_ip":"10.%d.%d.7","method":"GET","path":"/api/contents/%d","status":200,"success":true}`+"\n",
-					i/256, i%256, j)...)
-			}
-			msgs[i] = msg
-		}
-
-		// Each connection sends the same share of b.N, rounded up to
-		// whole messages, so the submitted count per tenant is exact.
-		perConn := (b.N + connCount - 1) / connCount
-		msgsPerConn := (perConn + batchSize - 1) / batchSize
-		sentPerConn := msgsPerConn * batchSize
-		total := uint64(connCount * sentPerConn)
-		sentPerTenant := uint64(connCount / tenantCount * sentPerConn)
-
-		b.ResetTimer()
-		start := time.Now()
-		var wg sync.WaitGroup
-		for i := range conns {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for m := 0; m < msgsPerConn; m++ {
-					if err := conns[i].WriteMessage(wsproto.OpText, msgs[i]); err != nil {
-						b.Errorf("conn %d write: %v", i, err)
-						return
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		// The writes are async from the server's perspective: wait
-		// until every submitted event is accounted for before closing.
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			var seen uint64
-			for _, ts := range svc.Stats().Tenants {
-				seen += ts.Accepted + ts.Dropped + ts.Denied
-			}
-			if seen >= total {
-				break
-			}
-			if time.Now().After(deadline) {
-				b.Fatalf("server accounted %d of %d events within 60s", seen, total)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		elapsed := time.Since(start)
-		b.StopTimer()
-		b.ReportMetric(float64(total)/elapsed.Seconds(), "events/sec")
-
-		for i := range conns {
-			_ = conns[i].Close(wsproto.CloseNormal, "")
-		}
-		svc.Drain()
-
-		// The books must balance exactly, tenant by tenant.
-		snap := svc.Stats()
-		if len(snap.Tenants) != tenantCount {
-			b.Fatalf("%d tenants in stats, want %d", len(snap.Tenants), tenantCount)
-		}
-		var accepted uint64
-		for _, ts := range snap.Tenants {
-			if got := ts.Accepted + ts.Dropped + ts.Denied; got != sentPerTenant {
-				b.Fatalf("tenant %s: accepted %d + dropped %d + denied %d = %d, want %d submitted",
-					ts.Tenant, ts.Accepted, ts.Dropped, ts.Denied, got, sentPerTenant)
-			}
-			if ts.Processed != ts.Accepted {
-				b.Fatalf("tenant %s: processed %d != accepted %d after drain",
-					ts.Tenant, ts.Processed, ts.Accepted)
-			}
-			if policy == trace.Block && (ts.Dropped != 0 || ts.Denied != 0) {
-				b.Fatalf("tenant %s: lost %d+%d events under Block",
-					ts.Tenant, ts.Dropped, ts.Denied)
-			}
-			accepted += ts.Accepted
-		}
-		if withStore {
-			if err := store.Close(); err != nil {
-				b.Fatal(err)
-			}
-			ro, err := evstore.OpenRead(store.Dir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if loss := ro.Recovered(); len(loss) != 0 {
-				b.Fatalf("tail loss after drain: %+v", loss)
-			}
-			if got := uint64(ro.Events()); got != accepted {
-				b.Fatalf("store recorded %d events, want %d accepted", got, accepted)
-			}
-		}
-	}
-
-	b.Run("block-engine", func(b *testing.B) { run(b, trace.Block, false) })
-	b.Run("drop-engine", func(b *testing.B) { run(b, trace.DropNewest, false) })
-	b.Run("block-engine-store", func(b *testing.B) { run(b, trace.Block, true) })
 }
 
 // BenchmarkJSONDecode is the decode hop of live ingest on its own:

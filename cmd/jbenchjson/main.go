@@ -1,318 +1,135 @@
-// Command jbenchjson converts `go test -bench` text output into a
-// machine-readable JSON document, so CI can publish benchmark numbers
-// (ns/op plus any custom metrics like events/sec) as a build artifact
-// instead of burying them in a log.
+// Command jbenchjson diffs two committed results of the end-to-end
+// benchmark, offline:
 //
-//	go test -bench . -benchtime=1x . | jbenchjson --out BENCH.json
+//	go run ./bench | jq -s . > NEW.json
+//	go run ./cmd/jbenchjson BENCH_30.json NEW.json
 //
-// The parser keeps every value-unit pair a benchmark line reports:
-// ns/op, B/op, allocs/op, and b.ReportMetric extras all land in the
-// same metrics map. Context lines (goos, goarch, pkg, cpu) become
-// document metadata. Exits non-zero if no benchmark lines were found,
-// so a silently-skipped bench step fails loudly.
+// Each file is one default `go run ./bench` run: a JSON array of its
+// result lines, one per workload in BENCHMARK.json order. BENCHMARK.json,
+// read from the current directory, names the workloads and gives each
+// end-to-end metric its direction and bound.
 //
-// Compare mode diffs two artifacts and gates on slowdowns:
+// It prints one row per workload and end-to-end metric: old and new
+// value, the relative change and a verdict: unchanged, within (moved
+// less than the bound), better, or WORSE (moved past the bound the
+// wrong way). An old value of 0 is no exception: any move from it is
+// past every bound.
 //
-//	jbenchjson --in BENCH_NEW.json --compare BENCH_OLD.json \
-//	    --max-regress 20 --allow StoreAppend,FleetScan
-//
-// Every benchmark present in both documents is printed with old/new
-// ns/op, the percent delta, and any custom metrics the two runs
-// share. A benchmark whose ns/op, allocs/op, or B/op grew more than
-// --max-regress percent is a regression; if any regression's name
-// matches no --allow substring the exit status is 2, which fails the
-// CI gate. The allocation metrics gate only when both artifacts carry
-// them — an old artifact produced without -benchmem never fails the
-// build retroactively. Benchmarks only present on one side are
-// reported but never gate (they are additions or removals, not
-// slowdowns). Without --in, compare mode parses bench text from stdin
-// first, so one invocation can both publish and gate.
+// Exit status: 1 when NEW holds a workload that is not correct or has
+// failed operations; 2 when an argument or a file is unusable,
+// including a file whose workload count is not BENCHMARK.json's;
+// otherwise 0. A WORSE row alone does not fail: one run per side
+// cannot tell a regression on a box that varies identical work by up
+// to 2x; alternating pairs of runs can.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed result line.
-type Benchmark struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+// contract is the part of BENCHMARK.json this command reads.
+type contract struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metric `json:"end_to_end"`
 }
 
-// Document is the emitted artifact.
-type Document struct {
-	Meta       map[string]string `json:"meta,omitempty"`
-	Benchmarks []Benchmark       `json:"benchmarks"`
+type metric struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+// result is one workload's line of `go run ./bench` output.
+type result struct {
+	Correct bool  `json:"correct"`
+	Failed  int64 `json:"failed"`
+	Metrics map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
 }
 
 func main() {
-	out := flag.String("out", "", "write JSON here instead of stdout")
-	in := flag.String("in", "", "read the new document from this JSON artifact instead of parsing bench text from stdin")
-	compareWith := flag.String("compare", "", "diff against this older JSON artifact and gate on regressions")
-	maxRegress := flag.Float64("max-regress", 20, "percent ns/op growth tolerated before a benchmark counts as regressed")
-	allow := flag.String("allow", "", "comma-separated benchmark-name substrings exempt from the regression gate")
-	flag.Parse()
-
-	var doc Document
-	if *in != "" {
-		var err error
-		doc, err = readDoc(*in)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jbenchjson: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		var err error
-		doc, err = parse(bufio.NewScanner(os.Stdin))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jbenchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if len(doc.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "jbenchjson: no benchmark lines in input")
-		os.Exit(1)
-	}
-
-	if *out != "" || *compareWith == "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jbenchjson: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if *out == "" {
-			os.Stdout.Write(data)
-		} else {
-			if err := os.WriteFile(*out, data, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "jbenchjson: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("jbenchjson: wrote %d benchmarks to %s\n", len(doc.Benchmarks), *out)
-		}
-	}
-
-	if *compareWith == "" {
-		return
-	}
-	old, err := readDoc(*compareWith)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jbenchjson: %v\n", err)
-		os.Exit(1)
-	}
-	report, regressed := compare(old, doc, *maxRegress, splitAllow(*allow))
-	os.Stdout.WriteString(report)
-	if len(regressed) > 0 {
-		fmt.Fprintf(os.Stderr, "jbenchjson: %d benchmark(s) regressed more than %.0f%%: %s\n",
-			len(regressed), *maxRegress, strings.Join(regressed, ", "))
-		os.Exit(2)
-	}
+	os.Exit(run("BENCHMARK.json", os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func readDoc(path string) (Document, error) {
+func run(contractPath string, args []string, stdout, stderr io.Writer) int {
+	if len(args) != 2 || strings.HasPrefix(args[0], "-") || strings.HasPrefix(args[1], "-") {
+		fmt.Fprintln(stderr, "usage: jbenchjson OLD.json NEW.json  (run where BENCHMARK.json is)")
+		return 2
+	}
+	var c contract
+	if err := readJSON(contractPath, &c); err != nil {
+		fmt.Fprintf(stderr, "jbenchjson: %v\n", err)
+		return 2
+	}
+	var old, cur []result
+	for i, p := range []*[]result{&old, &cur} {
+		if err := readJSON(args[i], p); err != nil {
+			fmt.Fprintf(stderr, "jbenchjson: %v\n", err)
+			return 2
+		}
+		if len(*p) != len(c.Workloads) {
+			fmt.Fprintf(stderr, "jbenchjson: %s holds %d workloads, %s lists %d\n", args[i], len(*p), contractPath, len(c.Workloads))
+			return 2
+		}
+	}
+
+	code := 0
+	for i, w := range c.Workloads {
+		for _, m := range c.EndToEnd {
+			o, inOld := old[i].Metrics[m.Name]
+			n, inNew := cur[i].Metrics[m.Name]
+			if !inOld || !inNew {
+				fmt.Fprintf(stderr, "jbenchjson: %s: metric %s missing\n", w.Name, m.Name)
+				return 2
+			}
+			verdict, change := judge(o.Value, n.Value, m)
+			fmt.Fprintf(stdout, "%-16s %-21s %14.6g -> %-14.6g %-8s %+8.1f%%  %-9s (bound %.1f%%)\n",
+				w.Name, m.Name, o.Value, n.Value, m.Unit, 100*change, verdict, 100*m.Bound)
+		}
+		if !cur[i].Correct || cur[i].Failed != 0 {
+			fmt.Fprintf(stderr, "jbenchjson: %s in %s: correct %t, %d failed operations\n", w.Name, args[1], cur[i].Correct, cur[i].Failed)
+			code = 1
+		}
+	}
+	return code
+}
+
+// judge classifies the move from old to cur against m's bound. change
+// is relative to old; from 0 any move is infinite.
+func judge(old, cur float64, m metric) (string, float64) {
+	if cur == old {
+		return "unchanged", 0
+	}
+	change := (cur - old) / math.Abs(old)
+	worse := change
+	if m.Better == "higher" {
+		worse = -change
+	}
+	switch {
+	case worse > m.Bound:
+		return "WORSE", change
+	case worse < -m.Bound:
+		return "better", change
+	}
+	return "within", change
+}
+
+func readJSON(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return Document{}, err
+		return err
 	}
-	var doc Document
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return Document{}, fmt.Errorf("%s: %v", path, err)
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	return doc, nil
-}
-
-func splitAllow(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-// gatedUnits are the metrics where growth is unambiguously bad and so
-// participates in the regression gate. Other custom metrics have no
-// universal better-direction (events/op up is good, disk-B/event down
-// is good), so they are reported for the reader but never fail the
-// build.
-var gatedUnits = []string{"ns/op", "allocs/op", "B/op"}
-
-func isGated(unit string) bool {
-	for _, g := range gatedUnits {
-		if unit == g {
-			return true
-		}
-	}
-	return false
-}
-
-// compare diffs two documents benchmark-by-benchmark. It returns a
-// human-readable report and the names of benchmarks where a gated
-// metric (ns/op, allocs/op, B/op) grew more than maxRegress percent
-// and the benchmark matches no allow substring. A gated metric only
-// gates when both runs report it, so artifacts from before -benchmem
-// was wired through compare cleanly against artifacts from after.
-func compare(old, cur Document, maxRegress float64, allow []string) (string, []string) {
-	oldBy := make(map[string]Benchmark, len(old.Benchmarks))
-	for _, b := range old.Benchmarks {
-		oldBy[b.Name] = b
-	}
-	allowed := func(name string) bool {
-		for _, a := range allow {
-			if strings.Contains(name, a) {
-				return true
-			}
-		}
-		return false
-	}
-
-	var sb strings.Builder
-	var regressed []string
-	seen := make(map[string]bool, len(cur.Benchmarks))
-	for _, nb := range cur.Benchmarks {
-		seen[nb.Name] = true
-		ob, ok := oldBy[nb.Name]
-		if !ok {
-			fmt.Fprintf(&sb, "new       %-60s %14.0f ns/op\n", nb.Name, nb.NsPerOp)
-			continue
-		}
-		judge := func(oldVal, newVal float64) (string, float64) {
-			delta := 0.0
-			if oldVal > 0 {
-				delta = (newVal - oldVal) / oldVal * 100
-			}
-			switch {
-			case delta > maxRegress && allowed(nb.Name):
-				return "allowed", delta
-			case delta > maxRegress:
-				return "REGRESSED", delta
-			case delta < -maxRegress:
-				return "improved", delta
-			}
-			return "ok", delta
-		}
-		verdict, delta := judge(ob.NsPerOp, nb.NsPerOp)
-		if verdict == "REGRESSED" {
-			regressed = append(regressed, nb.Name)
-		}
-		fmt.Fprintf(&sb, "%-9s %-60s %14.0f -> %14.0f ns/op  %+7.1f%%\n",
-			verdict, nb.Name, ob.NsPerOp, nb.NsPerOp, delta)
-		for _, unit := range sharedMetricUnits(ob, nb) {
-			if !isGated(unit) {
-				fmt.Fprintf(&sb, "          %-60s %14.2f -> %14.2f %s\n",
-					"", ob.Metrics[unit], nb.Metrics[unit], unit)
-				continue
-			}
-			mv, md := judge(ob.Metrics[unit], nb.Metrics[unit])
-			if mv == "REGRESSED" {
-				regressed = append(regressed, nb.Name+" ("+unit+")")
-			}
-			fmt.Fprintf(&sb, "%-9s %-60s %14.2f -> %14.2f %s  %+7.1f%%\n",
-				mv, "", ob.Metrics[unit], nb.Metrics[unit], unit, md)
-		}
-	}
-	for _, ob := range old.Benchmarks {
-		if !seen[ob.Name] {
-			fmt.Fprintf(&sb, "removed   %-60s %14.0f ns/op\n", ob.Name, ob.NsPerOp)
-		}
-	}
-	return sb.String(), regressed
-}
-
-// sharedMetricUnits lists custom metrics both runs report, in stable
-// order, excluding ns/op (already on the headline row).
-func sharedMetricUnits(a, b Benchmark) []string {
-	var units []string
-	for unit := range a.Metrics {
-		if unit == "ns/op" {
-			continue
-		}
-		if _, ok := b.Metrics[unit]; ok {
-			units = append(units, unit)
-		}
-	}
-	sort.Strings(units)
-	return units
-}
-
-func parse(sc *bufio.Scanner) (Document, error) {
-	doc := Document{Meta: map[string]string{}}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "", line == "PASS", strings.HasPrefix(line, "ok "), strings.HasPrefix(line, "--- "):
-			continue
-		}
-		if key, val, ok := strings.Cut(line, ": "); ok && !strings.HasPrefix(line, "Benchmark") {
-			switch key {
-			case "goos", "goarch", "pkg", "cpu":
-				doc.Meta[key] = val
-			}
-			continue
-		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		b, err := parseBenchLine(line)
-		if err != nil {
-			return doc, err
-		}
-		doc.Benchmarks = append(doc.Benchmarks, b)
-	}
-	return doc, sc.Err()
-}
-
-// parseBenchLine decodes "BenchmarkName-8  100  123 ns/op  45 extra/unit".
-func parseBenchLine(line string) (Benchmark, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 {
-		return Benchmark{}, fmt.Errorf("short benchmark line %q", line)
-	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return Benchmark{}, fmt.Errorf("bad iteration count in %q: %v", line, err)
-	}
-	b := Benchmark{
-		// Strip the -GOMAXPROCS suffix so names are stable across
-		// runner shapes.
-		Name:       trimProcsSuffix(fields[0]),
-		Iterations: iters,
-		Metrics:    map[string]float64{},
-	}
-	for i := 2; i+1 < len(fields); i += 2 {
-		val, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			return Benchmark{}, fmt.Errorf("bad metric value in %q: %v", line, err)
-		}
-		unit := fields[i+1]
-		b.Metrics[unit] = val
-		if unit == "ns/op" {
-			b.NsPerOp = val
-		}
-	}
-	if _, ok := b.Metrics["ns/op"]; !ok {
-		return Benchmark{}, fmt.Errorf("no ns/op in %q", line)
-	}
-	return b, nil
-}
-
-func trimProcsSuffix(name string) string {
-	i := strings.LastIndex(name, "-")
-	if i < 0 {
-		return name
-	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
-	}
-	return name[:i]
+	return nil
 }

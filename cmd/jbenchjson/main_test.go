@@ -1,194 +1,143 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func mkDoc(benches ...Benchmark) Document {
-	return Document{Benchmarks: benches}
-}
+const contractPath = "../../BENCHMARK.json"
 
-func bench(name string, ns float64, metrics map[string]float64) Benchmark {
-	if metrics == nil {
-		metrics = map[string]float64{}
+// benchFile writes a result file of n workloads with every end-to-end
+// metric at 100, after edit has changed what it wants.
+func benchFile(t *testing.T, n int, edit func(results []map[string]any)) string {
+	t.Helper()
+	var c contract
+	if err := readJSON(contractPath, &c); err != nil {
+		t.Fatal(err)
 	}
-	metrics["ns/op"] = ns
-	return Benchmark{Name: name, Iterations: 1, NsPerOp: ns, Metrics: metrics}
-}
-
-func TestParseBenchText(t *testing.T) {
-	in := `goos: linux
-goarch: amd64
-pkg: repro
-cpu: Intel(R) Xeon(R)
-BenchmarkStoreReplay/store-full/json-v1         	      10	 398402086 ns/op	     97322 events/op
-BenchmarkStoreReplay/store-full/binary-v2-8     	      10	 138055277 ns/op	     97322 events/op
-PASS
-ok  	repro	19.013s
-`
-	doc, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	results := make([]map[string]any, n)
+	for i := range results {
+		metrics := map[string]any{}
+		for _, m := range c.EndToEnd {
+			metrics[m.Name] = map[string]any{"value": 100.0, "unit": m.Unit}
+		}
+		results[i] = map[string]any{"correct": true, "attempted": 1000, "failed": 0, "metrics": metrics}
+	}
+	if edit != nil {
+		edit(results)
+	}
+	data, err := json.Marshal(results)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Benchmarks) != 2 {
-		t.Fatalf("parsed %d benchmarks, want 2", len(doc.Benchmarks))
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if doc.Meta["goos"] != "linux" || doc.Meta["pkg"] != "repro" {
-		t.Fatalf("meta = %v", doc.Meta)
-	}
-	// -GOMAXPROCS suffix must be stripped so artifact names stay
-	// stable across runner shapes.
-	if got := doc.Benchmarks[1].Name; got != "BenchmarkStoreReplay/store-full/binary-v2" {
-		t.Fatalf("name = %q", got)
-	}
-	if doc.Benchmarks[0].Metrics["events/op"] != 97322 {
-		t.Fatalf("custom metric lost: %v", doc.Benchmarks[0].Metrics)
-	}
+	return path
 }
 
-func TestCompareFlagsRegressions(t *testing.T) {
-	old := mkDoc(
-		bench("BenchmarkA", 100, nil),
-		bench("BenchmarkB", 100, nil),
-		bench("BenchmarkC", 100, nil),
-	)
-	cur := mkDoc(
-		bench("BenchmarkA", 115, nil), // +15%: inside the budget
-		bench("BenchmarkB", 150, nil), // +50%: regression
-		bench("BenchmarkC", 60, nil),  // -40%: improvement
-	)
-	report, regressed := compare(old, cur, 20, nil)
-	if len(regressed) != 1 || regressed[0] != "BenchmarkB" {
-		t.Fatalf("regressed = %v, want [BenchmarkB]", regressed)
+func setMetric(r map[string]any, name string, v float64) {
+	r["metrics"].(map[string]any)[name] = map[string]any{"value": v}
+}
+
+func diff(t *testing.T, args ...string) (code int, rows []string, stderr string) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	code = run(contractPath, args, &out, &errOut)
+	if s := strings.TrimSuffix(out.String(), "\n"); s != "" {
+		rows = strings.Split(s, "\n")
 	}
-	for _, want := range []string{"ok        BenchmarkA", "REGRESSED BenchmarkB", "improved  BenchmarkC"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
+	return code, rows, errOut.String()
+}
+
+func row(t *testing.T, rows []string, workload, metric string) string {
+	t.Helper()
+	for _, r := range rows {
+		if f := strings.Fields(r); len(f) > 1 && f[0] == workload && f[1] == metric {
+			return r
+		}
+	}
+	t.Fatalf("no row for %s %s in:\n%s", workload, metric, strings.Join(rows, "\n"))
+	return ""
+}
+
+func TestSameFileIsUnchanged(t *testing.T) {
+	f := benchFile(t, 4, nil)
+	code, rows, stderr := diff(t, f, f)
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if len(rows) != 20 {
+		t.Fatalf("%d rows, want 4 workloads x 5 metrics", len(rows))
+	}
+	for _, r := range rows {
+		if !strings.Contains(r, " unchanged ") {
+			t.Errorf("row not unchanged: %s", r)
 		}
 	}
 }
 
-func TestCompareAllowlist(t *testing.T) {
-	old := mkDoc(bench("BenchmarkStoreAppend/json-v1", 100, nil))
-	cur := mkDoc(bench("BenchmarkStoreAppend/json-v1", 300, nil))
-	if _, regressed := compare(old, cur, 20, nil); len(regressed) != 1 {
-		t.Fatalf("without allowlist: regressed = %v, want 1", regressed)
-	}
-	report, regressed := compare(old, cur, 20, []string{"StoreAppend"})
-	if len(regressed) != 0 {
-		t.Fatalf("with allowlist: regressed = %v, want none", regressed)
-	}
-	if !strings.Contains(report, "allowed   BenchmarkStoreAppend/json-v1") {
-		t.Fatalf("report missing allowed verdict:\n%s", report)
+func TestWorkloadCountMismatchExits2(t *testing.T) {
+	code, rows, stderr := diff(t, benchFile(t, 4, nil), benchFile(t, 3, nil))
+	if code != 2 || len(rows) != 0 || !strings.Contains(stderr, "holds 3 workloads") {
+		t.Fatalf("exit %d, %d rows, stderr %q; want exit 2, no rows", code, len(rows), stderr)
 	}
 }
 
-func TestCompareAddedAndRemoved(t *testing.T) {
-	old := mkDoc(bench("BenchmarkGone", 100, nil))
-	cur := mkDoc(bench("BenchmarkFresh", 9999, nil))
-	report, regressed := compare(old, cur, 20, nil)
-	if len(regressed) != 0 {
-		t.Fatalf("additions/removals must not gate: %v", regressed)
-	}
-	if !strings.Contains(report, "new       BenchmarkFresh") ||
-		!strings.Contains(report, "removed   BenchmarkGone") {
-		t.Fatalf("report:\n%s", report)
-	}
-}
-
-func TestCompareShowsSharedCustomMetrics(t *testing.T) {
-	old := mkDoc(bench("BenchmarkStoreAppend", 100,
-		map[string]float64{"disk-B/event": 181.1, "old-only/unit": 1}))
-	cur := mkDoc(bench("BenchmarkStoreAppend", 105,
-		map[string]float64{"disk-B/event": 38.5, "new-only/unit": 2}))
-	report, _ := compare(old, cur, 20, nil)
-	if !strings.Contains(report, "disk-B/event") {
-		t.Fatalf("shared custom metric missing:\n%s", report)
-	}
-	if strings.Contains(report, "old-only/unit") || strings.Contains(report, "new-only/unit") {
-		t.Fatalf("one-sided metrics must be omitted:\n%s", report)
-	}
-}
-
-func TestCompareGatesAllocMetrics(t *testing.T) {
-	old := mkDoc(
-		bench("BenchmarkAllocs", 100, map[string]float64{"allocs/op": 1000, "B/op": 4096}),
-		bench("BenchmarkBytes", 100, map[string]float64{"allocs/op": 10, "B/op": 1000}),
-		bench("BenchmarkSteady", 100, map[string]float64{"allocs/op": 10, "B/op": 1000}),
-	)
-	cur := mkDoc(
-		bench("BenchmarkAllocs", 101, map[string]float64{"allocs/op": 1500, "B/op": 4100}), // allocs +50%
-		bench("BenchmarkBytes", 99, map[string]float64{"allocs/op": 11, "B/op": 1900}),     // B/op +90%
-		bench("BenchmarkSteady", 102, map[string]float64{"allocs/op": 11, "B/op": 1050}),   // inside budget
-	)
-	report, regressed := compare(old, cur, 20, nil)
-	want := []string{"BenchmarkAllocs (allocs/op)", "BenchmarkBytes (B/op)"}
-	if len(regressed) != 2 || regressed[0] != want[0] || regressed[1] != want[1] {
-		t.Fatalf("regressed = %v, want %v", regressed, want)
-	}
-	// The headline ns/op rows are all fine; the metric rows carry the
-	// verdicts.
-	for _, s := range []string{"ok        BenchmarkAllocs", "ok        BenchmarkBytes", "ok        BenchmarkSteady"} {
-		if !strings.Contains(report, s) {
-			t.Errorf("report missing %q:\n%s", s, report)
+func TestFlagsAndWrongArgumentCountExit2(t *testing.T) {
+	f := benchFile(t, 4, nil)
+	for _, args := range [][]string{{f}, {f, f, f}, {"--compare", f}, {f, "-max-regress"}} {
+		if code, _, _ := diff(t, args...); code != 2 {
+			t.Errorf("args %q: exit %d, want 2", args, code)
 		}
 	}
-	if !strings.Contains(report, "REGRESSED") {
-		t.Fatalf("no REGRESSED metric row:\n%s", report)
+}
+
+func TestFailedWorkloadInNewExits1(t *testing.T) {
+	failed := benchFile(t, 4, func(rs []map[string]any) {
+		rs[2]["correct"], rs[2]["failed"] = false, 3
+	})
+	ok := benchFile(t, 4, nil)
+	code, rows, stderr := diff(t, ok, failed)
+	if code != 1 || len(rows) != 20 || !strings.Contains(stderr, "forensic_replay") {
+		t.Fatalf("exit %d, %d rows, stderr %q; want exit 1 naming forensic_replay", code, len(rows), stderr)
+	}
+	// A failed workload in OLD is history, not a verdict on NEW.
+	if code, _, _ := diff(t, failed, ok); code != 0 {
+		t.Fatalf("failed workload in OLD only: exit %d, want 0", code)
 	}
 }
 
-func TestCompareAllocGateHonorsAllowlist(t *testing.T) {
-	old := mkDoc(bench("BenchmarkStoreAppend", 100, map[string]float64{"allocs/op": 100}))
-	cur := mkDoc(bench("BenchmarkStoreAppend", 100, map[string]float64{"allocs/op": 500}))
-	if _, regressed := compare(old, cur, 20, nil); len(regressed) != 1 {
-		t.Fatalf("without allowlist: regressed = %v, want 1", regressed)
+func TestMetricPastItsBoundIsMarked(t *testing.T) {
+	old := benchFile(t, 4, func(rs []map[string]any) {
+		setMetric(rs[1], "latency_p75_ms", 0)
+	})
+	cur := benchFile(t, 4, func(rs []map[string]any) {
+		setMetric(rs[0], "throughput_per_s", 70)     // higher is better: -30%, past 25%
+		setMetric(rs[0], "latency_p50_ms", 110)      // +10%, inside 25%
+		setMetric(rs[0], "disk_bytes_per_event", 98) // -2%, past 1.5% the good way
+		setMetric(rs[1], "latency_p75_ms", 0.5)      // from 0: past any bound
+		setMetric(rs[3], "setup_s", 126)             // +26%, past 25%
+	})
+	code, rows, stderr := diff(t, old, cur)
+	if code != 0 {
+		t.Fatalf("exit %d (stderr %q): a WORSE row alone must not fail", code, stderr)
 	}
-	if _, regressed := compare(old, cur, 20, []string{"StoreAppend"}); len(regressed) != 0 {
-		t.Fatalf("with allowlist: regressed = %v, want none", regressed)
-	}
-}
-
-func TestCompareAllocMetricsAbsentOnOneSideDoNotGate(t *testing.T) {
-	// The previous artifact predates -benchmem: no allocs/op or B/op.
-	// The first run with allocation metrics must not regress against
-	// it, and an artifact that loses the metrics must not either.
-	old := mkDoc(bench("BenchmarkReplay", 100, nil))
-	cur := mkDoc(bench("BenchmarkReplay", 105, map[string]float64{"allocs/op": 1e9, "B/op": 1e12}))
-	if _, regressed := compare(old, cur, 20, nil); len(regressed) != 0 {
-		t.Fatalf("one-sided alloc metrics gated: %v", regressed)
-	}
-	if _, regressed := compare(cur, old, 20, nil); len(regressed) != 0 {
-		t.Fatalf("dropped alloc metrics gated: %v", regressed)
-	}
-}
-
-func TestCompareZeroAllocBaselineDoesNotDivide(t *testing.T) {
-	old := mkDoc(bench("BenchmarkZero", 100, map[string]float64{"allocs/op": 0}))
-	cur := mkDoc(bench("BenchmarkZero", 100, map[string]float64{"allocs/op": 3}))
-	if _, regressed := compare(old, cur, 20, nil); len(regressed) != 0 {
-		t.Fatalf("zero alloc baseline must not regress: %v", regressed)
-	}
-}
-
-func TestParseBenchmemLine(t *testing.T) {
-	in := "BenchmarkStoreReplay/store-full/binary-v2-8   10   138055277 ns/op   34000000 B/op   1888 allocs/op\n"
-	doc, err := parse(bufio.NewScanner(strings.NewReader(in)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := doc.Benchmarks[0].Metrics
-	if m["B/op"] != 34000000 || m["allocs/op"] != 1888 {
-		t.Fatalf("benchmem metrics = %v", m)
-	}
-}
-
-func TestCompareZeroOldNsDoesNotDivide(t *testing.T) {
-	old := mkDoc(bench("BenchmarkWeird", 0, nil))
-	cur := mkDoc(bench("BenchmarkWeird", 50, nil))
-	if _, regressed := compare(old, cur, 20, nil); len(regressed) != 0 {
-		t.Fatalf("zero baseline must not regress: %v", regressed)
+	for _, tc := range []struct{ workload, metric, verdict string }{
+		{"live_saturate", "throughput_per_s", "WORSE"},
+		{"live_saturate", "latency_p50_ms", "within"},
+		{"live_saturate", "disk_bytes_per_event", "better"},
+		{"live_paced", "latency_p75_ms", "WORSE"},
+		{"incident_query", "setup_s", "WORSE"},
+		{"forensic_replay", "setup_s", "unchanged"},
+	} {
+		if r := row(t, rows, tc.workload, tc.metric); !strings.Contains(r, " "+tc.verdict+" ") {
+			t.Errorf("%s %s: want %s, got %s", tc.workload, tc.metric, tc.verdict, r)
+		}
 	}
 }

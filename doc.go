@@ -60,7 +60,7 @@
 // segments outright and feed the actor-sharded detection
 // workers from per-segment readers in parallel — so replay throughput
 // scales with cores instead of being capped by a whole-file JSONL
-// load (BenchmarkStoreReplay). Segments come in two wire versions:
+// load (go run ./bench --workload forensic_replay). Segments come in two wire versions:
 // v1 frames carry JSON event payloads (CRC32-IEEE), v2 frames carry a
 // compact tagged-binary encoding of trace.Event with a per-segment
 // string-interning dictionary (CRC32-Castagnoli) whose frame header
@@ -90,9 +90,9 @@
 // `jsentinel query` answers "which incidents reached high severity
 // for actor X last week" from the indexes in well under a millisecond
 // instead of re-running detection over the whole store
-// (BenchmarkIncidentQuery pins the ≥50x contract; the rendered table
-// is byte-identical to a full re-detection pass filtered the same
-// way). Every incident-producing CLI records history next to its
+// (go run ./bench --workload incident_query; the rendered table is
+// byte-identical to a full re-detection pass filtered the same way,
+// TestHistoryQueryEqualsRedetection). Every incident-producing CLI records history next to its
 // event store by default (<store>/history), read-only queries are
 // safe under a live writer, and retention is tiered — raw events
 // compact away first (evstore.Compact), derived incident history
@@ -113,7 +113,7 @@
 // (cli_test.go pins this through the real binaries). Backpressure is
 // an explicit per-tenant policy (Block = lossless stalls, DropNewest
 // = counted sheds; submitted == accepted + dropped + denied holds
-// exactly, BenchmarkIngestSustained). JSONL lines on both transports
+// exactly, TestWSDropNewestBooksBalanceUnderLoad). JSONL lines on both transports
 // (and in every other trace.Decoder consumer) are decoded by a
 // hand-written parser that accepts only what it can prove equal to
 // encoding/json — one allocation per event, strings cut from a copy
@@ -131,7 +131,7 @@
 // constant folding, and fused superinstructions, giving ≈5–6x over
 // the tree-walking interpreter on the loop-heavy programs attack
 // payloads resemble (BenchmarkMinilangEngines in
-// internal/kernel/minilang, pinned in the CI bench artifact). The VM
+// internal/kernel/minilang). The VM
 // is the only engine kernels run. The interpreter lives in minilang's
 // tests as the oracle of the standing differential fuzz harness
 // (FuzzVMMatchesInterp): the two must agree down to host-call order,
@@ -144,8 +144,12 @@
 // fleet-census shape — skip the parse and bytecode compilation
 // entirely; hit/miss counters surface in kernel usage.
 //
-// See DESIGN.md for the system inventory and each layer's contract
-// ("Performance budget" has the per-hop cost of a live event). The root
-// bench_test.go holds the micro-benchmarks; bench/ is the end-to-end
-// benchmark (go run ./bench).
+// README.md lists each paper claim with the command that reproduces
+// it; DESIGN.md has the system inventory and each layer's contract
+// ("Performance budget" has the per-hop cost of a live event). There
+// is one benchmark system: bench/ (go run ./bench, contract in
+// BENCHMARK.json), whose result each change commits as BENCH_<n>.json
+// and cmd/jbenchjson diffs. The root bench_test.go keeps only the
+// micro-benchmarks no workload supersedes — the paper experiments, the
+// ablations and in-process speedup ratios — and CI runs each once.
 package repro

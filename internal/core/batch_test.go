@@ -133,3 +133,27 @@ func TestEmitDoesNotMoveTheEventToTheHeap(t *testing.T) {
 		t.Fatalf("a quiet event costs %.1f allocations across Emit, Process, EmitBatch and ProcessBatch, want 0", allocs)
 	}
 }
+
+// TestStandardMixAllocationsPerEvent is the engine's allocation
+// budget on the trace the engine benchmarks replay: the whole
+// standard mix, quiet events and attacks together, once warm. Quiet
+// events cost nothing (above); what remains is the alerts and
+// incident updates of the injected attacks, about 0.1 allocations per
+// event. One more allocation per event anywhere on the per-event path
+// reads at least 1.1 and fails the ceiling.
+func TestStandardMixAllocationsPerEvent(t *testing.T) {
+	const ceiling = 0.25
+	events := workload.StandardMix(11, 2000).Events
+	eng := MustEngine()
+	pass := func() {
+		for i := range events {
+			eng.Emit(events[i])
+		}
+	}
+	pass()
+	perEvent := testing.AllocsPerRun(5, pass) / float64(len(events))
+	t.Logf("%d events, %.3f allocations per event", len(events), perEvent)
+	if perEvent > ceiling {
+		t.Fatalf("a pass over the standard mix costs %.3f allocations per event, want at most %.2f", perEvent, ceiling)
+	}
+}

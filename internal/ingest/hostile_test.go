@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/auth"
 	"repro/internal/trace"
 )
 
@@ -49,15 +51,35 @@ func sendRaw(t *testing.T, addr string, r hostileRequest) (int, batchResponse) {
 // hostileLines returns n JSONL event lines, each padded to about a
 // kilobyte so a MaxBody cut after a few of them still admits a whole
 // clean batch.
-func hostileLines(t *testing.T, n int) [][]byte {
-	t.Helper()
+func hostileLines(tb testing.TB, n int) [][]byte {
+	tb.Helper()
 	lines := make([][]byte, n)
 	for i := range lines {
-		lines[i] = jsonlBody(t, trace.Event{
+		lines[i] = jsonlBody(tb, trace.Event{
 			Kind: trace.KindHTTP, SrcIP: "198.51.100.7", Path: fmt.Sprintf("/%d/%s", i, strings.Repeat("x", 1000)),
 		})
 	}
 	return lines
+}
+
+// hostileBodies are the multi-line bodies TestHTTPIngestHostileInput
+// sends, by what they hold; FuzzIngestBody starts from them.
+func hostileBodies(tb testing.TB) map[string][]byte {
+	five := hostileLines(tb, 5)
+	var burst []trace.Event
+	for i := 0; i < 100; i++ {
+		burst = append(burst, trace.Event{Kind: trace.KindAuth, SrcIP: "198.51.100.8", Op: "deny"})
+	}
+	return map[string][]byte{
+		"five lines":         bytes.Join(five, nil),
+		"bad JSON on line 4": bytes.Join([][]byte{five[0], five[1], five[2], []byte("{\"kind\":\n"), five[3]}, nil),
+		"CRLF": []byte(strings.Join([]string{
+			"\r\n", strings.TrimSuffix(string(five[0]), "\n"), "\r\n\r\n\n",
+			strings.TrimSuffix(string(five[1]), "\n"), "\r\n", strings.TrimSuffix(string(five[2]), "\n"),
+		}, "")),
+		"NUL on line 2":   []byte("{\"kind\":\"http\",\"path\":\"/a\"}\n{\"kind\":\"http\",\"path\":\"/\x00\"}\n{\"kind\":\"http\"}\n"),
+		"100-event burst": jsonlBody(tb, burst...),
+	}
 }
 
 // TestHTTPIngestHostileInput runs one abusive request per row against
@@ -72,13 +94,7 @@ func TestHTTPIngestHostileInput(t *testing.T) {
 	bearer := "Bearer " + hostileTok
 	five := hostileLines(t, 5)
 	firstThree := len(bytes.Join(five[:3], nil))
-	burst := func(n int) []byte {
-		var events []trace.Event
-		for i := 0; i < n; i++ {
-			events = append(events, trace.Event{Kind: trace.KindAuth, SrcIP: "198.51.100.8", Op: "deny"})
-		}
-		return jsonlBody(t, events...)
-	}
+	bodies := hostileBodies(t)
 	quota := func(p trace.DropPolicy) Config {
 		return Config{Rate: 200, Burst: 10, TenantPolicy: map[string]trace.DropPolicy{"hostile": p}}
 	}
@@ -100,28 +116,25 @@ func TestHTTPIngestHostileInput(t *testing.T) {
 		{name: "wrong method", req: hostileRequest{http.MethodPut, "hostile", bearer, five[0]},
 			status: http.StatusMethodNotAllowed, submitted: -1},
 		{name: "body over MaxBody cut on a line boundary", cfg: Config{MaxBody: int64(firstThree)},
-			req:    hostileRequest{http.MethodPost, "hostile", bearer, bytes.Join(five, nil)},
+			req:    hostileRequest{http.MethodPost, "hostile", bearer, bodies["five lines"]},
 			status: http.StatusRequestEntityTooLarge, accepted: 3, submitted: 3},
 		{name: "body over MaxBody cut inside a line", cfg: Config{MaxBody: int64(firstThree + 10)},
-			req:    hostileRequest{http.MethodPost, "hostile", bearer, bytes.Join(five, nil)},
+			req:    hostileRequest{http.MethodPost, "hostile", bearer, bodies["five lines"]},
 			status: http.StatusRequestEntityTooLarge, accepted: 3, submitted: 3},
 		{name: "bad JSON on line 4",
-			req:    hostileRequest{http.MethodPost, "hostile", bearer, bytes.Join([][]byte{five[0], five[1], five[2], []byte("{\"kind\":\n"), five[3]}, nil)},
+			req:    hostileRequest{http.MethodPost, "hostile", bearer, bodies["bad JSON on line 4"]},
 			status: http.StatusBadRequest, accepted: 3, submitted: 3},
 		{name: "CRLF, blank lines and an unterminated last line",
-			req: hostileRequest{http.MethodPost, "hostile", bearer, []byte(strings.Join([]string{
-				"\r\n", strings.TrimSuffix(string(five[0]), "\n"), "\r\n\r\n\n",
-				strings.TrimSuffix(string(five[1]), "\n"), "\r\n", strings.TrimSuffix(string(five[2]), "\n"),
-			}, ""))},
+			req:    hostileRequest{http.MethodPost, "hostile", bearer, bodies["CRLF"]},
 			status: http.StatusOK, accepted: 3, submitted: 3},
 		{name: "NUL byte on line 2",
-			req:    hostileRequest{http.MethodPost, "hostile", bearer, []byte("{\"kind\":\"http\",\"path\":\"/a\"}\n{\"kind\":\"http\",\"path\":\"/\x00\"}\n{\"kind\":\"http\"}\n")},
+			req:    hostileRequest{http.MethodPost, "hostile", bearer, bodies["NUL on line 2"]},
 			status: http.StatusBadRequest, accepted: 1, submitted: 1},
 		{name: "over-quota burst under drop_newest", cfg: quota(trace.DropNewest),
-			req:    hostileRequest{http.MethodPost, "hostile", bearer, burst(100)},
+			req:    hostileRequest{http.MethodPost, "hostile", bearer, bodies["100-event burst"]},
 			status: http.StatusTooManyRequests, accepted: -1, submitted: 100},
 		{name: "over-quota burst under block", cfg: quota(trace.Block),
-			req:    hostileRequest{http.MethodPost, "hostile", bearer, burst(100)},
+			req:    hostileRequest{http.MethodPost, "hostile", bearer, bodies["100-event burst"]},
 			status: http.StatusOK, accepted: 100, submitted: 100},
 	}
 	for _, row := range rows {
@@ -194,4 +207,56 @@ func TestHTTPIngestHostileInput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzIngestBody sends arbitrary bytes as an authenticated tenant's
+// POST /ingest body, in process (no TCP), with MaxBody at 4 KiB.
+// Whatever the body, the handler answers 200, 400, 413 or 429 with its
+// counts, the tenant's books balance after Drain, and the sink holds
+// exactly the events the reply says were accepted.
+func FuzzIngestBody(f *testing.F) {
+	for _, body := range hostileBodies(f) {
+		f.Add(body)
+	}
+	f.Add([]byte{})
+	kr := auth.NewKeyring()
+	if err := kr.AddTenant("fuzz", []byte("secret-fuzz")); err != nil {
+		f.Fatal(err)
+	}
+	tok, _ := kr.Mint("fuzz")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sink := &collector{}
+		svc := New(Config{Keyring: kr, MaxBody: 4 << 10}, sink)
+		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body))
+		req.Header.Set("X-Tenant", "fuzz")
+		req.Header.Set("Authorization", "Bearer "+tok)
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, req)
+		svc.Drain()
+
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var br batchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
+			t.Fatalf("status %d reply is not JSON: %v\n%s", rec.Code, err, rec.Body)
+		}
+		tenants := svc.Stats().Tenants
+		if len(tenants) != 1 {
+			t.Fatalf("%d tenants in stats, want 1", len(tenants))
+		}
+		ts := tenants[0]
+		if got := ts.Accepted + ts.Dropped + ts.Denied; got != uint64(br.Accepted+br.Denied) {
+			t.Errorf("accepted %d + dropped %d + denied %d = %d, reply says %d submitted",
+				ts.Accepted, ts.Dropped, ts.Denied, got, br.Accepted+br.Denied)
+		}
+		if ts.Processed != ts.Accepted {
+			t.Errorf("processed %d != accepted %d after Drain", ts.Processed, ts.Accepted)
+		}
+		if got := len(sink.snapshot()); got != br.Accepted {
+			t.Errorf("sink received %d events, reply says %d accepted", got, br.Accepted)
+		}
+	})
 }

@@ -58,13 +58,13 @@ func startService(t *testing.T, cfg Config, sink trace.Sink) (*Service, string) 
 	return svc, addr
 }
 
-func jsonlBody(t *testing.T, events ...trace.Event) []byte {
-	t.Helper()
+func jsonlBody(tb testing.TB, events ...trace.Event) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for _, e := range events {
 		if err := enc.Encode(e); err != nil {
-			t.Fatalf("encode: %v", err)
+			tb.Fatalf("encode: %v", err)
 		}
 	}
 	return buf.Bytes()
@@ -278,6 +278,105 @@ func TestBlockBackpressureIsLossless(t *testing.T) {
 		if ts.Accepted != perTenant || ts.Processed != perTenant || ts.Dropped != 0 || ts.Denied != 0 {
 			t.Errorf("tenant %s: %+v, want lossless accounting", ts.Tenant, ts)
 		}
+	}
+}
+
+// TestWSDropNewestBooksBalanceUnderLoad sheds load the DropNewest way:
+// 64 WebSocket connections across 8 tenants flood small lanes in front
+// of a slow sink. Every shed event must be counted, tenant by tenant,
+// and the sink must see exactly the accepted ones.
+func TestWSDropNewestBooksBalanceUnderLoad(t *testing.T) {
+	const (
+		tenantCount = 8
+		connCount   = 64
+		msgsPerConn = 20
+		perMessage  = 16
+	)
+	names := make([]string, tenantCount)
+	for i := range names {
+		names[i] = fmt.Sprintf("tenant-%d", i)
+	}
+	kr := testKeyring(t, names...)
+	sink := &collector{}
+	slowSink := trace.SinkFunc(func(e trace.Event) {
+		time.Sleep(50 * time.Microsecond)
+		sink.Emit(e)
+	})
+	svc, addr := startService(t, Config{Keyring: kr, Policy: trace.DropNewest, Queue: 4}, slowSink)
+
+	conns := make([]*wsproto.Conn, connCount)
+	msgs := make([][]byte, connCount)
+	for i := range conns {
+		name := names[i%tenantCount]
+		tok, _ := kr.Mint(name)
+		conns[i] = dialWS(t, addr, name, tok)
+		var events []trace.Event
+		for j := 0; j < perMessage; j++ {
+			events = append(events, trace.Event{Kind: trace.KindHTTP, SrcIP: fmt.Sprintf("10.0.%d.7", i), Path: fmt.Sprintf("/p/%d", j)})
+		}
+		msgs[i] = jsonlBody(t, events...)
+	}
+	var wg sync.WaitGroup
+	for i := range conns {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for m := 0; m < msgsPerConn; m++ {
+				if err := conns[i].WriteMessage(wsproto.OpText, msgs[i]); err != nil {
+					t.Errorf("conn %d: write: %v", i, err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	// The server reads asynchronously: close only once it has accounted
+	// for every submitted event, or the close could cut a message off.
+	const sentPerTenant = connCount / tenantCount * msgsPerConn * perMessage
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var seen uint64
+		for _, ts := range svc.Stats().Tenants {
+			seen += ts.Accepted + ts.Dropped + ts.Denied
+		}
+		if seen == tenantCount*sentPerTenant {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server accounted for %d of %d events within 30s", seen, tenantCount*sentPerTenant)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for _, c := range conns {
+		_ = c.Close(wsproto.CloseNormal, "")
+	}
+	svc.Drain()
+
+	delivered := map[string]uint64{}
+	for _, e := range sink.snapshot() {
+		tenant, _, _ := strings.Cut(e.SrcIP, "/")
+		delivered[tenant]++
+	}
+	tenants := svc.Stats().Tenants
+	if len(tenants) != tenantCount {
+		t.Fatalf("%d tenants in stats, want %d", len(tenants), tenantCount)
+	}
+	var dropped uint64
+	for _, ts := range tenants {
+		if got := ts.Accepted + ts.Dropped + ts.Denied; got != sentPerTenant {
+			t.Errorf("tenant %s: accepted %d + dropped %d + denied %d = %d, want %d submitted",
+				ts.Tenant, ts.Accepted, ts.Dropped, ts.Denied, got, sentPerTenant)
+		}
+		if ts.Processed != ts.Accepted {
+			t.Errorf("tenant %s: processed %d != accepted %d after Drain", ts.Tenant, ts.Processed, ts.Accepted)
+		}
+		if delivered[ts.Tenant] != ts.Accepted {
+			t.Errorf("tenant %s: sink received %d events, accepted %d", ts.Tenant, delivered[ts.Tenant], ts.Accepted)
+		}
+		dropped += ts.Dropped
+	}
+	if dropped == 0 {
+		t.Fatal("no tenant dropped an event: the lanes never filled, so the test checked nothing")
 	}
 }
 

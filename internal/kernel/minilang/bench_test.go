@@ -69,8 +69,8 @@ end`},
 // BenchmarkMinilangEngines runs each workload on both engines. The vm
 // sub-benchmarks additionally report a "speedup" metric (tree ns/op ÷
 // vm ns/op, measured in the same process) so the ≥5x claim on
-// fib-iter and tight-loop is a pinned number in the bench artifact
-// rather than a cross-run subtraction.
+// fib-iter and tight-loop is one number from one run rather than a
+// cross-run subtraction.
 func BenchmarkMinilangEngines(b *testing.B) {
 	limits := Limits{MaxSteps: 1_000_000}
 	for _, tc := range minilangEngineCases {
@@ -138,7 +138,7 @@ func BenchmarkMinilangEngines(b *testing.B) {
 	// memo) — the "cached" variants — and the VM no longer trails the
 	// tree-walker on its worst-case workload. vm/cached reports the
 	// ratio against a same-process tree cached probe so the claim is
-	// a pinned metric in the bench artifact.
+	// one number from one run.
 	const hostCell = `d = read_file("/var/log/auth.log")
 n = len(d)
 s1 = http_post("http://collector.internal/ingest", d)

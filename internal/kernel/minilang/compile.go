@@ -75,51 +75,6 @@ const (
 	opCount // sentinel: number of opcodes
 )
 
-var opNames = [opCount]string{
-	opConst:       "const",
-	opLoad:        "load",
-	opStore:       "store",
-	opPop:         "pop",
-	opList:        "list",
-	opIndex:       "index",
-	opNot:         "not",
-	opBool:        "bool",
-	opAdd:         "add",
-	opSub:         "sub",
-	opMul:         "mul",
-	opDiv:         "div",
-	opMod:         "mod",
-	opEq:          "eq",
-	opNe:          "ne",
-	opLt:          "lt",
-	opGt:          "gt",
-	opLe:          "le",
-	opGe:          "ge",
-	opJump:        "jump",
-	opJumpIfFalse: "jumpfalse",
-	opAndFalse:    "andfalse",
-	opOrTrue:      "ortrue",
-	opCall:        "call",
-	opIterPrep:    "iterprep",
-	opIterNext:    "iternext",
-	opIterPop:     "iterpop",
-	opBreakTop:    "breaktop",
-	opStep:        "step",
-	opBinLL:       "bin.ll",
-	opBinLC:       "bin.lc",
-	opBinCL:       "bin.cl",
-	opBinLLSt:     "bin.ll.st",
-	opBinLCSt:     "bin.lc.st",
-	opBinCLSt:     "bin.cl.st",
-	opBinLLJf:     "bin.ll.jf",
-	opBinLCJf:     "bin.lc.jf",
-	opBinCLJf:     "bin.cl.jf",
-	opBinSt:       "bin.st",
-	opMove:        "move",
-	opMove2:       "move2",
-	opConstStr:    "conststore",
-}
-
 var binOps = map[tokKind]op{
 	tokPlus:    opAdd,
 	tokMinus:   opSub,

@@ -27,8 +27,7 @@
 // that interpreter is the oracle the VM is differentially fuzzed
 // against (FuzzVMMatchesInterp), with observable equivalence pinned
 // down to host-call order, stdout bytes, error lines, and step
-// accounting. VM.SetProfiler attaches a deterministic per-opcode /
-// per-line execution profile.
+// accounting.
 package minilang
 
 import (

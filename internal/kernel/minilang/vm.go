@@ -3,7 +3,6 @@ package minilang
 import (
 	"math"
 	"strings"
-	"time"
 )
 
 // VM executes minilang by compiling each program to bytecode
@@ -31,8 +30,6 @@ type VM struct {
 	// VM's lifetime: slot indices are append-only, constants are
 	// immutable, and limits are fixed at construction.
 	chunks map[*Program]*chunk
-
-	prof *Profiler
 }
 
 // chunkCacheCap bounds the compiled-chunk cache; on overflow the whole
@@ -154,11 +151,6 @@ func (m *VM) Vars() map[string]Value {
 	return out
 }
 
-// SetProfiler attaches (or, with nil, detaches) an execution
-// profiler. Profiling adds per-instruction bookkeeping; leave it off
-// on hot paths.
-func (m *VM) SetProfiler(p *Profiler) { m.prof = p }
-
 // Run parses, compiles, and executes src. The step budget applies per
 // call; variables and stdout accumulate across calls.
 func (m *VM) Run(src string) error {
@@ -192,7 +184,6 @@ func (m *VM) exec(ch *chunk) error {
 	stack := m.stack[:0]
 	slots := m.slots
 	iters := m.iters[:0]
-	prof := m.prof
 	// Step accounting lives in locals on the hot path; builtins also
 	// tick, so the count is written back around every host call and at
 	// exit.
@@ -210,9 +201,6 @@ loop:
 				runErr = rte(int(in.line), "ResourceError", "%v (%d)", ErrTooManySteps, maxSteps)
 				break loop
 			}
-		}
-		if prof != nil {
-			prof.observe(in.op, int(in.line))
 		}
 		switch in.op {
 		case opConst:
@@ -484,9 +472,6 @@ loop:
 		}
 		pc++
 	}
-	if prof != nil {
-		prof.settle()
-	}
 	m.steps = steps
 	m.stack = stack[:0]
 	m.iters = iters[:0]
@@ -537,6 +522,3 @@ func numBinOp(o op, l, r float64, line int) (cell, error) {
 	}
 	return boolCell(cmp >= 0), nil
 }
-
-// timeNow is a seam for profiler tests.
-var timeNow = time.Now

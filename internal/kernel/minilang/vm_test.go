@@ -399,46 +399,6 @@ func TestConstantBranchElimination(t *testing.T) {
 	}
 }
 
-func TestVMProfilerCounts(t *testing.T) {
-	vm := NewVM(newMemHost(), Limits{})
-	prof := NewProfiler()
-	vm.SetProfiler(prof)
-	if err := vm.Run("t = 0\nfor i in range(10)\nt = t + i\nend"); err != nil {
-		t.Fatal(err)
-	}
-	// Exact, deterministic instruction counts: the peephole pass fuses
-	// the whole body `t = t + i` (load+load+add+store) into one
-	// bin.ll.st and `t = 0` into a single conststore; the body
-	// executes 10 times.
-	if got := prof.OpCount("bin.ll.st"); got != 10 {
-		t.Fatalf("bin.ll.st count = %d, want 10", got)
-	}
-	if got := prof.OpCount("conststore"); got != 1 { // t=0
-		t.Fatalf("conststore count = %d, want 1", got)
-	}
-	if got := prof.OpCount("iternext"); got != 11 { // 10 items + exhaustion
-		t.Fatalf("iternext count = %d, want 11", got)
-	}
-	if got := prof.LineCount(3); got != 10 { // one fused inst × 10 iterations
-		t.Fatalf("line 3 count = %d, want 10", got)
-	}
-	table := prof.Table()
-	for _, want := range []string{"OPCODE", "LINE", "bin.ll.st", "iternext"} {
-		if !strings.Contains(table, want) {
-			t.Fatalf("profiler table missing %q:\n%s", want, table)
-		}
-	}
-	// The table is deterministic in structure: rendering twice with
-	// no further execution is identical.
-	if table != prof.Table() {
-		t.Fatal("profiler table not deterministic")
-	}
-	prof.Reset()
-	if prof.OpCount("add") != 0 {
-		t.Fatal("reset did not clear counts")
-	}
-}
-
 func TestBuiltinNamesMemoized(t *testing.T) {
 	a := BuiltinNames()
 	b := BuiltinNames()
