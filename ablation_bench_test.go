@@ -123,8 +123,6 @@ write_file("out/summary.txt", str(total))`
 			}
 		}
 	}
-	// The interpreter's cost for the same cell is minilang's
-	// BenchmarkAuditCell.
 	b.Run("no-audit", func(b *testing.B) {
 		fs := vfs.New()
 		seed(fs)

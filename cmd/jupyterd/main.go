@@ -14,7 +14,7 @@
 // log's buffered writes before exiting — a signal never tears the
 // recording's tail.
 //
-// Kernels execute minilang on the bytecode VM.
+// Kernels execute minilang on its tree-walking interpreter.
 //
 //	jupyterd --addr 127.0.0.1:8888
 //	jupyterd --sloppy --log ./events-store

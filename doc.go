@@ -125,24 +125,18 @@
 // close the store — the daemons (jupyterd, jsentinel, jhoneypot,
 // jscan, jingestd) all honor both signals.
 //
-// Kernel cells execute on a minilang bytecode VM
-// (internal/kernel/minilang: compile.go, opt.go, vm.go): programs are
-// lowered to a flat instruction stream with slot-resolved variables,
-// constant folding, and fused superinstructions, giving ≈5–6x over
-// the tree-walking interpreter on the loop-heavy programs attack
-// payloads resemble (BenchmarkMinilangEngines in
-// internal/kernel/minilang). The VM
-// is the only engine kernels run. The interpreter lives in minilang's
-// tests as the oracle of the standing differential fuzz harness
-// (FuzzVMMatchesInterp): the two must agree down to host-call order,
-// stdout bytes, error lines, and step-limit accounting, and the
-// harness's seed corpus holds every attack payload the drivers send
-// (written by internal/attacks' TestAttackPayloadFuzzSeeds), so every
-// go test run compares the engines on the real payloads. The kernel
-// manager caches parsed programs in a bounded LRU keyed by source hash
-// (256 programs), shared across kernels, so repeated cells — the
-// fleet-census shape — skip the parse and bytecode compilation
-// entirely; hit/miss counters surface in kernel usage.
+// Kernel cells execute on minilang's tree-walking interpreter
+// (internal/kernel/minilang, Interp), the only engine, inside the
+// step, stdout, string-size and spin limits of minilang.Limits.
+// FuzzInterp holds every generated program to those limits and to
+// determinism (two interpreters on identical hosts agree down to
+// host-call order), and its seed corpus holds every attack payload the
+// drivers send (written by internal/attacks'
+// TestAttackPayloadFuzzSeeds), so every go test run executes the real
+// payloads. The kernel manager caches parsed programs in a bounded LRU
+// keyed by source hash (256 programs), shared across kernels, so
+// repeated cells — the fleet-census shape — skip the parse; hit/miss
+// counters surface in kernel usage.
 //
 // README.md lists each paper claim with the command that reproduces
 // it; DESIGN.md has the system inventory and each layer's contract

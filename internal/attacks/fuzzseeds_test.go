@@ -11,11 +11,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the minilang fuzz seeds generated from the attack payloads")
 
-// seedDir is the seed corpus of minilang's FuzzVMMatchesInterp, which
-// plain go test runs: every payload seeded there is executed on the
-// bytecode VM and on the reference tree-walking interpreter, and the
-// two must agree on output, errors, host calls and usage counters.
-var seedDir = filepath.Join("..", "kernel", "minilang", "testdata", "fuzz", "FuzzVMMatchesInterp")
+// seedDir is the seed corpus of minilang's FuzzInterp, which plain go
+// test runs: every payload seeded there must stay inside the
+// interpreter's limits and run the same on two interpreters.
+var seedDir = filepath.Join("..", "kernel", "minilang", "testdata", "fuzz", "FuzzInterp")
 
 // attackSeeds is every minilang payload the attack drivers send, one
 // program per scenario: ransomware with defaults, exfiltration

@@ -214,7 +214,7 @@ type Kernel struct {
 
 	mu        sync.Mutex
 	cfg       Config
-	eng       *minilang.VM
+	eng       *minilang.Interp
 	progs     *progCache // manager-shared
 	signer    *jmsg.Signer
 	execCount int
@@ -238,9 +238,8 @@ type Usage struct {
 	NetCalls     int
 	ShellCalls   int
 	// Program-cache effectiveness for this kernel's executions: a hit
-	// means the cell source was already parsed (and, for the VM, its
-	// bytecode already compiled by this kernel's engine after the
-	// first run of that program).
+	// means the cell source was already parsed, by any kernel of the
+	// manager, and the parse was skipped.
 	ProgCacheHits   int
 	ProgCacheMisses int
 }
@@ -335,10 +334,8 @@ func (k *Kernel) Execute(code string, parent *jmsg.Message) (*ExecResult, error)
 		k.cfg.ExecHook(k.ID, user, code)
 	}
 	before := k.eng.Counters()
-	// Cache hit: the parse front end is skipped outright, and the VM's
-	// per-program compiled form is reused on every run of this program
-	// after the kernel's first. Parse failures come back as the same
-	// SyntaxError Run would produce.
+	// Cache hit: the parse is skipped outright. Parse failures come
+	// back as the same SyntaxError Run would produce.
 	prog, hit, runErr := k.progs.program(code)
 	if hit {
 		k.usage.ProgCacheHits++
@@ -464,36 +461,31 @@ func (k *Kernel) HandleMessage(msg *jmsg.Message) ([]*jmsg.Message, error) {
 		reply.Channel = jmsg.ChannelShell
 		return []*jmsg.Message{reply}, nil
 	case jmsg.TypeCompleteRequest:
-		var req struct {
-			Code      string `json:"code"`
-			CursorPos int    `json:"cursor_pos"`
-		}
-		if err := msg.DecodeContent(&req); err != nil {
-			return nil, fmt.Errorf("kernel: complete_request content: %w", err)
+		code, pos, err := cursorContent(msg)
+		if err != nil {
+			return nil, err
 		}
 		k.mu.Lock()
-		matches, start := k.complete(req.Code, req.CursorPos)
+		defer k.mu.Unlock()
+		matches, start := k.complete(code, pos)
 		reply, err := jmsg.Reply(msg, jmsg.TypeCompleteReply, k.nextMsgID(), k.cfg.Clock.Now(), map[string]any{
 			"status": "ok", "matches": matches,
-			"cursor_start": start, "cursor_end": req.CursorPos,
+			"cursor_start": start, "cursor_end": pos,
 			"metadata": map[string]any{},
 		})
-		k.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
 		reply.Channel = jmsg.ChannelShell
 		return []*jmsg.Message{reply}, nil
 	case jmsg.TypeInspectRequest:
-		var req struct {
-			Code      string `json:"code"`
-			CursorPos int    `json:"cursor_pos"`
-		}
-		if err := msg.DecodeContent(&req); err != nil {
-			return nil, fmt.Errorf("kernel: inspect_request content: %w", err)
+		code, pos, err := cursorContent(msg)
+		if err != nil {
+			return nil, err
 		}
 		k.mu.Lock()
-		name := wordAt(req.Code, req.CursorPos)
+		defer k.mu.Unlock()
+		name := wordAt(code, pos)
 		found := false
 		data := map[string]any{}
 		if v, ok := k.eng.Vars()[name]; ok {
@@ -503,7 +495,6 @@ func (k *Kernel) HandleMessage(msg *jmsg.Message) ([]*jmsg.Message, error) {
 		reply, err := jmsg.Reply(msg, jmsg.TypeInspectReply, k.nextMsgID(), k.cfg.Clock.Now(), map[string]any{
 			"status": "ok", "found": found, "data": data, "metadata": map[string]any{},
 		})
-		k.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
@@ -534,16 +525,25 @@ func (k *Kernel) HandleMessage(msg *jmsg.Message) ([]*jmsg.Message, error) {
 	}
 }
 
+// cursorContent decodes a complete_request or inspect_request and
+// clamps its cursor into [0, len(code)]: the position comes from the
+// client, and an out-of-range one must not panic the handler.
+func cursorContent(msg *jmsg.Message) (code string, pos int, err error) {
+	var req struct {
+		Code      string `json:"code"`
+		CursorPos int    `json:"cursor_pos"`
+	}
+	if err := msg.DecodeContent(&req); err != nil {
+		return "", 0, fmt.Errorf("kernel: %s content: %w", msg.Header.MsgType, err)
+	}
+	return req.Code, min(max(req.CursorPos, 0), len(req.Code)), nil
+}
+
 // complete returns completion matches for the identifier ending at
-// cursorPos: kernel variables first, then builtins. Caller holds mu.
+// cursorPos, which is within code: kernel variables first, then
+// builtins. Caller holds mu.
 func (k *Kernel) complete(code string, cursorPos int) ([]string, int) {
-	if cursorPos > len(code) {
-		cursorPos = len(code)
-	}
-	start := cursorPos
-	for start > 0 && isWordByte(code[start-1]) {
-		start--
-	}
+	start := wordStart(code, cursorPos)
 	prefix := code[start:cursorPos]
 	var matches []string
 	for name := range k.eng.Vars() {
@@ -565,20 +565,23 @@ func (k *Kernel) complete(code string, cursorPos int) ([]string, int) {
 	return matches, start
 }
 
-// wordAt extracts the identifier under the cursor.
+// wordAt extracts the identifier under the cursor, which is within
+// code.
 func wordAt(code string, pos int) string {
-	if pos > len(code) {
-		pos = len(code)
-	}
-	start := pos
-	for start > 0 && isWordByte(code[start-1]) {
-		start--
-	}
 	end := pos
 	for end < len(code) && isWordByte(code[end]) {
 		end++
 	}
-	return code[start:end]
+	return code[wordStart(code, pos):end]
+}
+
+// wordStart scans back from pos, which is within code, to the start
+// of the identifier ending there.
+func wordStart(code string, pos int) int {
+	for pos > 0 && isWordByte(code[pos-1]) {
+		pos--
+	}
+	return pos
 }
 
 func isWordByte(b byte) bool {
@@ -626,7 +629,7 @@ func (m *Manager) Start(name, user string) *Kernel {
 		ConnInfo: jmsg.NewConnectionInfo("127.0.0.1", 50000+m.seq*10, m.cfg.ConnectionKey),
 		cfg:      m.cfg,
 		progs:    m.progs,
-		eng:      minilang.NewVM(host, m.cfg.Limits),
+		eng:      minilang.NewInterp(host, m.cfg.Limits),
 		signer:   jmsg.NewSigner([]byte(m.cfg.ConnectionKey)),
 		state:    StateIdle,
 		user:     user,
@@ -662,7 +665,7 @@ func (m *Manager) Restart(id string) error {
 		host = m.cfg.HostWrapper(k.ID, k.user, host)
 	}
 	k.mu.Lock()
-	k.eng = minilang.NewVM(host, m.cfg.Limits)
+	k.eng = minilang.NewInterp(host, m.cfg.Limits)
 	k.state = StateIdle
 	k.execCount = 0
 	k.mu.Unlock()

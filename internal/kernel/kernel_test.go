@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -421,6 +422,61 @@ func TestInspectRequest(t *testing.T) {
 	if content.Found {
 		t.Fatal("unknown name found")
 	}
+}
+
+// TestCursorOutOfRange sends complete and inspect requests whose
+// cursor_pos lies before and past the code. Each gets an ok reply, and
+// the kernel stays usable: Execute and Restart still return, so no
+// handler left the kernel's lock held.
+func TestCursorOutOfRange(t *testing.T) {
+	m, _, _, _ := newManager(t)
+	k := m.Start("", "alice")
+	code := "print(rea"
+	for _, typ := range []string{jmsg.TypeCompleteRequest, jmsg.TypeInspectRequest} {
+		for _, pos := range []int{-1, len(code) + 5} {
+			req, _ := jmsg.New(typ, "m1", "sess", "alice", t0, map[string]any{"code": code, "cursor_pos": pos})
+			var content struct {
+				Status    string `json:"status"`
+				CursorEnd *int   `json:"cursor_end"`
+			}
+			if replies, err := handleRecovered(k, req); err != nil {
+				t.Errorf("%s at %d: %v", typ, pos, err)
+			} else if err := replies[0].DecodeContent(&content); err != nil {
+				t.Fatal(err)
+			} else if content.Status != "ok" {
+				t.Errorf("%s at %d: status %q", typ, pos, content.Status)
+			} else if end := content.CursorEnd; end != nil && (*end < 0 || *end > len(code)) {
+				t.Errorf("%s at %d: cursor_end %d outside the code", typ, pos, *end)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := k.Execute("x = 1", nil)
+				if err == nil {
+					err = m.Restart(k.ID)
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%s at %d: %v", typ, pos, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s at %d: Execute or Restart blocked: the kernel lock is still held", typ, pos)
+			}
+		}
+	}
+}
+
+// handleRecovered is k.HandleMessage with a panic returned as an
+// error, the way an HTTP server survives a panicking handler.
+func handleRecovered(k *Kernel, msg *jmsg.Message) (replies []*jmsg.Message, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return k.HandleMessage(msg)
 }
 
 func TestExecEventEmitted(t *testing.T) {

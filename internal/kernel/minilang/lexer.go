@@ -19,15 +19,10 @@
 // Values are strings, numbers, lists, and nil. Expressions support
 // calls, + (concat/add), comparisons, and indexing.
 //
-// Programs run on a bytecode VM (VM) that compiles them to a
-// register/stack hybrid with constant folding and fused
-// superinstructions (compile.go, opt.go, vm.go). Its runtime
-// substrate (rt, the builtins, operator semantics; runtime.go) is also
-// what the tree-walking interpreter in the package's tests runs on:
-// that interpreter is the oracle the VM is differentially fuzzed
-// against (FuzzVMMatchesInterp), with observable equivalence pinned
-// down to host-call order, stdout bytes, error lines, and step
-// accounting.
+// Programs run on a tree-walking interpreter (Interp, interp.go) over
+// a runtime of values, builtins, operator semantics and limits
+// (runtime.go). Limits bounds steps, stdout, string size and spin;
+// FuzzInterp holds every input to them and to determinism.
 package minilang
 
 import (

@@ -87,22 +87,101 @@ func (h *memHost) Hostname() string { return "testhost" }
 
 func (h *memHost) Env(name string) string { return map[string]string{"USER": "jovyan"}[name] }
 
-// run executes src on a fresh engine pair, failing on an error or on
-// any divergence between the VM and the interpreter, and returns the
-// stdout both produced.
+// traceHost wraps a Host recording every callback in order, so tests
+// can assert on the host calls a program makes.
+type traceHost struct {
+	inner Host
+	calls []string
+}
+
+func (h *traceHost) ReadFile(p string) ([]byte, error) {
+	h.calls = append(h.calls, "read:"+p)
+	return h.inner.ReadFile(p)
+}
+
+func (h *traceHost) WriteFile(p string, d []byte) error {
+	h.calls = append(h.calls, fmt.Sprintf("write:%s:%d", p, len(d)))
+	return h.inner.WriteFile(p, d)
+}
+
+func (h *traceHost) DeleteFile(p string) error {
+	h.calls = append(h.calls, "delete:"+p)
+	return h.inner.DeleteFile(p)
+}
+
+func (h *traceHost) RenameFile(o, n string) error {
+	h.calls = append(h.calls, "rename:"+o+":"+n)
+	return h.inner.RenameFile(o, n)
+}
+
+func (h *traceHost) ListFiles(d string) ([]string, error) {
+	h.calls = append(h.calls, "list:"+d)
+	return h.inner.ListFiles(d)
+}
+
+func (h *traceHost) HTTPRequest(m, u string, b []byte) (int, []byte, error) {
+	h.calls = append(h.calls, fmt.Sprintf("http:%s:%s:%d", m, u, len(b)))
+	return h.inner.HTTPRequest(m, u, b)
+}
+
+func (h *traceHost) Shell(c string) (string, error) {
+	h.calls = append(h.calls, "shell:"+c)
+	return h.inner.Shell(c)
+}
+
+func (h *traceHost) Spin(ms int64) {
+	h.calls = append(h.calls, fmt.Sprintf("spin:%d", ms))
+	h.inner.Spin(ms)
+}
+
+func (h *traceHost) Hostname() string {
+	h.calls = append(h.calls, "hostname")
+	return h.inner.Hostname()
+}
+
+func (h *traceHost) Env(n string) string {
+	h.calls = append(h.calls, "env:"+n)
+	return h.inner.Env(n)
+}
+
+// harness is an interpreter on a traceHost over a memHost that holds
+// two files under /data. mem is there for tests that seed files or
+// read back what a program wrote.
+type harness struct {
+	in   *Interp
+	host *traceHost
+	mem  *memHost
+}
+
+func newHarness(limits Limits) *harness {
+	mem := newMemHost()
+	mem.files["/data/a.txt"] = "alpha\nbeta"
+	mem.files["/data/b.txt"] = "gamma"
+	host := &traceHost{inner: mem}
+	return &harness{in: NewInterp(host, limits), host: host, mem: mem}
+}
+
+// exec runs src and returns the stdout it produced and its error.
+func (h *harness) exec(src string) (string, error) {
+	err := h.in.Run(src)
+	return h.in.TakeStdout(), err
+}
+
+// run executes src on a fresh harness, failing on an error, and
+// returns its stdout.
 func run(t *testing.T, src string) string {
 	t.Helper()
-	out, err := newEnginePair(Limits{}).runBoth(t, src)
+	out, err := newHarness(Limits{}).exec(src)
 	if err != nil {
 		t.Fatalf("run: %v\nsource:\n%s", err, src)
 	}
 	return out
 }
 
-// runErr is run for a program that must fail on both engines.
+// runErr is run for a program that must fail.
 func runErr(t *testing.T, src string) error {
 	t.Helper()
-	_, err := newEnginePair(Limits{}).runBoth(t, src)
+	_, err := newHarness(Limits{}).exec(src)
 	if err == nil {
 		t.Fatalf("expected error for:\n%s", src)
 	}
@@ -234,10 +313,9 @@ print(len(l), len(l2), l2[3])`)
 }
 
 func TestFileBuiltins(t *testing.T) {
-	p := newEnginePair(Limits{})
-	p.mi.files["data/a.txt"] = "hello"
-	p.mv.files["data/a.txt"] = "hello"
-	out, err := p.runBoth(t, `data = read_file("data/a.txt")
+	h := newHarness(Limits{})
+	h.mem.files["data/a.txt"] = "hello"
+	out, err := h.exec(`data = read_file("data/a.txt")
 write_file("data/b.txt", data + " world")
 rename_file("data/b.txt", "data/c.txt")
 print(read_file("data/c.txt"))
@@ -249,7 +327,7 @@ print(len(list_files("data")))`)
 	if out != "hello world\n1\n" {
 		t.Fatalf("out = %q", out)
 	}
-	if c := p.vm.Counters(); c.BytesRead == 0 || c.BytesWritten == 0 {
+	if c := h.in.Counters(); c.BytesRead == 0 || c.BytesWritten == 0 {
 		t.Fatal("usage counters not updated")
 	}
 }
@@ -266,14 +344,13 @@ print(decrypt(enc, "wrong") == data)`)
 }
 
 func TestEncryptProducesHighEntropy(t *testing.T) {
-	p := newEnginePair(Limits{})
+	h := newHarness(Limits{})
 	plain := strings.Repeat("science data rows and columns ", 200)
-	p.mi.files["d.csv"] = plain
-	p.mv.files["d.csv"] = plain
-	if _, err := p.runBoth(t, `write_file("d.enc", encrypt(read_file("d.csv"), "k"))`); err != nil {
+	h.mem.files["d.csv"] = plain
+	if _, err := h.exec(`write_file("d.enc", encrypt(read_file("d.csv"), "k"))`); err != nil {
 		t.Fatal(err)
 	}
-	enc := p.mv.files["d.enc"]
+	enc := h.mem.files["d.enc"]
 	if len(enc) != len(plain) {
 		t.Fatalf("length changed: %d vs %d", len(enc), len(plain))
 	}
@@ -299,8 +376,8 @@ func TestXorKeystreamProperty(t *testing.T) {
 }
 
 func TestNetworkBuiltins(t *testing.T) {
-	p := newEnginePair(Limits{})
-	out, err := p.runBoth(t, `status = http_post("http://x.example/drop", "payload")
+	h := newHarness(Limits{})
+	out, err := h.exec(`status = http_post("http://x.example/drop", "payload")
 body = http_get("http://x.example/check")
 print(status, body)`)
 	if err != nil {
@@ -309,16 +386,15 @@ print(status, body)`)
 	if out != "200 ok\n" {
 		t.Fatalf("out = %q", out)
 	}
-	if len(p.mv.requests) != 2 || p.vm.NetCalls != 2 {
-		t.Fatalf("requests = %v netcalls = %d", p.mv.requests, p.vm.NetCalls)
+	if len(h.mem.requests) != 2 || h.in.NetCalls != 2 {
+		t.Fatalf("requests = %v netcalls = %d", h.mem.requests, h.in.NetCalls)
 	}
 }
 
 func TestNetworkDeniedSurfacesError(t *testing.T) {
-	p := newEnginePair(Limits{})
-	p.mi.denyNet = true
-	p.mv.denyNet = true
-	_, err := p.runBoth(t, `http_post("http://x/", "data")`)
+	h := newHarness(Limits{})
+	h.mem.denyNet = true
+	_, err := h.exec(`http_post("http://x/", "data")`)
 	var rt *RuntimeError
 	if !errors.As(err, &rt) || rt.EName != "OSError" {
 		t.Fatalf("err = %v", err)
@@ -326,24 +402,24 @@ func TestNetworkDeniedSurfacesError(t *testing.T) {
 }
 
 func TestShellAndSpin(t *testing.T) {
-	p := newEnginePair(Limits{})
-	if _, err := p.runBoth(t, `print(shell("whoami"))
+	h := newHarness(Limits{})
+	if _, err := h.exec(`print(shell("whoami"))
 spin(5000)`); err != nil {
 		t.Fatal(err)
 	}
-	host, vm := p.mv, p.vm
-	if len(host.shells) != 1 || host.spun != 5000 || vm.CPUMillis != 5000 || vm.ShellCalls != 1 {
-		t.Fatalf("shells=%v spun=%d cpu=%d", host.shells, host.spun, vm.CPUMillis)
+	host, in := h.mem, h.in
+	if len(host.shells) != 1 || host.spun != 5000 || in.CPUMillis != 5000 || in.ShellCalls != 1 {
+		t.Fatalf("shells=%v spun=%d cpu=%d", host.shells, host.spun, in.CPUMillis)
 	}
 }
 
 func TestSpinCapped(t *testing.T) {
-	p := newEnginePair(Limits{MaxSpinMillis: 1000})
-	if _, err := p.runBoth(t, `spin(999999)`); err != nil {
+	h := newHarness(Limits{MaxSpinMillis: 1000})
+	if _, err := h.exec(`spin(999999)`); err != nil {
 		t.Fatal(err)
 	}
-	if p.mv.spun != 1000 {
-		t.Fatalf("spun = %d", p.mv.spun)
+	if h.mem.spun != 1000 {
+		t.Fatalf("spun = %d", h.mem.spun)
 	}
 }
 
@@ -364,11 +440,11 @@ print(b64encode("hi"), b64decode("aGk="))`)
 }
 
 func TestVariablesPersistAcrossRuns(t *testing.T) {
-	p := newEnginePair(Limits{})
-	if _, err := p.runBoth(t, `x = 41`); err != nil {
+	h := newHarness(Limits{})
+	if _, err := h.exec(`x = 41`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.runBoth(t, `print(x + 1)`)
+	out, err := h.exec(`print(x + 1)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,6 +470,7 @@ end`, "TypeError"},
 		{`num("not a number")`, "ValueError"},
 		{`len(1)`, "TypeError"},
 		{`print("a" < 1)`, "TypeError"},
+		{`range(num("nan"))`, "ValueError"},
 	}
 	for _, c := range cases {
 		err := runErr(t, c.src)
@@ -418,7 +495,7 @@ func TestSyntaxErrors(t *testing.T) {
 		`for x [1]`,
 		`@`,
 	} {
-		_, err := newEnginePair(Limits{}).runBoth(t, src)
+		_, err := newHarness(Limits{}).exec(src)
 		if err == nil {
 			t.Errorf("%q: accepted", src)
 			continue
@@ -432,7 +509,7 @@ func TestSyntaxErrors(t *testing.T) {
 }
 
 func TestInfiniteLoopBudget(t *testing.T) {
-	_, err := newEnginePair(Limits{MaxSteps: 10000}).runBoth(t, `while 1
+	_, err := newHarness(Limits{MaxSteps: 10000}).exec(`while 1
 x = 1
 end`)
 	var rt *RuntimeError
@@ -442,7 +519,7 @@ end`)
 }
 
 func TestOutputBudget(t *testing.T) {
-	_, err := newEnginePair(Limits{MaxOutputBytes: 100}).runBoth(t, `while 1
+	_, err := newHarness(Limits{MaxOutputBytes: 100}).exec(`while 1
 print("aaaaaaaaaaaaaaaaaaaaaaaa")
 end`)
 	var rt *RuntimeError
@@ -452,13 +529,29 @@ end`)
 }
 
 func TestStringSizeBudget(t *testing.T) {
-	_, err := newEnginePair(Limits{MaxValueBytes: 1 << 16}).runBoth(t, `s = "x"
+	_, err := newHarness(Limits{MaxValueBytes: 1 << 16}).exec(`s = "x"
 while 1
 s = s + s
 end`)
 	var rt *RuntimeError
 	if !errors.As(err, &rt) || rt.EName != "ResourceError" {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestBuiltinResultsHoldValueLimit: a string a builtin builds is held
+// to MaxValueBytes, like one built by + or *.
+func TestBuiltinResultsHoldValueLimit(t *testing.T) {
+	for _, src := range []string{
+		`x = b64encode("a" * 60)`,
+		`x = join(range(40), ",")`,
+		`x = str(range(40))`,
+	} {
+		_, err := newHarness(Limits{MaxValueBytes: 64}).exec(src)
+		var rt *RuntimeError
+		if !errors.As(err, &rt) || rt.EName != "ResourceError" {
+			t.Errorf("%q: err = %v, want ResourceError", src, err)
+		}
 	}
 }
 

@@ -132,11 +132,9 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// rt is the runtime substrate shared by both execution engines: the
-// host binding, limits, stdout buffer, step budget, and the usage
-// counters the kernel snapshots for resource-abuse detection. The
-// builtins operate on rt, so the tree-walker and the bytecode VM call
-// the exact same primitive implementations.
+// rt is the interpreter's runtime state: the host binding, limits,
+// stdout buffer, step budget, and the usage counters the kernel
+// snapshots for resource-abuse detection. The builtins operate on rt.
 type rt struct {
 	host   Host
 	limits Limits
@@ -165,8 +163,8 @@ type Counters struct {
 	ShellCalls   int
 }
 
-// Counters snapshots the usage counters. Promoted onto both engines
-// via rt embedding.
+// Counters snapshots the usage counters. Promoted onto Interp via rt
+// embedding.
 func (r *rt) Counters() Counters {
 	return Counters{
 		CPUMillis:    r.CPUMillis,
@@ -193,18 +191,6 @@ func (r *rt) tick(line int) error {
 	return nil
 }
 
-// charge consumes n ticks at once. The VM uses it to account for a
-// whole instruction's worth of interpreter steps; crossing the budget
-// anywhere inside the batch reports the same error the per-tick path
-// would, at the same line.
-func (r *rt) charge(n int, line int) error {
-	r.steps += n
-	if r.steps > r.limits.MaxSteps {
-		return rte(line, "ResourceError", "%v (%d)", ErrTooManySteps, r.limits.MaxSteps)
-	}
-	return nil
-}
-
 func boolVal(b bool) Value {
 	if b {
 		return Number(1)
@@ -212,8 +198,8 @@ func boolVal(b bool) Value {
 	return Number(0)
 }
 
-// indexValue applies the indexing operator. Shared by both engines so
-// error text and negative-index semantics cannot drift.
+// indexValue applies the indexing operator; a negative index counts
+// from the end.
 func indexValue(base, idxV Value, ln int) (Value, error) {
 	idx, ok := idxV.(Number)
 	if !ok {
@@ -243,10 +229,7 @@ func indexValue(base, idxV Value, ln int) (Value, error) {
 }
 
 // applyBin applies a non-logical binary operator to two evaluated
-// operands. It is the single source of truth for operator semantics:
-// the tree-walker, the VM's non-number slow path, and the compiler's
-// constant folder all call it, so results and error text cannot
-// diverge between engines.
+// operands.
 func applyBin(op tokKind, left, right Value, ln int, maxValueBytes int) (Value, error) {
 	switch op {
 	case tokPlus:
@@ -375,9 +358,9 @@ func valueCmp(a, b Value) (int, error) {
 
 // invokeBuiltin checks existence and arity, invokes fn, and wraps
 // non-minilang errors as OSError — after arguments have been
-// evaluated, matching the interpreter's historical order (argument
-// side effects happen even for unknown functions). Shared by both
-// engines.
+// evaluated, so argument side effects happen even for unknown
+// functions. A string result over MaxValueBytes is a ResourceError,
+// whichever builtin built it (b64encode, join, str, read_file, ...).
 func invokeBuiltin(in *rt, name string, fn *builtin, ln int, args []Value) (Value, error) {
 	if fn == nil {
 		return nil, rte(ln, "NameError", "unknown function %q", name)
@@ -391,6 +374,9 @@ func invokeBuiltin(in *rt, name string, fn *builtin, ln int, args []Value) (Valu
 			return nil, err
 		}
 		return nil, rte(ln, "OSError", "%s: %v", name, err)
+	}
+	if s, ok := v.(Str); ok && len(s) > in.limits.MaxValueBytes {
+		return nil, rte(ln, "ResourceError", "string exceeds %d bytes", in.limits.MaxValueBytes)
 	}
 	return v, nil
 }
@@ -436,6 +422,19 @@ func BuiltinNames() []string {
 	return builtinNames
 }
 
+// smallNumList pre-boxes the first 512 non-negative integers for
+// range: boxing a float64 into the Value interface heap-allocates, and
+// range results are mostly small. Sharing the boxes is safe because
+// Number is immutable; range still gives each call its own backing
+// array, since the list crosses into host code via Vars.
+var smallNumList = func() List {
+	l := make(List, 512)
+	for i := range l {
+		l[i] = Number(i)
+	}
+	return l
+}()
+
 var builtins = map[string]*builtin{
 	"print": {arity: -1, impl: func(in *rt, line int, args []Value) (Value, error) {
 		parts := make([]string, len(args))
@@ -480,12 +479,13 @@ var builtins = map[string]*builtin{
 		if err != nil {
 			return nil, err
 		}
-		if n < 0 || n > 1e6 {
+		// Written so NaN fails it too: int(NaN) is not a length.
+		if !(n >= 0 && n <= 1e6) {
 			return nil, rte(line, "ValueError", "range: %g out of bounds", n)
 		}
 		out := make(List, int(n))
 		// Bulk-copy the pre-boxed prefix: element-wise boxing is the
-		// hot path of range-driven loops on both engines.
+		// hot path of range-driven loops.
 		k := copy(out, smallNumList[:min(len(out), len(smallNumList))])
 		for i := k; i < len(out); i++ {
 			out[i] = Number(i)

@@ -1,16 +1,12 @@
 package kernel
 
-// Compiled-program cache: fleet scenarios execute the same cell
-// sources over and over (the census replays one probe notebook per
-// server; attack simulations re-run fixed payloads), so the manager
-// keeps a bounded LRU of parsed minilang programs keyed by the
-// SHA-256 of the source. A hit skips the parse front end entirely,
-// and — because minilang.VM.RunProgram never mutates the program
-// and the VM memoizes compiled chunks per *Program pointer — the VM
-// also skips bytecode compilation for every execution of a cached
-// program after a kernel's first. Correctness rides on the existing
-// FuzzVMMatchesInterp oracle: the VM's Run is exactly Parse+RunProgram,
-// so routing Execute through the cache is observationally identical.
+// Parsed-program cache: fleet scenarios execute the same cell sources
+// over and over (the census replays one probe notebook per server;
+// attack simulations re-run fixed payloads), so the manager keeps a
+// bounded LRU of parsed minilang programs keyed by the SHA-256 of the
+// source. A hit skips the parse. Interp.Run is exactly Parse followed
+// by RunProgram, and RunProgram never mutates the program, so routing
+// Execute through the cache changes nothing a cell can observe.
 
 import (
 	"container/list"
@@ -52,8 +48,8 @@ func newProgCache(capacity int) *progCache {
 
 // program returns the parsed form of src, parsing at most once per
 // distinct source while it stays resident. The returned program is
-// shared — callers must treat it as immutable, which VM.RunProgram
-// guarantees. hit reports whether the parse was skipped. A source
+// shared — callers must treat it as immutable, which
+// Interp.RunProgram guarantees. hit reports whether the parse was skipped. A source
 // that fails to parse is not cached: the syntax error is the caller's
 // to surface, and retrying a corrected cell must not see a stale
 // failure.
@@ -79,8 +75,7 @@ func (c *progCache) program(src string) (prog *minilang.Program, hit bool, err e
 	}
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
-		// Lost the race; share the winner's program so the VM chunk
-		// cache keys on one pointer.
+		// Lost the race; share the winner's program.
 		c.lru.MoveToFront(el)
 		prog = el.Value.(*progCacheEntry).prog
 	} else {

@@ -99,8 +99,7 @@ func TestProgCacheLRUEviction(t *testing.T) {
 }
 
 // TestProgCacheIdenticalOutput: cached executions produce output
-// identical to an uncached VM run — the transparency claim, anchored
-// to the same Parse+RunProgram identity FuzzVMMatchesInterp exercises.
+// identical to an uncached interpreter run — the transparency claim.
 func TestProgCacheIdenticalOutput(t *testing.T) {
 	src := "total = 0\nfor i in range(10)\n    total = total + i\nend\nprint(total)"
 	k := NewManager(Config{}).Start("minilang", "alice")
@@ -112,7 +111,7 @@ func TestProgCacheIdenticalOutput(t *testing.T) {
 		}
 		outs = append(outs, res.Stdout)
 	}
-	ref := minilang.NewVM(nil, minilang.Limits{})
+	ref := minilang.NewInterp(nil, minilang.Limits{})
 	if err := ref.Run(src); err != nil {
 		t.Fatal(err)
 	}
