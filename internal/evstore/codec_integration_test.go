@@ -1,6 +1,8 @@
 package evstore
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/seglog"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -170,6 +173,134 @@ func TestPushDownSkipsBodyDecode(t *testing.T) {
 		if tstats.Skipped != 0 {
 			t.Fatalf("time-only filter skipped %d frames; push-down misfired", tstats.Skipped)
 		}
+	}
+}
+
+// TestPushDownVerdicts drives header push-down over a hand-built v2
+// segment with every shape of header string: one string under two
+// dictionary references (each reference carries its own verdict), an
+// inline kind and an inline actor longer than maxInternLen (judged on
+// the bytes in the frame). A dangling actor reference, or an inline
+// actor that overruns its frame, ends the valid prefix there whatever
+// the filter — also when the kind already rules the frame out.
+func TestPushDownVerdicts(t *testing.T) {
+	longKind := trace.Kind(strings.Repeat("k", maxInternLen+1))
+	longActor := strings.Repeat("a", maxInternLen+1)
+	ref := func(r uint64) trace.Intern { return func(string) (uint64, bool) { return r, true } }
+	event := func(data []byte, seq uint64, kind trace.Kind, kindRef trace.Intern, user string, actorRef trace.Intern) []byte {
+		p := trace.AppendBinaryString([]byte{frameEvent}, string(kind), kindRef)
+		p = trace.AppendBinaryString(p, user, actorRef)
+		e := trace.Event{Seq: seq, Kind: kind, User: user}
+		return seglog.AppendFrame(data, e.AppendBinary(p, trace.InternNone), castagnoli)
+	}
+	prefix := []byte(segMagicV2)
+	for _, s := range []string{"alice", string(trace.KindExec), "alice"} { // refs 0, 1, 2
+		prefix = seglog.AppendFrame(prefix, append([]byte{frameDict}, s...), castagnoli)
+	}
+	prefix = event(prefix, 1, trace.KindExec, ref(1), "alice", ref(0))
+	prefix = event(prefix, 2, trace.KindExec, ref(1), "alice", ref(2))
+	prefix = event(prefix, 3, longKind, trace.InternNone, "alice", ref(0))
+	prefix = event(prefix, 4, trace.KindExec, ref(1), longActor, trace.InternNone)
+	// Kind exec, then an inline actor claiming 200 bytes of the 5 left.
+	overrun := []byte{frameEvent, 2, 0, 200, 1, 'm', 'a', 'l', 'l', 'o'}
+	tails := map[string][]byte{
+		"dangling": event(nil, 5, trace.KindExec, ref(1), "mallory", ref(9)), // no entry 9
+		"overrun":  seglog.AppendFrame(nil, overrun, castagnoli),
+	}
+
+	for tail, bad := range tails {
+		data := append(append(bytes.Clone(prefix), bad...), event(nil, 6, trace.KindExec, ref(1), "alice", ref(0))...) // never reached
+		for _, c := range []struct {
+			name string
+			f    Filter
+			want []uint64
+		}{
+			{"none", Filter{}, []uint64{1, 2, 3, 4}},
+			{"actor under both refs", Filter{Actor: "alice"}, []uint64{1, 2, 3}},
+			{"kind and actor", Filter{Kinds: []trace.Kind{trace.KindExec}, Actor: "alice"}, []uint64{1, 2}},
+			{"inline kind", Filter{Kinds: []trace.Kind{longKind}}, []uint64{3}},
+			{"inline actor", Filter{Actor: longActor}, []uint64{4}},
+			{"nothing", Filter{Kinds: []trace.Kind{trace.KindAuth}}, nil},
+		} {
+			var got []uint64
+			res, err := decodeFrames(bytes.NewReader(data), int64(len(data)), c.f.pushDown(), &decodeScratch{arena: &trace.Arena{}}, nil, func(e *trace.Event) error {
+				if c.f.match(e) {
+					got = append(got, e.Seq)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Errorf("%s, %s: delivered seqs %v, want %v", tail, c.name, got, c.want)
+			}
+			if res.Events+res.Skipped != 4 || (c.f.pushDown() != nil && res.Events != len(c.want)) {
+				t.Errorf("%s, %s: %d decoded + %d skipped; want the 4 event frames before the cut, %d decoded", tail, c.name, res.Events, res.Skipped, len(c.want))
+			}
+			if !res.Truncated || res.ValidBytes != int64(len(prefix)) || res.TailLossBytes != int64(len(data)-len(prefix)) || res.Reason != "frame not an event" {
+				t.Errorf("%s, %s: %+v; want the prefix to end at byte %d", tail, c.name, res.ScanResult, len(prefix))
+			}
+		}
+	}
+}
+
+// TestSkippedFramesCopyNoStrings: a replay that matches nothing builds
+// no string from a frame header it skips, so over events whose actor
+// key is inline (longer than maxInternLen) the arena receives the
+// dictionary's entries and nothing else.
+func TestSkippedFramesCopyNoStrings(t *testing.T) {
+	dir := t.TempDir()
+	// One actor per sidecar at most: every segment's actor list
+	// overflows, so the index cannot rule out an absent actor and each
+	// frame reaches push-down.
+	s, err := Open(dir, Options{SegmentBytes: 256 << 10, MaxActors: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	for i := 0; i < n; i++ {
+		user := fmt.Sprintf("%s-%d", strings.Repeat("u", maxInternLen), i%5)
+		if err := s.Append(trace.Event{Seq: uint64(i + 1), Kind: trace.KindExec, User: user}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dictBytes := 0
+	for _, seg := range s.Segments() {
+		f, size, err := seglog.OpenData(seg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = format.ReadFrames(f, size, nil, func(_ int, payload []byte) (string, error) {
+			if payload[0] == frameDict {
+				dictBytes += len(payload) - 1
+			}
+			return "", nil
+		})
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rs, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	sc := &decodeScratch{arena: &trace.Arena{}}
+	stats, err := rs.scan(Filter{Actor: "nobody"}, sc, nil, func(*trace.Event) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Skipped != n || stats.Events != 0 {
+		t.Fatalf("skipped %d frames and delivered %d events; want all %d skipped", stats.Skipped, stats.Events, n)
+	}
+	if _, copied, chunks := sc.arena.Stats(); copied != dictBytes || chunks > 1 {
+		t.Fatalf("arena took %d bytes in %d chunks; want only the dictionary's %d bytes, in one chunk", copied, chunks, dictBytes)
 	}
 }
 

@@ -90,32 +90,46 @@ func (f Filter) MatchIndex(ix Index) bool {
 	return true
 }
 
-// pushDown derives a frame-header skip predicate from the kind and
-// actor facets: v2 frames carry both in the header, so a frame that
-// cannot match is discarded after the CRC check without decoding its
-// body. Time bounds are not in the header and stay with per-event
-// Match — safe, because pushDown only skips frames Match would reject
-// anyway. Returns nil when the filter has no pushable facet, which
-// keeps the unfiltered decode loop branch-free.
-func (f Filter) pushDown() func(kind trace.Kind, actor string) bool {
+// pushDown returns f when a v2 frame header can rule an event out: the
+// header carries the kind and actor key, so a frame that cannot match
+// is discarded after the CRC check without decoding its body. Time
+// bounds are not in the header and stay with per-event Match — safe,
+// because push-down only skips frames whose header Match would reject.
+// Returns nil when the filter has no kind or actor facet, which keeps
+// the unfiltered decode loop free of header checks.
+func (f *Filter) pushDown() *Filter {
 	if len(f.Kinds) == 0 && f.Actor == "" {
 		return nil
 	}
-	return func(kind trace.Kind, actor string) bool {
-		if len(f.Kinds) > 0 {
-			ok := false
-			for _, k := range f.Kinds {
-				if kind == k {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return true
-			}
-		}
-		return f.Actor != "" && actor != f.Actor
+	return f
+}
+
+// A verdict records which header facets of a filter one string passes:
+// as a frame's kind, as its actor key, both or neither.
+type verdict uint8
+
+const (
+	kindPasses verdict = 1 << iota
+	actorPasses
+)
+
+// judge gives the verdict on one header string, as the bytes it is encoded from,
+// against f's kind and actor facets; a facet f does not set passes.
+func (f *Filter) judge(s []byte) verdict {
+	var v verdict
+	if len(f.Kinds) == 0 {
+		v = kindPasses
 	}
+	for _, k := range f.Kinds {
+		if string(s) == string(k) {
+			v = kindPasses
+			break
+		}
+	}
+	if f.Actor == "" || string(s) == f.Actor {
+		v |= actorPasses
+	}
+	return v
 }
 
 // mayMatch bounds, from the sidecar alone, how many events of a
@@ -165,10 +179,10 @@ func (s *Store) Scan(f Filter, fn func(trace.Event) error) (ReplayStats, error) 
 func (s *Store) scan(f Filter, sc *decodeScratch, take func(actor string) *trace.Event, fn func(*trace.Event) error) (ReplayStats, error) {
 	segs := s.Segments()
 	stats := ReplayStats{SegmentsTotal: len(segs)}
-	skip := f.pushDown()
+	push := f.pushDown()
 	if sc == nil {
-		// Even without an arena, the read/payload buffers are reused
-		// across the whole pass instead of re-allocated per segment.
+		// Even without an arena, the read window is reused across the
+		// whole pass instead of re-allocated per segment.
 		sc = &decodeScratch{}
 	}
 	for _, seg := range segs {
@@ -176,7 +190,7 @@ func (s *Store) scan(f Filter, sc *decodeScratch, take func(actor string) *trace
 			continue
 		}
 		stats.SegmentsSelected++
-		res, err := scanSegment(seg.Path, skip, sc, take, func(e *trace.Event) error {
+		res, err := scanSegment(seg.Path, push, sc, take, func(e *trace.Event) error {
 			if !f.match(e) {
 				*e = trace.Event{}
 				return nil
@@ -196,8 +210,8 @@ func (s *Store) scan(f Filter, sc *decodeScratch, take func(actor string) *trace
 
 // segBuf is one decoded segment of a sharded replay: one run per shard
 // worker, holding the matching events of that worker's actors in
-// decode order, and the decode scratch — read buffer, payload buffer,
-// dictionary slice, string arena — so recycling a segBuf recycles the
+// decode order, and the decode scratch — read window, dictionary and
+// verdict slices, string arena — so recycling a segBuf recycles the
 // whole per-segment decode state. Each event body decodes straight
 // into the spare slot of its run (spare): the frame-header actor picks
 // the run before the body is read, and the event is moved only when
@@ -297,8 +311,8 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 		batch = 256
 	}
 	if workers == 1 {
-		// Serial path: one scratch (read buffer, payload, dictionary,
-		// arena) serves every segment of the pass, so the whole replay
+		// Serial path: one scratch (read window, dictionary, arena)
+		// serves every segment of the pass, so the whole replay
 		// costs O(segments) allocations, same as the sharded path. The
 		// run is one batch long, delivered and cleared whenever it fills.
 		sc := &decodeScratch{arena: &trace.Arena{}}
@@ -362,7 +376,7 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 	// a place to park.
 	ahead := min(workers+2, runtime.GOMAXPROCS(0)+2, len(segs))
 	slots := make(chan struct{}, ahead)
-	skip := f.pushDown()
+	push := f.pushDown()
 
 	go func() {
 		for i := range segs {
@@ -378,7 +392,7 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 				sb.ready(workers, batch, f.mayMatch(segs[i].Index))
 				var w int      // run the slot being decoded came from
 				var hdr string // the frame-header actor that chose it
-				st.res, st.err = scanSegment(segs[i].Path, skip, &sb.sc, func(actor string) *trace.Event {
+				st.res, st.err = scanSegment(segs[i].Path, push, &sb.sc, func(actor string) *trace.Event {
 					w, hdr = trace.ShardIndex(actor, workers), actor
 					return sb.spare(w)
 				}, func(e *trace.Event) error {

@@ -67,7 +67,7 @@ const (
 var codecs = [...]Codec{magicJSON: "json", magicBinary: CodecBinary}
 
 // format is the store's file family: seg-%08d.ev data files with .idx
-// sidecars. The read buffer is sized for replay, which streams whole
+// sidecars. The read window is sized for replay, which streams whole
 // multi-megabyte segments.
 var format = seglog.Format{
 	Name: "evstore", Noun: "store",
@@ -233,8 +233,8 @@ type DecodeResult struct {
 	seglog.ScanResult
 	Events int
 	// Skipped counts v2 event frames whose checksum was verified but
-	// whose body was never decoded, because the push-down predicate
-	// ruled them out from the frame header alone.
+	// whose body was never decoded, because the push-down filter ruled
+	// them out from the frame header alone.
 	Skipped int
 	// Codec is the segment encoding the magic announced ("json" or
 	// "binary"), or "" when even the magic was unreadable.
@@ -253,11 +253,11 @@ func DecodeFrames(r io.Reader, size int64, fn func(trace.Event) error) (DecodeRe
 }
 
 // decodeScratch is the reusable per-segment decode state: the frame
-// reader's buffers, the dictionary slice, and — when Replay owns the
-// lifecycle — a string arena. Reusing one scratch across the segments
-// of a pass keeps a full-store replay at O(segments) allocations; a
-// nil scratch means "allocate fresh", which is what the one-shot
-// DecodeFrames path uses.
+// reader's window, the dictionary slice with the filter's verdict on
+// each entry, and — when Replay owns the lifecycle — a string arena.
+// Reusing one scratch across the segments of a pass keeps a full-store
+// replay at O(segments) allocations; a nil scratch means "allocate
+// fresh", which is what the one-shot DecodeFrames path uses.
 //
 // arena is deliberately opt-in: with it set, every decoded event's
 // inline strings (and the segment dictionary's entries) live in arena
@@ -266,18 +266,53 @@ func DecodeFrames(r io.Reader, size int64, fn func(trace.Event) error) (DecodeRe
 // after the scratch is recycled for the next segment — recycling
 // reuses the *containers* (buffers, slices), never string bytes.
 type decodeScratch struct {
-	frames seglog.Scratch
-	dict   []string
-	arena  *trace.Arena
+	frames   seglog.Scratch
+	dict     []string
+	verdicts []verdict // verdicts[i] is the push-down filter's on dict[i]
+	arena    *trace.Arena
 }
 
-// decodeFrames is DecodeFrames plus the v2 push-down hook, scratch
-// reuse and a caller-chosen destination: when skip is non-nil it is
-// consulted with each event frame's header kind and actor key, after
-// the checksum verifies but before the body decodes; returning true
-// drops the frame without decoding it. v1 segments have no header to
-// push into, so skip is ignored there and per-event filtering stays
-// with the caller. sc may be nil.
+// lookup resolves a reference to the dictionary of the segment being
+// decoded.
+func (sc *decodeScratch) lookup(ref uint64) (string, bool) {
+	if ref >= uint64(len(sc.dict)) {
+		return "", false
+	}
+	return sc.dict[ref], true
+}
+
+// str builds a header string from what trace.PeekBinaryString found,
+// its reference already checked against the dictionary.
+func (sc *decodeScratch) str(v uint64, inline []byte) string {
+	switch {
+	case v > 0:
+		return sc.dict[v-1]
+	case sc.arena != nil:
+		return sc.arena.String(inline)
+	}
+	return string(inline)
+}
+
+// passes reports whether a header string, as trace.PeekBinaryString
+// found it, passes facet of push: by the verdict taken on its
+// dictionary entry, or on the inline bytes themselves.
+func (sc *decodeScratch) passes(push *Filter, v uint64, inline []byte, facet verdict) bool {
+	if v > 0 {
+		return sc.verdicts[v-1]&facet != 0
+	}
+	return push.judge(inline)&facet != 0
+}
+
+// decodeFrames is DecodeFrames plus the v2 push-down, scratch reuse and
+// a caller-chosen destination. push, when non-nil, is a filter with a
+// kind or actor facet (see Filter.pushDown): an event frame whose
+// header kind or actor fails it is dropped after the checksum verifies
+// and its header parses, before the body decodes or either header
+// string is built. The verdict on a dictionary string is taken once,
+// when its entry is read; an inline one is compared where it lies in
+// the payload. v1 segments have no header to push into, so push is
+// ignored there and per-event filtering stays with the caller. sc may
+// be nil.
 //
 // take lends the zero event the next frame decodes into, given the
 // frame header's actor key ("" for a v1 frame, which has none); this is
@@ -286,7 +321,7 @@ type decodeScratch struct {
 // every other one and clears it if it does not keep it, so whatever
 // take hands out is zero. A nil take decodes every frame into one
 // scratch event, zeroed first, which fn borrows for the call.
-func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor string) bool, sc *decodeScratch, take func(actor string) *trace.Event, fn func(*trace.Event) error) (DecodeResult, error) {
+func decodeFrames(r io.Reader, size int64, push *Filter, sc *decodeScratch, take func(actor string) *trace.Event, fn func(*trace.Event) error) (DecodeResult, error) {
 	var res DecodeResult
 	if sc == nil {
 		sc = &decodeScratch{}
@@ -298,13 +333,7 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 			return scratch
 		}
 	}
-	dict := sc.dict[:0]
-	lookup := func(ref uint64) (string, bool) {
-		if ref >= uint64(len(dict)) {
-			return "", false
-		}
-		return dict[ref], true
-	}
+	lookup := sc.lookup
 	// Decoded events copy whatever they keep (into sc.arena when set),
 	// so the payload never outlives the callback and the hot replay path
 	// stays allocation-free per event.
@@ -321,28 +350,28 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 			case frameDict:
 				// Materialized exactly once per segment; every event that
 				// cites the entry shares this string by reference. With an
-				// arena the copy out of the reused payload buffer lands in
-				// a chunk instead of its own allocation.
-				if sc.arena != nil {
-					dict = append(dict, sc.arena.String(payload[1:]))
-				} else {
-					dict = append(dict, string(payload[1:]))
+				// arena the copy out of the read window lands in a chunk
+				// instead of its own allocation.
+				if push != nil {
+					sc.verdicts = append(sc.verdicts, push.judge(payload[1:]))
 				}
+				sc.dict = append(sc.dict, sc.str(0, payload[1:]))
 				return "", nil
 			case frameEvent:
-				kind, n1, err := trace.DecodeBinaryStringArena(payload[1:], lookup, sc.arena)
-				if err != nil {
+				kv, kin, n1, err := trace.PeekBinaryString(payload[1:])
+				if err != nil || kv > uint64(len(sc.dict)) {
 					return "frame not an event", nil
 				}
-				actor, n2, err := trace.DecodeBinaryStringArena(payload[1+n1:], lookup, sc.arena)
-				if err != nil {
+				av, ain, n2, err := trace.PeekBinaryString(payload[1+n1:])
+				if err != nil || av > uint64(len(sc.dict)) {
 					return "frame not an event", nil
 				}
-				if skip != nil && skip(trace.Kind(kind), actor) {
+				if push != nil && !(sc.passes(push, kv, kin, kindPasses) && sc.passes(push, av, ain, actorPasses)) {
 					res.Skipped++
 					return "", nil
 				}
-				if e = take(actor); e.DecodeBinary(payload[1+n1+n2:], trace.Kind(kind), lookup, sc.arena) != nil {
+				kind, actor := trace.Kind(sc.str(kv, kin)), sc.str(av, ain)
+				if e = take(actor); e.DecodeBinary(payload[1+n1+n2:], kind, lookup, sc.arena) != nil {
 					*e = trace.Event{}
 					return "frame not an event", nil
 				}
@@ -355,8 +384,8 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 	})
 	// Hand grown capacity back so the next segment reuses it, emptied: a
 	// scratch at rest must not pin the arena chunks of its last segment.
-	clear(dict)
-	sc.dict = dict[:0]
+	clear(sc.dict)
+	sc.dict, sc.verdicts = sc.dict[:0], sc.verdicts[:0]
 	if res.Magic >= 0 {
 		res.Codec = codecs[res.Magic]
 	}
@@ -366,13 +395,13 @@ func decodeFrames(r io.Reader, size int64, skip func(kind trace.Kind, actor stri
 // scanSegment is decodeFrames over a segment file on disk — the replay
 // paths thread one scratch (and its arena) across all the segments
 // they visit.
-func scanSegment(path string, skip func(kind trace.Kind, actor string) bool, sc *decodeScratch, take func(actor string) *trace.Event, fn func(*trace.Event) error) (DecodeResult, error) {
+func scanSegment(path string, push *Filter, sc *decodeScratch, take func(actor string) *trace.Event, fn func(*trace.Event) error) (DecodeResult, error) {
 	f, size, err := seglog.OpenData(path)
 	if err != nil {
 		return DecodeResult{}, err
 	}
 	defer f.Close()
-	return decodeFrames(f, size, skip, sc, take, fn)
+	return decodeFrames(f, size, push, sc, take, fn)
 }
 
 // rebuild reconstructs a sidecar by scanning the segment data — the

@@ -29,7 +29,7 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // format is the history's file family: hist-%08d.hr data files with
-// .hx sidecars. The read buffer is a quarter of evstore's: every query
+// .hx sidecars. The read window is a quarter of evstore's: every query
 // allocates one (and one only, see Query.scan), and segments are 1 MiB.
 var format = seglog.Format{
 	Name: "histstore", Noun: "history",

@@ -7,7 +7,8 @@
 // and each sealed by a JSON sidecar index. The package owns everything
 // that is the same whatever the payload means — naming and numbering,
 // write buffering, rotation, sealing, recovery, retention and the one
-// frame reader — and knows nothing of what a payload holds. A store
+// frame reader, which parses frames in place from a reusable read
+// window — and knows nothing of what a payload holds. A store
 // describes its files with a Format, supplies its sidecar type as the
 // Log's type parameter, and drives the log record by record through a
 // Writer; the log never calls the store per record.
@@ -26,7 +27,6 @@
 package seglog
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -63,7 +63,7 @@ type Format struct {
 	IndexExt string  // a sidecar is its data file's name with IndexExt for DataExt
 	Magics   []Magic // writers pick one by position; readers dispatch on the file's
 	MaxFrame int     // payload bound: a larger length prefix is corruption
-	ReadBuf  int     // read-buffer size of a Scratch
+	ReadBuf  int     // read-window size of a Scratch
 }
 
 // IndexPath returns the sidecar path of a data file.
@@ -104,38 +104,77 @@ type ScanResult struct {
 	Reason string
 }
 
-// Scratch is the reusable state of the frame reader. Reusing one
+// Scratch is the reusable state of the frame reader: one byte window,
+// Format.ReadBuf long, that frames are parsed in place from. Reusing one
 // across the segments of a pass keeps the pass at O(1) buffers; a nil
 // *Scratch means "allocate fresh". A Scratch serves one Format.
 type Scratch struct {
-	br      *bufio.Reader
-	payload []byte
-	// head receives the magic and then each frame header. It lives here
-	// because it escapes into io.ReadFull: as a local of the read loop
-	// it would be one heap allocation per frame.
-	head [FrameHeaderLen]byte
+	win []byte
+}
+
+// window is the frame reader's view of its stream: buf[lo:hi] has been
+// read and not yet parsed. err is the first error the reader returned;
+// after it the reader is not called again, so an error ends the stream
+// once the bytes read before it are parsed.
+type window struct {
+	r      io.Reader
+	buf    []byte
+	lo, hi int
+	limit  int // the longest buf may grow: one header and MaxFrame payload
+	err    error
+}
+
+// need reports whether the next n bytes of the stream are in
+// buf[lo:lo+n], reading only when they are not all there yet.
+func (w *window) need(n int) bool {
+	return w.hi-w.lo >= n || w.fill(n)
+}
+
+// fill makes room for n bytes from lo — moving the unparsed bytes to
+// the front, or growing the window for a frame larger than itself — and
+// reads until they are in or the reader fails.
+func (w *window) fill(n int) bool {
+	if n > len(w.buf) {
+		grown := make([]byte, min(max(2*len(w.buf), n), w.limit))
+		w.hi = copy(grown, w.buf[w.lo:w.hi])
+		w.buf, w.lo = grown, 0
+	} else if w.lo+n > len(w.buf) {
+		w.hi = copy(w.buf, w.buf[w.lo:w.hi])
+		w.lo = 0
+	}
+	for w.hi-w.lo < n && w.err == nil {
+		var m int
+		m, w.err = w.r.Read(w.buf[w.hi:])
+		w.hi += m
+	}
+	return w.hi-w.lo >= n
 }
 
 // ReadFrames reads a segment byte stream, handing fn the magic's
-// position and each checksummed payload in order. The payload is only
-// valid during the call. fn returns a non-empty reject to declare the
-// payload undecodable, or an error to abort the read after the frame.
-// Corruption — a bad magic, an absurd length, a checksum failure, a
-// short final frame, a rejected payload — is never an error: the read
-// stops at the first bad frame and the result records the valid prefix
-// and the reason. size is the stream length if known (for tail-loss
-// accounting), or -1. This is the only frame-reading loop there is.
+// position and each checksummed payload in order. The payload is a
+// slice of the read window, only valid during the call. fn returns a
+// non-empty reject to declare the payload undecodable, or an error to
+// abort the read after the frame. Corruption — a bad magic, an absurd
+// length, a checksum failure, a short final frame, a rejected payload —
+// is never an error: the read stops at the first bad frame and the
+// result records the valid prefix and the reason. size is the stream
+// length if known (for tail-loss accounting), or -1. This is the only
+// frame-reading loop there is.
+//
+// Frames are parsed where they lie in the window, which is refilled
+// from r only when the next header or payload is not all inside it and
+// grows only for a frame longer than itself, up to MaxFrame plus its
+// header.
 func (f *Format) ReadFrames(r io.Reader, size int64, sc *Scratch, fn func(magic int, payload []byte) (reject string, err error)) (ScanResult, error) {
 	res := ScanResult{Magic: -1}
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	if sc.br == nil {
-		sc.br = bufio.NewReaderSize(r, f.ReadBuf)
-	} else {
-		sc.br.Reset(r)
+	if len(sc.win) < f.ReadBuf {
+		sc.win = make([]byte, f.ReadBuf)
 	}
-	br, head := sc.br, sc.head[:]
+	w := window{r: r, buf: sc.win, limit: max(f.ReadBuf, f.MaxFrame+FrameHeaderLen)}
+	defer func() { sc.win = w.buf }() // keep a grown window for the next segment
 	truncate := func(reason string) (ScanResult, error) {
 		res.Truncated = true
 		res.Reason = reason
@@ -145,11 +184,11 @@ func (f *Format) ReadFrames(r io.Reader, size int64, sc *Scratch, fn func(magic 
 		return res, nil
 	}
 
-	if _, err := io.ReadFull(br, head[:MagicLen]); err != nil {
+	if !w.need(MagicLen) {
 		return truncate("missing magic")
 	}
 	for i, m := range f.Magics {
-		if string(head[:MagicLen]) == m.Text {
+		if string(w.buf[w.lo:w.lo+MagicLen]) == m.Text {
 			res.Magic = i
 		}
 	}
@@ -157,31 +196,29 @@ func (f *Format) ReadFrames(r io.Reader, size int64, sc *Scratch, fn func(magic 
 		return truncate("bad magic")
 	}
 	table := f.Magics[res.Magic].Table
+	w.lo += MagicLen
 	res.ValidBytes = MagicLen
 
 	for {
-		if _, err := io.ReadFull(br, head); err != nil {
-			if err == io.EOF {
+		if !w.need(FrameHeaderLen) {
+			if w.lo == w.hi && w.err == io.EOF {
 				return res, nil // clean end of segment
 			}
 			return truncate("short frame header")
 		}
-		claimed := binary.LittleEndian.Uint32(head[0:4])
-		sum := binary.LittleEndian.Uint32(head[4:8])
+		claimed := binary.LittleEndian.Uint32(w.buf[w.lo:])
+		sum := binary.LittleEndian.Uint32(w.buf[w.lo+4:])
 		if claimed == 0 || claimed > uint32(f.MaxFrame) {
 			return truncate("implausible frame length")
 		}
-		length := int(claimed)
-		// One payload buffer serves every frame, grown geometrically so a
-		// run of ever larger frames does not reallocate per frame, and
-		// never past the bound a length prefix can claim.
-		if cap(sc.payload) < length {
-			sc.payload = make([]byte, min(max(2*cap(sc.payload), 4096, length), f.MaxFrame))
-		}
-		payload := sc.payload[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
+		end := FrameHeaderLen + int(claimed)
+		if !w.need(end) {
 			return truncate("short frame payload")
 		}
+		// Capped at its own end, so an append by fn cannot overwrite
+		// the frames after it.
+		payload := w.buf[w.lo+FrameHeaderLen : w.lo+end : w.lo+end]
+		w.lo += end
 		if crc32.Checksum(payload, table) != sum {
 			return truncate("checksum mismatch")
 		}
@@ -189,7 +226,7 @@ func (f *Format) ReadFrames(r io.Reader, size int64, sc *Scratch, fn func(magic 
 		if reject != "" {
 			return truncate(reject)
 		}
-		res.ValidBytes += FrameHeaderLen + int64(length)
+		res.ValidBytes += int64(end)
 		if err != nil {
 			return res, err
 		}

@@ -107,25 +107,27 @@ func AppendBinaryString(dst []byte, s string, intern Intern) []byte {
 	return append(dst, s...)
 }
 
-// DecodeBinaryString decodes one ref-or-inline string value from the
-// front of data, returning the string and how many bytes it consumed.
-// The counterpart of AppendBinaryString, used by the segment reader to
-// peek a v2 frame's kind and actor key without decoding the body.
-func DecodeBinaryString(data []byte, lookup Lookup) (string, int, error) {
-	return DecodeBinaryStringArena(data, lookup, nil)
-}
-
-// DecodeBinaryStringArena is DecodeBinaryString with an optional
-// arena: when arena is non-nil an inline value is copied into it
-// instead of heap-allocated on its own. Dictionary references return
-// the dictionary's string either way.
-func DecodeBinaryStringArena(data []byte, lookup Lookup, arena *Arena) (string, int, error) {
-	r := &binReader{data: data, arena: arena}
-	s := r.string(lookup)
-	if r.err != nil {
-		return "", 0, r.err
+// PeekBinaryString reads the ref-or-inline string value at the front
+// of data without resolving or copying it: v is the value's leading
+// uvarint — 0 for an inline string, whose bytes come back as a slice of
+// data, or v-1 for a dictionary reference — and n how many bytes it
+// took. The counterpart of AppendBinaryString, used by the segment
+// reader to judge a v2 frame's kind and actor key before it builds a
+// string from either.
+func PeekBinaryString(data []byte) (v uint64, inline []byte, n int, err error) {
+	if v, n = binary.Uvarint(data); n > 0 && v > 0 {
+		return v, nil, n, nil
 	}
-	return s, r.pos, nil
+	r := binReader{data: data}
+	r.uvarint() // 0, or a bad varint
+	l := r.uvarint()
+	if r.err == nil && l > uint64(len(data)-r.pos) {
+		r.fail("trace: string of %d bytes overruns body", l)
+	}
+	if r.err != nil {
+		return 0, nil, 0, r.err
+	}
+	return 0, data[r.pos : r.pos+int(l)], r.pos + int(l), nil
 }
 
 // appendStringField emits nothing for "", matching JSON omitempty.
@@ -276,6 +278,9 @@ func (r *binReader) fixed64() uint64 {
 	return v
 }
 
+// string reads and resolves a ref-or-inline string value. It repeats
+// PeekBinaryString's walk rather than calling it, which would cost the
+// body decode one more call per string field.
 func (r *binReader) string(lookup Lookup) string {
 	v := r.uvarint()
 	if r.err != nil {

@@ -119,9 +119,16 @@ func TestBinaryStringRoundTrip(t *testing.T) {
 	for _, s := range []string{"", "exec", "mallory-rw", string(bytes.Repeat([]byte("x"), 300))} {
 		buf := AppendBinaryString(nil, s, d.intern)
 		buf = append(buf, "trailing body bytes"...)
-		got, n, err := DecodeBinaryString(buf, d.lookup)
+		v, inline, n, err := PeekBinaryString(buf)
 		if err != nil {
 			t.Fatalf("%q: %v", s, err)
+		}
+		got := string(inline)
+		if v > 0 {
+			if inline != nil {
+				t.Fatalf("%q: a dictionary reference also returned inline bytes", s)
+			}
+			got, _ = d.lookup(v - 1)
 		}
 		if got != s {
 			t.Fatalf("round trip %q -> %q", s, got)
