@@ -30,6 +30,9 @@ const (
 	StateDead     = "dead"
 )
 
+// inspectMaxBytes caps the rendered value in an inspect reply.
+const inspectMaxBytes = 64 << 10
+
 // Errors.
 var (
 	ErrNoKernel   = errors.New("kernel: no such kernel")
@@ -490,7 +493,13 @@ func (k *Kernel) HandleMessage(msg *jmsg.Message) ([]*jmsg.Message, error) {
 		data := map[string]any{}
 		if v, ok := k.eng.Vars()[name]; ok {
 			found = true
-			data["text/plain"] = fmt.Sprintf("%s = %s", name, minilang.Format(v))
+			// A list nested in itself renders exponentially long;
+			// the reply shows a prefix.
+			text, complete := minilang.FormatWithin(v, inspectMaxBytes)
+			if !complete {
+				text += " ..."
+			}
+			data["text/plain"] = fmt.Sprintf("%s = %s", name, text)
 		}
 		reply, err := jmsg.Reply(msg, jmsg.TypeInspectReply, k.nextMsgID(), k.cfg.Clock.Now(), map[string]any{
 			"status": "ok", "found": found, "data": data, "metadata": map[string]any{},

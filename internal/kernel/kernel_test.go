@@ -424,6 +424,33 @@ func TestInspectRequest(t *testing.T) {
 	}
 }
 
+// TestInspectNestedListIsCapped: a list nested in itself 40 times is a
+// few hundred bytes of heap and 2^40 leaves rendered; inspecting it
+// replies with a capped prefix instead of rendering it whole.
+func TestInspectNestedListIsCapped(t *testing.T) {
+	m, _, _, _ := newManager(t)
+	k := m.Start("", "alice")
+	if _, err := k.Execute("bomb = [1]\nfor i in range(40)\nbomb = [bomb, bomb]\nend", nil); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := jmsg.New(jmsg.TypeInspectRequest, "m1", "sess", "alice", t0,
+		map[string]any{"code": "bomb", "cursor_pos": 2})
+	replies, err := k.HandleMessage(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var content struct {
+		Data map[string]string `json:"data"`
+	}
+	if err := replies[0].DecodeContent(&content); err != nil {
+		t.Fatal(err)
+	}
+	text := content.Data["text/plain"]
+	if len(text) > inspectMaxBytes+64 || !strings.HasPrefix(text, "bomb = [[[") || !strings.HasSuffix(text, " ...") {
+		t.Fatalf("inspect replied %d bytes: %.40q...", len(text), text)
+	}
+}
+
 // TestCursorOutOfRange sends complete and inspect requests whose
 // cursor_pos lies before and past the code. Each gets an ok reply, and
 // the kernel stays usable: Execute and Restart still return, so no

@@ -109,8 +109,8 @@ y = x + x + x`)
 }
 
 // FuzzInterp throws generated programs at the interpreter under tight
-// limits. No input may panic it; the step, stdout, string-size and
-// spin limits must hold; and two fresh interpreters on identical hosts
+// limits. No input may panic it; the step, stdout, string-size,
+// list-size and spin limits must hold; and two fresh interpreters on identical hosts
 // must agree on error, stdout, variables, host-call trace and usage
 // counters. Seeds: the corpus, the attack payloads and a regression
 // in testdata/fuzz/FuzzInterp, and the inputs that once panicked the
@@ -128,6 +128,8 @@ func FuzzInterp(f *testing.F) {
 	f.Add("x = 1/0 and shell(\"id\")")
 	f.Add("print(1 % 0.5, 7 % -0.9)")
 	f.Add("print(range(num(\"nan\")))")
+	f.Add("x = [1]\nfor i in range(30)\nx = x + x\nend")
+	f.Add("x = [1]\nfor i in range(40)\nx = [x, x]\nend\nprint(x == x, str(x))")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			t.Skip()
@@ -149,6 +151,9 @@ func checkLimits(t *testing.T, h *harness, o outcome) {
 	if len(o.Stdout) > lim.MaxOutputBytes {
 		t.Fatalf("stdout is %d bytes, MaxOutputBytes %d", len(o.Stdout), lim.MaxOutputBytes)
 	}
+	// A list nested in itself shares its items: each backing array
+	// is walked once, or the walk is exponential in the program.
+	seen := map[*Value]bool{}
 	var walk func(name string, v Value)
 	walk = func(name string, v Value) {
 		switch v := v.(type) {
@@ -157,6 +162,13 @@ func checkLimits(t *testing.T, h *harness, o outcome) {
 				t.Fatalf("%s holds a %d-byte string, MaxValueBytes %d", name, len(v), lim.MaxValueBytes)
 			}
 		case List:
+			if len(v) > lim.MaxValueBytes {
+				t.Fatalf("%s holds a %d-item list, MaxValueBytes %d", name, len(v), lim.MaxValueBytes)
+			}
+			if len(v) == 0 || seen[&v[0]] {
+				return
+			}
+			seen[&v[0]] = true
 			for _, e := range v {
 				walk(name, e)
 			}

@@ -152,6 +152,9 @@ func (in *Interp) eval(e exprNode) (Value, error) {
 		}
 		return v, nil
 	case *listExpr:
+		if len(t.items) > in.limits.MaxValueBytes {
+			return nil, rte(t.ln, "ResourceError", "list exceeds %d items", in.limits.MaxValueBytes)
+		}
 		out := make(List, 0, len(t.items))
 		for _, item := range t.items {
 			v, err := in.eval(item)

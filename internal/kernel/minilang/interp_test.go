@@ -134,17 +134,31 @@ func dumpVars(vars map[string]Value) map[string]string {
 	return out
 }
 
+// dumpValue renders at most 1 MiB of v: a list nested in itself is
+// exponentially long, and its prefix tells two interpreters apart.
 func dumpValue(v Value) string {
+	var b strings.Builder
+	dumpTo(&b, v, 1<<20)
+	return b.String()
+}
+
+func dumpTo(b *strings.Builder, v Value, max int) bool {
 	switch t := v.(type) {
 	case List:
-		parts := make([]string, len(t))
+		b.WriteString("l:[")
 		for i, e := range t {
-			parts[i] = dumpValue(e)
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			if !dumpTo(b, e, max) {
+				return false
+			}
 		}
-		return "l:[" + strings.Join(parts, ",") + "]"
+		b.WriteByte(']')
 	default:
-		return v.valueKind() + ":" + Format(v)
+		b.WriteString(v.valueKind() + ":" + Format(v))
 	}
+	return b.Len() <= max
 }
 
 // TestSharedSessionState runs the whole corpus as one session on two

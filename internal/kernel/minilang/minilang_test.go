@@ -539,6 +539,36 @@ end`)
 	}
 }
 
+// TestListSizeBudget: list items count against MaxValueBytes. A list
+// doubled by + stops with a ResourceError at 1<<16 items, where it
+// used to reach 4M items (~96 MB); a list nested in itself, small in
+// memory but 2^20 leaves deep, cannot be compared, rendered or joined.
+func TestListSizeBudget(t *testing.T) {
+	const nested = "x = [1]\nfor i in range(20)\nx = [x, x]\nend\n"
+	for _, src := range []string{
+		"x = [1]\nfor i in range(22)\nx = x + x\nend",
+		"x = append(range(65536), 1)",
+		"x = split(\"a\" * 65536, \"\") + [1]",
+		nested + "y = x == x",
+		nested + "y = x != x",
+		nested + "y = str(x)",
+		nested + "y = join([x], \",\")",
+		nested + "print(x)",
+	} {
+		_, err := newHarness(Limits{MaxValueBytes: 1 << 16}).exec(src)
+		var rt *RuntimeError
+		if !errors.As(err, &rt) || rt.EName != "ResourceError" {
+			t.Errorf("%q: err = %v, want ResourceError", src, err)
+		}
+	}
+	// Inside the budget lists still compare and render.
+	out, err := newHarness(Limits{MaxValueBytes: 1 << 16}).exec(
+		"x = [1, [2, \"a\"]]\nfor i in range(10)\nx = [x, x]\nend\nprint(x == x, len(str(x)) > 0, range(3) + range(2))")
+	if err != nil || out != "1 1 [0, 1, 2, 0, 1]\n" {
+		t.Fatalf("out %q, err %v", out, err)
+	}
+}
+
 // TestBuiltinResultsHoldValueLimit: a string a builtin builds is held
 // to MaxValueBytes, like one built by + or *.
 func TestBuiltinResultsHoldValueLimit(t *testing.T) {

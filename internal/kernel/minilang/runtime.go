@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,23 +36,56 @@ type Nil struct{}
 
 func (Nil) valueKind() string { return "nil" }
 
-// Format renders a value for print output.
+// Format renders a value for print output. A list nested in itself
+// renders exponentially long for its size; for a value a program
+// built, use FormatWithin.
 func Format(v Value) string {
+	if s, ok := v.(Str); ok {
+		return string(s)
+	}
+	var b strings.Builder
+	appendFormat(&b, v, math.MaxInt)
+	return b.String()
+}
+
+// FormatWithin is Format cut at max bytes: complete is false when the
+// rendering is longer, and it stops there.
+func FormatWithin(v Value, max int) (s string, complete bool) {
+	var b strings.Builder
+	if !appendFormat(&b, v, max) {
+		return b.String()[:max], false
+	}
+	return b.String(), true
+}
+
+// appendFormat writes Format(v) to b and reports whether b still holds
+// at most max bytes. It stops once b does not, so the work is bounded
+// by max however deeply v shares itself: every list writes two bytes
+// and every item after the first two more.
+func appendFormat(b *strings.Builder, v Value, max int) bool {
 	switch t := v.(type) {
 	case Str:
-		return string(t)
+		b.WriteString(string(t))
 	case Number:
-		return strconv.FormatFloat(float64(t), 'g', -1, 64)
+		var buf [32]byte
+		b.Write(strconv.AppendFloat(buf[:0], float64(t), 'g', -1, 64))
 	case List:
-		parts := make([]string, len(t))
+		b.WriteByte('[')
 		for i, e := range t {
-			parts[i] = Format(e)
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			if !appendFormat(b, e, max) {
+				return false
+			}
 		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		b.WriteByte(']')
 	case Nil, nil:
-		return "nil"
+		b.WriteString("nil")
+	default:
+		fmt.Fprintf(b, "%v", v)
 	}
-	return fmt.Sprintf("%v", v)
+	return b.Len() <= max
 }
 
 // Truthy reports whether a value counts as true.
@@ -112,7 +146,7 @@ var ErrTooManySteps = errors.New("step budget exhausted")
 type Limits struct {
 	MaxSteps       int   // statements+expressions evaluated (default 1e6)
 	MaxOutputBytes int   // stdout bytes (default 1 MiB)
-	MaxValueBytes  int   // max single string value (default 16 MiB)
+	MaxValueBytes  int   // max string bytes, list items and items one comparison visits (default 16 MiB)
 	MaxSpinMillis  int64 // cap per spin() call (default 60000)
 }
 
@@ -247,6 +281,9 @@ func applyBin(op tokKind, left, right Value, ln int, maxValueBytes int) (Value, 
 			}
 		case List:
 			if r, ok := right.(List); ok {
+				if len(l)+len(r) > maxValueBytes {
+					return nil, rte(ln, "ResourceError", "list exceeds %d items", maxValueBytes)
+				}
 				out := make(List, 0, len(l)+len(r))
 				return append(append(out, l...), r...), nil
 			}
@@ -287,10 +324,13 @@ func applyBin(op tokKind, left, right Value, ln int, maxValueBytes int) (Value, 
 			}
 			return Number(int64(l) % int64(r)), nil
 		}
-	case tokEq:
-		return boolVal(valueEq(left, right)), nil
-	case tokNeq:
-		return boolVal(!valueEq(left, right)), nil
+	case tokEq, tokNeq:
+		budget := maxValueBytes
+		eq := valueEq(left, right, &budget)
+		if budget < 0 {
+			return nil, rte(ln, "ResourceError", "comparison exceeds %d list items", maxValueBytes)
+		}
+		return boolVal(eq == (op == tokEq)), nil
 	case tokLt, tokGt, tokLe, tokGe:
 		cmp, err := valueCmp(left, right)
 		if err != nil {
@@ -310,7 +350,11 @@ func applyBin(op tokKind, left, right Value, ln int, maxValueBytes int) (Value, 
 	return nil, rte(ln, "InternalError", "unknown operator")
 }
 
-func valueEq(a, b Value) bool {
+// valueEq reports whether a and b are equal. Comparing lists spends
+// *budget, one per item; once it is spent valueEq stops and reports
+// false with *budget < 0, so a list nested in itself is never walked
+// whole.
+func valueEq(a, b Value, budget *int) bool {
 	switch l := a.(type) {
 	case Str:
 		r, ok := b.(Str)
@@ -326,8 +370,11 @@ func valueEq(a, b Value) bool {
 		if !ok || len(l) != len(r) {
 			return false
 		}
+		if *budget -= len(l); *budget < 0 {
+			return false
+		}
 		for i := range l {
-			if !valueEq(l[i], r[i]) {
+			if !valueEq(l[i], r[i], budget) {
 				return false
 			}
 		}
@@ -359,8 +406,9 @@ func valueCmp(a, b Value) (int, error) {
 // invokeBuiltin checks existence and arity, invokes fn, and wraps
 // non-minilang errors as OSError — after arguments have been
 // evaluated, so argument side effects happen even for unknown
-// functions. A string result over MaxValueBytes is a ResourceError,
-// whichever builtin built it (b64encode, join, str, read_file, ...).
+// functions. A string result over MaxValueBytes bytes, or a list one
+// over MaxValueBytes items, is a ResourceError, whichever builtin
+// built it (b64encode, join, str, read_file, append, split, ...).
 func invokeBuiltin(in *rt, name string, fn *builtin, ln int, args []Value) (Value, error) {
 	if fn == nil {
 		return nil, rte(ln, "NameError", "unknown function %q", name)
@@ -375,8 +423,15 @@ func invokeBuiltin(in *rt, name string, fn *builtin, ln int, args []Value) (Valu
 		}
 		return nil, rte(ln, "OSError", "%s: %v", name, err)
 	}
-	if s, ok := v.(Str); ok && len(s) > in.limits.MaxValueBytes {
-		return nil, rte(ln, "ResourceError", "string exceeds %d bytes", in.limits.MaxValueBytes)
+	switch v := v.(type) {
+	case Str:
+		if len(v) > in.limits.MaxValueBytes {
+			return nil, rte(ln, "ResourceError", "string exceeds %d bytes", in.limits.MaxValueBytes)
+		}
+	case List:
+		if len(v) > in.limits.MaxValueBytes {
+			return nil, rte(ln, "ResourceError", "list exceeds %d items", in.limits.MaxValueBytes)
+		}
 	}
 	return v, nil
 }
@@ -437,15 +492,20 @@ var smallNumList = func() List {
 
 var builtins = map[string]*builtin{
 	"print": {arity: -1, impl: func(in *rt, line int, args []Value) (Value, error) {
-		parts := make([]string, len(args))
+		var out strings.Builder
+		room := in.limits.MaxOutputBytes - in.stdout.Len()
 		for i, a := range args {
-			parts[i] = Format(a)
+			if i > 0 {
+				out.WriteByte(' ')
+			}
+			if !appendFormat(&out, a, room) {
+				return nil, rte(line, "ResourceError", "stdout exceeds %d bytes", in.limits.MaxOutputBytes)
+			}
 		}
-		out := strings.Join(parts, " ") + "\n"
-		if in.stdout.Len()+len(out) > in.limits.MaxOutputBytes {
+		if out.WriteByte('\n'); out.Len() > room {
 			return nil, rte(line, "ResourceError", "stdout exceeds %d bytes", in.limits.MaxOutputBytes)
 		}
-		in.stdout.WriteString(out)
+		in.stdout.WriteString(out.String())
 		return Nil{}, nil
 	}},
 	"len": {arity: 1, impl: func(in *rt, line int, args []Value) (Value, error) {
@@ -458,7 +518,11 @@ var builtins = map[string]*builtin{
 		return nil, rte(line, "TypeError", "len: needs string or list")
 	}},
 	"str": {arity: 1, impl: func(in *rt, line int, args []Value) (Value, error) {
-		return Str(Format(args[0])), nil
+		s, ok := FormatWithin(args[0], in.limits.MaxValueBytes)
+		if !ok {
+			return nil, rte(line, "ResourceError", "string exceeds %d bytes", in.limits.MaxValueBytes)
+		}
+		return Str(s), nil
 	}},
 	"num": {arity: 1, impl: func(in *rt, line int, args []Value) (Value, error) {
 		s, err := argStr(line, "num", args, 0)
@@ -525,11 +589,16 @@ var builtins = map[string]*builtin{
 		if err != nil {
 			return nil, err
 		}
-		parts := make([]string, len(l))
+		var out strings.Builder
 		for i, v := range l {
-			parts[i] = Format(v)
+			if i > 0 {
+				out.WriteString(sep)
+			}
+			if !appendFormat(&out, v, in.limits.MaxValueBytes) {
+				return nil, rte(line, "ResourceError", "string exceeds %d bytes", in.limits.MaxValueBytes)
+			}
 		}
-		return Str(strings.Join(parts, sep)), nil
+		return Str(out.String()), nil
 	}},
 	"contains": {arity: 2, impl: func(in *rt, line int, args []Value) (Value, error) {
 		s, err := argStr(line, "contains", args, 0)

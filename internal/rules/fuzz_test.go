@@ -2,6 +2,8 @@ package rules
 
 import (
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // FuzzUnmarshalRules feeds hostile JSON rulesets to the exchange
@@ -43,4 +45,53 @@ func FuzzUnmarshalRules(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzConditionMatchesRegexp holds every compiled regex condition —
+// each one in BuiltinRules and every agreement pattern — to its bare
+// regexp: Condition.Match must equal regexp.MatchString on any value.
+func FuzzConditionMatchesRegexp(f *testing.F) {
+	for _, in := range agreementInputs {
+		f.Add(in)
+	}
+	for _, in := range []string{"ſ", "K", "\xff\xfe", "write\n", "notes.enc\n", "/api/\n", "ſtratum+tcp", "xmrıg"} {
+		f.Add(in)
+	}
+	var conds []Condition
+	for _, p := range append(builtinPatterns(), agreementPatterns...) {
+		c := Condition{Field: "code", Regex: p}
+		if err := c.compile(); err != nil {
+			f.Fatal(err)
+		}
+		conds = append(conds, c)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		e := trace.Event{Kind: trace.KindExec, Code: v}
+		for i := range conds {
+			c := &conds[i]
+			if got, want := c.Match(&e), c.m.re.MatchString(v); got != want {
+				t.Fatalf("pattern %q value %q: Match %v, regexp %v", c.Regex, v, got, want)
+			}
+		}
+	})
+}
+
+// builtinPatterns lists the Regex of every condition in BuiltinRules,
+// sequence stages included.
+func builtinPatterns() []string {
+	var out []string
+	add := func(conds []Condition) {
+		for _, c := range conds {
+			if c.Regex != "" {
+				out = append(out, c.Regex)
+			}
+		}
+	}
+	for _, r := range BuiltinRules() {
+		add(r.Conditions)
+		for _, s := range r.Sequence {
+			add(s.Conditions)
+		}
+	}
+	return out
 }

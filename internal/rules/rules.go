@@ -19,7 +19,7 @@ package rules
 import (
 	"encoding/json"
 	"fmt"
-	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,20 +88,19 @@ type Condition struct {
 	HasGT    bool    `json:"has_gt,omitempty"`
 	HasLT    bool    `json:"has_lt,omitempty"`
 
-	re    *regexp.Regexp
-	hints []litHint // required-literal guard; empty = none proven
+	// m is the compiled Regex (see prefilter.go), behind one pointer:
+	// conditions are copied into the candidate lists.
+	m *matcher
 }
 
-// compile prepares the regex and its required-literal guard (see
-// prefilter.go).
+// compile prepares the regex: its regexp and how it is decided.
 func (c *Condition) compile() error {
 	if c.Regex != "" {
-		re, err := regexp.Compile(c.Regex)
+		m, err := compileMatcher(c.Regex)
 		if err != nil {
 			return fmt.Errorf("rules: condition on %q: %w", c.Field, err)
 		}
-		c.re = re
-		c.hints = requiredLiterals(c.Regex)
+		c.m = m
 	}
 	return nil
 }
@@ -220,20 +219,14 @@ func (c *Condition) Match(e *trace.Event) bool {
 		return v == c.Equals
 	case c.Contains != "":
 		return strings.Contains(v, c.Contains)
-	case c.re != nil:
-		if len(c.hints) > 0 && !matchHints(v, c.hints) {
-			return false
-		}
-		return c.re.MatchString(v)
+	case c.m != nil:
+		return c.m.match(v)
 	case c.Regex != "":
 		// Uncompiled rule used directly; compile lazily.
 		if err := c.compile(); err != nil {
 			return false
 		}
-		if len(c.hints) > 0 && !matchHints(v, c.hints) {
-			return false
-		}
-		return c.re.MatchString(v)
+		return c.m.match(v)
 	}
 	return v != ""
 }
@@ -366,8 +359,17 @@ type ruleSet struct {
 	// order. The last slot serves every foreign kind: it holds every
 	// rule pinned to any foreign kind (the rule's own kind condition
 	// still decides) plus the kind-agnostic ones.
-	byKind  [trace.NumKinds + 1][]*Rule
+	byKind  [trace.NumKinds + 1][]candidate
 	onAlert func(Alert)
+}
+
+// candidate is one rule in one byKind slot. conds is what the slot
+// leaves to test of a plain or threshold rule: its Conditions, less
+// the kind condition when the slot is that kind's own, where every
+// event already has it. Sequence stages keep theirs.
+type candidate struct {
+	rule  *Rule
+	conds []Condition
 }
 
 // stateShards is the number of correlation-state shards. 32 keeps lock
@@ -435,8 +437,8 @@ func stateKey(dst []byte, ruleID, group string) []byte {
 func ruleSlots(r *Rule) (in [trace.NumKinds + 1]bool) {
 	pinned := true
 	mark := func(conds []Condition) {
-		if k, ok := condsKind(conds); ok {
-			in[trace.KindIndex(k)] = true
+		if i := kindCond(conds); i >= 0 {
+			in[trace.KindIndex(trace.Kind(conds[i].Equals))] = true
 		} else {
 			pinned = false
 		}
@@ -455,13 +457,18 @@ func ruleSlots(r *Rule) (in [trace.NumKinds + 1]bool) {
 	return in
 }
 
-func condsKind(conds []Condition) (trace.Kind, bool) {
+// kindCond returns the index of the first condition that holds only
+// when the event's kind equals a fixed value, or -1. A numeric
+// comparison on "kind" does not count: Match tests it instead of
+// Equals.
+func kindCond(conds []Condition) int {
 	for i := range conds {
-		if conds[i].Field == "kind" && conds[i].Equals != "" {
-			return trace.Kind(conds[i].Equals), true
+		c := &conds[i]
+		if c.Field == "kind" && c.Equals != "" && !c.HasGT && !c.HasLT {
+			return i
 		}
 	}
-	return "", false
+	return -1
 }
 
 // newRuleSet indexes rs. Walking the rules once in registration order
@@ -470,10 +477,23 @@ func condsKind(conds []Condition) (trace.Kind, bool) {
 func newRuleSet(rs []*Rule, onAlert func(Alert)) *ruleSet {
 	set := &ruleSet{rules: rs, onAlert: onAlert}
 	for _, r := range rs {
-		for i, ok := range ruleSlots(r) {
-			if ok {
-				set.byKind[i] = append(set.byKind[i], r)
+		own, proven := -1, r.Conditions
+		if i := kindCond(r.Conditions); i >= 0 && len(r.Sequence) == 0 {
+			// KindIndex is an exact switch: every event in a known
+			// kind's slot has that kind. The foreign slot proves none.
+			if k := trace.KindIndex(trace.Kind(r.Conditions[i].Equals)); k < trace.NumKinds {
+				own, proven = k, slices.Delete(slices.Clone(r.Conditions), i, i+1)
 			}
+		}
+		for i, ok := range ruleSlots(r) {
+			if !ok {
+				continue
+			}
+			conds := r.Conditions
+			if i == own {
+				conds = proven
+			}
+			set.byKind[i] = append(set.byKind[i], candidate{rule: r, conds: conds})
 		}
 	}
 	return set
@@ -589,8 +609,9 @@ func (en *Engine) Begin() Batch {
 func (b *Batch) Process(e *trace.Event) []Alert {
 	b.pending++
 	var fired []Alert
-	for _, r := range b.set.byKind[trace.KindIndex(e.Kind)] {
-		fired = b.en.evalRule(r, e, fired)
+	cands := b.set.byKind[trace.KindIndex(e.Kind)]
+	for i := range cands {
+		fired = b.en.evalRule(&cands[i], e, fired)
 	}
 	if len(fired) > 0 {
 		en := b.en
@@ -620,13 +641,14 @@ func (b *Batch) End() {
 // owning shard's lock. The alert is appended rather than returned:
 // an (Alert, bool) result zeroes and copies the ~300-byte Alert for
 // every candidate rule of every event, fired or not.
-func (en *Engine) evalRule(r *Rule, e *trace.Event, fired []Alert) []Alert {
-	if len(r.Sequence) > 0 {
-		return en.evalSequence(r, e, fired)
+func (en *Engine) evalRule(c *candidate, e *trace.Event, fired []Alert) []Alert {
+	if len(c.rule.Sequence) > 0 {
+		return en.evalSequence(c.rule, e, fired)
 	}
-	if !matchAll(r.Conditions, e) {
+	if !matchAll(c.conds, e) {
 		return fired
 	}
+	r := c.rule
 	if r.Threshold == nil {
 		return append(fired, en.mkAlert(r, e, "", 1))
 	}

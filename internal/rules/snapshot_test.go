@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,7 +67,9 @@ func TestCandidateIndexMatchesLinearScan(t *testing.T) {
 	}
 	all := &ruleSet{rules: linear.set.Load().rules}
 	for i := range all.byKind {
-		all.byKind[i] = all.rules
+		for _, r := range all.rules {
+			all.byKind[i] = append(all.byKind[i], candidate{rule: r, conds: r.Conditions})
+		}
 	}
 	linear.set.Store(all)
 
@@ -107,8 +110,8 @@ func TestCandidateIndexMatchesLinearScan(t *testing.T) {
 	// The foreign slot lists each rule once, however many foreign
 	// kinds its stages pin.
 	seen := map[string]int{}
-	for _, r := range indexed.set.Load().byKind[trace.NumKinds] {
-		seen[r.ID]++
+	for _, c := range indexed.set.Load().byKind[trace.NumKinds] {
+		seen[c.rule.ID]++
 	}
 	if seen["R7-seq-two-foreign"] != 1 {
 		t.Fatalf("the foreign slot lists the two-foreign-stage sequence %d times", seen["R7-seq-two-foreign"])
@@ -276,4 +279,49 @@ func TestEvaluatedIsPublishedPerBatch(t *testing.T) {
 	b.End()
 	b.End() // idempotent
 	check("Batch.End", 2)
+}
+
+// TestKindConditionDroppedInOwnSlot: in its kind's own slot a pinned
+// plain or threshold rule is tested without its kind condition, which
+// the index has already proven; the foreign slot and sequence stages
+// keep it, and a numeric comparison on "kind" pins nothing.
+func TestKindConditionDroppedInOwnSlot(t *testing.T) {
+	numeric := &Rule{ID: "R-numeric-kind", Conditions: []Condition{{Field: "kind", Equals: "exec", GT: 1, HasGT: true}}}
+	en, err := NewEngine(append(indexRules(), numeric))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := en.set.Load()
+	conds := func(slot int, id string) []Condition {
+		for _, c := range set.byKind[slot] {
+			if c.rule.ID == id {
+				return c.conds
+			}
+		}
+		t.Fatalf("rule %s is not a candidate in slot %d", id, slot)
+		return nil
+	}
+	exec := trace.KindIndex(trace.KindExec)
+	if got := conds(exec, "R0-exec"); len(got) != 1 || got[0].Field != "code" {
+		t.Fatalf("R0-exec in the exec slot tests %+v, want only its code condition", got)
+	}
+	if got := conds(exec, "R3-exec-again"); len(got) != 0 {
+		t.Fatalf("R3-exec-again in the exec slot tests %+v, want nothing", got)
+	}
+	if got := conds(trace.NumKinds, "R4-other"); len(got) != 2 {
+		t.Fatalf("R4-other in the foreign slot tests %+v, want its kind condition kept", got)
+	}
+	if got := conds(exec, "R6-seq-custom-then-exec"); len(got) != 0 || len(set.rules[6].Sequence[1].Conditions) != 1 {
+		t.Fatalf("the sequence's stage lost its kind condition")
+	}
+	if got := conds(trace.NumKinds, "R-numeric-kind"); len(got) != 1 {
+		t.Fatalf("the numeric kind condition pinned its rule: %+v", got)
+	}
+	if ids := firedIDs(en.Process(trace.Event{Kind: "5"})); !slices.Contains(ids, "R-numeric-kind") {
+		t.Fatalf("kind 5 fired %v; the numeric kind condition holds for it", ids)
+	}
+	// The rule's own list is untouched: AddRule and Marshal see it whole.
+	if n := len(set.rules[0].Conditions); n != 2 {
+		t.Fatalf("R0-exec has %d conditions after indexing, want 2", n)
+	}
 }
