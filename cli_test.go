@@ -391,6 +391,15 @@ func TestCLITools(t *testing.T) {
 				t.Errorf("kind-typo error missing %q:\n%s", want, typo)
 			}
 		}
+		// So is a window that ends before it starts.
+		inverted, err := runTool(t, filepath.Join(bin, "jsentinel"),
+			replayArgs("--since", "2026-06-02T00:00:00Z", "--until", "2026-06-01T00:00:00Z")...)
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("inverted replay window: want exit 2, got %v\n%s", err, inverted)
+		}
+		if !strings.Contains(inverted, "e.g. --since 2026-06-01T09:00:00Z --until 2026-06-02T09:00:00Z") {
+			t.Errorf("inverted-window error missing its example:\n%s", inverted)
+		}
 	})
 
 	t.Run("jsentinel-history-query", func(t *testing.T) {
@@ -496,6 +505,8 @@ func TestCLITools(t *testing.T) {
 			{[]string{"query", "--risk", "bogus", histDir}, "e.g. --risk elevated"},
 			{[]string{"query", "--since", "yesterday", histDir}, "RFC3339 time, e.g. 2026-06-01T09:00:00Z"},
 			{[]string{"query", "--until", "noon", histDir}, "RFC3339 time, e.g. 2026-06-01T09:00:00Z"},
+			{[]string{"query", "--since", "2026-06-02T00:00:00Z", "--until", "2026-06-01T00:00:00Z", histDir},
+				"e.g. --since 2026-06-01T09:00:00Z --until 2026-06-02T09:00:00Z"},
 			{[]string{"query", "--frobnicate", histDir}, "flag provided but not defined"},
 			{[]string{"query"}, "usage: jsentinel query"},
 		} {

@@ -52,14 +52,15 @@
 // directory (its history/ is used) or a history directory itself.
 // Filters: --actor, --class, --severity MIN, --risk MIN (low,
 // moderate, elevated, critical), --since/--until RFC3339. Bad filter
-// values and unknown flags are usage errors (exit 2).
+// values, an --until before --since (here and in replay) and unknown
+// flags are usage errors (exit 2).
 //
 //	jsentinel --replay events.jsonl
 //	jsentinel --replay ./census-store --kinds scan_finding --workers 8
 //	jsentinel --replay ./store --since 2026-06-01T00:00:00Z --actor mallory-rw
 //	jsentinel --replay ./store --history ./store/history --workers 8
-//	jsentinel query ./store --severity high --actor mallory-rw
-//	jsentinel query ./store --risk critical --since 2026-06-01T00:00:00Z
+//	jsentinel query --severity high --actor mallory-rw ./store
+//	jsentinel query --risk critical --since 2026-06-01T00:00:00Z ./store
 //	jsentinel --listen 127.0.0.1:9999 --token <tok>   (tapped live server)
 //	jsentinel --listen 127.0.0.1:9999 --log ./tap-store
 package main
@@ -126,19 +127,9 @@ func main() {
 // parseFilter assembles the replay filter from the CLI flags.
 func parseFilter(since, until, kinds, actor string) (evstore.Filter, error) {
 	var f evstore.Filter
-	if since != "" {
-		t, err := parseRFC3339("--since", since)
-		if err != nil {
-			return f, err
-		}
-		f.Since = t
-	}
-	if until != "" {
-		t, err := parseRFC3339("--until", until)
-		if err != nil {
-			return f, err
-		}
-		f.Until = t
+	var err error
+	if f.Since, f.Until, err = parseWindow(since, until); err != nil {
+		return f, err
 	}
 	if kinds != "" {
 		for _, k := range strings.Split(kinds, ",") {
@@ -205,19 +196,9 @@ func queryCmd(argv []string) {
 		}
 		q.MinBand = band
 	}
-	if *since != "" {
-		t, err := parseRFC3339("--since", *since)
-		if err != nil {
-			usageErr("%v", err)
-		}
-		q.Since = t
-	}
-	if *until != "" {
-		t, err := parseRFC3339("--until", *until)
-		if err != nil {
-			usageErr("%v", err)
-		}
-		q.Until = t
+	var err error
+	if q.Since, q.Until, err = parseWindow(*since, *until); err != nil {
+		usageErr("%v", err)
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
@@ -283,6 +264,26 @@ func bandNames() string {
 		names[i] = string(b)
 	}
 	return strings.Join(names, ",")
+}
+
+// parseWindow parses the --since/--until pair; an empty value leaves
+// that end unbounded. A window that ends before it starts would
+// silently match nothing, so it is refused, like a --kinds typo.
+func parseWindow(since, until string) (from, to time.Time, err error) {
+	if since != "" {
+		if from, err = parseRFC3339("--since", since); err != nil {
+			return from, to, err
+		}
+	}
+	if until != "" {
+		if to, err = parseRFC3339("--until", until); err != nil {
+			return from, to, err
+		}
+	}
+	if !from.IsZero() && !to.IsZero() && to.Before(from) {
+		return from, to, fmt.Errorf("--until %s is before --since %s: the window is empty; want --since at or before --until, e.g. --since 2026-06-01T09:00:00Z --until 2026-06-02T09:00:00Z", until, since)
+	}
+	return from, to, nil
 }
 
 // parseRFC3339 validates a time flag, failing with an example value —

@@ -1,6 +1,7 @@
 package histstore
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -60,6 +61,7 @@ func TestDecodeRecordStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fullIncident := incidentPayload(uvBytes(1), uvBytes(1))
 	cases := []struct {
 		name    string
 		payload []byte
@@ -70,10 +72,30 @@ func TestDecodeRecordStrict(t *testing.T) {
 		{"trailing bytes", append(append([]byte(nil), good...), 0xff)},
 		{"truncated", good[:len(good)-3]},
 		{"bad time presence", []byte{KindAlert, RecordVersion, 7}},
+		{"varint overflow", alertPayload([]byte{0}, overflowVarint)},
+		{"string length past end", append([]byte{KindAlert, RecordVersion, 0, 200}, "actor"...)},
+		{"implausible count", alertPayload([]byte{0}, uvBytes(maxCount))},
+		{"implausible gen", incidentPayload(uvBytes(maxCount), uvBytes(1))},
+		{"nanoseconds out of range", alertPayload(timeBytes(1780304400, 1e9), uvBytes(1))},
+		{"non-canonical zero time", alertPayload(timeBytes(zeroUnix, 0), uvBytes(1))},
+		{"short fixed64", fullIncident[:len(fullIncident)-1]},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeRecord(tc.payload); err == nil {
 			t.Errorf("%s: decoded, want error", tc.name)
+		}
+	}
+	// The same fields one step inside each bound decode.
+	for name, p := range map[string][]byte{
+		"10-byte seconds":    alertPayload(timeBytes(math.MinInt64, 0), uvBytes(1)),
+		"count below bound":  alertPayload([]byte{0}, uvBytes(maxCount-1)),
+		"gen below bound":    incidentPayload(uvBytes(maxCount-1), uvBytes(1)),
+		"last nanosecond":    alertPayload(timeBytes(1780304400, 1e9-1), uvBytes(1)),
+		"after zero instant": alertPayload(timeBytes(zeroUnix, 1), uvBytes(1)),
+		"full fixed64":       fullIncident,
+	} {
+		if _, err := DecodeRecord(p); err != nil {
+			t.Errorf("%s: %v, want a record", name, err)
 		}
 	}
 }

@@ -212,7 +212,10 @@ func QueryIncidents(s *Store, q Query) ([]*core.Incident, QueryStats, error) {
 		}
 		inc := &finals[i]
 		inc.Opened, inc.LastAlert, inc.RiskScore, inc.Count = v.opened, v.last, v.risk, v.count
-		inc.Severity = rules.Severity(in.str(v.sev))
+		// Severity changes on few updates; skip the map lookup when not.
+		if string(v.sev) != string(inc.Severity) {
+			inc.Severity = rules.Severity(in.str(v.sev))
+		}
 		return nil
 	})
 	if err != nil {

@@ -31,8 +31,10 @@ package histstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/rules"
@@ -211,44 +213,53 @@ type view struct {
 // bytes after the last field are all errors — a corrupt frame must
 // terminate the valid prefix, never half-decode — and it walks every
 // field whether or not the caller wants the record.
-func (v *view) decode(payload []byte) error {
-	if len(payload) < 2 {
+//
+// The walk keeps its offset in a local: each field reader takes the
+// payload and an offset and returns the value and the next offset, or
+// a negative offset once a field is malformed. A reader given a
+// negative offset returns one, so decode tests for it once, after the
+// last field. A scan decodes every record it visits, so this loop is
+// the query's hot path.
+func (v *view) decode(p []byte) error {
+	if len(p) < 2 {
 		return fmt.Errorf("histstore: record too short")
 	}
-	kind, version := payload[0], payload[1]
+	kind, version := p[0], p[1]
 	if version != RecordVersion {
 		// v1 is the only version ever written so far; when v2 lands
 		// this becomes a switch and v1 stays decodable.
 		return fmt.Errorf("histstore: unknown record version %d", version)
 	}
-	rd := recReader{buf: payload, off: 2}
 	*v = view{kind: kind}
+	i := 2
 	switch kind {
 	case KindAlert:
-		v.opened = rd.time()
+		v.opened, i = readTime(p, i)
 		v.last = v.opened
-		v.actor = rd.str()
-		v.class = rd.str()
-		v.rule = rd.str()
-		v.sev = rd.str()
-		v.count = rd.count()
+		v.actor, i = readStr(p, i)
+		v.class, i = readStr(p, i)
+		v.rule, i = readStr(p, i)
+		v.sev, i = readStr(p, i)
+		v.count, i = readCount(p, i)
 	case KindIncident:
-		v.actor = rd.str()
-		v.class = rd.str()
-		v.gen = rd.count()
-		v.opened = rd.time()
-		v.last = rd.time()
-		v.count = rd.count()
-		v.sev = rd.str()
-		v.risk = math.Float64frombits(rd.u64())
+		v.actor, i = readStr(p, i)
+		v.class, i = readStr(p, i)
+		v.gen, i = readCount(p, i)
+		v.opened, i = readTime(p, i)
+		v.last, i = readTime(p, i)
+		v.count, i = readCount(p, i)
+		v.sev, i = readStr(p, i)
+		var risk uint64
+		risk, i = readU64(p, i)
+		v.risk = math.Float64frombits(risk)
 	default:
 		return fmt.Errorf("histstore: unknown record kind %d", kind)
 	}
-	if rd.err != nil {
-		return rd.err
+	if i < 0 {
+		return errBadField
 	}
-	if rd.off != len(payload) {
-		return fmt.Errorf("histstore: %d trailing bytes after record", len(payload)-rd.off)
+	if i != len(p) {
+		return fmt.Errorf("histstore: %d trailing bytes after record", len(p)-i)
 	}
 	return nil
 }
@@ -296,114 +307,93 @@ func appendTime(dst []byte, t time.Time) []byte {
 	return binary.AppendUvarint(dst, uint64(t.Nanosecond()))
 }
 
-// recReader decodes record fields with a sticky error, so the field
-// list reads linearly and any malformed field poisons the rest.
-type recReader struct {
-	buf []byte
-	off int
-	err error
-}
+// errBadField is every field-level decode failure: a bad varint, a
+// string past the end, an implausible count, a bad time or a short
+// fixed64. Callers only test decode's error for nil.
+var errBadField = errors.New("histstore: malformed record field")
 
-func (rd *recReader) fail(msg string) {
-	if rd.err == nil {
-		rd.err = fmt.Errorf("histstore: %s", msg)
+// readUvarint reads a uvarint with binary.Uvarint's accept set. A
+// one-byte value is read directly; a longer one with 8 bytes of payload
+// left is decoded from one little-endian load: the first byte with its
+// high bit clear ends the value, and its 7-bit groups are packed
+// pairwise, then by fours, then by eights. A value longer than 8 bytes
+// or too near the end of p goes to binary.Uvarint.
+func readUvarint(p []byte, i int) (uint64, int) {
+	if uint(i) >= uint(len(p)) {
+		return 0, -1
 	}
-}
-
-func (rd *recReader) uvarint() uint64 {
-	if rd.err != nil {
-		return 0
+	if b := p[i]; b < 0x80 {
+		return uint64(b), i + 1
 	}
-	v, n := binary.Uvarint(rd.buf[rd.off:])
+	if len(p)-i >= 8 {
+		w := binary.LittleEndian.Uint64(p[i:])
+		if stop := ^w & 0x8080808080808080; stop != 0 {
+			end := bits.TrailingZeros64(stop) + 1 // bits up to and including the last byte
+			x := w & 0x7f7f7f7f7f7f7f7f & (1<<end - 1)
+			x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+			x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+			x = x&0x000000000fffffff | x&0x0fffffff00000000>>4
+			return x, i + end/8
+		}
+	}
+	v, n := binary.Uvarint(p[i:])
 	if n <= 0 {
-		rd.fail("bad uvarint")
-		return 0
+		return 0, -1
 	}
-	rd.off += n
-	return v
+	return v, i + n
 }
 
-func (rd *recReader) varint() int64 {
-	if rd.err != nil {
-		return 0
+// readStr returns the string field's bytes in place, not a copy.
+func readStr(p []byte, i int) ([]byte, int) {
+	n, i := readUvarint(p, i)
+	if i < 0 || n > uint64(len(p)-i) {
+		return nil, -1
 	}
-	v, n := binary.Varint(rd.buf[rd.off:])
-	if n <= 0 {
-		rd.fail("bad varint")
-		return 0
-	}
-	rd.off += n
-	return v
+	j := i + int(n)
+	return p[i:j], j
 }
 
-// str returns the string field's bytes in place, not a copy.
-func (rd *recReader) str() []byte {
-	n := rd.uvarint()
-	if rd.err != nil {
-		return nil
+func readCount(p []byte, i int) (int, int) {
+	n, i := readUvarint(p, i)
+	if n >= maxCount {
+		return 0, -1
 	}
-	if n > uint64(len(rd.buf)-rd.off) {
-		rd.fail("string length past end of record")
-		return nil
-	}
-	s := rd.buf[rd.off : rd.off+int(n)]
-	rd.off += int(n)
-	return s
+	return int(n), i
 }
 
-func (rd *recReader) count() int {
-	v := rd.uvarint()
-	if rd.err == nil && v >= maxCount {
-		rd.fail("implausible count")
+func readU64(p []byte, i int) (uint64, int) {
+	if i < 0 || len(p)-i < 8 {
+		return 0, -1
 	}
-	return int(v)
+	return binary.LittleEndian.Uint64(p[i:]), i + 8
 }
 
-func (rd *recReader) u64() uint64 {
-	if rd.err != nil {
-		return 0
+// readTime reads appendTime's encoding: presence 0 is the zero time;
+// presence 1 is zigzag seconds and nanoseconds below 1e9 naming any
+// instant but the zero one, which would not round-trip byte-identically.
+func readTime(p []byte, i int) (time.Time, int) {
+	if uint(i) >= uint(len(p)) {
+		return time.Time{}, -1
 	}
-	if len(rd.buf)-rd.off < 8 {
-		rd.fail("short fixed64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(rd.buf[rd.off:])
-	rd.off += 8
-	return v
-}
-
-func (rd *recReader) time() time.Time {
-	if rd.err != nil {
-		return time.Time{}
-	}
-	if rd.off >= len(rd.buf) {
-		rd.fail("missing time presence byte")
-		return time.Time{}
-	}
-	presence := rd.buf[rd.off]
-	rd.off++
-	switch presence {
+	switch p[i] {
 	case 0:
-		return time.Time{}
+		return time.Time{}, i + 1
 	case 1:
-		sec := rd.varint()
-		nsec := rd.uvarint()
-		if rd.err != nil {
-			return time.Time{}
-		}
-		if nsec >= 1e9 {
-			rd.fail("nanoseconds out of range")
-			return time.Time{}
-		}
-		t := time.Unix(sec, int64(nsec)).UTC()
-		if t.IsZero() {
-			// The zero instant encodes as presence 0; a presence-1
-			// encoding of it would not round-trip byte-identically.
-			rd.fail("non-canonical zero time")
-			return time.Time{}
-		}
-		return t
+	default:
+		return time.Time{}, -1
 	}
-	rd.fail("bad time presence byte")
-	return time.Time{}
+	zsec, i := readUvarint(p, i+1)
+	nsec, i := readUvarint(p, i)
+	if i < 0 || nsec >= 1e9 {
+		return time.Time{}, -1
+	}
+	sec := int64(zsec >> 1)
+	if zsec&1 != 0 {
+		sec = ^sec
+	}
+	t := time.Unix(sec, int64(nsec)).UTC()
+	if t.IsZero() {
+		return time.Time{}, -1
+	}
+	return t, i
 }
