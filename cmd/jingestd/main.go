@@ -12,11 +12,9 @@
 //	jingestd --tenants acme=s3cret --policy drop --rate 500 --burst 100
 //	jingestd --tenants acme=s3cret --mint acme
 //
-// --store segments use the compact binary-v2 codec. Replay dispatches
-// per segment, so a store an older build started in v1 JSON segments
-// replays identically after a restart appends to it. The codec only
-// affects the on-disk segment frames, not the JSONL wire format
-// agents POST. A --store path ending in .jsonl records a flat JSONL
+// --store segments use the compact binary-v2 codec, and a restart
+// appends to the store. The codec only affects the on-disk segment
+// frames, not the JSONL wire format agents POST. A --store path ending in .jsonl records a flat JSONL
 // file instead, with no history.
 //
 // Agents POST JSONL event batches to /ingest or stream them over

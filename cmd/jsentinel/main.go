@@ -10,16 +10,15 @@
 //
 // Replay accepts either a legacy JSONL trace file or an event-store
 // directory (internal/evstore) as written by jscan --events or
-// jupyterd --log — either segment codec, JSON v1 or binary v2, in any
-// mix; the store dispatches per segment, so no flag is needed to read
-// old data. A JSONL file streams, never fully buffered: the reader
+// jupyterd --log; a directory holding a segment of any other format
+// is refused. A JSONL file streams, never fully buffered: the reader
 // decodes, filters and counts each event, then emits it into a
 // bounded trace.Stage whose --workers lanes each own a share of the
 // actors (--queue is the stage depth). Store replay is filtered and
 // segment-parallel: --since/--until/--kinds/--actor prune whole
-// segments via the sidecar indexes, and on binary-v2 segments the
-// kind/actor facets additionally push down into the frame headers,
-// discarding non-matching frames before the payload is ever decoded.
+// segments via the sidecar indexes, and the kind/actor facets
+// additionally push down into the frame headers, discarding
+// non-matching frames before the payload is ever decoded.
 // The survivors feed the actor-sharded detection workers directly
 // from per-segment readers, --batch events at a time. Any stream
 // works, including the unified finding stream a fleet census emits:

@@ -60,20 +60,17 @@
 // segments outright and feed the actor-sharded detection
 // workers from per-segment readers in parallel — so replay throughput
 // scales with cores instead of being capped by a whole-file JSONL
-// load (go run ./bench --workload forensic_replay). Segments come in two wire versions:
-// v1 frames carry JSON event payloads (CRC32-IEEE), v2 frames carry a
+// load (go run ./bench --workload forensic_replay). Segments have one
+// wire format (magic EVSEG002): CRC32-Castagnoli frames carrying a
 // compact tagged-binary encoding of trace.Event with a per-segment
-// string-interning dictionary (CRC32-Castagnoli) whose frame header
-// exposes kind and actor, so kind/actor-filtered replays discard
-// non-matching frames after the CRC check without decoding their
-// bodies. Writers (jscan --events, jupyterd --log, jingestd,
-// jsentinel --log) write v2 only; readers dispatch on the per-segment
-// magic, so stores holding v1 segments from older builds, alone or
-// continued in v2, replay identically (JSON stays the interchange
-// format: .jsonl paths still stream flat JSONL, and jdataset exports
-// it). Compact enforces retention, and corrupt tails from crashed
-// writers are truncated and surfaced on open, never silently replayed
-// — identically for both versions, with exact tail-loss accounting.
+// string-interning dictionary, whose frame header exposes kind and
+// actor, so kind/actor-filtered replays discard non-matching frames
+// after the CRC check without decoding their bodies. A store holding a
+// file under any other magic refuses to open, and changes nothing.
+// JSON stays the interchange format: .jsonl paths stream flat JSONL,
+// and jdataset exports it. Compact enforces retention, and corrupt
+// tails from crashed writers are truncated and surfaced on open, never
+// silently replayed, with exact tail-loss accounting.
 // Replay decoding is arena-backed: each segment's strings land in an
 // append-only per-segment arena (zero-copy string headers behind a
 // tested unsafe wrapper), segment buffers recycle containers through

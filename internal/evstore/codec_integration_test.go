@@ -2,7 +2,10 @@ package evstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,29 +18,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// v1Store is a store of v1 (JSON) segments written by the last build
-// that could still write them, so v1 reading is tested on real bytes:
-// workload.StandardMix(11, 100).Events (226 events) appended in one
-// AppendBatch to Open(dir, Options{Codec: CodecJSON, SegmentBytes:
-// 2048}) and closed — 19 sealed segments with their sidecars. It is
-// read-only input; tests work on a copy (copyV1Store).
-const v1Store = "testdata/v1-store"
-
-// v1Events is the stream v1Store holds, in append order.
-func v1Events() []trace.Event { return attackTrace(100) }
-
-// copyV1Store copies v1Store into a fresh temp dir and returns it.
-func copyV1Store(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	for name, data := range dirFiles(t, v1Store) {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
 
 // writeStore appends evs to the store at dir in one batch and closes it.
 func writeStore(t *testing.T, dir string, opts Options, evs []trace.Event) {
@@ -54,91 +34,93 @@ func writeStore(t *testing.T, dir string, opts Options, evs []trace.Event) {
 	}
 }
 
-// TestSegmentMagicFollowsCodec pins the on-disk dispatch byte: a store
-// writes v2 segments whose sidecars say "binary", and the v1 store's
-// segments carry the v1 magic and a "json" sidecar.
+// TestSegmentMagicFollowsCodec pins the on-disk dispatch byte: every
+// segment a store writes opens with the one magic readers accept.
 func TestSegmentMagicFollowsCodec(t *testing.T) {
-	written := t.TempDir()
-	fillStore(t, written, Options{}, 3)
-	for _, tc := range []struct {
-		dir, magic, codec string
-	}{
-		{written, segMagicV2, string(CodecBinary)},
-		{v1Store, segMagic, "json"},
-	} {
-		s, err := OpenRead(tc.dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, seg := range s.Segments() {
-			head := make([]byte, len(segMagic))
-			f, err := os.Open(seg.Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Read(head); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-			if string(head) != tc.magic {
-				t.Fatalf("%s has magic %q, want %q", seg.Path, head, tc.magic)
-			}
-			if seg.Index.Codec != tc.codec {
-				t.Fatalf("%s sidecar codec %q, want %q", seg.Path, seg.Index.Codec, tc.codec)
-			}
-		}
-	}
-}
-
-// TestJSONCodecRoundTrip keeps the v1 read path honest: the v1 store
-// reads back exactly the stream that was written into it, segment by
-// segment.
-func TestJSONCodecRoundTrip(t *testing.T) {
-	dir := copyV1Store(t)
-	want := v1Events()
-	got := readAll(t, dir)
-	if len(got) != len(want) {
-		t.Fatalf("read %d events, wrote %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Seq != want[i].Seq || got[i].User != want[i].User || !got[i].Time.Equal(want[i].Time) {
-			t.Fatalf("event %d diverged: got %+v want %+v", i, got[i], want[i])
-		}
-	}
+	dir := t.TempDir()
+	fillStore(t, dir, Options{}, 3)
 	s, err := OpenRead(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Segments != 19 || st.Codecs["json"] != 19 || st.RecoveredLossBytes != 0 {
-		t.Fatalf("v1 store stats %+v, want 19 clean json segments", st)
+	for _, seg := range s.Segments() {
+		data, err := os.ReadFile(seg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if head := string(data[:seglog.MagicLen]); head != segMagicV2 {
+			t.Fatalf("%s has magic %q, want %q", seg.Path, head, segMagicV2)
+		}
 	}
 }
 
-// TestPushDownSkipsBodyDecode pins the v2 header filter: a kind or
-// actor filter must discard non-matching frames before the body
-// decode (Skipped > 0), deliver exactly the events per-event filtering
-// of the same stream in v1 segments delivers, and report identical
-// frame-level loss accounting whether or not frames were skipped.
+// TestOpenRefusesV1Segment: a store holding a segment of the retired v1
+// format — the magic EVSEG001, JSON payloads under CRC32-IEEE — with
+// the version-1 sidecar it was sealed with fails Open and OpenRead with
+// an error naming the file, and neither open changes a byte of the
+// directory. The sidecar alone would be trusted; only the magic tells
+// the file apart.
+func TestOpenRefusesV1Segment(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "seg-00000001.ev")
+	payload, err := json.Marshal(mkEvent(1, trace.KindExec, "alice", time.Date(2026, 6, 1, 9, 0, 0, 0, time.UTC)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := binary.LittleEndian.AppendUint32([]byte("EVSEG001"), uint32(len(payload)))
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(payload))
+	data = append(data, payload...)
+	sidecar := fmt.Sprintf(`{"version":1,"events":1,"bytes":%d,"codec":"json","min_seq":1,"max_seq":1,`+
+		`"min_time":"2026-06-01T09:00:00Z","max_time":"2026-06-01T09:00:00Z","kinds":{"exec":1},"actors":["alice"]}`, len(data))
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(indexPath(seg), []byte(sidecar), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := dirDigest(t, dir)
+	for name, open := range map[string]func() error{
+		"Open":     func() error { _, err := Open(dir, Options{}); return err },
+		"OpenRead": func() error { _, err := OpenRead(dir); return err },
+	} {
+		t.Run(name, func(t *testing.T) {
+			err := open()
+			if err == nil || !strings.Contains(err.Error(), "unsupported segment magic") || !strings.Contains(err.Error(), seg) {
+				t.Fatalf("%v; want an unsupported segment magic error naming %s", err, seg)
+			}
+			if after, files := dirDigest(t, dir); after != before {
+				t.Fatalf("the open changed the directory:\n%s", strings.Join(files, "\n"))
+			}
+		})
+	}
+}
+
+// TestPushDownSkipsBodyDecode pins the header filter: a kind or actor
+// filter must discard non-matching frames before the body decode
+// (Skipped > 0) and deliver exactly the events per-event filtering of
+// the unfiltered scan delivers.
 func TestPushDownSkipsBodyDecode(t *testing.T) {
 	binDir := t.TempDir()
-	writeStore(t, binDir, Options{SegmentBytes: 4096, FlushEvery: 16}, readAll(t, v1Store))
+	writeStore(t, binDir, Options{SegmentBytes: 4096, FlushEvery: 16}, attackTrace(100))
 	bin, err := OpenRead(binDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsn, err := OpenRead(copyV1Store(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := scanFiltered(t, bin, Filter{})
 
 	for name, f := range map[string]Filter{
 		"kind":       {Kinds: []trace.Kind{trace.KindAuth}},
 		"actor":      {Actor: "mallory-ex"},
 		"kind+actor": {Kinds: []trace.Kind{trace.KindExec, trace.KindFileOp}, Actor: "mallory-rw"},
 	} {
-		want := scanFiltered(t, jsn, f)
+		var want []trace.Event
+		for _, e := range all {
+			if f.Match(e) {
+				want = append(want, e)
+			}
+		}
 		if len(want) == 0 {
-			t.Fatalf("%s: the v1 store holds no matching event", name)
+			t.Fatalf("%s: the store holds no matching event", name)
 		}
 		var got []trace.Event
 		stats, err := bin.Scan(f, func(e trace.Event) error {
@@ -149,7 +131,7 @@ func TestPushDownSkipsBodyDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%s: binary delivered %d events, json %d", name, len(got), len(want))
+			t.Fatalf("%s: push-down delivered %d events, per-event filtering %d", name, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].Seq != want[i].Seq {
@@ -176,7 +158,7 @@ func TestPushDownSkipsBodyDecode(t *testing.T) {
 	}
 }
 
-// TestPushDownVerdicts drives header push-down over a hand-built v2
+// TestPushDownVerdicts drives header push-down over a hand-built
 // segment with every shape of header string: one string under two
 // dictionary references (each reference carries its own verdict), an
 // inline kind and an inline actor longer than maxInternLen (judged on
@@ -191,11 +173,11 @@ func TestPushDownVerdicts(t *testing.T) {
 		p := trace.AppendBinaryString([]byte{frameEvent}, string(kind), kindRef)
 		p = trace.AppendBinaryString(p, user, actorRef)
 		e := trace.Event{Seq: seq, Kind: kind, User: user}
-		return seglog.AppendFrame(data, e.AppendBinary(p, trace.InternNone), castagnoli)
+		return seglog.AppendFrame(data, e.AppendBinary(p, trace.InternNone))
 	}
 	prefix := []byte(segMagicV2)
 	for _, s := range []string{"alice", string(trace.KindExec), "alice"} { // refs 0, 1, 2
-		prefix = seglog.AppendFrame(prefix, append([]byte{frameDict}, s...), castagnoli)
+		prefix = seglog.AppendFrame(prefix, append([]byte{frameDict}, s...))
 	}
 	prefix = event(prefix, 1, trace.KindExec, ref(1), "alice", ref(0))
 	prefix = event(prefix, 2, trace.KindExec, ref(1), "alice", ref(2))
@@ -205,7 +187,7 @@ func TestPushDownVerdicts(t *testing.T) {
 	overrun := []byte{frameEvent, 2, 0, 200, 1, 'm', 'a', 'l', 'l', 'o'}
 	tails := map[string][]byte{
 		"dangling": event(nil, 5, trace.KindExec, ref(1), "mallory", ref(9)), // no entry 9
-		"overrun":  seglog.AppendFrame(nil, overrun, castagnoli),
+		"overrun":  seglog.AppendFrame(nil, overrun),
 	}
 
 	for tail, bad := range tails {
@@ -274,7 +256,7 @@ func TestSkippedFramesCopyNoStrings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = format.ReadFrames(f, size, nil, func(_ int, payload []byte) (string, error) {
+		_, err = format.ReadFrames(f, size, nil, func(payload []byte) (string, error) {
 			if payload[0] == frameDict {
 				dictBytes += len(payload) - 1
 			}
@@ -345,10 +327,9 @@ func TestPushDownLossAccountingFilterIndependent(t *testing.T) {
 	}
 }
 
-// TestV2CorruptTailRecovery mirrors the v1 torn-tail tests on binary
-// segments: truncating mid-frame loses exactly the torn frame, Open
-// truncates it away with exact accounting, and the store accepts
-// appends cleanly afterwards.
+// TestV2CorruptTailRecovery: truncating a segment mid-frame loses
+// exactly the torn frame, Open truncates it away with exact accounting,
+// and the store accepts appends cleanly afterwards.
 func TestV2CorruptTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	fillStore(t, dir, Options{}, 50)
@@ -410,8 +391,8 @@ func attackTrace(n int) []trace.Event {
 }
 
 // incidentTable replays a store through the full core engine and
-// renders the top-incidents table — the end-to-end artifact the
-// mixed-codec guarantee is stated in terms of.
+// renders the top-incidents table — the end-to-end artifact the replay
+// guarantees are stated in terms of.
 func incidentTable(t *testing.T, dir string, workers int) string {
 	t.Helper()
 	s, err := OpenRead(dir)
@@ -430,53 +411,31 @@ func incidentTable(t *testing.T, dir string, workers int) string {
 	return core.RenderTopIncidents(eng.Incidents(), 10)
 }
 
-// TestMixedCodecStoreReplaysIdentically is the mixed-store guarantee:
-// the v1 store with v2 segments appended after a reopen — the shape a
-// store recorded by an older build takes — replays to a byte-identical
-// top-incidents table as an all-v2 recording of the same stream, at
-// worker counts 1 and 8, surviving Compact and a crash-torn v2 tail
-// along the way.
-func TestMixedCodecStoreReplaysIdentically(t *testing.T) {
-	old := v1Events()
-	more := workload.StandardMix(37, 100).Events
-	for i := range more {
-		more[i].Seq = old[len(old)-1].Seq + uint64(i+1)
+// TestRecoveredStoreReplaysIdentically: a store replays to a
+// worker-count-independent top-incidents table after a crash-torn tail
+// is recovered and again after Compact.
+func TestRecoveredStoreReplaysIdentically(t *testing.T) {
+	dir := t.TempDir()
+	writeStore(t, dir, Options{SegmentBytes: 2048, FlushEvery: 32}, attackTrace(200))
+	tables := func(stage string) string {
+		t.Helper()
+		w1 := incidentTable(t, dir, 1)
+		if w8 := incidentTable(t, dir, 8); w8 != w1 {
+			t.Fatalf("%s: tables diverge across workers:\n--- w1 ---\n%s--- w8 ---\n%s", stage, w1, w8)
+		}
+		return w1
 	}
-	opts := Options{SegmentBytes: 2048, FlushEvery: 32}
+	if want := tables("written"); !strings.Contains(want, "mallory-rw") {
+		t.Fatalf("the incident table raised nothing:\n%s", want)
+	}
 
-	binDir, mixedDir := t.TempDir(), copyV1Store(t)
-	// Reference: the whole stream as v2.
-	writeStore(t, binDir, opts, append(append([]trace.Event(nil), old...), more...))
-	// Mixed: the v1 store, continued in v2.
-	writeStore(t, mixedDir, opts, more)
-
-	var codecs []string
-	ms, err := OpenRead(mixedDir)
+	// Tear the final segment's tail and drop its sidecar, as a crash
+	// mid-seal leaves it.
+	s, err := OpenRead(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seg := range ms.Segments() {
-		codecs = append(codecs, seg.Index.Codec)
-	}
-	joined := strings.Join(codecs, ",")
-	if !strings.Contains(joined, "json") || !strings.Contains(joined, "binary") {
-		t.Fatalf("store not actually mixed: segment codecs %v", codecs)
-	}
-
-	want := incidentTable(t, binDir, 1)
-	if !strings.Contains(want, "mallory-rw") {
-		t.Fatalf("reference incident table raised nothing:\n%s", want)
-	}
-	for _, workers := range []int{1, 8} {
-		if got := incidentTable(t, mixedDir, workers); got != want {
-			t.Fatalf("mixed store at workers=%d diverged from all-v2 table:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
-		}
-	}
-
-	// Crash recovery on the mixed store: tear the final (v2) segment's
-	// tail; the incident table from the surviving prefix must again be
-	// worker-count-independent.
-	segs := ms.Segments()
+	segs := s.Segments()
 	last := segs[len(segs)-1]
 	st, err := os.Stat(last.Path)
 	if err != nil {
@@ -486,7 +445,7 @@ func TestMixedCodecStoreReplaysIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Remove(indexPath(last.Path))
-	w, err := Open(mixedDir, Options{})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,15 +455,9 @@ func TestMixedCodecStoreReplaysIdentically(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	torn1 := incidentTable(t, mixedDir, 1)
-	torn8 := incidentTable(t, mixedDir, 8)
-	if torn1 != torn8 {
-		t.Fatalf("post-recovery tables diverge across workers:\n--- w1 ---\n%s--- w8 ---\n%s", torn1, torn8)
-	}
+	tables("recovered")
 
-	// Compact must honor retention identically across codecs: drop the
-	// oldest (v1) segments and keep replaying the survivors cleanly.
-	w, err = Open(mixedDir, Options{})
+	w, err = Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,9 +472,5 @@ func TestMixedCodecStoreReplaysIdentically(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c1 := incidentTable(t, mixedDir, 1)
-	c8 := incidentTable(t, mixedDir, 8)
-	if c1 != c8 {
-		t.Fatalf("post-compact tables diverge across workers:\n--- w1 ---\n%s--- w8 ---\n%s", c1, c8)
-	}
+	tables("compacted")
 }

@@ -20,8 +20,6 @@ package evstore
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 
 	"repro/internal/seglog"
 	"repro/internal/trace"
@@ -62,9 +60,7 @@ type SegmentInfo = seglog.Segment[Index]
 // TailLoss records corruption found and truncated during Open.
 type TailLoss = seglog.TailLoss
 
-// Store is an event log rooted at one directory. It writes v2 (binary)
-// segments; reading is version-dispatched per segment from its magic,
-// so a store may also hold v1 (JSON) segments an older build wrote. It implements
+// Store is an event log rooted at one directory. It implements
 // trace.Sink (Emit records the first append failure, exposed via Err,
 // mirroring JSONLWriter), so it drops into any pipeline slot a JSONL
 // writer occupied. Append/Emit are safe for concurrent use; the
@@ -72,7 +68,7 @@ type TailLoss = seglog.TailLoss
 //
 // The segment machine is internal/seglog's: Dir, Segments, Recovered,
 // Err, Sync and Compact are the embedded Log's. The store adds what an
-// event is — the payload codecs, the sidecar Index and the replay
+// event is — the payload codec, the sidecar Index and the replay
 // paths over them.
 type Store struct {
 	*seglog.Log[Index]
@@ -138,15 +134,13 @@ func (s *Store) Events() int {
 }
 
 // StoreStats summarizes a store's on-disk shape from the sidecar
-// indexes alone — segment and event totals, bytes, the codec mix, and
-// any bytes lost to tail corruption at open. It costs O(segments),
-// never touches segment data, and is what an operator sizes retention
-// tiers from.
+// indexes alone — segment and event totals, bytes, and any bytes lost
+// to tail corruption at open. It costs O(segments), never touches
+// segment data, and is what an operator sizes retention tiers from.
 type StoreStats struct {
 	Segments           int
 	Events             int
 	Bytes              int64
-	Codecs             map[string]int // sealed segments per codec name
 	RecoveredLossBytes int64
 }
 
@@ -154,18 +148,11 @@ type StoreStats struct {
 // segments count; the active segment is excluded until rotation or
 // Close, like Segments.
 func (s *Store) Stats() StoreStats {
-	st := StoreStats{Codecs: map[string]int{}}
+	var st StoreStats
 	for _, seg := range s.Segments() {
 		st.Segments++
 		st.Events += seg.Index.Events
 		st.Bytes += seg.Index.Bytes
-		codec := seg.Index.Codec
-		if codec == "" {
-			// Sidecars written before the codec field existed describe
-			// v1 JSON segments; readers trust the magic anyway.
-			codec = string(codecs[magicJSON])
-		}
-		st.Codecs[codec]++
 	}
 	for _, loss := range s.Recovered() {
 		st.RecoveredLossBytes += loss.LostBytes
@@ -173,24 +160,10 @@ func (s *Store) Stats() StoreStats {
 	return st
 }
 
-// Render formats the stats as one deterministic line (codec names
-// sorted), for the CLI store-stats output.
+// Render formats the stats as one line, for the CLI store-stats output.
 func (st StoreStats) Render() string {
-	names := make([]string, 0, len(st.Codecs))
-	for name := range st.Codecs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	parts := make([]string, 0, len(names))
-	for _, name := range names {
-		parts = append(parts, fmt.Sprintf("%s:%d", name, st.Codecs[name]))
-	}
-	mix := strings.Join(parts, ",")
-	if mix == "" {
-		mix = "none"
-	}
-	return fmt.Sprintf("segments=%d events=%d bytes=%d codecs=%s recovered-loss-bytes=%d",
-		st.Segments, st.Events, st.Bytes, mix, st.RecoveredLossBytes)
+	return fmt.Sprintf("segments=%d events=%d bytes=%d recovered-loss-bytes=%d",
+		st.Segments, st.Events, st.Bytes, st.RecoveredLossBytes)
 }
 
 // Append adds one event to the log.
@@ -238,13 +211,13 @@ func (s *Store) EmitBatch(events []trace.Event) { _ = s.AppendBatch(events) }
 // rotation checks, each counted in events whatever the batch size. It
 // reads e and keeps nothing of it but strings.
 func (s *Store) append(e *trace.Event) error {
-	buf, fresh, err := s.w.Begin(magicBinary)
+	buf, fresh, err := s.w.Begin()
 	if err != nil {
 		return err
 	}
 	if fresh {
 		s.enc = newBinEncoder()
-		s.ix = Index{Version: IndexVersion, Bytes: seglog.MagicLen, Codec: string(CodecBinary)}
+		s.ix = Index{Version: IndexVersion, Bytes: seglog.MagicLen}
 		s.actors = map[string]struct{}{}
 	}
 	start := len(buf)
@@ -255,7 +228,7 @@ func (s *Store) append(e *trace.Event) error {
 		return err
 	}
 	// frameBytes covers everything this event put on the wire,
-	// including any v2 dictionary frames it introduced, keeping the
+	// including any dictionary frames it introduced, keeping the
 	// Index.Bytes == valid-file-length invariant.
 	s.ix.observe(e, actor, int64(len(buf)-start), s.actors, s.opts.MaxActors)
 	full, err := s.w.End(buf)

@@ -440,27 +440,6 @@ func TestOpenSinkDispatch(t *testing.T) {
 		t.Fatal("a json codec was accepted for new segments")
 	}
 
-	// Append mode continues a v1 store in v2 segments.
-	v1Path := copyV1Store(t)
-	h, err = OpenSink(v1Path, SinkAppend, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(v1Events()); h.ExistingEvents != n {
-		t.Fatalf("append-mode open of the v1 store reports %d existing events, want %d", h.ExistingEvents, n)
-	}
-	h.Emit(mkEvent(1000, trace.KindExec, "u", time.Now()))
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-	vs, err := OpenRead(v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := vs.Stats(); st.Events != len(v1Events())+1 || st.Codecs["binary"] != 1 {
-		t.Fatalf("continued v1 store stats %+v, want one more event in one binary segment", st)
-	}
-
 	// Replace mode drops the old recording — the store analogue of
 	// os.Create truncation, used by resumed sweeps that re-emit the
 	// complete stream.

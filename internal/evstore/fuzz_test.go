@@ -2,38 +2,22 @@ package evstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/seglog"
 	"repro/internal/trace"
 )
 
-// buildSegment assembles valid segment bytes for fuzz seeds.
+// buildSegment assembles valid segment bytes — dictionary frames
+// interleaved before their first use, exactly as the writer emits them.
 func buildSegment(events ...trace.Event) []byte {
-	var b bytes.Buffer
-	b.WriteString(segMagic)
-	for _, e := range events {
-		payload, _ := json.Marshal(e)
-		var hdr [frameHeaderLen]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-		b.Write(hdr[:])
-		b.Write(payload)
-	}
-	return b.Bytes()
-}
-
-// buildSegmentV2 assembles valid binary-v2 segment bytes — dictionary
-// frames interleaved before their first use, exactly as the writer
-// emits them.
-func buildSegmentV2(events ...trace.Event) []byte {
 	out := []byte(segMagicV2)
 	enc := newBinEncoder()
 	for _, e := range events {
@@ -56,49 +40,47 @@ func FuzzReadSegment(f *testing.F) {
 	at := time.Date(2026, 6, 1, 9, 0, 0, 0, time.UTC)
 	valid := buildSegment(
 		trace.Event{Seq: 1, Time: at, Kind: trace.KindExec, User: "alice", Code: "print(1)"},
-		trace.Event{Seq: 2, Time: at.Add(time.Second), Kind: trace.KindAuth, SrcIP: "10.0.0.1", Op: "deny"},
+		trace.Event{Seq: 2, Time: at.Add(time.Second), Kind: trace.KindExec, User: "alice", Op: "run"},
+		trace.Event{Seq: 3, Time: at.Add(2 * time.Second), Kind: trace.KindAuth, SrcIP: "10.0.0.1"},
 	)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])            // torn final frame
 	f.Add(append(valid, 0xde, 0xad, 0xbe)) // trailing garbage
-	corrupt := append([]byte(nil), valid...)
-	corrupt[len(segMagic)+frameHeaderLen+4] ^= 0xff // flip a payload byte: CRC must catch it
+	corrupt := bytes.Clone(valid)
+	corrupt[len(segMagicV2)+frameHeaderLen+4] ^= 0xff // flip a payload byte: CRC must catch it
 	f.Add(corrupt)
-	f.Add([]byte(segMagic))
+	corrupt = bytes.Clone(valid)
+	corrupt[len(corrupt)-1] ^= 0xff
+	f.Add(corrupt)
+	corrupt = bytes.Clone(valid)
+	corrupt[len(segMagicV2)+4] ^= 0x01 // flip a checksum bit of the first frame header
+	f.Add(corrupt)
+	f.Add([]byte(segMagicV2))
 	f.Add([]byte("not a segment at all"))
-	huge := append([]byte(segMagic), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0) // implausible length
-	f.Add(huge)
+	f.Add(append([]byte(segMagicV2), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)) // implausible length
+	// The frames under the retired v1 magic: no reader accepts it.
+	f.Add(append([]byte("EVSEG001"), valid[len(segMagicV2):]...))
 
-	// Binary-v2 seeds: the same torn/corrupt shapes, plus the v2-only
-	// failure modes — a dangling dictionary reference and an unknown
-	// frame type, both CRC-valid so only the payload decode can object.
-	validV2 := buildSegmentV2(
-		trace.Event{Seq: 1, Time: at, Kind: trace.KindExec, User: "alice", Code: "print(1)"},
-		trace.Event{Seq: 2, Time: at.Add(time.Second), Kind: trace.KindExec, User: "alice", Op: "run"},
-		trace.Event{Seq: 3, Time: at.Add(2 * time.Second), Kind: trace.KindAuth, SrcIP: "10.0.0.1"},
-	)
-	f.Add(validV2)
-	f.Add(validV2[:len(validV2)-3])
-	f.Add(append(validV2, 0xde, 0xad, 0xbe))
-	corruptV2 := append([]byte(nil), validV2...)
-	corruptV2[len(corruptV2)-1] ^= 0xff
-	f.Add(corruptV2)
-	appendV2Frame := func(dst, payload []byte) []byte {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-		dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-		return append(dst, payload...)
-	}
-	dangling := appendV2Frame([]byte(segMagicV2), []byte{frameEvent, 0x09}) // kind = dict ref 8, never defined
+	// Frames whose checksum holds, so only the payload decode can
+	// object: a dangling dictionary reference, an unknown frame type, an
+	// empty dictionary entry, and an event whose header names another
+	// actor than its body.
+	dangling := seglog.AppendFrame([]byte(segMagicV2), []byte{frameEvent, 0x09}) // kind = dict ref 8, never defined
 	f.Add(dangling)
-	f.Add(appendV2Frame([]byte(segMagicV2), []byte{0x7f, 1, 2, 3})) // unknown frame type
-	f.Add(appendV2Frame([]byte(segMagicV2), []byte{frameDict}))     // empty dictionary entry
+	f.Add(seglog.AppendFrame([]byte(segMagicV2), []byte{0x7f, 1, 2, 3})) // unknown frame type
+	f.Add(seglog.AppendFrame([]byte(segMagicV2), []byte{frameDict}))     // empty dictionary entry
+	mismatch, err := newBinEncoder().appendEvent([]byte(segMagicV2), &trace.Event{Seq: 1, Kind: trace.KindExec, User: "alice"}, "mallory")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mismatch)
 
 	// Arena edge cases. Inline strings near and past the arena chunk
 	// size: two near-chunk values force a value to span a chunk
 	// rollover, the oversized one takes the dedicated-chunk path; the
 	// torn variant cuts the stream mid-frame — i.e. mid-arena-chunk on
 	// the decode side — so recovery runs with a partially filled arena.
-	bigV2 := buildSegmentV2(
+	bigV2 := buildSegment(
 		trace.Event{Seq: 1, Kind: trace.KindExec, User: "alice", Code: string(bytes.Repeat([]byte("A"), 60<<10))},
 		trace.Event{Seq: 2, Kind: trace.KindExec, User: "alice", Code: string(bytes.Repeat([]byte("B"), 60<<10))},
 		trace.Event{Seq: 3, Kind: trace.KindExec, User: "alice", Code: string(bytes.Repeat([]byte("C"), 70<<10))},
@@ -137,7 +119,7 @@ func FuzzReadSegment(f *testing.F) {
 		// The valid prefix is self-consistent: re-decoding it yields
 		// the same events with no truncation — the invariant Open's
 		// truncate-at-first-bad-frame recovery relies on.
-		if res.Truncated && res.ValidBytes >= int64(len(segMagic)) {
+		if res.Truncated && res.ValidBytes >= int64(len(segMagicV2)) {
 			again, err := DecodeFrames(bytes.NewReader(data[:res.ValidBytes]), res.ValidBytes, func(trace.Event) error { return nil })
 			if err != nil {
 				t.Fatal(err)
@@ -192,6 +174,12 @@ func FuzzReadSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 		s, err := OpenRead(dir)
+		if len(data) >= seglog.MagicLen && !bytes.HasPrefix(data, []byte(segMagicV2)) {
+			if err == nil || !strings.Contains(err.Error(), "unsupported segment magic") {
+				t.Fatalf("a segment under magic %q opened: %v", data[:seglog.MagicLen], err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,34 +215,28 @@ func FuzzReadSegment(f *testing.F) {
 // of the unfiltered decode that pass Filter.Match, loses the same tail,
 // and either decodes or skips every event frame the unfiltered decode
 // delivered. The sidecar written beside the segment rules nothing out,
-// so every filter reaches the frames. A hand-built v2 frame may name in
-// its header another actor than its event's own; push-down judges such
-// a frame by its header, where the writer always puts the event's own.
+// so every filter reaches the frames.
 func filteredParity(t *testing.T, data []byte, res DecodeResult) {
 	var events []trace.Event
-	var headers []string // each event's frame-header actor
-	var header string
 	takes := 0
 	slot := new(trace.Event)
-	if _, err := decodeFrames(bytes.NewReader(data), int64(len(data)), nil, nil, func(actor string) *trace.Event {
+	if _, err := decodeFrames(bytes.NewReader(data), int64(len(data)), nil, nil, func(string) *trace.Event {
 		takes++
-		header, *slot = actor, trace.Event{}
+		*slot = trace.Event{}
 		return slot
 	}, func(e *trace.Event) error {
-		if res.Codec != CodecBinary {
-			header = e.ActorKey()
-		}
-		events, headers = append(events, *e), append(headers, header)
+		events = append(events, *e)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Codec == CodecBinary && takes > len(events) {
+	if takes > len(events) {
 		// The valid prefix ends at an event frame whose checksum holds
-		// and whose header parses but whose body does not decode — only
-		// a hand-built frame can be that. A filter that skips the frame
-		// never reads its body and reads on; that is push-down's
-		// contract, not a difference to test.
+		// and whose header parses but whose body does not decode, or
+		// names another actor than the header — only a hand-built frame
+		// can be that. A filter that skips the frame never reads its
+		// body and reads on; that is push-down's contract, not a
+		// difference to test.
 		return
 	}
 
@@ -274,16 +256,14 @@ func filteredParity(t *testing.T, data []byte, res DecodeResult) {
 
 	var filters []Filter
 	seen := map[string]bool{}
-	for i, e := range events {
+	for _, e := range events {
 		if !seen["kind:"+string(e.Kind)] {
 			seen["kind:"+string(e.Kind)] = true
 			filters = append(filters, Filter{Kinds: []trace.Kind{e.Kind}})
 		}
-		for _, a := range []string{e.ActorKey(), headers[i]} {
-			if a != "" && !seen["actor:"+a] {
-				seen["actor:"+a] = true
-				filters = append(filters, Filter{Actor: a})
-			}
+		if a := e.ActorKey(); a != "" && !seen["actor:"+a] {
+			seen["actor:"+a] = true
+			filters = append(filters, Filter{Actor: a})
 		}
 	}
 	absent := "absent"
@@ -297,7 +277,7 @@ func filteredParity(t *testing.T, data []byte, res DecodeResult) {
 		n := 0
 		for i := range events {
 			e := &events[i]
-			if f.match(e) && (f.Actor == "" || headers[i] == f.Actor) {
+			if f.match(e) {
 				j, _ := json.Marshal(e)
 				want[e.ActorKey()] = append(want[e.ActorKey()], string(j))
 				n++

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -37,63 +36,36 @@ func dirDigest(t *testing.T, dir string) (string, []string) {
 
 // TestOnDiskBytesPinned pins "same bytes on disk": a fixed input
 // appended in runs of any length must leave exactly the data files and
-// sidecars the store wrote when these digests were taken. A digest that
+// sidecars the store wrote when this digest was taken. A digest that
 // moves means the frame format, the rotation point or the sidecar
 // changed, and stores already on disk would read or prune differently.
 //
-// The binary cases start from an empty dir; their digest was taken at
-// the commit before the segment machine moved into internal/seglog. The
-// v1 cases continue the v1 fixture store (copyV1Store) in v2 segments —
-// the shape a store recorded by an older build takes — and pin that the
-// v1 segments are left untouched and numbering and rotation carry on
-// from them; their digest matches the last build that could still write
-// v1.
+// The data files are those of the commit before the segment machine
+// moved into internal/seglog; the sidecars were re-pinned once, when
+// the index lost its "codec" key.
 func TestOnDiskBytesPinned(t *testing.T) {
-	more := workload.StandardMix(37, 100).Events
-	old := v1Events()
-	for i := range more {
-		more[i].Seq = old[len(old)-1].Seq + uint64(i+1)
-	}
-	for _, tc := range []struct {
-		name       string
-		dir        func(t *testing.T) string
-		opts       Options
-		events     []trace.Event
-		wantDigest string
-		wantFiles  int
-	}{
-		{
-			name: string(CodecBinary), dir: func(t *testing.T) string { return t.TempDir() },
-			opts: Options{SegmentBytes: 64 << 10}, events: workload.StandardMix(11, 5000).Events,
-			wantDigest: "65cd6e07c4d5003cd7476f2b090ae20a07717232dd000f68017731d97715eb2b", wantFiles: 10,
-		},
-		{
-			name: "v1", dir: copyV1Store,
-			opts: Options{SegmentBytes: 2048}, events: more,
-			wantDigest: "d7dcb6a6d1790c81eb4d99d956b57024b03ffa734e5c0ed5ef24cad4bd12d914", wantFiles: 52,
-		},
-	} {
-		for _, run := range []int{1, 7, 128} {
-			t.Run(fmt.Sprintf("%s/run%d", tc.name, run), func(t *testing.T) {
-				dir := tc.dir(t)
-				s, err := Open(dir, tc.opts)
-				if err != nil {
+	const wantDigest, wantFiles = "26a8a966cbbabcd9c30413a7dcbbc938407ce823f2a11dc1e5be77f4252c5497", 10
+	events := workload.StandardMix(11, 5000).Events
+	for _, run := range []int{1, 7, 128} {
+		t.Run(fmt.Sprintf("binary/run%d", run), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Options{SegmentBytes: 64 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < len(events); i += run {
+				if err := s.AppendBatch(events[i:min(i+run, len(events))]); err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < len(tc.events); i += run {
-					if err := s.AppendBatch(tc.events[i:min(i+run, len(tc.events))]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-				got, files := dirDigest(t, dir)
-				if got != tc.wantDigest || len(files) != tc.wantFiles {
-					t.Fatalf("store digest %s over %d files, want %s over %d; files:\n%s",
-						got, len(files), tc.wantDigest, tc.wantFiles, strings.Join(files, "\n"))
-				}
-			})
-		}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, files := dirDigest(t, dir)
+			if got != wantDigest || len(files) != wantFiles {
+				t.Fatalf("store digest %s over %d files, want %s over %d; files:\n%s",
+					got, len(files), wantDigest, wantFiles, strings.Join(files, "\n"))
+			}
+		})
 	}
 }

@@ -90,7 +90,7 @@ func (f Filter) MatchIndex(ix Index) bool {
 	return true
 }
 
-// pushDown returns f when a v2 frame header can rule an event out: the
+// pushDown returns f when a frame header can rule an event out: the
 // header carries the kind and actor key, so a frame that cannot match
 // is discarded after the CRC check without decoding its body. Time
 // bounds are not in the header and stay with per-event Match — safe,
@@ -157,7 +157,7 @@ type ReplayStats struct {
 	SegmentsTotal    int   // sealed segments in the store
 	SegmentsSelected int   // segments the index could not rule out
 	Decoded          int64 // frames decoded across selected segments
-	Skipped          int64 // v2 frames discarded by header push-down, undecoded
+	Skipped          int64 // event frames discarded by header push-down, undecoded
 	Events           int64 // events delivered after per-event filtering
 	TailLossBytes    int64 // corrupt trailing bytes skipped during the pass
 }
@@ -214,8 +214,8 @@ func (s *Store) scan(f Filter, sc *decodeScratch, take func(actor string) *trace
 // verdict slices, string arena — so recycling a segBuf recycles the
 // whole per-segment decode state. Each event body decodes straight
 // into the spare slot of its run (spare): the frame-header actor picks
-// the run before the body is read, and the event is moved only when
-// its own actor key shards elsewhere. Every slot not in a run is zero —
+// the run before the body is read, and decodeFrames refuses an event
+// whose own actor key is another. Every slot not in a run is zero —
 // fresh, cleared by its worker after delivery, or handed back by the
 // decode — which is what decoding in place needs.
 //
@@ -390,28 +390,16 @@ func (s *Store) Replay(f Filter, workers, batch int, process func([]trace.Event)
 					sb = &segBuf{sc: decodeScratch{arena: &trace.Arena{}}}
 				}
 				sb.ready(workers, batch, f.mayMatch(segs[i].Index))
-				var w int      // run the slot being decoded came from
-				var hdr string // the frame-header actor that chose it
+				var w int // run the slot being decoded came from
 				st.res, st.err = scanSegment(segs[i].Path, push, &sb.sc, func(actor string) *trace.Event {
-					w, hdr = trace.ShardIndex(actor, workers), actor
+					w = trace.ShardIndex(actor, workers)
 					return sb.spare(w)
 				}, func(e *trace.Event) error {
 					if !f.match(e) {
 						*e = trace.Event{}
 						return nil
 					}
-					to := w
-					if key := e.ActorKey(); key != hdr {
-						// A v1 frame has no header actor, and a hand-built
-						// v2 frame may name another: an event is delivered
-						// by its own actor key's worker.
-						to = trace.ShardIndex(key, workers)
-					}
-					if to != w {
-						*sb.spare(to) = *e
-						*e = trace.Event{}
-					}
-					sb.keep(to)
+					sb.keep(w)
 					return nil
 				})
 				for _, run := range sb.runs {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,8 +29,8 @@ func writeMixed(t *testing.T, dir string, perPhase int) {
 	writeMixedOpts(t, dir, Options{SegmentBytes: 4096, FlushEvery: 16}, perPhase)
 }
 
-// writeMixedOpts is writeMixed with explicit store options, so codec
-// variants can reuse the same stream shape.
+// writeMixedOpts is writeMixed with explicit store options, so other
+// segment sizes can reuse the same stream shape.
 func writeMixedOpts(t *testing.T, dir string, opts Options, perPhase int) {
 	t.Helper()
 	s, err := Open(dir, opts)
@@ -171,49 +172,35 @@ func TestIndexPrunesSegments(t *testing.T) {
 	}
 }
 
-// replayDiff is one store the replay differentials run on, with the
-// filters to run it under.
-type replayDiff struct {
-	name    string
-	s       *Store
-	filters []Filter
-}
-
-// replayDiffs lists the stores the replay differentials run on: a v2
-// store written here and the committed v1 fixture, whose frames carry
-// no header actor, so each of its events is placed by the actor key it
-// decodes to. Besides the zero filter each store gets a kind filter,
-// an actor filter, and a time window whose bounding segments decode
-// events only to reject them.
-func replayDiffs(t *testing.T) []replayDiff {
+// replayDiffs writes the store the replay differentials run on and
+// returns it with the filters to run it under: besides the zero filter,
+// a kind filter, an actor filter, and a time window whose bounding
+// segments decode events only to reject them.
+func replayDiffs(t *testing.T) (*Store, []Filter) {
 	t.Helper()
-	binDir := t.TempDir()
-	writeMixed(t, binDir, 500)
-	var out []replayDiff
-	for _, c := range []struct{ name, dir string }{{"v2", binDir}, {"v1", copyV1Store(t)}} {
-		s, err := OpenRead(c.dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		all := scanFiltered(t, s, Filter{})
-		n := len(all)
-		window := Filter{Since: all[n/3].Time, Until: all[2*n/3].Time}
-		stats, err := s.Scan(window, func(trace.Event) error { return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Decoded <= stats.Events {
-			t.Fatalf("%s: the time window decoded %d frames for %d events; it must reject some after decoding", c.name, stats.Decoded, stats.Events)
-		}
-		out = append(out, replayDiff{name: c.name, s: s, filters: []Filter{
-			{},
-			{Kinds: []trace.Kind{trace.KindAuth, trace.KindScanFinding}},
-			{Actor: all[n/2].ActorKey()},
-			window,
-		}})
+	dir := t.TempDir()
+	writeMixed(t, dir, 500)
+	s, err := OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	t.Cleanup(func() { s.Close() })
+	all := scanFiltered(t, s, Filter{})
+	n := len(all)
+	window := Filter{Since: all[n/3].Time, Until: all[2*n/3].Time}
+	stats, err := s.Scan(window, func(trace.Event) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Decoded <= stats.Events {
+		t.Fatalf("the time window decoded %d frames for %d events; it must reject some after decoding", stats.Decoded, stats.Events)
+	}
+	return s, []Filter{
+		{},
+		{Kinds: []trace.Kind{trace.KindAuth, trace.KindScanFinding}},
+		{Actor: all[n/2].ActorKey()},
+		window,
+	}
 }
 
 // replayWorkers are the worker counts the replay differentials run at:
@@ -225,37 +212,36 @@ var replayWorkers = []int{1, 2, 3, 8}
 // count delivers exactly the filtered event set, and each actor's
 // events arrive at one worker in append order.
 func TestReplayShardedMatchesScan(t *testing.T) {
-	for _, d := range replayDiffs(t) {
-		for fi, f := range d.filters {
-			want := map[string][]uint64{}
-			scanned := scanFiltered(t, d.s, f)
-			for _, e := range scanned {
-				want[e.ActorKey()] = append(want[e.ActorKey()], e.Seq)
+	s, filters := replayDiffs(t)
+	for fi, f := range filters {
+		want := map[string][]uint64{}
+		scanned := scanFiltered(t, s, f)
+		for _, e := range scanned {
+			want[e.ActorKey()] = append(want[e.ActorKey()], e.Seq)
+		}
+		for _, workers := range replayWorkers {
+			var mu sync.Mutex
+			got := map[string][]uint64{}
+			total := 0
+			stats, err := s.Replay(f, workers, 64, func(batch []trace.Event) {
+				mu.Lock()
+				defer mu.Unlock()
+				if len(batch) == 0 {
+					t.Errorf("filter %d workers=%d: an empty batch was delivered", fi, workers)
+				}
+				total += len(batch)
+				for _, e := range batch {
+					got[e.ActorKey()] = append(got[e.ActorKey()], e.Seq)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, workers := range replayWorkers {
-				var mu sync.Mutex
-				got := map[string][]uint64{}
-				total := 0
-				stats, err := d.s.Replay(f, workers, 64, func(batch []trace.Event) {
-					mu.Lock()
-					defer mu.Unlock()
-					if len(batch) == 0 {
-						t.Errorf("%s filter %d workers=%d: an empty batch was delivered", d.name, fi, workers)
-					}
-					total += len(batch)
-					for _, e := range batch {
-						got[e.ActorKey()] = append(got[e.ActorKey()], e.Seq)
-					}
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if total != len(scanned) || stats.Events != int64(len(scanned)) {
-					t.Fatalf("%s filter %d workers=%d: replayed %d events (stats %d), scan found %d", d.name, fi, workers, total, stats.Events, len(scanned))
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s filter %d workers=%d: per-actor sequence numbers differ from scan's:\n got %v\nwant %v", d.name, fi, workers, got, want)
-				}
+			if total != len(scanned) || stats.Events != int64(len(scanned)) {
+				t.Fatalf("filter %d workers=%d: replayed %d events (stats %d), scan found %d", fi, workers, total, stats.Events, len(scanned))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("filter %d workers=%d: per-actor sequence numbers differ from scan's:\n got %v\nwant %v", fi, workers, got, want)
 			}
 		}
 	}
@@ -581,58 +567,70 @@ func writeSegment(t *testing.T, data []byte) *Store {
 	return s
 }
 
-// TestReplayRoutesByActorKeyNotHeader: the frame-header actor picks
-// the run an event decodes into, but the event is delivered by its own
-// actor key's worker. In a hand-built segment every other frame names
-// an actor that shards elsewhere at every worker count tried; each
-// batch must still hold one worker's actors only, in append order.
-func TestReplayRoutesByActorKeyNotHeader(t *testing.T) {
-	elsewhere := func(actor string) string {
-		for i := 0; ; i++ {
-			h := fmt.Sprintf("header-%d", i)
-			differs := true
-			for _, w := range replayWorkers[1:] {
-				differs = differs && trace.ShardIndex(h, w) != trace.ShardIndex(actor, w)
-			}
-			if differs {
-				return h
-			}
-		}
-	}
-	data := []byte(segMagicV2)
+// TestReplayHeaderActorMismatchReleasesSlot: an event frame whose body
+// decodes to another actor key than its header names ends the valid
+// prefix, as a body that fails to decode does. The frames before it are
+// delivered, its slot — taken from the run of the header actor's
+// worker — is handed back zero, and the decode, Scan and Replay at
+// every worker count report the same tail loss.
+func TestReplayHeaderActorMismatchReleasesSlot(t *testing.T) {
 	enc := newBinEncoder()
-	want := map[string][]uint64{}
-	for i := 0; i < 120; i++ {
-		e := trace.Event{Seq: uint64(i + 1), Kind: trace.KindExec, User: fmt.Sprintf("user%d", i%6)}
-		header := e.ActorKey()
-		if i%2 == 1 {
-			header = elsewhere(header)
-		}
+	data := []byte(segMagicV2)
+	var valid []trace.Event
+	for i := 0; i < 10; i++ {
+		e := trace.Event{Seq: uint64(i + 1), Kind: trace.KindExec, User: fmt.Sprintf("user%d", i%3)}
+		valid = append(valid, e)
 		var err error
-		if data, err = enc.appendEvent(data, &e, header); err != nil {
+		if data, err = enc.appendEvent(data, &e, e.ActorKey()); err != nil {
 			t.Fatal(err)
 		}
-		want[e.User] = append(want[e.User], e.Seq)
 	}
+	prefix := len(data)
+	bad := trace.Event{Seq: 77, Kind: trace.KindExec, User: "user1"}
+	var err error
+	if data, err = enc.appendEvent(data, &bad, "user2"); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = enc.appendEvent(data, &valid[0], valid[0].ActorKey()); err != nil { // never reached
+		t.Fatal(err)
+	}
+	wantLoss := int64(len(data) - prefix)
+
+	slot := new(trace.Event)
+	res, err := decodeFrames(bytes.NewReader(data), int64(len(data)), nil, nil,
+		func(string) *trace.Event { return slot },
+		func(e *trace.Event) error { *e = trace.Event{}; return nil })
+	if err != nil || res.Events != len(valid) || res.ValidBytes != int64(prefix) || res.TailLossBytes != wantLoss || res.Reason != "event actor not its header's" {
+		t.Fatalf("decode: %+v, %v; want %d events and the prefix to end at byte %d", res, err, len(valid), prefix)
+	}
+	if !reflect.ValueOf(*slot).IsZero() {
+		t.Fatalf("the mismatched frame's slot was not handed back: %+v", *slot)
+	}
+
 	s := writeSegment(t, data)
+	if stats, err := s.Scan(Filter{}, func(trace.Event) error { return nil }); err != nil || stats.Events != int64(len(valid)) || stats.TailLossBytes != wantLoss {
+		t.Fatalf("scan: %+v, %v; want %d events and %d bytes of tail loss", stats, err, len(valid), wantLoss)
+	}
 	for _, workers := range replayWorkers {
-		var mu sync.Mutex
-		got := map[string][]uint64{}
-		if _, err := s.Replay(Filter{}, workers, 256, func(b []trace.Event) {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, e := range b {
-				if w, first := trace.ShardIndex(e.ActorKey(), workers), trace.ShardIndex(b[0].ActorKey(), workers); w != first {
-					t.Errorf("workers=%d: one batch holds actors of workers %d and %d", workers, first, w)
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			var mu sync.Mutex
+			var got []uint64
+			stats, err := s.Replay(Filter{}, workers, 4, func(b []trace.Event) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, e := range b {
+					got = append(got, e.Seq)
 				}
-				got[e.User] = append(got[e.User], e.Seq)
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: per-actor delivery\n got %v\nwant %v", workers, got, want)
-		}
+			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+			if fmt.Sprint(got) != "[1 2 3 4 5 6 7 8 9 10]" || stats.TailLossBytes != wantLoss {
+				t.Fatalf("delivered seqs %v, %d bytes of tail loss; want 1..10 and %d", got, stats.TailLossBytes, wantLoss)
+			}
+			checkParkedEmpty(t, s)
+		})
 	}
 }
 
@@ -646,13 +644,13 @@ func TestReplayCorruptBodyReleasesSlot(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		valid = append(valid, trace.Event{Seq: uint64(i + 1), Kind: trace.KindExec, User: fmt.Sprintf("user%d", i%3)})
 	}
-	data := buildSegmentV2(valid...)
+	data := buildSegment(valid...)
 	// Kind and actor inline, then a body that sets Seq and User before
 	// citing dictionary entry 99, which no frame defined.
 	body := []byte{frameEvent, 0, 4, 'e', 'x', 'e', 'c', 0, 5, 'u', 's', 'e', 'r', '1'}
 	body = append(body, 1<<3, 77, 7<<3|2, 0, 5, 'u', 's', 'e', 'r', '1', 3<<3|2, 100)
-	data = seglog.AppendFrame(data, body, castagnoli)
-	data = append(data, buildSegmentV2(valid[0])[len(segMagicV2):]...) // never reached
+	data = seglog.AppendFrame(data, body)
+	data = append(data, buildSegment(valid[0])[len(segMagicV2):]...) // never reached
 
 	slot := new(trace.Event)
 	res, err := decodeFrames(bytes.NewReader(data), int64(len(data)), nil, nil,
@@ -782,36 +780,35 @@ func TestCloseDropsParkedBuffers(t *testing.T) {
 // TestReplayArenaMatchesScanExactly is the store-layer differential:
 // the arena-backed Replay (serial and sharded) must deliver exactly
 // the events the copying Scan delivers, byte-identical under JSON
-// re-encoding, on v2 segments and on the v1 store, unfiltered and
-// under filters that skip frames undecoded or reject them after.
+// re-encoding, unfiltered and under filters that skip frames undecoded
+// or reject them after.
 func TestReplayArenaMatchesScanExactly(t *testing.T) {
-	for _, d := range replayDiffs(t) {
-		for fi, f := range d.filters {
-			want := map[uint64]string{}
-			for _, e := range scanFiltered(t, d.s, f) {
-				j, _ := json.Marshal(e)
-				want[e.Seq] = string(j)
+	s, filters := replayDiffs(t)
+	for fi, f := range filters {
+		want := map[uint64]string{}
+		for _, e := range scanFiltered(t, s, f) {
+			j, _ := json.Marshal(e)
+			want[e.Seq] = string(j)
+		}
+		for _, workers := range replayWorkers {
+			got := map[uint64]string{}
+			var mu sync.Mutex
+			if _, err := s.Replay(f, workers, 64, func(b []trace.Event) {
+				mu.Lock()
+				for _, e := range b {
+					j, _ := json.Marshal(e)
+					got[e.Seq] = string(j)
+				}
+				mu.Unlock()
+			}); err != nil {
+				t.Fatal(err)
 			}
-			for _, workers := range replayWorkers {
-				got := map[uint64]string{}
-				var mu sync.Mutex
-				if _, err := d.s.Replay(f, workers, 64, func(b []trace.Event) {
-					mu.Lock()
-					for _, e := range b {
-						j, _ := json.Marshal(e)
-						got[e.Seq] = string(j)
-					}
-					mu.Unlock()
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s filter %d workers=%d: got %d events, want %d", d.name, fi, workers, len(got), len(want))
-				}
-				for seq, j := range want {
-					if got[seq] != j {
-						t.Fatalf("%s filter %d workers=%d seq=%d:\n got %s\nwant %s", d.name, fi, workers, seq, got[seq], j)
-					}
+			if len(got) != len(want) {
+				t.Fatalf("filter %d workers=%d: got %d events, want %d", fi, workers, len(got), len(want))
+			}
+			for seq, j := range want {
+				if got[seq] != j {
+					t.Fatalf("filter %d workers=%d seq=%d:\n got %s\nwant %s", fi, workers, seq, got[seq], j)
 				}
 			}
 		}

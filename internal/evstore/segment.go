@@ -1,9 +1,7 @@
 package evstore
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"time"
@@ -12,36 +10,28 @@ import (
 	"repro/internal/trace"
 )
 
-// Segment files are internal/seglog's: an 8-byte magic followed by
-// length+CRC32 framed payloads. Two segment versions share that framing
-// and differ in what the payload is:
+// Segment files are internal/seglog's: the magic EVSEG002 followed by
+// length+CRC32C framed payloads. Payloads are typed. A dictionary frame
+// (type 0x01) defines the next sequential string-interning reference
+// for the segment; an event frame (type 0x02) carries the event's kind
+// and actor key as dictionary-or-inline strings, then the compact
+// tagged binary body (trace.AppendBinaryEvent). Dictionary entries
+// always precede their first use, so any valid frame prefix is
+// self-contained and truncation recovery can cut at any frame. The
+// kind+actor header lets a filtered replay skip the body decode
+// entirely for non-matching events.
 //
-//   - EVSEG001 (v1, codec "json"): every payload is one JSON-encoded
-//     trace.Event, checksummed with CRC32-IEEE.
-//   - EVSEG002 (v2, codec "binary"): payloads are typed, checksummed
-//     with hardware-accelerated CRC32-Castagnoli. A dictionary frame
-//     (type 0x01) defines the next sequential string-interning
-//     reference for the segment; an event frame (type 0x02) carries
-//     the event's kind and actor key as dictionary-or-inline strings,
-//     then the compact tagged binary body (trace.AppendBinaryEvent).
-//     Dictionary entries always precede their first use, so any valid
-//     frame prefix is self-contained — truncation recovery works
-//     exactly as in v1. The kind+actor header lets a filtered replay
-//     skip the body decode entirely for non-matching events.
-//
-// Stores write v2 only; v1 segments are read, never written.
-//
-// A payload that fails the decode marks the end of the valid prefix
-// just as a bad length or checksum does: readers stop there and report
-// the remainder as tail loss.
+// A payload that fails the decode — including an event whose own actor
+// key is not the one its header names — marks the end of the valid
+// prefix just as a bad length or checksum does: readers stop there and
+// report the remainder as tail loss.
 const (
-	segMagic   = "EVSEG001"
 	segMagicV2 = "EVSEG002"
 	// maxFrame bounds a frame payload, matching trace.Decoder's line
 	// bound; a larger length prefix is corruption, not a big event.
 	maxFrame = 16 << 20
 
-	// v2 frame payload types.
+	// Frame payload types.
 	frameDict  = 0x01
 	frameEvent = 0x02
 
@@ -53,37 +43,23 @@ const (
 	maxDictRefs  = 1 << 16
 )
 
-// castagnoli is the CRC32-Castagnoli table v2 frames use; amd64 and
-// arm64 compute it with the dedicated CRC32 instructions. v1 keeps
-// IEEE for compatibility with every segment already on disk.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Positions in format.Magics, and the codec each announces.
-const (
-	magicJSON = iota
-	magicBinary
-)
-
-var codecs = [...]Codec{magicJSON: "json", magicBinary: CodecBinary}
-
 // format is the store's file family: seg-%08d.ev data files with .idx
 // sidecars. The read window is sized for replay, which streams whole
 // multi-megabyte segments.
 var format = seglog.Format{
 	Name: "evstore", Noun: "store",
 	Prefix: "seg-", DataExt: ".ev", IndexExt: ".idx",
-	Magics:   []seglog.Magic{magicJSON: {Text: segMagic, Table: crc32.IEEETable}, magicBinary: {Text: segMagicV2, Table: castagnoli}},
+	Magic:    segMagicV2,
 	MaxFrame: maxFrame,
 	ReadBuf:  256 << 10,
 }
 
-// Codec names a segment payload encoding, as a segment's magic
-// announces it: "json" (v1) or "binary" (v2).
+// Codec names a segment payload encoding. OpenSink accepts it only to
+// keep its callers' signature: there is one encoding.
 type Codec string
 
-// CodecBinary names v2 segments: compact tagged binary events with a
-// per-segment interning dictionary. Every segment a store writes is
-// v2; v1 segments are only ever read.
+// CodecBinary names the one segment encoding: compact tagged binary
+// events with a per-segment interning dictionary.
 const CodecBinary Codec = "binary"
 
 // IndexVersion is the sidecar schema version this build writes.
@@ -100,10 +76,6 @@ type Index struct {
 	Version int   `json:"version"`
 	Events  int   `json:"events"`
 	Bytes   int64 `json:"bytes"` // valid file length including magic
-
-	// Codec records the segment's payload encoding ("json" for v1,
-	// "binary" for v2) — diagnostic only; readers trust the magic.
-	Codec string `json:"codec,omitempty"`
 
 	// Sequence range: not a replay-filter facet (Filter has no seq
 	// bounds), but the cheap cross-segment ordering witness — tests
@@ -187,7 +159,7 @@ func newBinEncoder() *binEncoder {
 	return &binEncoder{dict: make(map[string]uint64)}
 }
 
-// appendEvent appends the v2 frames encoding e, whose actor key is
+// appendEvent appends the frames encoding e, whose actor key is
 // actor — any new dictionary entries first, then the event frame — to
 // dst and returns the extended slice. Dictionary entries therefore
 // always precede their first reference, keeping every valid frame
@@ -203,7 +175,7 @@ func (enc *binEncoder) appendEvent(dst []byte, e *trace.Event, actor string) ([]
 		}
 		ref := uint64(len(enc.dict))
 		enc.dict[s] = ref
-		dst = seglog.AppendFrame(dst, append([]byte{frameDict}, s...), castagnoli)
+		dst = seglog.AppendFrame(dst, append([]byte{frameDict}, s...))
 		return ref, true
 	}
 	enc.scratch = enc.scratch[:0]
@@ -223,7 +195,7 @@ func (enc *binEncoder) appendEvent(dst []byte, e *trace.Event, actor string) ([]
 		}
 		return dst, fmt.Errorf("evstore: event of %d bytes exceeds frame limit", len(enc.scratch))
 	}
-	return seglog.AppendFrame(dst, enc.scratch, castagnoli), nil
+	return seglog.AppendFrame(dst, enc.scratch), nil
 }
 
 // DecodeResult reports what a segment scan found: the frame reader's
@@ -232,19 +204,16 @@ func (enc *binEncoder) appendEvent(dst []byte, e *trace.Event, actor string) ([]
 type DecodeResult struct {
 	seglog.ScanResult
 	Events int
-	// Skipped counts v2 event frames whose checksum was verified but
-	// whose body was never decoded, because the push-down filter ruled
-	// them out from the frame header alone.
+	// Skipped counts event frames whose checksum was verified but whose
+	// body was never decoded, because the push-down filter ruled them
+	// out from the frame header alone.
 	Skipped int
-	// Codec is the segment encoding the magic announced ("json" or
-	// "binary"), or "" when even the magic was unreadable.
-	Codec Codec
 }
 
-// DecodeFrames scans a segment byte stream of either version,
-// invoking fn for every valid event in order. Corruption — bad magic,
-// an absurd length, a checksum or decode failure, a short final frame
-// — never returns an error: the scan stops at the first bad frame and
+// DecodeFrames scans a segment byte stream, invoking fn for every
+// valid event in order. Corruption — bad magic, an absurd length, a
+// checksum or decode failure, an event whose actor key is not its
+// header's, a short final frame — never returns an error: the scan stops at the first bad frame and
 // the result records the clean prefix and the reason. A non-nil error
 // from fn aborts the scan and is returned as-is. size is the total
 // stream length if known (for tail-loss accounting), or -1.
@@ -303,23 +272,21 @@ func (sc *decodeScratch) passes(push *Filter, v uint64, inline []byte, facet ver
 	return push.judge(inline)&facet != 0
 }
 
-// decodeFrames is DecodeFrames plus the v2 push-down, scratch reuse and
+// decodeFrames is DecodeFrames plus header push-down, scratch reuse and
 // a caller-chosen destination. push, when non-nil, is a filter with a
 // kind or actor facet (see Filter.pushDown): an event frame whose
 // header kind or actor fails it is dropped after the checksum verifies
 // and its header parses, before the body decodes or either header
 // string is built. The verdict on a dictionary string is taken once,
 // when its entry is read; an inline one is compared where it lies in
-// the payload. v1 segments have no header to push into, so push is
-// ignored there and per-event filtering stays with the caller. sc may
-// be nil.
+// the payload. sc may be nil.
 //
 // take lends the zero event the next frame decodes into, given the
-// frame header's actor key ("" for a v1 frame, which has none); this is
-// how Replay decodes each event straight into the slot it is delivered
-// from. A slot whose payload is not an event is cleared here; fn gets
-// every other one and clears it if it does not keep it, so whatever
-// take hands out is zero. A nil take decodes every frame into one
+// frame header's actor key, which is the actor key of every event fn
+// gets; this is how Replay decodes each event straight into the slot of
+// the worker that delivers it. A slot whose payload is not an event of
+// that actor is cleared here; fn gets every other one and clears it if
+// it does not keep it, so whatever take hands out is zero. A nil take decodes every frame into one
 // scratch event, zeroed first, which fn borrows for the call.
 func decodeFrames(r io.Reader, size int64, push *Filter, sc *decodeScratch, take func(actor string) *trace.Event, fn func(*trace.Event) error) (DecodeResult, error) {
 	var res DecodeResult
@@ -338,46 +305,44 @@ func decodeFrames(r io.Reader, size int64, push *Filter, sc *decodeScratch, take
 	// so the payload never outlives the callback and the hot replay path
 	// stays allocation-free per event.
 	var err error
-	res.ScanResult, err = format.ReadFrames(r, size, &sc.frames, func(magic int, payload []byte) (string, error) {
-		var e *trace.Event
-		if magic == magicJSON {
-			if e = take(""); json.Unmarshal(payload, e) != nil {
-				*e = trace.Event{}
-				return "frame not an event", nil
+	res.ScanResult, err = format.ReadFrames(r, size, &sc.frames, func(payload []byte) (string, error) {
+		if payload[0] == frameDict {
+			// Materialized exactly once per segment; every event that
+			// cites the entry shares this string by reference. With an
+			// arena the copy out of the read window lands in a chunk
+			// instead of its own allocation.
+			if push != nil {
+				sc.verdicts = append(sc.verdicts, push.judge(payload[1:]))
 			}
-		} else {
-			switch payload[0] {
-			case frameDict:
-				// Materialized exactly once per segment; every event that
-				// cites the entry shares this string by reference. With an
-				// arena the copy out of the read window lands in a chunk
-				// instead of its own allocation.
-				if push != nil {
-					sc.verdicts = append(sc.verdicts, push.judge(payload[1:]))
-				}
-				sc.dict = append(sc.dict, sc.str(0, payload[1:]))
-				return "", nil
-			case frameEvent:
-				kv, kin, n1, err := trace.PeekBinaryString(payload[1:])
-				if err != nil || kv > uint64(len(sc.dict)) {
-					return "frame not an event", nil
-				}
-				av, ain, n2, err := trace.PeekBinaryString(payload[1+n1:])
-				if err != nil || av > uint64(len(sc.dict)) {
-					return "frame not an event", nil
-				}
-				if push != nil && !(sc.passes(push, kv, kin, kindPasses) && sc.passes(push, av, ain, actorPasses)) {
-					res.Skipped++
-					return "", nil
-				}
-				kind, actor := trace.Kind(sc.str(kv, kin)), sc.str(av, ain)
-				if e = take(actor); e.DecodeBinary(payload[1+n1+n2:], kind, lookup, sc.arena) != nil {
-					*e = trace.Event{}
-					return "frame not an event", nil
-				}
-			default:
-				return "unknown frame type", nil
-			}
+			sc.dict = append(sc.dict, sc.str(0, payload[1:]))
+			return "", nil
+		}
+		if payload[0] != frameEvent {
+			return "unknown frame type", nil
+		}
+		kv, kin, n1, err := trace.PeekBinaryString(payload[1:])
+		if err != nil || kv > uint64(len(sc.dict)) {
+			return "frame not an event", nil
+		}
+		av, ain, n2, err := trace.PeekBinaryString(payload[1+n1:])
+		if err != nil || av > uint64(len(sc.dict)) {
+			return "frame not an event", nil
+		}
+		if push != nil && !(sc.passes(push, kv, kin, kindPasses) && sc.passes(push, av, ain, actorPasses)) {
+			res.Skipped++
+			return "", nil
+		}
+		kind, actor := trace.Kind(sc.str(kv, kin)), sc.str(av, ain)
+		e := take(actor)
+		if e.DecodeBinary(payload[1+n1+n2:], kind, lookup, sc.arena) != nil {
+			*e = trace.Event{}
+			return "frame not an event", nil
+		}
+		// The header is what push-down and Replay's sharding trust; a
+		// body that names another actor makes both wrong.
+		if e.ActorKey() != actor {
+			*e = trace.Event{}
+			return "event actor not its header's", nil
 		}
 		res.Events++
 		return "", fn(e)
@@ -386,9 +351,6 @@ func decodeFrames(r io.Reader, size int64, push *Filter, sc *decodeScratch, take
 	// scratch at rest must not pin the arena chunks of its last segment.
 	clear(sc.dict)
 	sc.dict, sc.verdicts = sc.dict[:0], sc.verdicts[:0]
-	if res.Magic >= 0 {
-		res.Codec = codecs[res.Magic]
-	}
 	return res, err
 }
 
@@ -419,6 +381,5 @@ func (o Options) rebuild(path string) (Index, seglog.ScanResult, error) {
 	}
 	ix.seal(actors)
 	ix.Bytes = res.ValidBytes
-	ix.Codec = string(res.Codec)
 	return ix, res.ScanResult, nil
 }

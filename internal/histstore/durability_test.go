@@ -3,6 +3,8 @@ package histstore
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,5 +194,49 @@ func TestOpenReadNeverWrites(t *testing.T) {
 	}
 	if len(files) != 1 {
 		t.Fatalf("read-only open created files: %v", files)
+	}
+}
+
+// TestOpenRefusesForeignSegment: a data file under another magic —
+// here an event-store segment misfiled into the history — fails Open
+// and OpenRead with an error naming it, and neither open changes the
+// directory: the foreign file is not cut back as a torn tail, and no
+// sidecar is written for it.
+func TestOpenRefusesForeignSegment(t *testing.T) {
+	dir := t.TempDir()
+	fillHist(t, dir, Options{}, 10)
+	foreign := filepath.Join(dir, "hist-00000002.hr")
+	if err := os.WriteFile(foreign, []byte("EVSEG002\x05\x00\x00\x00\x00\x00\x00\x00hello"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() map[string]string {
+		files := map[string]string{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+		return files
+	}
+	before := snapshot()
+	for name, open := range map[string]func() error{
+		"Open":     func() error { _, err := Open(dir, Options{}); return err },
+		"OpenRead": func() error { _, err := OpenRead(dir); return err },
+	} {
+		t.Run(name, func(t *testing.T) {
+			err := open()
+			if err == nil || !strings.Contains(err.Error(), "unsupported segment magic") || !strings.Contains(err.Error(), foreign) {
+				t.Fatalf("%v; want an unsupported segment magic error naming %s", err, foreign)
+			}
+			if after := snapshot(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("the open changed the directory:\nbefore %q\n after %q", before, after)
+			}
+		})
 	}
 }

@@ -214,7 +214,7 @@ func (s *Store) Append(r Record) error {
 }
 
 func (s *Store) append(r Record) error {
-	buf, fresh, err := s.w.Begin(0)
+	buf, fresh, err := s.w.Begin()
 	if err != nil {
 		return err
 	}
@@ -233,7 +233,7 @@ func (s *Store) append(r Record) error {
 	if n := len(buf) - start - seglog.FrameHeaderLen; n > maxFrame {
 		return fmt.Errorf("histstore: record of %d bytes exceeds frame limit", n)
 	}
-	seglog.FillHeader(buf, start, castagnoli)
+	seglog.FillHeader(buf, start)
 	s.ix.observe(r, int64(len(buf)-start), s.builder, s.opts.MaxActors, s.opts.MaxClasses)
 	full, err := s.w.End(buf)
 	if err != nil || !full {

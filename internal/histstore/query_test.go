@@ -326,7 +326,7 @@ func TestQueryStopsAtUnwantedBadRecord(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			data = seglog.AppendFrame(data, payload, castagnoli)
+			data = seglog.AppendFrame(data, payload)
 		}
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "hist-00000001.hr"), data, 0o644); err != nil {

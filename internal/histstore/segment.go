@@ -1,7 +1,6 @@
 package histstore
 
 import (
-	"hash/crc32"
 	"io"
 	"sort"
 	"time"
@@ -11,12 +10,12 @@ import (
 
 // Segment files are internal/seglog's: an 8-byte magic followed by
 // length+CRC32C framed payloads, where every payload is one history
-// record ([kind][version][fields], see AppendRecord). Unlike evstore,
-// the magic never changes across schema revisions: evolution happens
-// at the record version byte, so one segment may legally mix record
-// versions and old segments stay readable forever. A payload failing
-// the strict record decode marks the end of the valid prefix just as
-// a bad length or checksum does.
+// record ([kind][version][fields], see AppendRecord). The magic never
+// changes across schema revisions: evolution happens at the record
+// version byte, so one segment may legally mix record versions and old
+// segments stay readable forever. A payload failing the strict record
+// decode marks the end of the valid prefix just as a bad length or
+// checksum does.
 const (
 	segMagic = "HSEG0001"
 	// maxFrame bounds a frame payload; history records are a few
@@ -24,17 +23,13 @@ const (
 	maxFrame = 1 << 20
 )
 
-// castagnoli matches evstore's v2 framing: hardware-accelerated
-// CRC32-Castagnoli on amd64/arm64.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // format is the history's file family: hist-%08d.hr data files with
 // .hx sidecars. The read window is a quarter of evstore's: every query
 // allocates one (and one only, see Query.scan), and segments are 1 MiB.
 var format = seglog.Format{
 	Name: "histstore", Noun: "history",
 	Prefix: "hist-", DataExt: ".hr", IndexExt: ".hx",
-	Magics:   []seglog.Magic{{Text: segMagic, Table: castagnoli}},
+	Magic:    segMagic,
 	MaxFrame: maxFrame,
 	ReadBuf:  64 << 10,
 }
@@ -187,7 +182,7 @@ func decodeFrames(r io.Reader, size int64, sc *seglog.Scratch, fn func(*view) er
 	var res DecodeResult
 	var v view
 	var err error
-	res.ScanResult, err = format.ReadFrames(r, size, sc, func(_ int, payload []byte) (string, error) {
+	res.ScanResult, err = format.ReadFrames(r, size, sc, func(payload []byte) (string, error) {
 		if v.decode(payload) != nil {
 			return "frame not a record", nil
 		}

@@ -203,7 +203,7 @@ func tornDir(t *testing.T, dir string) promise {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := AppendFrame(nil, toyPayload(uint32(n)), toyFormat.Magics[0].Table)
+	frame := AppendFrame(nil, toyPayload(uint32(n)))
 	if _, err := f.Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}

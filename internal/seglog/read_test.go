@@ -5,38 +5,31 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"testing"
 	"testing/iotest"
 )
 
-// readFormat accepts the magics of both stores — evstore's v1
-// (CRC32-IEEE) and v2 and histstore's (both Castagnoli) — under a frame
-// bound small enough for a fuzzer to find.
+// readFormat is a segment family with a frame bound small enough for a
+// fuzzer to find.
 var readFormat = Format{
 	Name: "read", Noun: "read",
 	Prefix: "r-", DataExt: ".d", IndexExt: ".i",
-	Magics: []Magic{
-		{Text: "EVSEG001", Table: crc32.IEEETable},
-		{Text: "EVSEG002", Table: crc32.MakeTable(crc32.Castagnoli)},
-		{Text: "HSEG0001", Table: crc32.MakeTable(crc32.Castagnoli)},
-	},
+	Magic:    "READSEG1",
 	MaxFrame: 256,
 	ReadBuf:  512,
 }
 
-// segmentOf builds a valid segment under the magic at that position:
-// frames of growing length, the last one at the frame bound.
-func segmentOf(magic, frames int) []byte {
-	m := readFormat.Magics[magic]
-	out := []byte(m.Text)
+// segmentOf builds a valid segment: frames of growing length, the last
+// one at the frame bound.
+func segmentOf(frames int) []byte {
+	out := []byte(readFormat.Magic)
 	for i := 0; i < frames; i++ {
 		n := 1 + i*37
 		if i == frames-1 {
 			n = readFormat.MaxFrame
 		}
-		out = AppendFrame(out, bytes.Repeat([]byte{byte(i + 1)}, n), m.Table)
+		out = AppendFrame(out, bytes.Repeat([]byte{byte(i + 1)}, n))
 	}
 	return out
 }
@@ -63,11 +56,11 @@ func readAll(t *testing.T, data []byte, sc *Scratch) ([]string, ScanResult) {
 func readWith(t *testing.T, f *Format, r io.Reader, size int64, sc *Scratch) ([]string, ScanResult) {
 	t.Helper()
 	var frames []string
-	res, err := f.ReadFrames(r, size, sc, func(magic int, payload []byte) (string, error) {
+	res, err := f.ReadFrames(r, size, sc, func(payload []byte) (string, error) {
 		if len(payload) == 0 || len(payload) > f.MaxFrame {
 			t.Fatalf("delivered a payload of %d bytes; bound %d", len(payload), f.MaxFrame)
 		}
-		frames = append(frames, fmt.Sprintf("%d:%x", magic, payload))
+		frames = append(frames, fmt.Sprintf("%x", payload))
 		return "", nil
 	})
 	if err != nil {
@@ -107,10 +100,9 @@ func (r *failAfter) Read(p []byte) (int, error) {
 func TestReadFramesRefills(t *testing.T) {
 	// Payloads of 1 to 256 bytes, 20 KiB in all: the window refills at
 	// every kind of offset.
-	m := readFormat.Magics[1]
-	data := []byte(m.Text)
+	data := []byte(readFormat.Magic)
 	for i := 0; i < 150; i++ {
-		data = AppendFrame(data, bytes.Repeat([]byte{byte(i)}, 1+i*37%readFormat.MaxFrame), m.Table)
+		data = AppendFrame(data, bytes.Repeat([]byte{byte(i)}, 1+i*37%readFormat.MaxFrame))
 	}
 	var ends []int // where each frame ends
 	for off := MagicLen; off < len(data); {
@@ -151,7 +143,7 @@ func TestReadFramesRefills(t *testing.T) {
 				{end - 1, "short frame payload"},
 			} {
 				got, res := readWith(t, f, &failAfter{data: data, n: c.at}, int64(len(data)), sc)
-				want := ScanResult{Magic: 1, ValidBytes: int64(start), Truncated: true, Reason: c.reason, TailLossBytes: int64(len(data) - start)}
+				want := ScanResult{ValidBytes: int64(start), Truncated: true, Reason: c.reason, TailLossBytes: int64(len(data) - start)}
 				if res != want || len(got) != k {
 					t.Fatalf("window %d, fail at byte %d: %d frames, %+v; want %d, %+v", f.ReadBuf, c.at, len(got), res, k, want)
 				}
@@ -160,25 +152,29 @@ func TestReadFramesRefills(t *testing.T) {
 	}
 }
 
-// FuzzReadFrames checks the one frame reader on arbitrary bytes under
-// every magic: it never panics, never grows its window beyond the
+// FuzzReadFrames checks the one frame reader on arbitrary bytes: it
+// never panics, never grows its window beyond the
 // format's bound, accounts for every input byte, reads the same through
 // a window smaller than the frames, and — the property every recovery
 // path relies on — re-reading the valid prefix it reported delivers the
 // same frames with nothing truncated.
 func FuzzReadFrames(f *testing.F) {
-	for magic := range readFormat.Magics {
-		f.Add(segmentOf(magic, 4))
-	}
-	valid := segmentOf(1, 3)
+	f.Add(segmentOf(4))
+	valid := segmentOf(3)
 	flipped := bytes.Clone(valid)
 	flipped[MagicLen+FrameHeaderLen] ^= 0x40 // a payload bit: the checksum must catch it
 	f.Add(flipped)
-	f.Add(append([]byte("HSEG0001"), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)) // implausible length
-	f.Add(valid[:MagicLen+FrameHeaderLen/2])                              // truncated header
-	f.Add(valid[:len(valid)-5])                                           // truncated payload
-	f.Add([]byte("EVSEG00"))
+	f.Add(append([]byte(readFormat.Magic), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)) // implausible length
+	f.Add(valid[:MagicLen+FrameHeaderLen/2])                                    // truncated header
+	f.Add(valid[:len(valid)-5])                                                 // truncated payload
+	f.Add([]byte(readFormat.Magic[:MagicLen-1]))
 	f.Add([]byte("NOTASEG1rest"))
+	f.Add([]byte(readFormat.Magic)) // a clean segment with no frames
+	// Well-formed frames behind another format's magic: no valid prefix.
+	f.Add(append([]byte("HSEG0001"), valid[MagicLen:]...))
+	sum := bytes.Clone(valid)
+	sum[MagicLen+4] ^= 0x01 // a checksum bit of the first frame header
+	f.Add(sum)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := &Scratch{}
@@ -190,8 +186,8 @@ func FuzzReadFrames(f *testing.F) {
 			t.Fatalf("valid %d + lost %d != input %d", res.ValidBytes, res.TailLossBytes, len(data))
 		case !res.Truncated && (res.TailLossBytes != 0 || res.ValidBytes != int64(len(data))):
 			t.Fatalf("clean read of %d bytes reports valid %d, lost %d", len(data), res.ValidBytes, res.TailLossBytes)
-		case (res.Magic < 0) != (res.ValidBytes == 0):
-			t.Fatalf("magic %d with a valid prefix of %d bytes", res.Magic, res.ValidBytes)
+		case (res.ValidBytes > 0) != bytes.HasPrefix(data, []byte(readFormat.Magic)):
+			t.Fatalf("a valid prefix of %d bytes from input opening %q", res.ValidBytes, data[:min(len(data), MagicLen)])
 		}
 		// A window smaller than most frames, refilled half a request at a
 		// time, reads the same.
@@ -199,13 +195,13 @@ func FuzzReadFrames(f *testing.F) {
 		if smallRes != res || fmt.Sprint(small) != fmt.Sprint(frames) {
 			t.Fatalf("64-byte window read %d frames, %+v; 512-byte window %d, %+v", len(small), smallRes, len(frames), res)
 		}
-		if res.Magic < 0 {
+		if res.ValidBytes == 0 {
 			return
 		}
 		// The same scratch again, as a replay pass reuses it, and a fresh one.
 		for _, again := range []*Scratch{sc, nil} {
 			refr, reres := readAll(t, data[:res.ValidBytes], again)
-			if reres.Truncated || reres.ValidBytes != res.ValidBytes || reres.Magic != res.Magic {
+			if reres.Truncated || reres.ValidBytes != res.ValidBytes {
 				t.Fatalf("valid prefix re-read as %+v; first read %+v", reres, res)
 			}
 			if fmt.Sprint(refr) != fmt.Sprint(frames) {
@@ -220,10 +216,9 @@ func FuzzReadFrames(f *testing.F) {
 // place from the scratch's window, which a segment reuses rather than
 // allocates.
 func TestReadFramesAllocations(t *testing.T) {
-	m := readFormat.Magics[1]
-	data := []byte(m.Text)
+	data := []byte(readFormat.Magic)
 	for i := 0; i < 2000; i++ {
-		data = AppendFrame(data, bytes.Repeat([]byte{byte(i)}, 1+i%90), m.Table)
+		data = AppendFrame(data, bytes.Repeat([]byte{byte(i)}, 1+i%90))
 	}
 	sc := &Scratch{}
 	r := bytes.NewReader(nil)
@@ -231,7 +226,7 @@ func TestReadFramesAllocations(t *testing.T) {
 	read := func() {
 		r.Reset(data)
 		frames = 0
-		res, err := readFormat.ReadFrames(r, int64(len(data)), sc, func(int, []byte) (string, error) {
+		res, err := readFormat.ReadFrames(r, int64(len(data)), sc, func([]byte) (string, error) {
 			frames++
 			return "", nil
 		})

@@ -1,17 +1,20 @@
 // Package seglog is the append-only segment log under both stores
 // (internal/evstore, internal/histstore): a directory of numbered data
-// files, each an 8-byte magic followed by frames of
+// files, each its Format's 8-byte magic followed by frames of
 //
-//	uint32le payload length | uint32le CRC32(payload) | payload
+//	uint32le payload length | uint32le CRC32-Castagnoli(payload) | payload
 //
-// and each sealed by a JSON sidecar index. The package owns everything
-// that is the same whatever the payload means — naming and numbering,
-// write buffering, rotation, sealing, recovery, retention and the one
-// frame reader, which parses frames in place from a reusable read
-// window — and knows nothing of what a payload holds. A store
-// describes its files with a Format, supplies its sidecar type as the
-// Log's type parameter, and drives the log record by record through a
-// Writer; the log never calls the store per record.
+// and each sealed by a JSON sidecar index. The envelope — magic, length
+// and checksum — is this package's alone: a store chooses its magic and
+// writes payloads, and a file under another magic is refused at open.
+// The package owns everything that is the same whatever the payload
+// means — naming and numbering, write buffering, rotation, sealing,
+// recovery, retention and the one frame reader, which parses frames in
+// place from a reusable read window — and knows nothing of what a
+// payload holds. A store describes its files with a Format, supplies
+// its sidecar type as the Log's type parameter, and drives the log
+// record by record through a Writer; the log never calls the store per
+// record.
 //
 // Durability contract: frames are buffered and written through every
 // flushEvery records, on rotation and on Close. A sidecar is written
@@ -46,13 +49,6 @@ const (
 	FrameHeaderLen = 8
 )
 
-// Magic is one accepted segment magic and the CRC32 table its frames
-// are summed with.
-type Magic struct {
-	Text  string // MagicLen bytes
-	Table *crc32.Table
-}
-
 // Format describes one family of segment files. Each store holds one
 // as a package-level value; nothing in it is tunable at run time.
 type Format struct {
@@ -60,10 +56,10 @@ type Format struct {
 	Noun     string // what a directory of these is called in messages: "store"
 	Prefix   string // data files are Prefix + %08d + DataExt
 	DataExt  string
-	IndexExt string  // a sidecar is its data file's name with IndexExt for DataExt
-	Magics   []Magic // writers pick one by position; readers dispatch on the file's
-	MaxFrame int     // payload bound: a larger length prefix is corruption
-	ReadBuf  int     // read-window size of a Scratch
+	IndexExt string // a sidecar is its data file's name with IndexExt for DataExt
+	Magic    string // MagicLen bytes opening every data file
+	MaxFrame int    // payload bound: a larger length prefix is corruption
+	ReadBuf  int    // read-window size of a Scratch
 }
 
 // IndexPath returns the sidecar path of a data file.
@@ -73,28 +69,29 @@ func (f *Format) IndexPath(dataPath string) string {
 
 func (f *Format) wrap(err error) error { return fmt.Errorf("%s: %w", f.Name, err) }
 
+// castagnoli is the frame checksum's table; amd64 and arm64 compute
+// CRC32-Castagnoli with dedicated instructions.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // AppendFrame appends payload to dst as one frame.
-func AppendFrame(dst, payload []byte, table *crc32.Table) []byte {
+func AppendFrame(dst, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, table))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
 	return append(dst, payload...)
 }
 
 // FillHeader completes a frame encoded in place: buf[start:] is
 // FrameHeaderLen reserved bytes followed by the payload.
-func FillHeader(buf []byte, start int, table *crc32.Table) {
+func FillHeader(buf []byte, start int) {
 	payload := buf[start+FrameHeaderLen:]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, table))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
 }
 
 // ScanResult reports what reading a segment found: how much of it was
 // a valid frame sequence and how much trailing corruption, if any, was
 // left unread.
 type ScanResult struct {
-	// Magic is the position in Format.Magics of the magic the segment
-	// opened with, or -1 when it had none of them.
-	Magic      int
 	ValidBytes int64 // length of the valid prefix including the magic
 	// TailLossBytes is how many trailing bytes were unreadable —
 	// non-zero only when Truncated is set and the size was known.
@@ -150,23 +147,22 @@ func (w *window) fill(n int) bool {
 	return w.hi-w.lo >= n
 }
 
-// ReadFrames reads a segment byte stream, handing fn the magic's
-// position and each checksummed payload in order. The payload is a
-// slice of the read window, only valid during the call. fn returns a
-// non-empty reject to declare the payload undecodable, or an error to
-// abort the read after the frame. Corruption — a bad magic, an absurd
-// length, a checksum failure, a short final frame, a rejected payload —
-// is never an error: the read stops at the first bad frame and the
-// result records the valid prefix and the reason. size is the stream
-// length if known (for tail-loss accounting), or -1. This is the only
-// frame-reading loop there is.
+// ReadFrames reads a segment byte stream, handing fn each checksummed
+// payload in order. The payload is a slice of the read window, only
+// valid during the call. fn returns a non-empty reject to declare the
+// payload undecodable, or an error to abort the read after the frame.
+// Corruption — a bad magic, an absurd length, a checksum failure, a
+// short final frame, a rejected payload — is never an error: the read
+// stops at the first bad frame and the result records the valid prefix
+// and the reason. size is the stream length if known (for tail-loss
+// accounting), or -1. This is the only frame-reading loop there is.
 //
 // Frames are parsed where they lie in the window, which is refilled
 // from r only when the next header or payload is not all inside it and
 // grows only for a frame longer than itself, up to MaxFrame plus its
 // header.
-func (f *Format) ReadFrames(r io.Reader, size int64, sc *Scratch, fn func(magic int, payload []byte) (reject string, err error)) (ScanResult, error) {
-	res := ScanResult{Magic: -1}
+func (f *Format) ReadFrames(r io.Reader, size int64, sc *Scratch, fn func(payload []byte) (reject string, err error)) (ScanResult, error) {
+	var res ScanResult
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -187,15 +183,9 @@ func (f *Format) ReadFrames(r io.Reader, size int64, sc *Scratch, fn func(magic 
 	if !w.need(MagicLen) {
 		return truncate("missing magic")
 	}
-	for i, m := range f.Magics {
-		if string(w.buf[w.lo:w.lo+MagicLen]) == m.Text {
-			res.Magic = i
-		}
-	}
-	if res.Magic < 0 {
+	if string(w.buf[w.lo:w.lo+MagicLen]) != f.Magic {
 		return truncate("bad magic")
 	}
-	table := f.Magics[res.Magic].Table
 	w.lo += MagicLen
 	res.ValidBytes = MagicLen
 
@@ -219,10 +209,10 @@ func (f *Format) ReadFrames(r io.Reader, size int64, sc *Scratch, fn func(magic 
 		// the frames after it.
 		payload := w.buf[w.lo+FrameHeaderLen : w.lo+end : w.lo+end]
 		w.lo += end
-		if crc32.Checksum(payload, table) != sum {
+		if crc32.Checksum(payload, castagnoli) != sum {
 			return truncate("checksum mismatch")
 		}
-		reject, err := fn(res.Magic, payload)
+		reject, err := fn(payload)
 		if reject != "" {
 			return truncate(reject)
 		}
@@ -323,12 +313,14 @@ type Log[I Index] struct {
 // store's part of opening, since only it can decode a payload.
 type Rebuild[I Index] func(path string) (I, ScanResult, error)
 
-// Open creates or opens a directory for appending. A segment whose
-// sidecar is missing, unreadable or untrusted is re-indexed by rebuild
-// and its sidecar written; the newest segment is also truncated at its
-// first bad frame, with the loss reported by Recovered. Appends always
-// start a fresh segment, so recovery never rewrites sealed data. A
-// segment is sealed once its bytes reach segmentBytes.
+// Open creates or opens a directory for appending. A data file under
+// another magic than the Format's fails the open, which then changes
+// nothing. A segment whose sidecar is missing, unreadable or untrusted
+// is re-indexed by rebuild and its sidecar written; the newest segment
+// is also truncated at its first bad frame, with the loss reported by
+// Recovered. Appends always start a fresh segment, so recovery never
+// rewrites sealed data. A segment is sealed once its bytes reach
+// segmentBytes.
 func Open[I Index](f *Format, dir string, segmentBytes int64, flushEvery int, rebuild Rebuild[I]) (*Log[I], error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, f.wrap(err)
@@ -337,13 +329,13 @@ func Open[I Index](f *Format, dir string, segmentBytes int64, flushEvery int, re
 	return l.scan(rebuild)
 }
 
-// OpenRead opens an existing directory without ever changing it:
-// missing sidecars are rebuilt in memory only, and a torn newest
-// segment is reported by Recovered but not truncated (ReadFrames stops
-// at the first bad frame regardless). A reader that wrote a sidecar
-// for a live writer's active segment would freeze a stale index over
-// it and mask the writer's own crash recovery. Appending to and
-// compacting a read-only log fail.
+// OpenRead opens an existing directory without ever changing it. A data
+// file under another magic than the Format's fails it; missing sidecars
+// are rebuilt in memory only, and a torn newest segment is reported by
+// Recovered but not truncated (ReadFrames stops at the first bad frame
+// regardless). A reader that wrote a sidecar for a live writer's active
+// segment would freeze a stale index over it and mask the writer's own
+// crash recovery. Appending to and compacting a read-only log fail.
 func OpenRead[I Index](f *Format, dir string, rebuild Rebuild[I]) (*Log[I], error) {
 	if st, err := os.Stat(dir); err != nil {
 		return nil, f.wrap(err)
@@ -354,7 +346,9 @@ func OpenRead[I Index](f *Format, dir string, rebuild Rebuild[I]) (*Log[I], erro
 	return l.scan(rebuild)
 }
 
-// scan lists the directory and loads or rebuilds every sidecar.
+// scan lists the directory, checks every data file's magic and then
+// loads or rebuilds every sidecar: a foreign file is refused before
+// anything is truncated or written.
 func (l *Log[I]) scan(rebuild Rebuild[I]) (*Log[I], error) {
 	f := l.f
 	paths, err := ops.glob(filepath.Join(l.dir, f.Prefix+"*"+f.DataExt))
@@ -366,6 +360,9 @@ func (l *Log[I]) scan(rebuild Rebuild[I]) (*Log[I], error) {
 		var n int
 		if _, err := fmt.Sscanf(filepath.Base(p), f.Prefix+"%d"+f.DataExt, &n); err != nil {
 			continue // not ours
+		}
+		if err := f.checkMagic(p); err != nil {
+			return nil, err
 		}
 		l.sealed = append(l.sealed, Segment[I]{N: n, Path: p})
 	}
@@ -403,6 +400,27 @@ func (l *Log[I]) scan(rebuild Rebuild[I]) (*Log[I], error) {
 		}
 	}
 	return l, nil
+}
+
+// checkMagic refuses a data file that opens with another magic than
+// f's. A file shorter than MagicLen is a torn create, which recovery
+// handles like any other torn tail.
+func (f *Format) checkMagic(path string) error {
+	file, err := os.Open(path)
+	if err != nil {
+		return f.wrap(err)
+	}
+	defer file.Close()
+	var head [MagicLen]byte
+	if _, err := io.ReadFull(file, head[:]); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil
+	} else if err != nil {
+		return f.wrap(err)
+	}
+	if string(head[:]) != f.Magic {
+		return fmt.Errorf("%s: unsupported segment magic %q in %s", f.Name, head[:], path)
+	}
+	return nil
 }
 
 func (l *Log[I]) writeSidecar(dataPath string, ix I) error {
@@ -545,13 +563,12 @@ func (w Writer[I]) Fail(err error) error {
 // Active reports whether a segment is open for appending.
 func (w Writer[I]) Active() bool { return w.l.file != nil }
 
-// Begin returns the write buffer to append the next record's frames
-// to, first creating the next segment — under the magic at that
-// position in Format.Magics — when none is active. fresh reports that
-// it did: the store resets its per-segment codec and index state. A
-// store that fails to encode simply does not call End, and the buffer
+// Begin returns the write buffer to append the next record's frames to,
+// first creating the next segment when none is active. fresh reports
+// that it did: the store resets its per-segment codec and index state.
+// A store that fails to encode simply does not call End, and the buffer
 // keeps its old length.
-func (w Writer[I]) Begin(magic int) (buf []byte, fresh bool, err error) {
+func (w Writer[I]) Begin() (buf []byte, fresh bool, err error) {
 	l := w.l
 	if l.readOnly {
 		return nil, false, l.errReadOnly()
@@ -562,7 +579,7 @@ func (w Writer[I]) Begin(magic int) (buf []byte, fresh bool, err error) {
 		if err != nil {
 			return nil, false, l.f.wrap(err)
 		}
-		if _, err := ops.write(file, []byte(l.f.Magics[magic].Text)); err != nil {
+		if _, err := ops.write(file, []byte(l.f.Magic)); err != nil {
 			ops.close(file)
 			return nil, false, l.f.wrap(err)
 		}

@@ -15,7 +15,7 @@ import (
 var toyFormat = Format{
 	Name: "toy", Noun: "toy",
 	Prefix: "toy-", DataExt: ".dat", IndexExt: ".ix",
-	Magics:   []Magic{{Text: "TOYSEG01", Table: crc32.IEEETable}},
+	Magic:    "TOYSEG01",
 	MaxFrame: 1 << 10,
 	ReadBuf:  4 << 10,
 }
@@ -61,7 +61,7 @@ func readToySegment(path string, fn func(seq uint32)) (ScanResult, error) {
 		return ScanResult{}, err
 	}
 	defer f.Close()
-	return toyFormat.ReadFrames(f, size, nil, func(_ int, payload []byte) (string, error) {
+	return toyFormat.ReadFrames(f, size, nil, func(payload []byte) (string, error) {
 		seq, ok := toySeq(payload)
 		if !ok {
 			return "frame not a record", nil
@@ -93,7 +93,7 @@ func (s *toyStore) Append(seq uint32) error {
 	if err != nil {
 		return err
 	}
-	buf, fresh, err := s.w.Begin(0)
+	buf, fresh, err := s.w.Begin()
 	if err != nil {
 		return s.w.Fail(err)
 	}
@@ -101,7 +101,7 @@ func (s *toyStore) Append(seq uint32) error {
 		s.ix = toyIndex{Version: 1, Bytes: MagicLen}
 	}
 	start := len(buf)
-	buf = AppendFrame(buf, toyPayload(seq), crc32.IEEETable)
+	buf = AppendFrame(buf, toyPayload(seq))
 	s.ix.Records++
 	s.ix.Bytes += int64(len(buf) - start)
 	full, err := s.w.End(buf)
@@ -137,7 +137,7 @@ func (s *toyStore) read() (seqs []uint32, lost int64, err error) {
 // ReadFrames so the two can disagree: the records of the valid frame
 // prefix and that prefix's length.
 func parseToy(data []byte) (seqs []uint32, valid int64) {
-	if len(data) < MagicLen || string(data[:MagicLen]) != toyFormat.Magics[0].Text {
+	if len(data) < MagicLen || string(data[:MagicLen]) != toyFormat.Magic {
 		return nil, 0
 	}
 	off := MagicLen
@@ -149,7 +149,7 @@ func parseToy(data []byte) (seqs []uint32, valid int64) {
 			break
 		}
 		seq, ok := toySeq(data[body : body+n])
-		if !ok || crc32.ChecksumIEEE(data[body:body+n]) != sum {
+		if !ok || crc32.Checksum(data[body:body+n], crc32.MakeTable(crc32.Castagnoli)) != sum {
 			break
 		}
 		seqs = append(seqs, seq)
