@@ -77,7 +77,7 @@ func open(stderr io.Writer, tool, events, history string, mode evstore.SinkMode)
 		r.Events = h
 	}
 	if r.histDir != "" {
-		hs, err := histstore.OpenWith(r.histDir, historyModes[mode], histstore.Options{})
+		hs, err := histstore.OpenWith(r.histDir, mode, histstore.Options{})
 		if err != nil {
 			if r.Events != nil {
 				_ = r.Events.Close() // nothing was recorded; the open error is the one to report
@@ -88,12 +88,6 @@ func open(stderr io.Writer, tool, events, history string, mode evstore.SinkMode)
 		r.History = histstore.NewRecorder(hs)
 	}
 	return r, nil
-}
-
-var historyModes = map[evstore.SinkMode]histstore.Mode{
-	evstore.SinkFresh:   histstore.OpenFresh,
-	evstore.SinkReplace: histstore.OpenReplace,
-	evstore.SinkAppend:  histstore.OpenAppend,
 }
 
 func (r *Recording) reportLosses(losses []evstore.TailLoss) {

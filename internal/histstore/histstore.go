@@ -5,6 +5,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/evstore"
 	"repro/internal/seglog"
 )
 
@@ -103,21 +104,22 @@ func newStore(log *seglog.Log[Index], opts Options, err error) (*Store, error) {
 }
 
 // Mode is the policy for opening a history path that already holds
-// records — the histstore mirror of evstore.SinkMode.
-type Mode int
+// records. It is evstore.SinkMode, so one value opens both stores of a
+// recording.
+type Mode = evstore.SinkMode
 
 const (
 	// OpenFresh refuses a non-empty history. The probe is read-only,
 	// so the refusal leaves a live writer's store untouched. For
 	// one-shot runs whose history must equal exactly what this run
 	// detected.
-	OpenFresh Mode = iota
+	OpenFresh = evstore.SinkFresh
 	// OpenReplace drops the existing history and starts over. For
 	// reruns that re-detect from scratch.
-	OpenReplace
+	OpenReplace = evstore.SinkReplace
 	// OpenAppend continues an existing history. For long-lived
 	// daemons that span restarts.
-	OpenAppend
+	OpenAppend = evstore.SinkAppend
 )
 
 // OpenWith opens a history directory under the given mode.

@@ -34,10 +34,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"time"
 
 	"repro/internal/rules"
+	"repro/internal/trace"
 )
 
 // Record kinds — the first payload byte of every frame.
@@ -214,12 +214,13 @@ type view struct {
 // terminate the valid prefix, never half-decode — and it walks every
 // field whether or not the caller wants the record.
 //
-// The walk keeps its offset in a local: each field reader takes the
-// payload and an offset and returns the value and the next offset, or
-// a negative offset once a field is malformed. A reader given a
-// negative offset returns one, so decode tests for it once, after the
-// last field. A scan decodes every record it visits, so this loop is
-// the query's hot path.
+// The walk keeps its offset in a local and reads each field with one
+// of trace's payload readers (ReadUvarint, ReadBytes, ReadU64) or a
+// record-level reader built on them: each returns the value and the
+// next offset, or a negative offset once a field is malformed. A
+// reader given a negative offset returns one, so decode tests for it
+// once, after the last field. A scan decodes every record it visits,
+// so this loop is the query's hot path.
 func (v *view) decode(p []byte) error {
 	if len(p) < 2 {
 		return fmt.Errorf("histstore: record too short")
@@ -236,21 +237,21 @@ func (v *view) decode(p []byte) error {
 	case KindAlert:
 		v.opened, i = readTime(p, i)
 		v.last = v.opened
-		v.actor, i = readStr(p, i)
-		v.class, i = readStr(p, i)
-		v.rule, i = readStr(p, i)
-		v.sev, i = readStr(p, i)
+		v.actor, i = trace.ReadBytes(p, i)
+		v.class, i = trace.ReadBytes(p, i)
+		v.rule, i = trace.ReadBytes(p, i)
+		v.sev, i = trace.ReadBytes(p, i)
 		v.count, i = readCount(p, i)
 	case KindIncident:
-		v.actor, i = readStr(p, i)
-		v.class, i = readStr(p, i)
+		v.actor, i = trace.ReadBytes(p, i)
+		v.class, i = trace.ReadBytes(p, i)
 		v.gen, i = readCount(p, i)
 		v.opened, i = readTime(p, i)
 		v.last, i = readTime(p, i)
 		v.count, i = readCount(p, i)
-		v.sev, i = readStr(p, i)
+		v.sev, i = trace.ReadBytes(p, i)
 		var risk uint64
-		risk, i = readU64(p, i)
+		risk, i = trace.ReadU64(p, i)
 		v.risk = math.Float64frombits(risk)
 	default:
 		return fmt.Errorf("histstore: unknown record kind %d", kind)
@@ -312,60 +313,14 @@ func appendTime(dst []byte, t time.Time) []byte {
 // fixed64. Callers only test decode's error for nil.
 var errBadField = errors.New("histstore: malformed record field")
 
-// readUvarint reads a uvarint with binary.Uvarint's accept set. A
-// one-byte value is read directly; a longer one with 8 bytes of payload
-// left is decoded from one little-endian load: the first byte with its
-// high bit clear ends the value, and its 7-bit groups are packed
-// pairwise, then by fours, then by eights. A value longer than 8 bytes
-// or too near the end of p goes to binary.Uvarint.
-func readUvarint(p []byte, i int) (uint64, int) {
-	if uint(i) >= uint(len(p)) {
-		return 0, -1
-	}
-	if b := p[i]; b < 0x80 {
-		return uint64(b), i + 1
-	}
-	if len(p)-i >= 8 {
-		w := binary.LittleEndian.Uint64(p[i:])
-		if stop := ^w & 0x8080808080808080; stop != 0 {
-			end := bits.TrailingZeros64(stop) + 1 // bits up to and including the last byte
-			x := w & 0x7f7f7f7f7f7f7f7f & (1<<end - 1)
-			x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
-			x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
-			x = x&0x000000000fffffff | x&0x0fffffff00000000>>4
-			return x, i + end/8
-		}
-	}
-	v, n := binary.Uvarint(p[i:])
-	if n <= 0 {
-		return 0, -1
-	}
-	return v, i + n
-}
-
-// readStr returns the string field's bytes in place, not a copy.
-func readStr(p []byte, i int) ([]byte, int) {
-	n, i := readUvarint(p, i)
-	if i < 0 || n > uint64(len(p)-i) {
-		return nil, -1
-	}
-	j := i + int(n)
-	return p[i:j], j
-}
-
+// readCount reads a count or gen field below maxCount, the bound that
+// is the record format's own.
 func readCount(p []byte, i int) (int, int) {
-	n, i := readUvarint(p, i)
+	n, i := trace.ReadUvarint(p, i)
 	if n >= maxCount {
 		return 0, -1
 	}
 	return int(n), i
-}
-
-func readU64(p []byte, i int) (uint64, int) {
-	if i < 0 || len(p)-i < 8 {
-		return 0, -1
-	}
-	return binary.LittleEndian.Uint64(p[i:]), i + 8
 }
 
 // readTime reads appendTime's encoding: presence 0 is the zero time;
@@ -382,14 +337,10 @@ func readTime(p []byte, i int) (time.Time, int) {
 	default:
 		return time.Time{}, -1
 	}
-	zsec, i := readUvarint(p, i+1)
-	nsec, i := readUvarint(p, i)
+	sec, i := trace.ReadVarint(p, i+1)
+	nsec, i := trace.ReadUvarint(p, i)
 	if i < 0 || nsec >= 1e9 {
 		return time.Time{}, -1
-	}
-	sec := int64(zsec >> 1)
-	if zsec&1 != 0 {
-		sec = ^sec
 	}
 	t := time.Unix(sec, int64(nsec)).UTC()
 	if t.IsZero() {

@@ -1,6 +1,6 @@
 package trace
 
-// Binary event codec: the compact tagged encoding evstore's v2
+// Binary event codec: the compact tagged encoding evstore's
 // segment format carries instead of JSON. JSON stays the interchange
 // format everywhere a human or another tool reads the bytes (.jsonl
 // files, sidecar indexes, /stats); this codec exists purely so the hot
@@ -28,8 +28,9 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -91,13 +92,9 @@ var InternNone Intern = func(string) (uint64, bool) { return 0, false }
 
 func tag(field, wire int) byte { return byte(field<<3 | wire) }
 
-func appendZigzag(dst []byte, v int64) []byte {
-	return binary.AppendUvarint(dst, uint64(v<<1)^uint64(v>>63))
-}
-
 // AppendBinaryString appends one ref-or-inline string value — the
 // same encoding string fields use inside a body. Exported because the
-// v2 frame header (kind + actor key) is built from it too.
+// event frame header (kind + actor key) is built from it too.
 func AppendBinaryString(dst []byte, s string, intern Intern) []byte {
 	if ref, ok := intern(s); ok {
 		return binary.AppendUvarint(dst, ref+1)
@@ -112,22 +109,16 @@ func AppendBinaryString(dst []byte, s string, intern Intern) []byte {
 // uvarint — 0 for an inline string, whose bytes come back as a slice of
 // data, or v-1 for a dictionary reference — and n how many bytes it
 // took. The counterpart of AppendBinaryString, used by the segment
-// reader to judge a v2 frame's kind and actor key before it builds a
-// string from either.
+// reader to judge an event frame's kind and actor key before it builds
+// a string from either.
 func PeekBinaryString(data []byte) (v uint64, inline []byte, n int, err error) {
-	if v, n = binary.Uvarint(data); n > 0 && v > 0 {
-		return v, nil, n, nil
+	if v, n = ReadUvarint(data, 0); v == 0 {
+		inline, n = ReadBytes(data, n)
 	}
-	r := binReader{data: data}
-	r.uvarint() // 0, or a bad varint
-	l := r.uvarint()
-	if r.err == nil && l > uint64(len(data)-r.pos) {
-		r.fail("trace: string of %d bytes overruns body", l)
+	if n < 0 {
+		return 0, nil, 0, errBadBody
 	}
-	if r.err != nil {
-		return 0, nil, 0, r.err
-	}
-	return 0, data[r.pos : r.pos+int(l)], r.pos + int(l), nil
+	return v, inline, n, nil
 }
 
 // appendStringField emits nothing for "", matching JSON omitempty.
@@ -144,7 +135,7 @@ func appendZigzagField(dst []byte, field int, v int64) []byte {
 		return dst
 	}
 	dst = append(dst, tag(field, wireZigzag))
-	return appendZigzag(dst, v)
+	return binary.AppendVarint(dst, v)
 }
 
 // AppendBinaryEvent appends the binary body of e to dst and returns
@@ -169,9 +160,9 @@ func (e *Event) AppendBinary(dst []byte, intern Intern) []byte {
 	if !e.Time.IsZero() {
 		_, off := e.Time.Zone()
 		dst = append(dst, tag(fTime, wireTime))
-		dst = appendZigzag(dst, e.Time.Unix())
+		dst = binary.AppendVarint(dst, e.Time.Unix())
 		dst = binary.AppendUvarint(dst, uint64(e.Time.Nanosecond()))
-		dst = appendZigzag(dst, int64(off))
+		dst = binary.AppendVarint(dst, int64(off))
 	}
 	dst = appendStringField(dst, fSrcIP, e.SrcIP, intern)
 	dst = appendZigzagField(dst, fSrcPort, int64(e.SrcPort))
@@ -215,155 +206,157 @@ func (e *Event) AppendBinary(dst []byte, intern Intern) []byte {
 	return dst
 }
 
-// binReader walks a binary body with explicit bounds checks; every
-// read either succeeds or latches an error, so corrupt input can
-// never panic or over-read. When arena is non-nil, inline strings are
-// copied into it instead of individually heap-allocated.
-type binReader struct {
-	data  []byte
-	pos   int
-	err   error
-	arena *Arena
-}
+// errBadBody is every body decode failure: a bad varint, a string,
+// map or fixed64 past the end, a dangling dictionary reference, a time
+// out of range or an unknown wire type. Callers only test it for nil.
+var errBadBody = errors.New("trace: malformed binary event body")
 
-func (r *binReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
+// The readers below are the payload primitives of both binary codecs,
+// this one and histstore's records. Each takes the payload and an
+// offset and returns the value and the next offset, or a negative
+// offset once the value is malformed. A reader given a negative offset
+// returns one, so a walk keeps its offset in a local and tests it once
+// per field, or once per record.
 
-func (r *binReader) done() bool { return r.err != nil || r.pos >= len(r.data) }
-
-func (r *binReader) byte() byte {
-	if r.err != nil {
-		return 0
+// ReadUvarint reads a uvarint with binary.Uvarint's accept set,
+// non-minimal encodings included. A one-byte value is read directly; a
+// longer one with 8 bytes of payload left is decoded from one
+// little-endian load: the first byte with its high bit clear ends the
+// value, and its 7-bit groups are packed pairwise, then by fours, then
+// by eights. A value longer than 8 bytes or too near the end of p goes
+// to the standard library.
+func ReadUvarint(p []byte, i int) (uint64, int) {
+	if uint(i) >= uint(len(p)) {
+		return 0, -1
 	}
-	if r.pos >= len(r.data) {
-		r.fail("trace: binary event truncated")
-		return 0
+	if b := p[i]; b < 0x80 {
+		return uint64(b), i + 1
 	}
-	b := r.data[r.pos]
-	r.pos++
-	return b
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
+	if len(p)-i >= 8 {
+		w := binary.LittleEndian.Uint64(p[i:])
+		if stop := ^w & 0x8080808080808080; stop != 0 {
+			end := bits.TrailingZeros64(stop) + 1 // bits up to and including the last byte
+			x := w & 0x7f7f7f7f7f7f7f7f & (1<<end - 1)
+			x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+			x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+			x = x&0x000000000fffffff | x&0x0fffffff00000000>>4
+			return x, i + end/8
+		}
 	}
-	v, n := binary.Uvarint(r.data[r.pos:])
+	v, n := binary.Uvarint(p[i:])
 	if n <= 0 {
-		r.fail("trace: bad varint at byte %d", r.pos)
-		return 0
+		return 0, -1
 	}
-	r.pos += n
-	return v
+	return v, i + n
 }
 
-func (r *binReader) zigzag() int64 {
-	v := r.uvarint()
-	return int64(v>>1) ^ -int64(v&1)
+// ReadVarint reads a zigzag-encoded signed varint, as
+// binary.AppendVarint writes it.
+func ReadVarint(p []byte, i int) (int64, int) {
+	u, i := ReadUvarint(p, i)
+	return int64(u>>1) ^ -int64(u&1), i
 }
 
-func (r *binReader) fixed64() uint64 {
-	if r.err != nil {
-		return 0
+// ReadBytes reads a uvarint length and returns that many bytes in
+// place, not a copy.
+func ReadBytes(p []byte, i int) ([]byte, int) {
+	n, i := ReadUvarint(p, i)
+	if i < 0 || n > uint64(len(p)-i) {
+		return nil, -1
 	}
-	if r.pos+8 > len(r.data) {
-		r.fail("trace: binary event truncated")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.pos:])
-	r.pos += 8
-	return v
+	j := i + int(n)
+	return p[i:j], j
 }
 
-// string reads and resolves a ref-or-inline string value. It repeats
-// PeekBinaryString's walk rather than calling it, which would cost the
-// body decode one more call per string field.
-func (r *binReader) string(lookup Lookup) string {
-	v := r.uvarint()
-	if r.err != nil {
-		return ""
+// ReadU64 reads 8 bytes little-endian.
+func ReadU64(p []byte, i int) (uint64, int) {
+	if i < 0 || len(p)-i < 8 {
+		return 0, -1
 	}
+	return binary.LittleEndian.Uint64(p[i:]), i + 8
+}
+
+// readString reads and resolves a ref-or-inline string value. With a
+// non-nil arena an inline string is copied into it instead of being
+// heap-allocated on its own.
+func readString(p []byte, i int, lookup Lookup, arena *Arena) (string, int) {
+	v, i := ReadUvarint(p, i)
 	if v > 0 {
 		s, ok := lookup(v - 1)
 		if !ok {
-			r.fail("trace: dangling dictionary reference %d", v-1)
-			return ""
+			return "", -1
 		}
-		return s
+		return s, i
 	}
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
+	b, i := ReadBytes(p, i)
+	if arena != nil {
+		return arena.String(b), i
 	}
-	if n > uint64(len(r.data)-r.pos) {
-		r.fail("trace: string of %d bytes overruns body", n)
-		return ""
-	}
-	var s string
-	if r.arena != nil {
-		s = r.arena.String(r.data[r.pos : r.pos+int(n)])
-	} else {
-		s = string(r.data[r.pos : r.pos+int(n)])
-	}
-	r.pos += int(n)
-	return s
+	return string(b), i
 }
 
-func (r *binReader) time() time.Time {
-	sec := r.zigzag()
-	nanos := r.uvarint()
-	off := r.zigzag()
-	if r.err != nil {
-		return time.Time{}
-	}
-	if nanos >= 1e9 {
-		r.fail("trace: nanoseconds %d out of range", nanos)
-		return time.Time{}
+// readTime reads zigzag seconds, uvarint nanoseconds below 1e9 and a
+// zigzag zone offset within ±18h; offset 0 is UTC.
+func readTime(p []byte, i int) (time.Time, int) {
+	sec, i := ReadVarint(p, i)
+	nanos, i := ReadUvarint(p, i)
+	off, i := ReadVarint(p, i)
+	if i < 0 || nanos >= 1e9 || off < -18*3600 || off > 18*3600 {
+		return time.Time{}, -1
 	}
 	loc := time.UTC
 	if off != 0 {
-		if off < -18*3600 || off > 18*3600 {
-			r.fail("trace: zone offset %d out of range", off)
-			return time.Time{}
-		}
 		loc = time.FixedZone("", int(off))
 	}
-	return time.Unix(sec, int64(nanos)).In(loc)
+	return time.Unix(sec, int64(nanos)).In(loc), i
 }
 
-// skip consumes one value of the given wire type without interpreting
-// it — the forward-compatibility path for field numbers this build
-// does not know.
-func (r *binReader) skip(wire int, lookup Lookup) {
+// readMap reads a uvarint count, then that many (key, value) string
+// pairs. Each entry needs at least two bytes on the wire, so a count
+// beyond the bytes left is corruption, not a huge map.
+func readMap(p []byte, i int, lookup Lookup, arena *Arena) (map[string]string, int) {
+	n, i := ReadUvarint(p, i)
+	if i < 0 || n > uint64(len(p)-i) {
+		return nil, -1
+	}
+	m := make(map[string]string, n)
+	for ; n > 0 && i >= 0; n-- {
+		var k, v string
+		k, i = readString(p, i, lookup, arena)
+		v, i = readString(p, i, lookup, arena)
+		m[k] = v
+	}
+	if i < 0 {
+		return nil, -1
+	}
+	return m, i
+}
+
+// skipValue steps over one value of the given wire type without
+// keeping it — the forward-compatibility path for field numbers this
+// build does not know. Strings are still resolved, so a dangling
+// reference is corruption here too; a time's parts are not range
+// checked.
+func skipValue(p []byte, i, wire int, lookup Lookup, arena *Arena) int {
 	switch wire {
 	case wireUvarint, wireZigzag:
-		r.uvarint()
+		_, i = ReadUvarint(p, i)
 	case wireString:
-		r.string(lookup)
+		_, i = readString(p, i, lookup, arena)
 	case wireFixed64:
-		r.fixed64()
+		_, i = ReadU64(p, i)
 	case wireTime:
-		r.uvarint()
-		r.uvarint()
-		r.uvarint()
+		_, i = ReadUvarint(p, i)
+		_, i = ReadUvarint(p, i)
+		_, i = ReadUvarint(p, i)
 	case wireMap:
-		n := r.uvarint()
-		if n > uint64(len(r.data)-r.pos) {
-			r.fail("trace: map of %d entries overruns body", n)
-			return
-		}
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			r.string(lookup)
-			r.string(lookup)
-		}
+		_, i = readMap(p, i, lookup, arena)
 	case wireFlag:
 		// no payload
 	default:
-		r.fail("trace: unknown wire type %d", wire)
+		return -1
 	}
+	return i
 }
 
 // DecodeBinaryEvent decodes a body produced by AppendBinaryEvent. The
@@ -387,88 +380,80 @@ func DecodeBinaryEvent(data []byte, kind Kind, lookup Lookup) (Event, error) {
 // segment's worth of events costs O(chunks) string allocations.
 // Strings resolved through lookup are shared by reference, not
 // re-copied — the segment dictionary already materialized them once.
-// On error e holds whatever decoded before the corruption; the caller
-// clears it.
+// The offset stays in a local and each field is one call to a reader
+// above. On error e holds whatever decoded before the corruption; the
+// caller clears it.
 func (e *Event) DecodeBinary(data []byte, kind Kind, lookup Lookup, arena *Arena) error {
 	if lookup == nil {
 		lookup = func(uint64) (string, bool) { return "", false }
 	}
 	e.Kind = kind
-	r := &binReader{data: data, arena: arena}
-	for !r.done() {
-		t := r.byte()
-		field, wire := int(t>>3), int(t&7)
-		switch field {
+	var n int64
+	var u uint64
+	for i := 0; i < len(data); {
+		t := data[i]
+		i++
+		switch int(t >> 3) {
 		case fSeq:
-			e.Seq = r.uvarint()
+			e.Seq, i = ReadUvarint(data, i)
 		case fTime:
-			e.Time = r.time()
+			e.Time, i = readTime(data, i)
 		case fSrcIP:
-			e.SrcIP = r.string(lookup)
+			e.SrcIP, i = readString(data, i, lookup, arena)
 		case fSrcPort:
-			e.SrcPort = int(r.zigzag())
+			n, i = ReadVarint(data, i)
+			e.SrcPort = int(n)
 		case fDstIP:
-			e.DstIP = r.string(lookup)
+			e.DstIP, i = readString(data, i, lookup, arena)
 		case fDstPort:
-			e.DstPort = int(r.zigzag())
+			n, i = ReadVarint(data, i)
+			e.DstPort = int(n)
 		case fUser:
-			e.User = r.string(lookup)
+			e.User, i = readString(data, i, lookup, arena)
 		case fSession:
-			e.Session = r.string(lookup)
+			e.Session, i = readString(data, i, lookup, arena)
 		case fMethod:
-			e.Method = r.string(lookup)
+			e.Method, i = readString(data, i, lookup, arena)
 		case fPath:
-			e.Path = r.string(lookup)
+			e.Path, i = readString(data, i, lookup, arena)
 		case fStatus:
-			e.Status = int(r.zigzag())
+			n, i = ReadVarint(data, i)
+			e.Status = int(n)
 		case fWSOpcode:
-			e.WSOpcode = r.string(lookup)
+			e.WSOpcode, i = readString(data, i, lookup, arena)
 		case fMsgType:
-			e.MsgType = r.string(lookup)
+			e.MsgType, i = readString(data, i, lookup, arena)
 		case fChannel:
-			e.Channel = r.string(lookup)
+			e.Channel, i = readString(data, i, lookup, arena)
 		case fKernelID:
-			e.KernelID = r.string(lookup)
+			e.KernelID, i = readString(data, i, lookup, arena)
 		case fCode:
-			e.Code = r.string(lookup)
+			e.Code, i = readString(data, i, lookup, arena)
 		case fOp:
-			e.Op = r.string(lookup)
+			e.Op, i = readString(data, i, lookup, arena)
 		case fTarget:
-			e.Target = r.string(lookup)
+			e.Target, i = readString(data, i, lookup, arena)
 		case fBytes:
-			e.Bytes = r.zigzag()
+			e.Bytes, i = ReadVarint(data, i)
 		case fEntropy:
-			e.Entropy = math.Float64frombits(r.fixed64())
+			u, i = ReadU64(data, i)
+			e.Entropy = math.Float64frombits(u)
 		case fSuccess:
 			e.Success = true
 		case fDetail:
-			e.Detail = r.string(lookup)
+			e.Detail, i = readString(data, i, lookup, arena)
 		case fCPUMillis:
-			e.CPUMillis = r.zigzag()
+			e.CPUMillis, i = ReadVarint(data, i)
 		case fFields:
-			n := r.uvarint()
-			if r.err != nil {
-				break
-			}
-			// Each entry needs at least two bytes on the wire; a count
-			// beyond that is corruption, not a huge map.
-			if n > uint64(len(r.data)-r.pos) {
-				r.fail("trace: map of %d entries overruns body", n)
-				break
-			}
-			m := make(map[string]string, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				k := r.string(lookup)
-				m[k] = r.string(lookup)
-			}
-			if r.err == nil {
-				e.Fields = m
-			}
+			e.Fields, i = readMap(data, i, lookup, arena)
 		default:
 			// A field this build predates: skip by wire type so the
 			// schema can grow without a new segment version.
-			r.skip(wire, lookup)
+			i = skipValue(data, i, int(t&7), lookup, arena)
+		}
+		if i < 0 {
+			return errBadBody
 		}
 	}
-	return r.err
+	return nil
 }
