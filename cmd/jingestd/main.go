@@ -12,10 +12,10 @@
 //	jingestd --tenants acme=s3cret --policy drop --rate 500 --burst 100
 //	jingestd --tenants acme=s3cret --mint acme
 //
-// --store segments use the compact binary-v2 codec, and a restart
-// appends to the store. The codec only affects the on-disk segment
-// frames, not the JSONL wire format agents POST. A --store path ending in .jsonl records a flat JSONL
-// file instead, with no history.
+// --store writes compact binary segments, and a restart appends to the
+// store. The encoding only affects the on-disk segment frames, not the
+// JSONL wire format agents POST. A --store path ending in .jsonl
+// records a flat JSONL file instead, with no history.
 //
 // Agents POST JSONL event batches to /ingest or stream them over
 // /ingest/ws (one JSONL batch per message) with headers:

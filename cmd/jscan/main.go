@@ -18,7 +18,7 @@
 //	jscan --fleet 64 --rate 100 --resume sweep.ckpt --jsonl results.jsonl --events ./census-store
 //	jscan --fleet 64 --events findings.jsonl   (legacy flat JSONL stream)
 //
-// Store recordings use the compact binary-v2 segment codec.
+// Store recordings are written as compact binary segments.
 //
 // When --events records to a store directory, the alerts and incident
 // snapshots the core engine correlates also land in an indexed

@@ -30,7 +30,7 @@
 //
 // Live mode feeds the wire and host buses through the same kind of
 // stage, recording the tapped stream first with --log (a store
-// directory in binary-v2 segments, or legacy JSONL when the path ends
+// directory in binary segments, or legacy JSONL when the path ends
 // in .jsonl). Live mode drains cleanly on SIGINT or SIGTERM: queued
 // stage events are processed before the final report renders.
 //

@@ -7,8 +7,8 @@
 // Trace events stream to --log: an event-store directory by default
 // (segmented, indexed, replayable with jsentinel --replay DIR and its
 // filters), or a legacy flat JSONL file when the path ends in .jsonl.
-// Store segments use the compact binary-v2 codec; a restart appends
-// fresh segments to the log.
+// Store segments are compact binary segments; a restart appends fresh
+// segments to the log.
 // On SIGINT or SIGTERM the server shuts down cleanly and flushes the
 // log's buffered writes before exiting — a signal never tears the
 // recording's tail.

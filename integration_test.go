@@ -237,7 +237,7 @@ func TestEndToEndDeploymentStory(t *testing.T) {
 // TestFleetSweepRaisesAlertsThroughPipeline closes the loop between
 // the census and the detection substrate: a fleet sweep over hostile
 // presets projects every finding as a trace event through a bounded
-// stage into the rules engine, which must raise alerts the same way
+// stage into the core engine, which must raise alerts the same way
 // live monitoring would.
 func TestFleetSweepRaisesAlertsThroughPipeline(t *testing.T) {
 	fl, err := fleet.Spawn(fleet.Generate(1, 6)) // includes the everything-wrong anchor
@@ -246,7 +246,7 @@ func TestFleetSweepRaisesAlertsThroughPipeline(t *testing.T) {
 	}
 	defer fl.Close()
 
-	engine, err := rules.NewEngine(rules.BuiltinRules())
+	engine, err := core.NewEngine(core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +276,8 @@ func TestFleetSweepRaisesAlertsThroughPipeline(t *testing.T) {
 			t.Errorf("rule %s never fired; alerts by rule: %+v", id, byRule)
 		}
 	}
-	if uint64(rep.BySuite["misconfig"]+rep.BySuite["nbscan"]+rep.BySuite["crypto"]+rep.BySuite["intel"]) !=
-		engine.Evaluated() {
-		t.Errorf("engine evaluated %d events for findings %v", engine.Evaluated(), rep.BySuite)
+	findings := rep.BySuite["misconfig"] + rep.BySuite["nbscan"] + rep.BySuite["crypto"] + rep.BySuite["intel"]
+	if n := engine.Stats().Events; n != uint64(findings) {
+		t.Errorf("engine evaluated %d events for findings %v", n, rep.BySuite)
 	}
 }

@@ -34,7 +34,7 @@ func runEngine(t *testing.T, opts Options, feed func(*Engine)) engineOutcome {
 	feed(eng)
 	out.alerts = sortedAlertKeys(eng.Alerts())
 	out.incidents = sortedIncidentKeys(eng.Incidents())
-	out.table = RenderIncidentTable(eng.TopByRisk(50))
+	out.table = RenderIncidentTable(TopIncidents(eng.Incidents(), 50))
 	out.stats = eng.Stats()
 	return out
 }

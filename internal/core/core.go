@@ -37,8 +37,8 @@ import (
 
 // Options configures an Engine. Options are copied at construction
 // and never mutated afterwards, so an Engine is safe for concurrent
-// use without option locks; the OnAlert callback can be swapped later
-// via Engine.SetOnAlert (copy-on-write).
+// use without option locks; the OnAlert and OnIncidentUpdate
+// callbacks, too, are fixed for the engine's life.
 type Options struct {
 	Rules []*rules.Rule
 	// Detectors are anomaly-detector factories; the engine
@@ -178,8 +178,8 @@ type Engine struct {
 	sig        *rules.Engine
 	profile    *oscrp.Profile
 	gap        time.Duration
-	onAlert    atomic.Pointer[func(rules.Alert)]
-	onIncident atomic.Pointer[func(IncidentUpdate)]
+	onAlert    func(rules.Alert)
+	onIncident func(IncidentUpdate)
 	shards     []coreShard
 	// detsFor[trace.KindIndex(k)] lists, in factory order, the positions
 	// in every shard's dets of the detectors that look at kind k. Most
@@ -215,10 +215,12 @@ func NewEngine(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		sig:     sig,
-		profile: opts.Profile,
-		gap:     opts.IncidentGap,
-		shards:  make([]coreShard, opts.Shards),
+		sig:        sig,
+		profile:    opts.Profile,
+		gap:        opts.IncidentGap,
+		onAlert:    opts.OnAlert,
+		onIncident: opts.OnIncidentUpdate,
+		shards:     make([]coreShard, opts.Shards),
 	}
 	for i := range e.shards {
 		e.shards[i].dets = anomaly.Build(opts.Detectors)
@@ -235,8 +237,6 @@ func NewEngine(opts Options) (*Engine, error) {
 			}
 		}
 	}
-	e.SetOnAlert(opts.OnAlert)
-	e.SetOnIncidentUpdate(opts.OnIncidentUpdate)
 	return e, nil
 }
 
@@ -248,27 +248,6 @@ func MustEngine() *Engine {
 		panic("core: default engine: " + err.Error())
 	}
 	return e
-}
-
-// SetOnAlert swaps the per-alert callback (copy-on-write; nil
-// disables it). The callback always runs outside every engine lock.
-func (e *Engine) SetOnAlert(fn func(rules.Alert)) {
-	if fn == nil {
-		e.onAlert.Store(nil)
-		return
-	}
-	e.onAlert.Store(&fn)
-}
-
-// SetOnIncidentUpdate swaps the per-incident-update callback
-// (copy-on-write; nil disables it). Like OnAlert, the callback always
-// runs outside every engine lock.
-func (e *Engine) SetOnIncidentUpdate(fn func(IncidentUpdate)) {
-	if fn == nil {
-		e.onIncident.Store(nil)
-		return
-	}
-	e.onIncident.Store(&fn)
 }
 
 // Emit implements trace.Sink.
@@ -360,25 +339,24 @@ func (e *Engine) process(b *batch, ev *trace.Event) []rules.Alert {
 		// correlate snapshots the incident's aggregate state under the
 		// shard lock; both callbacks then run with every lock released,
 		// so either may re-enter the engine.
-		icb := e.onIncident.Load()
 		var updates []IncidentUpdate
-		if icb != nil {
+		if e.onIncident != nil {
 			updates = make([]IncidentUpdate, 0, len(fired))
 		}
 		for i := range fired {
 			u := e.correlate(fired[i])
-			if icb != nil {
+			if e.onIncident != nil {
 				updates = append(updates, u)
 			}
 		}
 		e.publish(b)
-		if cb := e.onAlert.Load(); cb != nil {
+		if e.onAlert != nil {
 			for _, a := range fired {
-				(*cb)(a)
+				e.onAlert(a)
 			}
 		}
 		for i := range updates {
-			(*icb)(updates[i])
+			e.onIncident(updates[i])
 		}
 	}
 	return fired
@@ -471,8 +449,8 @@ func (e *Engine) correlate(a rules.Alert) IncidentUpdate {
 	}
 }
 
-// Alerts returns all alerts fired so far (signature engine first;
-// incident records carry anomaly alerts too), sorted for stable
+// Alerts returns all alerts fired so far, signature and anomaly alike,
+// gathered from the incidents that hold them and sorted for stable
 // output.
 func (e *Engine) Alerts() []rules.Alert {
 	var out []rules.Alert
@@ -527,13 +505,6 @@ func (e *Engine) IncidentsByClass() map[string][]*Incident {
 		m[inc.Class] = append(m[inc.Class], inc)
 	}
 	return m
-}
-
-// TopByRisk returns up to k incidents (none for k <= 0) in a total,
-// deterministic order: risk score descending, then actor, then
-// first-seen, then class — the order the CLI incident tables render.
-func (e *Engine) TopByRisk(k int) []*Incident {
-	return TopIncidents(e.Incidents(), k)
 }
 
 // TopIncidents sorts an incident snapshot by (risk desc, actor,
@@ -640,7 +611,7 @@ func (r Report) Render() string {
 // RenderIncidentTable renders incidents as an aligned table of actor,
 // class, alert count, severity, and risk — no IDs or timestamps, so
 // two runs that fed the same events (under any worker count) print
-// byte-identical tables. Pair with TopByRisk for the canonical order.
+// byte-identical tables. Pair with TopIncidents for the canonical order.
 func RenderIncidentTable(incs []*Incident) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-20s %-28s %7s %10s %6s\n", "ACTOR", "CLASS", "ALERTS", "SEVERITY", "RISK")

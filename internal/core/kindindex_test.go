@@ -106,7 +106,7 @@ func TestDetectorKindIndexMatchesUnindexed(t *testing.T) {
 			t.Fatalf("%s: no detector fired; the comparison shows nothing", name)
 		}
 		requireSameSets(t, name+" incidents", sortedIncidentKeys(unindexed.Incidents()), sortedIncidentKeys(indexed.Incidents()))
-		if got, want := RenderIncidentTable(indexed.TopByRisk(1000)), RenderIncidentTable(unindexed.TopByRisk(1000)); got != want {
+		if got, want := RenderIncidentTable(TopIncidents(indexed.Incidents(), 1000)), RenderIncidentTable(TopIncidents(unindexed.Incidents(), 1000)); got != want {
 			t.Fatalf("%s: incident table differs:\n%s\nwant:\n%s", name, got, want)
 		}
 		if indexed.Stats() != unindexed.Stats() {

@@ -69,7 +69,7 @@ const (
 )
 
 // OpenSink opens an event-recording path per the suffix convention.
-// Store paths get v2 (binary) segments; codec must be empty or
+// Store paths get binary segments; codec must be empty or
 // CodecBinary, anything else is an error. The parameter is kept for
 // source compatibility with existing callers and selects nothing.
 func OpenSink(path string, mode SinkMode, codec Codec) (*SinkHandle, error) {

@@ -271,11 +271,11 @@ func (s *Service) admit() (done func(), ok bool) {
 }
 
 // authenticate resolves the tenant from the request headers:
-// X-Tenant names it, Authorization ("Bearer <tok>" or "token <tok>")
-// proves it. Failures emit a KindAuth denial into the pipeline — the
-// ingest service monitors itself, so a token brute-force against this
-// endpoint trips the same AT-001 rule as one against a notebook
-// server.
+// X-Tenant names it, Authorization ("Bearer <tok>" or "token <tok>",
+// the scheme in any case) proves it. Failures emit a KindAuth denial
+// into the pipeline — the ingest service monitors itself, so a token
+// brute-force against this endpoint trips the same AT-001 rule as one
+// against a notebook server.
 func (s *Service) authenticate(r *http.Request) (string, bool) {
 	tenantName := r.Header.Get("X-Tenant")
 	token := bearerToken(r.Header.Get("Authorization"))
@@ -294,13 +294,15 @@ func (s *Service) authenticate(r *http.Request) (string, bool) {
 	return tenantName, true
 }
 
+// bearerToken returns the credentials of a "Bearer" or "token"
+// Authorization header. The scheme is matched case-insensitively, as
+// RFC 7235 section 2.1 requires.
 func bearerToken(header string) string {
-	for _, prefix := range []string{"Bearer ", "bearer ", "token "} {
-		if strings.HasPrefix(header, prefix) {
-			return strings.TrimSpace(header[len(prefix):])
-		}
+	scheme, creds, ok := strings.Cut(header, " ")
+	if !ok || !strings.EqualFold(scheme, "Bearer") && !strings.EqualFold(scheme, "token") {
+		return ""
 	}
-	return ""
+	return strings.TrimSpace(creds)
 }
 
 func remoteIP(r *http.Request) string {

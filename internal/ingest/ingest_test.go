@@ -198,6 +198,43 @@ func TestAuthFailureRejectedAndSelfMonitored(t *testing.T) {
 	}
 }
 
+// TestAuthSchemeIsCaseInsensitive: RFC 7235 section 2.1 makes the
+// auth scheme case-insensitive, so a valid token under any casing of
+// either accepted scheme is admitted, and neither counted nor reported
+// as a denial that could open a brute-force incident against the agent.
+func TestAuthSchemeIsCaseInsensitive(t *testing.T) {
+	kr := testKeyring(t, "alpha")
+	sink := &collector{}
+	svc, addr := startService(t, Config{Keyring: kr}, sink)
+	tok, _ := kr.Mint("alpha")
+
+	schemes := []string{"Bearer", "bearer", "BEARER", "bEaReR", "token", "Token", "TOKEN"}
+	for _, scheme := range schemes {
+		t.Run(scheme, func(t *testing.T) {
+			status, br := sendRaw(t, addr, hostileRequest{
+				method: http.MethodPost, tenant: "alpha", auth: scheme + " " + tok,
+				body: jsonlBody(t, trace.Event{Kind: trace.KindHTTP}),
+			})
+			if status != http.StatusOK || br.Accepted != 1 {
+				t.Errorf("status %d, accepted %d with a valid token, want 200 and 1", status, br.Accepted)
+			}
+		})
+	}
+
+	svc.Drain()
+	if st := svc.Stats(); st.AuthFailures != 0 {
+		t.Errorf("AuthFailures = %d, want 0", st.AuthFailures)
+	}
+	for _, e := range sink.snapshot() {
+		if e.Kind == trace.KindAuth {
+			t.Errorf("an accepted scheme was reported as an auth event: %+v", e)
+		}
+	}
+	if got := len(sink.snapshot()); got != len(schemes) {
+		t.Errorf("sink saw %d events, want %d", got, len(schemes))
+	}
+}
+
 func TestQuotaDeniesOverBudget(t *testing.T) {
 	kr := testKeyring(t, "alpha")
 	sink := &collector{}

@@ -98,9 +98,10 @@ func TestConcurrentProcessMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sa []Alert
 	for _, st := range streams {
 		for _, e := range st {
-			serial.Process(e)
+			sa = append(sa, serial.Process(e)...)
 		}
 	}
 
@@ -108,13 +109,20 @@ func TestConcurrentProcessMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex
+		ca []Alert
+	)
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(st []trace.Event) {
 			defer wg.Done()
 			for _, e := range st {
-				concurrent.Process(e)
+				fired := concurrent.Process(e)
+				mu.Lock()
+				ca = append(ca, fired...)
+				mu.Unlock()
 			}
 		}(streams[i])
 	}
@@ -123,7 +131,6 @@ func TestConcurrentProcessMatchesSerial(t *testing.T) {
 	if got, want := concurrent.Evaluated(), serial.Evaluated(); got != want {
 		t.Fatalf("evaluated = %d, want %d", got, want)
 	}
-	sa, ca := serial.Alerts(), concurrent.Alerts()
 	if len(ca) != len(sa) {
 		t.Fatalf("alert count = %d, want %d", len(ca), len(sa))
 	}
@@ -137,7 +144,7 @@ func TestConcurrentProcessMatchesSerial(t *testing.T) {
 
 // TestConcurrentBatchAndStatsReads mixes ProcessBatch with hot stats
 // reads and runtime rule loads — the contention pattern the atomic
-// counters and RWMutex exist for.
+// counter and the copy-on-write rule set exist for.
 func TestConcurrentBatchAndStatsReads(t *testing.T) {
 	en, err := NewEngine(BuiltinRules())
 	if err != nil {
@@ -197,13 +204,12 @@ func TestKindIndexMatchesLinearScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range evs {
-		indexed.Process(e)
-	}
 	// 10 writes: R-thresh fires at 5 and 10; W-any-write likewise.
 	counts := map[string]int{}
-	for _, a := range indexed.Alerts() {
-		counts[a.RuleID]++
+	for _, e := range evs {
+		for _, a := range indexed.Process(e) {
+			counts[a.RuleID]++
+		}
 	}
 	want := map[string]int{"R-plain": 1, "R-thresh": 2, "R-seq": 1, "W-any-write": 2}
 	for id, n := range want {

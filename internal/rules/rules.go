@@ -324,11 +324,13 @@ type Alert struct {
 // concurrent use from many goroutines and is built so the hot path
 // scales with cores:
 //
-//   - The compiled rule set — a candidate list per event kind and the
-//     OnAlert callback — is one immutable ruleSet behind an atomic
-//     pointer: an event indexes an array to find its candidates and
-//     writes nothing shared unless a rule fires. AddRule and OnAlert,
-//     the rare writers, build the next ruleSet and swap it in.
+//   - The compiled rule set — a candidate list per event kind — is one
+//     immutable ruleSet behind an atomic pointer: an event indexes an
+//     array to find its candidates, and only stateful rules touch
+//     shared state (their group's shard, below). AddRule, the rare
+//     writer, builds the next ruleSet and swaps it in.
+//   - Fired alerts leave only as return values: the engine keeps no
+//     alert log, so firing takes no lock shared by every caller.
 //   - The evaluated counter is added once per Batch, not per event.
 //   - Stateful threshold/sequence tracking lives in per-group shards
 //     (FNV hash of ruleID+group), so two actors' correlation state
@@ -339,13 +341,10 @@ type Alert struct {
 // different groups may be processed concurrently in any interleaving
 // and produce the same alerts as a serial run.
 type Engine struct {
-	writeMu sync.Mutex // serialises AddRule and OnAlert; readers never take it
+	writeMu sync.Mutex // serialises AddRule; readers never take it
 	set     atomic.Pointer[ruleSet]
 
 	shards [stateShards]stateShard
-
-	alertsMu sync.Mutex
-	alerts   []Alert
 
 	evaluated atomic.Uint64
 }
@@ -359,8 +358,7 @@ type ruleSet struct {
 	// order. The last slot serves every foreign kind: it holds every
 	// rule pinned to any foreign kind (the rule's own kind condition
 	// still decides) plus the kind-agnostic ones.
-	byKind  [trace.NumKinds + 1][]candidate
-	onAlert func(Alert)
+	byKind [trace.NumKinds + 1][]candidate
 }
 
 // candidate is one rule in one byKind slot. conds is what the slot
@@ -474,8 +472,8 @@ func kindCond(conds []Condition) int {
 // newRuleSet indexes rs. Walking the rules once in registration order
 // keeps every candidate list in that order, so evaluation order (and
 // hence alert order within one event) is that of a linear scan.
-func newRuleSet(rs []*Rule, onAlert func(Alert)) *ruleSet {
-	set := &ruleSet{rules: rs, onAlert: onAlert}
+func newRuleSet(rs []*Rule) *ruleSet {
+	set := &ruleSet{rules: rs}
 	for _, r := range rs {
 		own, proven := -1, r.Conditions
 		if i := kindCond(r.Conditions); i >= 0 && len(r.Sequence) == 0 {
@@ -511,20 +509,8 @@ func NewEngine(ruleset []*Rule) (*Engine, error) {
 		en.shards[i].thresholds = map[string]*threshState{}
 		en.shards[i].sequences = map[string]*seqState{}
 	}
-	en.set.Store(newRuleSet(ruleset, nil))
+	en.set.Store(newRuleSet(ruleset))
 	return en, nil
-}
-
-// OnAlert registers a callback invoked synchronously for each alert.
-// A Batch begun after OnAlert returns calls fn; one in flight keeps
-// the callback it began with.
-func (en *Engine) OnAlert(fn func(Alert)) {
-	en.writeMu.Lock()
-	defer en.writeMu.Unlock()
-	cur := en.set.Load()
-	next := *cur // the index is shared, not rebuilt: it is immutable
-	next.onAlert = fn
-	en.set.Store(&next)
 }
 
 // AddRule appends a rule at runtime (threat-intel distribution path).
@@ -538,7 +524,7 @@ func (en *Engine) AddRule(r *Rule) error {
 	en.writeMu.Lock()
 	defer en.writeMu.Unlock()
 	cur := en.set.Load()
-	en.set.Store(newRuleSet(append(cur.rules[:len(cur.rules):len(cur.rules)], r), cur.onAlert))
+	en.set.Store(newRuleSet(append(cur.rules[:len(cur.rules):len(cur.rules)], r)))
 	return nil
 }
 
@@ -548,16 +534,9 @@ func (en *Engine) RuleCount() int {
 }
 
 // Evaluated returns the number of events processed: exact whenever no
-// Batch is in flight, and inside an OnAlert callback never behind the
-// event that fired it.
+// Batch is in flight.
 func (en *Engine) Evaluated() uint64 {
 	return en.evaluated.Load()
-}
-
-// Emit implements trace.Sink: every event is evaluated against the
-// candidate rules for its kind.
-func (en *Engine) Emit(e trace.Event) {
-	en.ProcessEvent(&e)
 }
 
 // Process evaluates one event and returns any alerts fired.
@@ -590,9 +569,9 @@ func (en *Engine) ProcessBatch(events []trace.Event) []Alert {
 
 // Batch is one caller's pass over a run of events: the rule set it
 // began with and the events processed but not yet added to the engine's
-// counter. It is the one per-event body behind Emit, Process,
-// ProcessEvent and ProcessBatch, and the core engine holds one across
-// each of its batches. One goroutine's value; pair every Begin with End.
+// counter. It is the one per-event body behind Process, ProcessEvent
+// and ProcessBatch, and the core engine holds one across each of its
+// batches. One goroutine's value; pair every Begin with End.
 type Batch struct {
 	en      *Engine
 	set     *ruleSet
@@ -612,18 +591,6 @@ func (b *Batch) Process(e *trace.Event) []Alert {
 	cands := b.set.byKind[trace.KindIndex(e.Kind)]
 	for i := range cands {
 		fired = b.en.evalRule(&cands[i], e, fired)
-	}
-	if len(fired) > 0 {
-		en := b.en
-		en.alertsMu.Lock()
-		en.alerts = append(en.alerts, fired...)
-		en.alertsMu.Unlock()
-		if b.set.onAlert != nil {
-			b.End() // a callback reading Evaluated sees this event counted
-			for _, a := range fired {
-				b.set.onAlert(a)
-			}
-		}
 	}
 	return fired
 }
@@ -733,41 +700,6 @@ func (en *Engine) mkAlert(r *Rule, e *trace.Event, group string, count int) Aler
 		Description: r.Description, Time: e.Time, Group: group,
 		Trigger: e.Clone(), Count: count,
 	}
-}
-
-// Alerts returns all alerts fired so far in firing order. After
-// concurrent processing, order across groups is nondeterministic —
-// use SortAlerts for stable output.
-func (en *Engine) Alerts() []Alert {
-	en.alertsMu.Lock()
-	defer en.alertsMu.Unlock()
-	out := make([]Alert, len(en.alerts))
-	copy(out, en.alerts)
-	return out
-}
-
-// AlertsByClass groups fired alerts by taxonomy class.
-func (en *Engine) AlertsByClass() map[string][]Alert {
-	m := map[string][]Alert{}
-	for _, a := range en.Alerts() {
-		m[a.Class] = append(m[a.Class], a)
-	}
-	return m
-}
-
-// Reset clears alert and correlation state, keeping rules.
-func (en *Engine) Reset() {
-	for i := range en.shards {
-		sh := &en.shards[i]
-		sh.mu.Lock()
-		sh.thresholds = map[string]*threshState{}
-		sh.sequences = map[string]*seqState{}
-		sh.mu.Unlock()
-	}
-	en.alertsMu.Lock()
-	en.alerts = nil
-	en.alertsMu.Unlock()
-	en.evaluated.Store(0)
 }
 
 // MarshalRules serializes rules to the JSON exchange format.

@@ -195,18 +195,6 @@ func TestSequenceGroupsByUser(t *testing.T) {
 	}
 }
 
-func TestOnAlertCallback(t *testing.T) {
-	en := mustEngine(t, &Rule{
-		ID: "R1", Conditions: []Condition{{Field: "kind", Equals: "exec"}},
-	})
-	var got []Alert
-	en.OnAlert(func(a Alert) { got = append(got, a) })
-	en.Emit(at(0, trace.Event{Kind: trace.KindExec}))
-	if len(got) != 1 {
-		t.Fatalf("callback alerts = %d", len(got))
-	}
-}
-
 func TestAddRuleAtRuntime(t *testing.T) {
 	en := mustEngine(t)
 	if en.RuleCount() != 0 {
@@ -286,23 +274,6 @@ func TestSeverityRank(t *testing.T) {
 	}
 	if Severity("martian").Rank() != -1 {
 		t.Fatal("unknown severity rank")
-	}
-}
-
-func TestAlertsByClassAndReset(t *testing.T) {
-	en := mustEngine(t,
-		&Rule{ID: "A", Class: "c1", Conditions: []Condition{{Field: "kind", Equals: "exec"}}},
-		&Rule{ID: "B", Class: "c2", Conditions: []Condition{{Field: "kind", Equals: "http"}}},
-	)
-	en.Process(at(0, trace.Event{Kind: trace.KindExec}))
-	en.Process(at(1, trace.Event{Kind: trace.KindHTTP}))
-	by := en.AlertsByClass()
-	if len(by["c1"]) != 1 || len(by["c2"]) != 1 {
-		t.Fatalf("by class = %v", by)
-	}
-	en.Reset()
-	if len(en.Alerts()) != 0 || en.Evaluated() != 0 {
-		t.Fatal("reset incomplete")
 	}
 }
 

@@ -5,10 +5,12 @@ package repro_test
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/evstore"
 	"repro/internal/rules"
 	"repro/internal/trace"
@@ -27,6 +29,19 @@ func sortedFingerprints(t *testing.T, alerts []rules.Alert) []string {
 		out[i] = alertFingerprint(a)
 	}
 	return out
+}
+
+// alertLog collects the alerts engine calls return, from any number
+// of stage or replay workers.
+type alertLog struct {
+	mu     sync.Mutex
+	alerts []rules.Alert
+}
+
+func (l *alertLog) add(fired []rules.Alert) {
+	l.mu.Lock()
+	l.alerts = append(l.alerts, fired...)
+	l.mu.Unlock()
 }
 
 // batchFunc adapts a batch-processing function to trace.BatchSink.
@@ -57,18 +72,20 @@ func TestShardedReplayMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var serialAlerts []rules.Alert
 	for _, e := range tr.Events {
-		serial.Process(e)
+		serialAlerts = append(serialAlerts, serial.Process(e)...)
 	}
+	want := sortedFingerprints(t, serialAlerts)
 
 	for _, workers := range []int{2, 8} {
 		sharded, err := rules.NewEngine(rules.BuiltinRules())
 		if err != nil {
 			t.Fatal(err)
 		}
-		stageReplay(batchFunc(func(b []trace.Event) { sharded.ProcessBatch(b) }), tr.Events, workers)
-		want := sortedFingerprints(t, serial.Alerts())
-		got := sortedFingerprints(t, sharded.Alerts())
+		var log alertLog
+		stageReplay(batchFunc(func(b []trace.Event) { log.add(sharded.ProcessBatch(b)) }), tr.Events, workers)
+		got := sortedFingerprints(t, log.alerts)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d alerts, want %d", workers, len(got), len(want))
 		}
@@ -85,11 +102,11 @@ func TestShardedReplayMatchesSerial(t *testing.T) {
 }
 
 // TestStagePipelineDeliversToEngine wires Bus → Stage → sharded
-// engine, the full streaming topology jsentinel's live mode runs, and
-// checks nothing is lost under concurrent emitters with the Block
+// core engine, the full streaming topology jsentinel's live mode runs,
+// and checks nothing is lost under concurrent emitters with the Block
 // policy.
 func TestStagePipelineDeliversToEngine(t *testing.T) {
-	eng, err := rules.NewEngine(rules.BuiltinRules())
+	eng, err := core.NewEngine(core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +132,8 @@ func TestStagePipelineDeliversToEngine(t *testing.T) {
 		<-done
 	}
 	stage.Close()
-	if eng.Evaluated() != emitted.Load() {
-		t.Fatalf("engine evaluated %d of %d emitted", eng.Evaluated(), emitted.Load())
+	if n := eng.Stats().Events; n != emitted.Load() {
+		t.Fatalf("engine evaluated %d of %d emitted", n, emitted.Load())
 	}
 	if n := len(eng.Alerts()); n != int(emitted.Load()) {
 		t.Fatalf("alerts = %d, want %d", n, emitted.Load())
@@ -194,21 +211,23 @@ func TestStoreReplayMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		matched := 0
+		var serialAlerts []rules.Alert
 		for _, e := range events {
 			if tc.f.Match(e) {
-				serial.Process(e)
+				serialAlerts = append(serialAlerts, serial.Process(e)...)
 				matched++
 			}
 		}
-		want := sortedFingerprints(t, serial.Alerts())
+		want := sortedFingerprints(t, serialAlerts)
 
 		for _, workers := range []int{1, 8} {
 			sharded, err := rules.NewEngine(rules.BuiltinRules())
 			if err != nil {
 				t.Fatal(err)
 			}
+			var log alertLog
 			stats, err := store.Replay(tc.f, workers, 128, func(b []trace.Event) {
-				sharded.ProcessBatch(b)
+				log.add(sharded.ProcessBatch(b))
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -217,7 +236,7 @@ func TestStoreReplayMatchesSerial(t *testing.T) {
 				t.Fatalf("%s workers=%d: store replayed %d events, serial matched %d",
 					tc.name, workers, stats.Events, matched)
 			}
-			got := sortedFingerprints(t, sharded.Alerts())
+			got := sortedFingerprints(t, log.alerts)
 			if len(got) != len(want) {
 				t.Fatalf("%s workers=%d: %d alerts, want %d", tc.name, workers, len(got), len(want))
 			}
