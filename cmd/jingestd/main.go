@@ -14,8 +14,8 @@
 //
 // --store writes compact binary segments, and a restart appends to the
 // store. The encoding only affects the on-disk segment frames, not the
-// JSONL wire format agents POST. A --store path ending in .jsonl
-// records a flat JSONL file instead, with no history.
+// JSONL wire format agents POST; a --store path ending in .jsonl is
+// refused.
 //
 // Agents POST JSONL event batches to /ingest or stream them over
 // /ingest/ws (one JSONL batch per message) with headers:
@@ -55,7 +55,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
 	tenantsFlag := flag.String("tenants", "", "comma-separated name=secret tenant declarations (required)")
 	mint := flag.String("mint", "", "print the bearer token for this tenant and exit")
-	storePath := flag.String("store", "", "record accepted events to this event-store directory (replayable with jsentinel --replay); a path ending in .jsonl records a flat JSONL file with no history")
+	storePath := flag.String("store", "", "record accepted events to this event-store directory (replayable with jsentinel --replay)")
 	detect := flag.Bool("detect", true, "run the detection engine live and print the incident report on shutdown")
 	policy := flag.String("policy", "block", "default backpressure policy: block (lossless) or drop (shed newest, counted)")
 	tenantPolicy := flag.String("tenant-policy", "", "per-tenant policy overrides, e.g. acme=drop,globex=block")
@@ -64,7 +64,7 @@ func main() {
 	maxConns := flag.Int("max-conns", 4096, "max concurrently admitted connections across all tenants")
 	queue := flag.Int("queue", 1024, "per-tenant queue depth")
 	topK := flag.Int("top", 10, "incidents to list in the shutdown report")
-	history := flag.String("history", "", "record alert/incident history here for jsentinel query (defaults to <store>/history when --store is a store directory and --detect is on; \"none\" disables)")
+	history := flag.String("history", "", "record alert/incident history here for jsentinel query (defaults to <store>/history when --store is set and --detect is on; \"none\" disables)")
 	retainEvents := flag.Int("retain-events", -1, "at drain, keep at most this many sealed event segments (-1 = keep all)")
 	retainHistory := flag.Int("retain-history", -1, "at drain, keep at most this many sealed history segments (-1 = keep all); events always compact first")
 	flag.Parse()

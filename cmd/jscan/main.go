@@ -16,14 +16,14 @@
 //	jscan --fleet 64 --workers 8 --seed 1
 //	jscan --fleet 64 --suites misconfig,nbscan,crypto,intel
 //	jscan --fleet 64 --rate 100 --resume sweep.ckpt --jsonl results.jsonl --events ./census-store
-//	jscan --fleet 64 --events findings.jsonl   (legacy flat JSONL stream)
 //
-// Store recordings are written as compact binary segments.
+// --events records to an event-store directory in compact binary
+// segments; a .jsonl path is refused.
 //
-// When --events records to a store directory, the alerts and incident
-// snapshots the core engine correlates also land in an indexed
-// history at <events>/history (internal/histstore; --history moves
-// it, "none" disables), so the census is queryable afterwards —
+// When --events is set, the alerts and incident snapshots the core
+// engine correlates also land in an indexed history at
+// <events>/history (internal/histstore; --history moves it, "none"
+// disables), so the census is queryable afterwards —
 // `jsentinel query <events-store> --severity high` — without
 // re-running detection.
 package main
@@ -66,8 +66,8 @@ func main() {
 	resume := flag.String("resume", "", "fleet checkpoint file; an interrupted sweep continues where it left off")
 	topK := flag.Int("topk", 5, "rows in the fleet census's worst-targets list and top-incidents-by-risk table")
 	jsonl := flag.String("jsonl", "", "stream per-target fleet results as JSONL to this file ('-' = stdout)")
-	events := flag.String("events", "", "record every fleet finding as a trace-event stream, replayable with jsentinel --replay: an event-store directory, or legacy JSONL when the path ends in .jsonl")
-	history := flag.String("history", "", "record alert/incident history here for jsentinel query (defaults to <events>/history when --events records to a store directory; \"none\" disables)")
+	events := flag.String("events", "", "record every fleet finding to this event-store directory, replayable with jsentinel --replay")
+	history := flag.String("history", "", "record alert/incident history here for jsentinel query (defaults to <events>/history when --events is set; \"none\" disables)")
 	flag.Parse()
 
 	switch {
@@ -143,23 +143,6 @@ func main() {
 // engine; the resulting alert tally and the OSCRP incident/risk
 // summary are part of the census. Returns the process exit code.
 func runFleet(n int, seed int64, opts fleet.Options, jsonlPath, eventsPath, historyPath string) int {
-	var stream io.Writer
-	var jsonlFile *os.File
-	switch jsonlPath {
-	case "":
-	case "-":
-		stream = os.Stdout
-	default:
-		f, err := os.Create(jsonlPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jscan: %v\n", err)
-			return 1
-		}
-		jsonlFile = f
-		stream = f
-	}
-	opts.Stream = stream
-
 	// Findings feed the detection pipeline: a bounded async stage
 	// drains into the full core engine (signatures + incident
 	// correlation + OSCRP risk scoring), exactly like live monitoring.
@@ -182,6 +165,25 @@ func runFleet(n int, seed int64, opts fleet.Options, jsonlPath, eventsPath, hist
 		fmt.Fprintf(os.Stderr, "jscan: %v\n", err)
 		return 1
 	}
+	// The --jsonl stream is created only once the recording is open, so
+	// a refused recording leaves a previous stream as it was.
+	var stream io.Writer
+	var jsonlFile *os.File
+	switch jsonlPath {
+	case "":
+	case "-":
+		stream = os.Stdout
+	default:
+		f, err := os.Create(jsonlPath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "jscan: %v\n", err)
+			return 1
+		}
+		jsonlFile = f
+		stream = f
+	}
+	opts.Stream = stream
+
 	engineOpts := core.DefaultOptions()
 	rec.Hook(&engineOpts)
 	engine, err := core.NewEngine(engineOpts)
@@ -189,13 +191,12 @@ func runFleet(n int, seed int64, opts fleet.Options, jsonlPath, eventsPath, hist
 		fmt.Fprintf(os.Stderr, "jscan: %v\n", err)
 		return 1
 	}
+	// A finding is recorded before detection sees it.
 	stage := trace.NewStage(engine, opts.Workers, 4096, trace.Block)
-	opts.Events = trace.SinkFunc(func(e trace.Event) {
-		stage.Emit(e)
-		if rec.Events != nil {
-			rec.Events.Emit(e)
-		}
-	})
+	opts.Events = stage
+	if rec.Events != nil {
+		opts.Events = trace.Tee(rec.Events, stage)
+	}
 
 	presets := fleet.Generate(seed, n)
 	fl, err := fleet.Spawn(presets)

@@ -8,7 +8,7 @@
 // table (--topk): the incident set and its rendering are identical
 // for any --workers value.
 //
-// Replay accepts either a legacy JSONL trace file or an event-store
+// Replay accepts either a JSONL trace file or an event-store
 // directory (internal/evstore) as written by jscan --events or
 // jupyterd --log; a directory holding a segment of any other format
 // is refused. A JSONL file streams, never fully buffered: the reader
@@ -28,18 +28,18 @@
 // top-incidents table as its live run — tenant-namespaced actors
 // shard the same way offline.
 //
-// Live mode feeds the wire and host buses through the same kind of
-// stage, recording the tapped stream first with --log (a store
-// directory in binary segments, or legacy JSONL when the path ends
-// in .jsonl). Live mode drains cleanly on SIGINT or SIGTERM: queued
+// Live mode feeds the server's bus, which the wire monitor shares,
+// through the same kind of stage, recording the tapped stream first
+// with --log (a store directory in binary segments; a .jsonl path is
+// refused). Live mode drains cleanly on SIGINT or SIGTERM: queued
 // stage events are processed before the final report renders.
 //
 // Both modes can persist what detection found — alert records and
 // incident snapshots — to an indexed history store (internal/histstore)
 // next to the event store: --history DIR in replay mode (rebuilt from
 // scratch each run), and by default <log>/history in live mode when
-// --log records to a store directory (--history none disables). The
-// history is what makes the third mode cheap:
+// --log is set (--history none disables). The history is what makes
+// the third mode cheap:
 //
 //	jsentinel query [filters] PATH
 //
@@ -103,8 +103,8 @@ func main() {
 	kinds := flag.String("kinds", "", "replay filter: comma-separated event kinds (e.g. scan_finding,auth)")
 	actor := flag.String("actor", "", "replay filter: only events of this actor key (user, source IP, or kernel)")
 	topK := flag.Int("topk", 5, "incidents listed in the top-incidents-by-risk table")
-	logPath := flag.String("log", "", "live mode: record the tapped stream here (store directory, or JSONL when the path ends in .jsonl)")
-	history := flag.String("history", "", "record alert/incident history here for later `jsentinel query` (replay: off unless set, rebuilt each run; live with a store --log: defaults to <log>/history, \"none\" disables)")
+	logPath := flag.String("log", "", "live mode: record the tapped stream to this event-store directory")
+	history := flag.String("history", "", "record alert/incident history here for later `jsentinel query` (replay: off unless set, rebuilt each run; live with --log: defaults to <log>/history, \"none\" disables)")
 	flag.Parse()
 
 	switch {
@@ -459,7 +459,9 @@ func renderKindMix(counts map[trace.Kind]int) string {
 func live(addr, token string, showAlerts bool, zeekOut, logPath string, workers, queue, topK int, history string) int {
 	cfg := server.HardenedConfig(token)
 	srv := server.NewServer(cfg)
-	mon := netmon.NewMonitor(netmon.FullVisibility(), nil)
+	// One bus for wire- and host-derived events, so the tapped stream
+	// has one sequence space.
+	mon := netmon.NewMonitor(netmon.FullVisibility(), srv.Bus())
 	// The tapped stream, replayable later with --replay, and the
 	// history next to it both append: a monitor log spans restarts.
 	rec, err := cliutil.Open("jsentinel", logPath, history, evstore.SinkAppend)
@@ -479,8 +481,7 @@ func live(addr, token string, showAlerts bool, zeekOut, logPath string, workers,
 	if rec.Events != nil {
 		tap = trace.Tee(rec.Events, stage)
 	}
-	mon.Bus().Subscribe(tap) // wire-derived events
-	srv.Bus().Subscribe(tap) // host-derived events
+	srv.Bus().Subscribe(tap)
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

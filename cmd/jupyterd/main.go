@@ -4,11 +4,10 @@
 // The --sloppy flag boots the exposed archetype (auth off, terminals
 // on, wildcard CORS) used for attack demonstrations and honeypots.
 //
-// Trace events stream to --log: an event-store directory by default
-// (segmented, indexed, replayable with jsentinel --replay DIR and its
-// filters), or a legacy flat JSONL file when the path ends in .jsonl.
-// Store segments are compact binary segments; a restart appends fresh
-// segments to the log.
+// Trace events stream to --log, an event-store directory (segmented,
+// indexed, replayable with jsentinel --replay DIR and its filters); a
+// .jsonl path is refused. Store segments are compact binary segments;
+// a restart appends fresh segments to the log.
 // On SIGINT or SIGTERM the server shuts down cleanly and flushes the
 // log's buffered writes before exiting — a signal never tears the
 // recording's tail.
@@ -17,7 +16,6 @@
 //
 //	jupyterd --addr 127.0.0.1:8888
 //	jupyterd --sloppy --log ./events-store
-//	jupyterd --sloppy --log events.jsonl
 package main
 
 import (
@@ -39,7 +37,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
 	sloppy := flag.Bool("sloppy", false, "run with every misconfiguration (demo/honeypot mode)")
 	token := flag.String("token", "", "bearer token (generated if empty)")
-	logPath := flag.String("log", "", "record trace events here: an event-store directory, or JSONL when the path ends in .jsonl")
+	logPath := flag.String("log", "", "record trace events to this event-store directory")
 	terminals := flag.Bool("terminals", false, "enable terminals on hardened config")
 	scan := flag.Bool("scan", false, "print misconfiguration scan of the chosen config and exit")
 	flag.Parse()

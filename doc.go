@@ -67,10 +67,11 @@
 // actor, so kind/actor-filtered replays discard non-matching frames
 // after the CRC check without decoding their bodies. A store holding a
 // file under any other magic refuses to open, and changes nothing.
-// JSON stays the interchange format: .jsonl paths stream flat JSONL,
-// and jdataset exports it. Compact enforces retention, and corrupt
-// tails from crashed writers are truncated and surfaced on open, never
-// silently replayed, with exact tail-loss accounting.
+// JSON stays the interchange format: jsentinel --replay and jdataset
+// read JSONL and jdataset exports it, but every recording is a store.
+// Compact enforces retention, and corrupt tails from crashed writers
+// are truncated and surfaced on open, never silently replayed, with
+// exact tail-loss accounting.
 // Replay decoding is arena-backed: each segment's strings land in an
 // append-only per-segment arena (zero-copy string headers behind a
 // tested unsafe wrapper), segment buffers recycle containers through

@@ -22,10 +22,9 @@ func main() {
 	// 1. A hardened server behind a network tap.
 	cfg := server.HardenedConfig("quickstart-token")
 	srv := server.NewServer(cfg)
-	mon := netmon.NewMonitor(netmon.FullVisibility(), nil)
+	mon := netmon.NewMonitor(netmon.FullVisibility(), srv.Bus())
 	eng := core.MustEngine()
-	mon.Bus().Subscribe(eng) // detection runs on wire-derived events
-	srv.Bus().Subscribe(eng) // and on host-derived events
+	srv.Bus().Subscribe(eng) // detection runs on wire- and host-derived events
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

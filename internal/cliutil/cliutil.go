@@ -11,7 +11,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 
 	"repro/internal/core"
@@ -21,10 +20,10 @@ import (
 )
 
 // HistoryDir is where a run recording events to store keeps its
-// history by default: <store>/history for an event-store directory, ""
-// (no history) for a flat .jsonl stream or no store at all.
+// history by default: <store>/history, or "" (no history) without a
+// store.
 func HistoryDir(store string) string {
-	if store == "" || strings.HasSuffix(store, ".jsonl") {
+	if store == "" {
 		return ""
 	}
 	return filepath.Join(store, "history")
@@ -70,7 +69,7 @@ func open(stderr io.Writer, tool, events, history string, mode evstore.SinkMode)
 		if err != nil {
 			return nil, err
 		}
-		r.reportLosses(h.Recovered)
+		r.reportLosses(h.Recovered())
 		if h.ExistingEvents > 0 {
 			fmt.Fprintf(stderr, "%s: appending to %s (%d events already recorded)\n", tool, events, h.ExistingEvents)
 		}

@@ -24,7 +24,6 @@ func TestHistoryPath(t *testing.T) {
 		{"explicit-without-events", "/h", "", "/h"},
 		{"none", "none", "/ev", ""},
 		{"default-store-dir", "", "/ev", filepath.Join("/ev", "history")},
-		{"default-jsonl", "", "/ev.jsonl", ""},
 		{"default-no-events", "", "", ""},
 	} {
 		if got := historyPath(tc.flag, tc.events); got != tc.want {

@@ -143,37 +143,31 @@ func TestEmitBatchWritesTheSameBytes(t *testing.T) {
 	}
 }
 
-// TestSinkHandleEmitBatch covers both recording forms behind OpenSink:
-// a store directory takes the batch in one locked append, a .jsonl
-// path has no batch form and gets it line by line.
+// TestSinkHandleEmitBatch: a recording takes a batch in one locked
+// append and writes the same files as event-by-event emits.
 func TestSinkHandleEmitBatch(t *testing.T) {
 	events := batchTestEvents()[:300]
-	for _, name := range []string{"store", "flat.jsonl"} {
-		record := func(feed func(*SinkHandle)) map[string][]byte {
-			root := t.TempDir()
-			h, err := OpenSink(filepath.Join(root, name), SinkFresh, CodecBinary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed(h)
-			if err := h.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if name == "store" {
-				return dirFiles(t, filepath.Join(root, name))
-			}
-			return dirFiles(t, root)
+	record := func(feed func(*SinkHandle)) map[string][]byte {
+		dir := filepath.Join(t.TempDir(), "store")
+		h, err := OpenSink(dir, SinkFresh, CodecBinary)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := record(func(h *SinkHandle) {
-			for _, e := range events {
-				h.Emit(e)
-			}
-		})
-		got := record(func(h *SinkHandle) {
-			var _ trace.BatchSink = h
-			h.EmitBatch(events[:100])
-			h.EmitBatch(events[100:])
-		})
-		requireSameFiles(t, name, want, got)
+		feed(h)
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dirFiles(t, dir)
 	}
+	want := record(func(h *SinkHandle) {
+		for _, e := range events {
+			h.Emit(e)
+		}
+	})
+	got := record(func(h *SinkHandle) {
+		var _ trace.BatchSink = h
+		h.EmitBatch(events[:100])
+		h.EmitBatch(events[100:])
+	})
+	requireSameFiles(t, "store", want, got)
 }

@@ -61,10 +61,9 @@ type SegmentInfo = seglog.Segment[Index]
 type TailLoss = seglog.TailLoss
 
 // Store is an event log rooted at one directory. It implements
-// trace.Sink (Emit records the first append failure, exposed via Err,
-// mirroring JSONLWriter), so it drops into any pipeline slot a JSONL
-// writer occupied. Append/Emit are safe for concurrent use; the
-// append order is the replay order.
+// trace.Sink and trace.BatchSink: Emit and EmitBatch keep the first
+// append failure, which Err and Close report. Append/Emit are safe for
+// concurrent use; the append order is the replay order.
 //
 // The segment machine is internal/seglog's: Dir, Segments, Recovered,
 // Err, Sync and Compact are the embedded Log's. The store adds what an

@@ -1,7 +1,7 @@
 package evstore
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -382,31 +382,34 @@ func TestOpenReadNeverMutates(t *testing.T) {
 	}
 }
 
-// TestOpenSinkDispatch pins the CLI path convention: .jsonl paths
-// truncate into flat JSONL; anything else appends to a store and
-// reports what was already there.
+// TestOpenSinkDispatch pins the recording path convention: a .jsonl
+// path is refused under every mode and left as it was; anything else is
+// a store, refused, appended to or replaced per mode, that reports what
+// was already there.
 func TestOpenSinkDispatch(t *testing.T) {
 	dir := t.TempDir()
 
 	jsonlPath := filepath.Join(dir, "events.jsonl")
-	h, err := OpenSink(jsonlPath, SinkFresh, CodecBinary)
-	if err != nil {
+	jsonl := []byte(`{"kind":"exec","user":"u"}` + "\n")
+	if err := os.WriteFile(jsonlPath, jsonl, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	h.Emit(mkEvent(1, trace.KindExec, "u", time.Now()))
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
+	for _, mode := range []SinkMode{SinkFresh, SinkReplace, SinkAppend} {
+		for _, path := range []string{jsonlPath, filepath.Join(dir, "new.jsonl")} {
+			if _, err := OpenSink(path, mode, ""); err == nil || !strings.Contains(err.Error(), "jdataset --out") {
+				t.Fatalf("OpenSink(%s, mode %d) = %v, want the .jsonl refusal", path, mode, err)
+			}
+		}
 	}
-	data, err := os.ReadFile(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
+	if data, err := os.ReadFile(jsonlPath); err != nil || !bytes.Equal(data, jsonl) {
+		t.Fatalf("refused open changed %s: %q, %v", jsonlPath, data, err)
 	}
-	if !json.Valid([]byte(strings.TrimSpace(string(data)))) {
-		t.Fatalf("jsonl sink wrote non-JSON: %q", data)
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("refused opens left %d entries, want only events.jsonl: %v", len(entries), entries)
 	}
 
 	storePath := filepath.Join(dir, "store")
-	h, err = OpenSink(storePath, SinkFresh, CodecBinary)
+	h, err := OpenSink(storePath, SinkFresh, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
 package kernel
 
-// Parsed-program cache: fleet scenarios execute the same cell sources
-// over and over (the census replays one probe notebook per server;
-// attack simulations re-run fixed payloads), so the manager keeps a
-// bounded LRU of parsed minilang programs keyed by the SHA-256 of the
-// source. A hit skips the parse. Interp.Run is exactly Parse followed
-// by RunProgram, and RunProgram never mutates the program, so routing
-// Execute through the cache changes nothing a cell can observe.
+// Parsed-program cache: the same cell sources run over and over
+// (analysts re-run cells; attack simulations re-run fixed payloads),
+// so the manager keeps a bounded LRU of parsed minilang programs keyed
+// by the SHA-256 of the source. A hit skips the parse. Interp.Run is
+// exactly Parse followed by RunProgram, and RunProgram never mutates
+// the program, so routing Execute through the cache changes nothing a
+// cell can observe.
 
 import (
 	"container/list"

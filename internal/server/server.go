@@ -109,9 +109,6 @@ type Option func(*Server)
 // WithClock injects a clock.
 func WithClock(c trace.Clock) Option { return func(s *Server) { s.clock = c } }
 
-// WithBus injects the trace bus all events flow to.
-func WithBus(b *trace.Bus) Option { return func(s *Server) { s.bus = b } }
-
 // WithGateway sets the kernels' outbound network gateway.
 func WithGateway(g kernel.Gateway) Option { return func(s *Server) { s.gateway = g } }
 
@@ -132,9 +129,7 @@ func NewServer(cfg Config, opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.bus == nil {
-		s.bus = trace.NewBus(s.clock)
-	}
+	s.bus = trace.NewBus(s.clock)
 	fsOpts := []vfs.Option{vfs.WithClock(s.clock), vfs.WithSink(s.bus)}
 	if cfg.ContentQuota > 0 {
 		fsOpts = append(fsOpts, vfs.WithQuota(cfg.ContentQuota))

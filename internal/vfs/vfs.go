@@ -29,6 +29,9 @@ const (
 	TypeNotebook  = "notebook"
 )
 
+// maxJournal caps the retained journal entries; older ones are dropped.
+const maxJournal = 100000
+
 // Errors returned by filesystem operations.
 var (
 	ErrNotFound      = errors.New("vfs: not found")
@@ -77,7 +80,6 @@ type FS struct {
 	quota       int64 // total content bytes; 0 = unlimited
 	used        int64
 	journal     []Change
-	maxJournal  int
 }
 
 // Change is one journal entry describing a mutation.
@@ -104,9 +106,6 @@ func WithSink(s trace.Sink) Option { return func(f *FS) { f.sink = s } }
 // WithQuota caps total stored bytes.
 func WithQuota(bytes int64) Option { return func(f *FS) { f.quota = bytes } }
 
-// WithJournalLimit caps retained journal entries (default 100000).
-func WithJournalLimit(n int) Option { return func(f *FS) { f.maxJournal = n } }
-
 // New returns an empty filesystem with a root directory.
 func New(opts ...Option) *FS {
 	f := &FS{
@@ -114,7 +113,6 @@ func New(opts ...Option) *FS {
 		checkpoints: map[string][]Checkpoint{},
 		clock:       trace.RealClock{},
 		sink:        trace.Discard,
-		maxJournal:  100000,
 	}
 	for _, o := range opts {
 		o(f)
@@ -157,8 +155,8 @@ func (f *FS) journalAdd(c Change) {
 	c.Seq = len(f.journal) + 1
 	c.Time = f.clock.Now()
 	f.journal = append(f.journal, c)
-	if len(f.journal) > f.maxJournal {
-		f.journal = f.journal[len(f.journal)-f.maxJournal:]
+	if len(f.journal) > maxJournal {
+		f.journal = f.journal[len(f.journal)-maxJournal:]
 	}
 }
 
